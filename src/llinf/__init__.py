@@ -34,7 +34,7 @@ from .wellform import (
     infer_env, occurrences,
 )
 from .reduction import (
-    EvalStats, Redex, StepRecord, classify, contract, eval_lbl, find_redexes,
+    EvalStats, Redex, classify, contract, eval_lbl, find_redexes,
     step_at_levelset, step_lbl,
 )
 from .metrics import df, size_at, twei, wei, weight_trace

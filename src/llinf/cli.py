@@ -107,13 +107,14 @@ def eval_cmd(depth, fuel, budget, path):
 @main.command()
 @click.option("--depth", default=2, show_default=True)
 @click.option("--fuel", default=1000, show_default=True)
+@click.option("--budget", default=terms.DEFAULT_BUDGET, show_default=True)
 @click.option("--human", is_flag=True)
 @click.argument("path")
-def trace(depth, fuel, human, path):
+def trace(depth, fuel, budget, human, path):
     """Print one line per level-by-level step."""
     g, _ = _load_graph(path)
     try:
-        _, _, stats, records = reduction.run_lbl_trace(g, depth, fuel)
+        _, _, stats, records = reduction.run_lbl_trace(g, depth, fuel, budget)
     except BudgetExceededError as exc:
         _fail(EXIT_EXHAUSTED, str(exc))
     for i, rec in enumerate(records):
@@ -126,8 +127,9 @@ def trace(depth, fuel, human, path):
 @main.command()
 @click.option("--depths", default="0..2", show_default=True,
               help="range like 0..3 or a single depth")
+@click.option("--budget", default=terms.DEFAULT_BUDGET, show_default=True)
 @click.argument("path")
-def weight(depths, path):
+def weight(depths, budget, path):
     """Print size, duplicability factor, and total weight per depth."""
     g, _ = _load_graph(path)
     if ".." in depths:
@@ -138,8 +140,8 @@ def weight(depths, path):
     click.echo("depth\tsize\tdf\ttwei")
     try:
         for m in span:
-            click.echo(f"{m}\t{metrics.size_at(g, m)}\t{metrics.df(g, m)}"
-                       f"\t{metrics.twei(g, m)}")
+            click.echo(f"{m}\t{metrics.size_at(g, m, budget)}"
+                       f"\t{metrics.df(g, m, budget)}\t{metrics.twei(g, m, budget)}")
     except BudgetExceededError as exc:
         _fail(EXIT_EXHAUSTED, str(exc))
     sys.exit(EXIT_OK)

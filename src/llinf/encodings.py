@@ -305,13 +305,8 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
                 children.append(FiniteTree("..."))
                 complete = False
                 continue
-            content = box.body
-            if isinstance(content, Ref):  # definition bodies stay guarded
-                content = graph.resolve(content)
-            subname = fresh_name("decode", set(graph.defs) | graph.all_names())
-            sub = TermGraph({**graph.defs, subname: content}, subname,
-                            _validate=False).pruned()
-            child, sub_ok = peel(sub, remaining - 1)
+            child, sub_ok = peel(reduction.box_contents(graph, box),
+                                 remaining - 1)
             children.append(child)
             complete = complete and sub_ok
         return FiniteTree(sym, tuple(children)), complete

@@ -267,10 +267,10 @@ def weight_trace(g: TermGraph, depth_bound: int, fuel: int = 10_000,
 
     cur = [g, vector(g)]
 
-    def on_step(graph, record):
+    def on_step(graph, redex):
         before = cur[1]
         after = vector(graph)
-        n = record.depth
+        n = redex.depth
         step = WeightStep(n, before, after)
         trace.steps.append(step)
         if not after[n] < before[n]:

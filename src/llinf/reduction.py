@@ -15,16 +15,17 @@ is normal at every proper prefix of ``s``; evaluation normalises depth
 their output depth by depth.
 """
 
+import heapq
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, InvalidPositionError
 from .terms import (
-    App, Box, Lam, Node, Ref, TermGraph,
+    App, Box, Lam, Node, TermGraph,
     ARG, BODY, BOXED, FN,
-    IND, LIN,
+    COIND, IND, LIN,
     DEFAULT_BUDGET,
-    fresh_name, level_depth, level_key, project_depth,
-    subst_in_body, _ref_names,
+    box_contents, derive, fresh_name, level_depth, level_key, project_depth,
+    subst_in_body,
 )
 
 DEFAULT_HEIGHT = 64
@@ -45,15 +46,6 @@ class Redex:
 
     def sort_key(self, preorder_index=0):
         return (*level_key(self.level), preorder_index)
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    redex: Redex
-
-    @property
-    def depth(self) -> int:
-        return self.redex.depth
 
 
 @dataclass
@@ -176,60 +168,67 @@ def level_at(g: TermGraph, path) -> str:
     return level
 
 
+def _rewrite(g: TermGraph, edits) -> Node:
+    """``g``'s root body with the node ``n`` at each position ``p`` of
+    ``edits`` replaced by ``edits[p](n)``.
+
+    The paths are rebuilt top-down; reference crossings along them are
+    inlined first, so other occurrences of shared definitions are
+    untouched (path copying).
+    """
+    trie = {}
+    for path, edit in edits.items():
+        t = trie
+        for sel in path:
+            t = t.setdefault(sel, {})
+        t[None] = edit
+
+    def go(node, t, at):
+        node = g.resolve(node)
+        if None in t:
+            return t[None](node)
+        match node:
+            case App(f, a) if t.keys() <= {FN, ARG}:
+                return App(go(f, t[FN], at + (FN,)) if FN in t else f,
+                           go(a, t[ARG], at + (ARG,)) if ARG in t else a)
+            case Lam(k, x, b) if t.keys() == {BODY}:
+                return Lam(k, x, go(b, t[BODY], at + (BODY,)))
+            case Box(k, b) if t.keys() == {BOXED}:
+                return Box(k, go(b, t[BOXED], at + (BOXED,)))
+        raise InvalidPositionError(
+            f"selector {min(t)!r} does not apply at {'.'.join(at) or '<root>'}")
+
+    return go(g.root_body(), trie, ())
+
+
 def contract(g: TermGraph, redex: Redex) -> TermGraph:
     """Contract one redex occurrence.
 
-    The path is rebuilt top-down; reference crossings along it are
-    inlined first, so sibling occurrences of shared definitions are
-    untouched (path copying).
+    Only the new root body is validated: the other definitions are
+    those of ``g``.
     """
-    defs = dict(g.defs)
-    scratch = TermGraph(defs, g.root, _validate=False)
     path = redex.position
 
     def beta(node):
-        kind = redex_kind_at(scratch, node)
+        kind = redex_kind_at(g, node)
         if kind != redex.kind:
             raise InvalidPositionError(
                 f"position {'.'.join(path) or '<root>'} holds "
                 f"{kind or 'no redex'}, not a {redex.kind} redex")
-        f = scratch.resolve(node.fn)
+        f = g.resolve(node.fn)
         if f.kind == LIN:
             value = node.arg
         else:
-            value = scratch.resolve(node.arg).body
-        out = subst_in_body(scratch, f.body, f.name, value)
-        while isinstance(out, Ref):  # keep definition bodies guarded
-            out = defs[out.name]
-        return out
+            value = g.resolve(node.arg).body
+        # keep definition bodies guarded
+        return g.resolve(subst_in_body(g, f.body, f.name, value))
 
-    def rewrite(node, i):
-        while isinstance(node, Ref):
-            node = defs[node.name]
-        if i == len(path):
-            return beta(node)
-        sel = path[i]
-        match (node, sel):
-            case (App(f, a), "fn"):
-                return App(rewrite(f, i + 1), a)
-            case (App(f, a), "arg"):
-                return App(f, rewrite(a, i + 1))
-            case (Lam(k, x, b), "body"):
-                return Lam(k, x, rewrite(b, i + 1))
-            case (Box(k, b), "box"):
-                return Box(k, rewrite(b, i + 1))
-            case _:
-                raise InvalidPositionError(
-                    f"selector {sel!r} does not apply at step {i} of "
-                    f"{'.'.join(path)}")
-
-    new_body = rewrite(g.root_body(), 0)
+    new_body = _rewrite(g, {path: beta})
     root = g.root
-    if any(root in _ref_names(b) for b in defs.values()):
+    if any(root in g.refs_of(n) for n in g.defs):
         # the old root is shared; give the rewritten unfolding a new name
-        root = fresh_name(root, set(defs) | g.all_names())
-    defs[root] = new_body
-    return TermGraph(defs, root).pruned()
+        root = fresh_name(root, g.all_names())
+    return derive(g, root, new_body).pruned()
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,7 @@ def _admissible(redexes):
 
 def step_lbl(g: TermGraph, max_depth=256, budget=DEFAULT_BUDGET):
     """One level-by-level step: the leftmost admissible redex at the
-    outermost non-normal level.  Returns (graph, record) or None."""
+    outermost non-normal level.  Returns (graph, redex) or None."""
     if not has_any_redex(g):
         return None
     d = 0
@@ -280,7 +279,7 @@ def step_lbl(g: TermGraph, max_depth=256, budget=DEFAULT_BUDGET):
         redexes = redexes_within_depth(g, d, budget)
         if redexes:
             r = _admissible(redexes)[0]
-            return contract(g, r), StepRecord(r)
+            return contract(g, r), r
         d += 1
     raise BudgetExceededError(
         f"no redex found at depth <= {max_depth} despite the graph holding one")
@@ -318,48 +317,178 @@ def find_deadlock(g: TermGraph, *, max_depth=None, max_height=None,
     return None
 
 
+# ---------------------------------------------------------------------------
+# frontier evaluation
+
+@dataclass
+class _Box:
+    """The contents of one coinductive box, evaluated as a graph of
+    their own.  The whole input is the box at the empty position."""
+
+    path: tuple             # position of the contents in the whole unfolding
+    level: str              # level of the contents
+    graph: TermGraph
+    parent: int = -1        # index of the enclosing box
+    at: tuple = ()          # position of the box node in the parent's root body
+    changed: bool = False   # whether a step was taken in the contents
+
+
+def _split(boxes, frontier, used, budget):
+    """Open the coinductive boxes at local depth 0 of each frontier box,
+    in preorder.
+
+    ``used`` counts the nodes of the region above the frontier boxes;
+    their nodes and a node for each box opened are added to it, and
+    :class:`BudgetExceededError` is raised once it passes ``budget``, as
+    a walk of the whole region would.  Returns the indices of the new
+    boxes in ``boxes`` and the nodes of the region above them.
+    """
+    out = []
+    for i in frontier:
+        b = boxes[i]
+        for node, path, level in walk(b.graph, max_depth=0, budget=budget):
+            used += 1
+            if isinstance(node, Box) and node.kind == COIND:
+                out.append(len(boxes))
+                boxes.append(_Box(b.path + path + (BOXED,), b.level + level + "c",
+                                  box_contents(b.graph, node), i, path))
+            if used + len(out) > budget:
+                raise BudgetExceededError(
+                    f"evaluated region exceeds {budget} nodes "
+                    "(ill-formed input?)")
+    return out, used
+
+
+def _frontier_eval(g, depth, fuel, budget, on_step):
+    """Level-by-level evaluation, one box at a time.
+
+    Depth ``d`` of the whole term is depth 0 of the contents of the
+    boxes reached by crossing ``d`` coinductive boxes; completed depths
+    are final, so those contents are normalised each on its own graph.
+    Steps are taken in the order of :func:`redexes_within_depth` on the
+    whole graph, and only the stepped box is rescanned.  The budget
+    bounds the whole depth-``d`` region: a box's scan gets what the
+    region above the frontier and a node for every other frontier box
+    leave.  Calls ``on_step(boxes, redex)`` with the redex's whole-term
+    position.  Returns ``(boxes, stats)``.
+    """
+    stats = EvalStats(steps_per_depth={})
+    boxes = [_Box((), "", g)]
+    frontier = [0]
+    used = 0
+    heap = []
+
+    def push(i):
+        # box i's first redex, keyed as in the whole term: by level, then
+        # by box preorder (local preorder decides within the box)
+        b = boxes[i]
+        found = redexes_within_depth(b.graph, 0, left)
+        if found:
+            heapq.heappush(heap, (level_key(b.level + found[0].level), i,
+                                  found[0]))
+
+    for d in range(depth + 1):
+        if d:
+            frontier, used = _split(boxes, frontier, used, budget)
+        left = budget - used - len(frontier) + 1
+        stats.steps_per_depth[d] = 0
+        for i in frontier:
+            push(i)
+        while heap:
+            if stats.steps_per_depth[d] >= fuel:
+                stats.outcome = "fuel-exhausted"
+                stats.detail = f"fuel exhausted while normalising depth {d}"
+                return boxes, stats
+            _, i, r = heapq.heappop(heap)
+            b = boxes[i]
+            b.graph = contract(b.graph, r)
+            b.changed = True
+            stats.steps_per_depth[d] += 1
+            stats.fuel_consumed += 1
+            push(i)
+            if on_step is not None:
+                on_step(boxes, Redex(b.path + r.position, b.level + r.level,
+                                     r.kind))
+        for i in frontier:
+            dead = find_deadlock(boxes[i].graph, max_depth=0, budget=left)
+            if dead is not None:
+                stats.outcome = "stuck"
+                stats.stuck_position = boxes[i].path + dead[0]
+                stats.detail = dead[1]
+                return boxes, stats
+    return boxes, stats
+
+
+def _plug(g, inner):
+    """``g``'s root body and definitions with the box node at each
+    position of ``inner`` holding the given contents instead."""
+    if not inner:
+        return g.root_body(), g.defs
+    defs = dict(g.defs)
+    edits = {}
+    for at, body, sub_defs in inner:
+        defs.update(sub_defs)
+        edits[at] = lambda _, body=body: Box(COIND, body)
+    return _rewrite(g, edits), defs
+
+
+def _whole(boxes):
+    """The whole graph: the contents of each box that a step changed, or
+    that holds such a box, plugged back into its parent.
+
+    Other boxes keep their original nodes, so the parts of the input no
+    step touched keep their sharing.  Contents are inlined, not
+    referenced: they may mention variables bound above the box.  Only
+    the result is pruned and validated."""
+    inner = [[] for _ in boxes]      # (position of the box node, contents, defs)
+    for i in range(len(boxes) - 1, 0, -1):
+        b = boxes[i]
+        if b.changed or inner[i]:
+            inner[b.parent].append((b.at, *_plug(b.graph, inner[i])))
+    g = boxes[0].graph
+    if not inner[0]:
+        return g
+    body, defs = _plug(g, inner[0])
+    root = g.root
+    if any(root in g.refs_of(n) for n in g.defs):
+        # the unplugged root body stays in use: name the plugged one anew
+        root = fresh_name(root, g.all_names())
+    defs[root] = body
+    out = TermGraph(defs, root, _validate=False).pruned()
+    return TermGraph(out.defs, root)
+
+
 def eval_lbl(g: TermGraph, depth: int, fuel: int,
              budget=DEFAULT_BUDGET, on_step=None):
     """Level-by-level evaluation: normalise depth 0, then 1, ... ``depth``.
 
     Spends at most ``fuel`` steps per depth.  On outcome ``normalized``
     the returned tree is the depth projection of every continuation of
-    the reduction: completed depths can never reacquire a redex.
-    Returns ``(graph, tree, stats)``.
+    the reduction: completed depths can never reacquire a redex, so
+    they are never revisited and a step costs what its box costs, not
+    what the output printed so far costs.  Raises
+    :class:`BudgetExceededError` once the depth-bounded region passes
+    ``budget`` nodes.  ``on_step(graph, redex)`` is called after each
+    step with the whole graph.  Returns ``(graph, tree, stats)``; the
+    graph is ``g`` itself when no step was taken, and boxes no step
+    changed keep their nodes.
     """
-    stats = EvalStats(steps_per_depth={})
-    for d in range(depth + 1):
-        stats.steps_per_depth[d] = 0
-        while True:
-            redexes = redexes_within_depth(g, d, budget)
-            if not redexes:
-                break
-            assert all(r.depth == d for r in redexes), \
-                "a completed depth reacquired a redex"
-            if stats.steps_per_depth[d] >= fuel:
-                stats.outcome = "fuel-exhausted"
-                stats.detail = f"fuel exhausted while normalising depth {d}"
-                return g, project_depth(g, depth, budget), stats
-            r = _admissible(redexes)[0]
-            g = contract(g, r)
-            stats.steps_per_depth[d] += 1
-            stats.fuel_consumed += 1
-            if on_step is not None:
-                on_step(g, StepRecord(r))
-        dead = find_deadlock(g, max_depth=d, budget=budget)
-        if dead is not None:
-            stats.outcome = "stuck"
-            stats.stuck_position, stats.detail = dead
-            return g, project_depth(g, depth, budget), stats
+    hook = None
+    if on_step is not None:
+        hook = lambda boxes, r: on_step(_whole(boxes), r)
+    boxes, stats = _frontier_eval(g, depth, fuel, budget, hook)
+    g = _whole(boxes)
     return g, project_depth(g, depth, budget), stats
 
 
 def run_lbl_trace(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
-    """Evaluate and return the list of step records alongside the result."""
+    """Evaluate and return the list of contracted redexes alongside the
+    result."""
     records = []
-    gout, tree, stats = eval_lbl(g, depth, fuel, budget,
-                                 on_step=lambda _g, rec: records.append(rec))
-    return gout, tree, stats, records
+    boxes, stats = _frontier_eval(g, depth, fuel, budget,
+                                  lambda _boxes, r: records.append(r))
+    g = _whole(boxes)
+    return g, project_depth(g, depth, budget), stats, records
 
 
 def classify(g: TermGraph, height_bound=DEFAULT_HEIGHT,
@@ -378,8 +507,7 @@ def classify(g: TermGraph, height_bound=DEFAULT_HEIGHT,
     return "normal"
 
 
-def format_step(index: int, record: StepRecord, human=False) -> str:
-    r = record.redex
+def format_step(index: int, r: Redex, human=False) -> str:
     level = r.level or ("ε" if human else "")
     pos = ".".join(r.position) or ("ε" if human else "")
     if human:

@@ -306,9 +306,6 @@ def format_lambda_graph(g: TermGraph, flags=None) -> str:
 # ---------------------------------------------------------------------------
 # environments
 
-_PATTERN_MARKS = {"!": "bang", "#": "hash", "^": "caret", "*": "star"}
-
-
 def parse_environment(text: str, system: str) -> dict:
     """Parse the comma-separated environment syntax for one system.
 

@@ -118,12 +118,14 @@ def level_key(level: str):
 class TermGraph:
     """An immutable system of named, guarded equations plus a root name."""
 
-    __slots__ = ("defs", "root", "_fvs")
+    __slots__ = ("defs", "root", "_fvs", "_refs", "_names")
 
     def __init__(self, defs, root, _validate=True):
         self.defs = dict(defs)
         self.root = root
         self._fvs = None
+        self._refs = None
+        self._names = None
         if _validate:
             _validate_graph(self)
 
@@ -158,24 +160,38 @@ class TermGraph:
         """Free variables of an arbitrary subterm of this graph."""
         return frozenset(_fv_node(node, self.def_free_vars(), frozenset()))
 
-    def all_names(self):
-        """Every identifier in use: definition names plus variable names."""
-        names = set(self.defs)
-        todo = list(self.defs.values())
-        while todo:
-            n = todo.pop()
-            match n:
-                case Var(x):
-                    names.add(x)
-                case Lam(_, x, b):
-                    names.add(x)
-                    todo.append(b)
-                case _:
-                    todo.extend(ch for _, ch in _children(n))
-        return names
+    def refs_of(self, name) -> frozenset:
+        """Names referenced by the body of definition ``name`` (cached)."""
+        if self._refs is None:
+            self._refs = {}
+        got = self._refs.get(name)
+        if got is None:
+            got = self._refs[name] = frozenset(_ref_names(self.defs[name]))
+        return got
+
+    def all_names(self) -> set:
+        """Every identifier in use: definition names plus variable names.
+
+        Cached and shared, never copied: a graph made by :func:`derive`
+        or :func:`box_contents`, or pruned, uses the set of the graph it
+        came from and adds its new names to it.  The set only grows, so
+        it may hold names of other graphs of the family too, and a name
+        not in it is fresh for every one of them.  Callers add to it the
+        names they reserve and never remove any.
+        """
+        if self._names is None:
+            names = set(self.defs)
+            for body in self.defs.values():
+                names |= _var_names(body)
+            self._names = names
+        return self._names
 
     def reachable_defs(self):
-        """Names of definitions reachable from the root, in discovery order."""
+        """Names of definitions reachable from the root, in discovery order.
+
+        Uses the reference sets cached by :meth:`refs_of`, but starts no
+        cache: graphs that are never contracted keep none."""
+        refs = self._refs or {}
         seen = []
         seen_set = set()
         todo = [self.root]
@@ -185,16 +201,25 @@ class TermGraph:
                 continue
             seen_set.add(name)
             seen.append(name)
-            todo.extend(sorted(_ref_names(self.defs[name]), reverse=True))
+            got = refs.get(name)
+            if got is None:
+                got = _ref_names(self.defs[name])
+            todo.extend(sorted(got, reverse=True))
         return seen
 
     def pruned(self) -> "TermGraph":
-        """Drop definitions unreachable from the root."""
+        """Drop definitions unreachable from the root (caches carry over)."""
         keep = set(self.reachable_defs())
-        if keep == set(self.defs):
+        if len(keep) == len(self.defs):
             return self
-        return TermGraph({n: b for n, b in self.defs.items() if n in keep},
-                         self.root, _validate=False)
+        out = TermGraph({n: b for n, b in self.defs.items() if n in keep},
+                        self.root, _validate=False)
+        if self._fvs is not None:
+            out._fvs = {n: self._fvs[n] for n in out.defs}
+        if self._refs is not None:
+            out._refs = {n: r for n, r in self._refs.items() if n in keep}
+        out._names = self._names
+        return out
 
     def __repr__(self):
         return f"TermGraph(root={self.root!r}, defs={sorted(self.defs)})"
@@ -292,6 +317,62 @@ def _validate_graph(g):
     fvs = g.def_free_vars()
     for name, body in g.defs.items():
         _check_capture(name, body, fvs, frozenset())
+
+
+def box_contents(g: TermGraph, box: Box) -> TermGraph:
+    """The contents of ``box``, a box of ``g``'s unfolding, as a pruned
+    graph of their own.
+
+    The new root gets a name ``box<k>`` unused in ``g``'s family, ``k``
+    counting up from the size of its name set (one try as a rule); it
+    takes no number from the counter of :func:`fresh_name`, so splitting
+    a graph into boxes does not shift the names that contraction makes.
+    The caches carry over, so no body but the contents is scanned.
+    """
+    node = g.resolve(box.body)  # definition bodies stay guarded
+    names = g.all_names()
+    name = next(f"box{k}" for k in count(len(names))
+                if f"box{k}" not in names)
+    names.add(name)
+    fvs = g.def_free_vars()
+    out = TermGraph({**g.defs, name: node}, name, _validate=False)
+    out._fvs = {**fvs, name: g.node_free_vars(node)}
+    out._refs = dict(g._refs or ())
+    out._names = names
+    return out.pruned()
+
+
+def derive(g: TermGraph, name, body) -> TermGraph:
+    """``g`` with definition ``name`` set to ``body``, validated.
+
+    When no definition references ``name``, the others keep their
+    references and free variables, so on a valid ``g`` only ``body`` can
+    break an invariant: it alone is checked, against the carried-over
+    caches, which finds everything a full validation of the result
+    would.  In any other case, or when ``body`` fails a check that a
+    full validation reports better, the result is validated in full.
+    Either way the result shares ``g``'s name set.
+    """
+    defs = {**g.defs, name: body}
+    if not isinstance(body, Node) or isinstance(body, Ref):
+        return TermGraph(defs, name)
+    refs = frozenset(_ref_names(body))
+    names = _var_names(body)
+    fresh = name in g.defs or name not in g.all_names()
+    if (name in refs or not refs <= defs.keys() or names & defs.keys()
+            or not fresh or any(name in g.refs_of(n) for n in g.defs)):
+        out = TermGraph(defs, name)
+    else:
+        fvs = dict(g.def_free_vars())
+        fvs[name] = frozenset(_fv_node(body, fvs, frozenset()))
+        _check_capture(name, body, fvs, frozenset())
+        out = TermGraph(defs, name, _validate=False)
+        out._fvs = fvs
+        out._refs = {**g._refs, name: refs}
+    out._names = g.all_names()
+    out._names |= names
+    out._names.add(name)
+    return out
 
 
 def _var_names(node):
@@ -602,11 +683,14 @@ def _rename_free(node, old, new):
 
 
 def rename_binders_apart(node, avoid, used):
-    """Alpha-rename binders whose names collide with ``avoid``."""
+    """Alpha-rename binders whose names collide with ``avoid``.
+
+    ``used`` holds every name to keep clear of, ``avoid`` included; the
+    new binder names are added to it."""
     match node:
         case Lam(k, x, b):
             if x in avoid:
-                x2 = fresh_name(x, avoid | used)
+                x2 = fresh_name(x, used)
                 used.add(x2)
                 b = _rename_free(b, x, x2)
                 return Lam(k, x2, rename_binders_apart(b, avoid, used))
@@ -629,7 +713,8 @@ def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node) -> Node:
     binders.
     """
     avoid = g.node_free_vars(replacement)
-    used = set(avoid) | g.all_names()
+    used = g.all_names()    # shared: renamed binders stay reserved
+    used |= avoid
     body = rename_binders_apart(body, avoid, used)
 
     def go(n):

@@ -81,6 +81,26 @@ def test_trace_tab_separated():
     assert lines[1].split("\t") == ["1", "c", "1", "linear", "box"]
 
 
+def test_trace_budget_exit():
+    r = run(["trace", "--depth", "1", "--budget", "2", "t.lli"],
+            {"t.lli": "def T = (\\x. x) (#((\\q. q) y)) ;\nroot T ;\n"})
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert "error: traversal exceeded 2 nodes" in r.output
+
+
+def test_eval_branching_budget_exit():
+    # 2^d boxes at depth d: the region passes the default budget near
+    # depth 14, long before depth 25
+    r = run(["eval", "--depth", "25", "t.lli"],
+            {"t.lli": "def T = \\f. f (#T) (#T) ;\nroot T ;\n"})
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert "error: evaluated region exceeds 100000 nodes" in r.output
+
+
 def test_weight_table():
     r = run(["weight", "--depths", "0..2", "id.lli"],
             {"id.lli": "def I = \\x. x ;\nroot I ;\n"})
@@ -88,6 +108,15 @@ def test_weight_table():
     lines = r.output.strip().splitlines()
     assert lines[0] == "depth\tsize\tdf\ttwei"
     assert lines[1] == "0\t2\t1\t2"
+
+
+def test_weight_budget_exit():
+    r = run(["weight", "--depths", "0..2", "--budget", "2", "id.lli"],
+            {"id.lli": "def I = \\x. x x ;\nroot I ;\n"})
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert "error: depth-1 region exceeds 2 nodes" in r.output
 
 
 def test_embed_output_parses():

@@ -147,3 +147,35 @@ def test_df_never_increases_on_examples():
     stepped = reduction.contract(g, reduction.find_redexes(g)[0])
     for m in range(3):
         assert df(stepped, m) <= df(g, m)
+
+
+# weight_laws:4s:35 of the bench suites at seed 5: G10 =
+# #((\#x1. (\#x2. ...) #((\#x5. w) #x1)) #(!(...))), accepted by 4S.  Its
+# admissible depth-1 coinductive step moves the argument #x1 from depth 2
+# to depth 3, and df goes from [1, 1, 2, 1] to [1, 1, 1, 2].
+
+def _weight_laws_4s_35():
+    import random
+    _, g = generate.random_term((5, "suites", "weight_laws", "4s", 35), "4s",
+                                27, require_redex=True)
+    return g, random.Random(str((5, "weight_laws:4s:35")))
+
+
+def test_weight_laws_4s_35_df_is_the_oracle_df():
+    g, _ = _weight_laws_4s_35()
+    r = reduction.redexes_within_depth(g, 1)[0]
+    assert (r.position, r.level, r.kind) == (("box",), "c", "coinductive")
+    stepped = reduction.contract(g, r)
+    for h, want in ((g, [1, 1, 2, 1]), (stepped, [1, 1, 1, 2])):
+        assert [df(h, m) for m in range(4)] == want
+        assert [df_oracle(h, m) for m in range(4)] == want
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "df_3 rises from 1 to 2 on an admissible depth-1 step of a 4S term, "
+    "and df_oracle agrees, so the 'df never increases' law of metrics.py "
+    "and properties.weight_laws_case is at fault, not the metric; the law "
+    "stays as it is until the paper's statement of it is in the repo"))
+def test_weight_laws_4s_35_df_never_increases():
+    g, rng = _weight_laws_4s_35()
+    assert properties.weight_laws_case(g, rng) is not False

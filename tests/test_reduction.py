@@ -1,15 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llinf import generate, properties
-from llinf.errors import InvalidPositionError
+from llinf import encodings, generate, properties, reduction
+from llinf.errors import BudgetExceededError, InvalidPositionError
 from llinf.reduction import (
     Redex, classify, contract, eval_lbl, find_deadlock, find_redexes,
-    has_any_redex, level_at, step_at_levelset, step_lbl,
+    format_step, has_any_redex, level_at, redexes_within_depth,
+    run_lbl_trace, step_at_levelset, step_lbl, _admissible,
 )
 from llinf.terms import (
     App, Box, Lam, Ref, TermGraph, Var,
-    equal_at_depth, graph_bisimilar,
+    alpha_equal, equal_at_depth, graph_bisimilar, import_defs,
+    project_depth, _ref_names,
 )
 from conftest import parse
 
@@ -130,7 +132,7 @@ def test_step_lbl_leftmost_outermost():
     out = step_lbl(g)
     assert out is not None
     g2, rec = out
-    assert rec.redex.position == ()
+    assert rec.position == ()
     assert graph_bisimilar(g2, parse("def B = (\\y. y) z ; root B"))
 
 
@@ -150,7 +152,7 @@ def test_step_lbl_prefix_admissibility():
     # admissible first
     g = parse("def A = ((\\x. x) u) (!((\\y. y) w)) ; root A")
     _, rec = step_lbl(g)
-    assert rec.redex.level == ""
+    assert rec.level == ""
 
 
 def test_eval_lbl_identity(identity):
@@ -235,3 +237,179 @@ def test_eval_certificate_lower_depths_final():
     assert stats2.outcome == "normalized"
     assert stats2.steps_per_depth[0] == 0 and stats2.steps_per_depth[1] == 0
     assert equal_at_depth(g1, g2, 1)
+
+
+# ----- frontier evaluation against the whole-graph loop -----------------------
+
+def _whole_graph_eval(g, depth, fuel, budget):
+    """The whole-graph level-by-level loop, kept as the oracle: every
+    step re-walks the depth-<=d region from the root and contracts on
+    the whole graph.  Returns (outcome, steps, stuck position, trace,
+    final graph)."""
+    steps = {}
+    trace = []                        # (redex, graph after the step)
+    for d in range(depth + 1):
+        steps[d] = 0
+        while True:
+            redexes = redexes_within_depth(g, d, budget)
+            if not redexes:
+                break
+            assert all(r.depth == d for r in redexes)
+            if steps[d] >= fuel:
+                return "fuel-exhausted", steps, None, trace, g
+            r = _admissible(redexes)[0]
+            g = contract(g, r)
+            steps[d] += 1
+            trace.append((r, g))
+        dead = find_deadlock(g, max_depth=d, budget=budget)
+        if dead is not None:
+            return "stuck", steps, dead[0], trace, g
+    return "normalized", steps, None, trace, g
+
+
+def _stream_applied(prefix, cycle):
+    defs = {}
+    f = import_defs(defs, encodings.bit_flip())
+    s = import_defs(defs, encodings.scott_encode(
+        encodings.BINARY, encodings.stream_tree(prefix, cycle), "coalgebra"))
+    defs["main"] = App(Ref(f), Ref(s))
+    return TermGraph(defs, "main")
+
+
+# several boxes at one depth: step order across boxes, deadlock position
+FRONTIER_CASES = {
+    "two boxes": "def T = (#((\\x. x) a)) (#((\\y. y) b)) ; root T",
+    "level before preorder":
+        "def T = (#((\\x. x) a)) (!(#((\\y. y) b))) ; root T",
+    "local level after box level":
+        "def T = (#(!((\\x. x) a))) (!(#((\\y. y) b))) ; root T",
+    "deadlock in second box":
+        "def T = (#a) (#((\\!x. x) (#y))) ; root T",
+    "two deadlocks": "def T = (#((\\!x. x) (#y))) (#((\\#z. z) (!w))) ; root T",
+    "box made by a step":
+        "def T = (#((\\#x. #((\\q. q) x)) #((\\y. y) b))) (#((\\z. z) c)) ; root T",
+    "shared contents": "def S = (\\x. x) a ; def T = (#S) (!(#S)) ; root T",
+}
+
+
+def _gate_corpus():
+    for name, text in FRONTIER_CASES.items():
+        yield name, parse(text), 3, 40
+    for name, g in sorted(encodings.counterexamples().items()):
+        yield name, g, 3, 40
+    for a in (0, 1):
+        yield f"fixpoint({a})", encodings.fixpoint(a), 3, 40
+    for prefix, cycle in (("", "01"), ("1", "0"), ("01", "110"), ("", "1")):
+        yield f"bit_flip {prefix}({cycle})", _stream_applied(prefix, cycle), 12, 200
+    for system in ("llinf", "4s"):
+        for seed in range(40):
+            _, g = generate.random_term(("gate", seed), system, 26)
+            yield f"{system}:{seed}", g, 3, 200
+
+
+def _checked_contract(monkeypatch):
+    """Make every contraction check its result: full validation agrees,
+    and the carried caches equal freshly computed ones."""
+    plain = reduction.contract
+
+    def checked(g, r):
+        out = plain(g, r)
+        full = TermGraph(out.defs, out.root)
+        assert out._fvs is not None and full.def_free_vars() == out._fvs
+        for name, refs in out._refs.items():
+            assert refs == _ref_names(out.defs[name])
+        assert full.all_names() <= out.all_names()
+        return out
+
+    monkeypatch.setattr(reduction, "contract", checked)
+
+
+@pytest.mark.parametrize("g,depth,fuel", [
+    pytest.param(g, depth, fuel, id=name.replace(" ", "_"))
+    for name, g, depth, fuel in _gate_corpus()])
+def test_frontier_matches_whole_graph_loop(monkeypatch, g, depth, fuel):
+    _checked_contract(monkeypatch)
+    budget = 3_000      # the region of rho is infinite
+    try:
+        want = _whole_graph_eval(g, depth, fuel, budget)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            eval_lbl(g, depth, fuel, budget)
+        return
+    outcome, steps, stuck, trace, gwant = want
+    seen = []
+    gout, tree, stats = eval_lbl(g, depth, fuel, budget,
+                                 on_step=lambda h, r: seen.append((r, h)))
+    assert stats.outcome == outcome
+    assert stats.steps_per_depth == steps
+    assert stats.stuck_position == stuck
+    assert ([format_step(i, r) for i, (r, _) in enumerate(seen)]
+            == [format_step(i, r) for i, (r, _) in enumerate(trace)])
+    for (_, h), (_, hwant) in zip(seen, trace):
+        assert graph_bisimilar(h, hwant)
+    assert alpha_equal(tree, project_depth(gwant, depth, budget))
+    assert graph_bisimilar(gout, gwant)
+    _, tree2, stats2, records = run_lbl_trace(g, depth, fuel, budget)
+    assert records == [r for r, _ in seen]
+    assert alpha_equal(tree2, tree) and stats2 == stats
+
+
+def test_frontier_keeps_untouched_boxes():
+    # only boxes a step changed are plugged back: a normal cyclic term
+    # comes back as it went in, and an untouched box keeps its reference
+    g = parse("def M = y #M ; root M")
+    gout, _, stats = eval_lbl(g, 8, 10)
+    assert gout is g and stats.fuel_consumed == 0
+    g = parse("def S = y #S ; def T = (#((\\x. x) a)) (#S) ; root T")
+    gout, tree, _ = eval_lbl(g, 8, 10)
+    assert gout.defs["S"] == g.defs["S"]
+    assert gout.root_body() == App(Box("coind", Var("a")),
+                                   Box("coind", Ref("S")))
+    assert alpha_equal(tree, project_depth(gout, 8))
+
+
+# a coinductive tree: the depth-d region holds 8^d boxes
+BRANCHING = "def T = \\f. f" + " (#T)" * 8 + " ; root T"
+
+
+def test_frontier_budget_bounds_the_boxes(monkeypatch):
+    # the frontier is charged to the budget as a whole: each box stays
+    # small, but their number is bounded by the budget, not by 2^depth
+    plain = reduction.box_contents
+    opened = [0]
+
+    def counting(g, box):
+        opened[0] += 1
+        assert opened[0] <= 2_000, "boxes opened past the budget"
+        return plain(g, box)
+
+    monkeypatch.setattr(reduction, "box_contents", counting)
+    g = parse(BRANCHING)
+    with pytest.raises(BudgetExceededError):
+        _whole_graph_eval(g, 25, 10, 2_000)
+    with pytest.raises(BudgetExceededError):
+        eval_lbl(g, 25, 10, 2_000)
+    _, tree, stats = eval_lbl(g, 2, 10, 2_000)
+    assert stats.outcome == "normalized"
+    assert alpha_equal(tree, project_depth(g, 2, 2_000))
+
+
+def test_frontier_step_cost_is_linear(monkeypatch):
+    # nodes visited by every traversal grow with the output, not with its
+    # square: the whole-graph loop visits 3.2x as many at depth 32 as at 16
+    plain = reduction.walk
+    visited = [0]
+
+    def counting(*args, **kwargs):
+        for item in plain(*args, **kwargs):
+            visited[0] += 1
+            yield item
+
+    monkeypatch.setattr(reduction, "walk", counting)
+    counts = {}
+    for depth in (16, 32):
+        visited[0] = 0
+        _, _, stats = eval_lbl(_stream_applied("", "01"), depth, 1000)
+        assert stats.outcome == "normalized"
+        counts[depth] = visited[0]
+    assert counts[32] <= 2.2 * counts[16], counts
