@@ -225,7 +225,7 @@ def contract(g: TermGraph, redex: Redex) -> TermGraph:
 
     new_body = _rewrite(g, {path: beta})
     root = g.root
-    if any(root in g.refs_of(n) for n in g.defs):
+    if root in g.referenced():
         # the old root is shared; give the rewritten unfolding a new name
         root = fresh_name(root, g.all_names())
     return derive(g, root, new_body).pruned()
@@ -450,7 +450,7 @@ def _whole(boxes):
         return g
     body, defs = _plug(g, inner[0])
     root = g.root
-    if any(root in g.refs_of(n) for n in g.defs):
+    if root in g.referenced():
         # the unplugged root body stays in use: name the plugged one anew
         root = fresh_name(root, g.all_names())
     defs[root] = body

@@ -27,6 +27,7 @@ of ``c`` symbols.  Only coinductive boxes increase depth.
 
 from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceededError,
@@ -118,13 +119,14 @@ def level_key(level: str):
 class TermGraph:
     """An immutable system of named, guarded equations plus a root name."""
 
-    __slots__ = ("defs", "root", "_fvs", "_refs", "_names")
+    __slots__ = ("defs", "root", "_fvs", "_refs", "_referenced", "_names")
 
     def __init__(self, defs, root, _validate=True):
         self.defs = dict(defs)
         self.root = root
         self._fvs = None
         self._refs = None
+        self._referenced = None
         self._names = None
         if _validate:
             _validate_graph(self)
@@ -141,16 +143,8 @@ class TermGraph:
     def def_free_vars(self):
         """Free variables of each definition's unfolding (cached fixpoint)."""
         if self._fvs is None:
-            fvs = {name: set() for name in self.defs}
-            changed = True
-            while changed:
-                changed = False
-                for name, body in self.defs.items():
-                    got = _fv_node(body, fvs, frozenset())
-                    if not got <= fvs[name]:
-                        fvs[name] |= got
-                        changed = True
-            self._fvs = {name: frozenset(s) for name, s in fvs.items()}
+            self._fvs = _solve_fvs({name: _scan_body(body)
+                                    for name, body in self.defs.items()})
         return self._fvs
 
     def free_vars(self) -> frozenset:
@@ -158,7 +152,7 @@ class TermGraph:
 
     def node_free_vars(self, node: Node) -> frozenset:
         """Free variables of an arbitrary subterm of this graph."""
-        return frozenset(_fv_node(node, self.def_free_vars(), frozenset()))
+        return _scan_fvs(_scan_body(node), self.def_free_vars())
 
     def refs_of(self, name) -> frozenset:
         """Names referenced by the body of definition ``name`` (cached)."""
@@ -166,8 +160,14 @@ class TermGraph:
             self._refs = {}
         got = self._refs.get(name)
         if got is None:
-            got = self._refs[name] = frozenset(_ref_names(self.defs[name]))
+            got = self._refs[name] = _scan_body(self.defs[name]).refs
         return got
+
+    def referenced(self) -> frozenset:
+        """Names referenced by the body of some definition (cached)."""
+        if self._referenced is None:
+            self._referenced = frozenset().union(*map(self.refs_of, self.defs))
+        return self._referenced
 
     def all_names(self) -> set:
         """Every identifier in use: definition names plus variable names.
@@ -182,7 +182,7 @@ class TermGraph:
         if self._names is None:
             names = set(self.defs)
             for body in self.defs.values():
-                names |= _var_names(body)
+                names |= _scan_body(body).names
             self._names = names
         return self._names
 
@@ -203,7 +203,7 @@ class TermGraph:
             seen.append(name)
             got = refs.get(name)
             if got is None:
-                got = _ref_names(self.defs[name])
+                got = _scan_body(self.defs[name]).refs
             todo.extend(sorted(got, reverse=True))
         return seen
 
@@ -239,56 +239,98 @@ def free_vars(g: TermGraph) -> frozenset:
 # ---------------------------------------------------------------------------
 # validation
 
-def _children(node):
-    match node:
-        case App(f, a):
-            return ((FN, f), (ARG, a))
-        case Lam(_, _, b):
-            return ((BODY, b),)
-        case Box(_, b):
-            return ((BOXED, b),)
-        case _:
-            return ()
+class _Scan(NamedTuple):
+    """What one pass over a body tree finds (:func:`_scan_body`)."""
+
+    refs: frozenset     # names of the definitions referenced
+    names: set          # variable and binder names
+    free: set           # free variables, not counting those of references
+    guards: list        # (ref, names bound above it) in preorder, fn before arg
 
 
-def _ref_names(node):
-    out = set()
+def _scan_body(node) -> _Scan:
+    """One iterative preorder pass over a body tree; references are not
+    followed.  A reference beneath no binder records no guard."""
+    refs = set()
+    names = set()
+    free = set()
+    guards = []
+    bound = {}          # binder name -> number of its binders above the visit
     todo = [node]
     while todo:
         n = todo.pop()
-        if isinstance(n, Ref):
-            out.add(n.name)
-        else:
-            todo.extend(ch for _, ch in _children(n))
-    return out
+        t = type(n)
+        if t is App:
+            todo.append(n.arg)
+            todo.append(n.fn)
+        elif t is Var:
+            names.add(n.name)
+            if n.name not in bound:
+                free.add(n.name)
+        elif t is Lam:
+            x = n.name
+            names.add(x)
+            bound[x] = bound.get(x, 0) + 1
+            todo.append((x,))       # leaves the binder's scope
+            todo.append(n.body)
+        elif t is tuple:
+            bound[n[0]] -= 1
+            if not bound[n[0]]:
+                del bound[n[0]]
+        elif t is Box:
+            todo.append(n.body)
+        elif t is Ref:
+            refs.add(n.name)
+            if bound:
+                guards.append((n.name, frozenset(bound)))
+        elif t is not Cut:
+            raise TypeError(f"not a node: {n!r}")
+    return _Scan(frozenset(refs), names, free, guards)
 
 
-def _fv_node(node, fvs, bound):
-    match node:
-        case Var(x):
-            return set() if x in bound else {x}
-        case Lam(_, x, b):
-            return _fv_node(b, fvs, bound | {x})
-        case App(f, a):
-            return _fv_node(f, fvs, bound) | _fv_node(a, fvs, bound)
-        case Box(_, b):
-            return _fv_node(b, fvs, bound)
-        case Ref(name):
-            # Capture-freedom: a definition's free variables are never
-            # bound here, so no subtraction is needed.
-            return set(fvs[name])
-        case Cut():
-            return set()
-    raise TypeError(f"not a node: {node!r}")
+def _scan_fvs(scan, fvs) -> frozenset:
+    """Free variables of a scanned body, given those of every definition.
+
+    Capture-freedom: a definition's free variables are never bound above
+    a reference to it, so none of them is subtracted."""
+    return frozenset(scan.free.union(*[fvs[r] for r in scan.refs]))
+
+
+def _solve_fvs(scans) -> dict:
+    """Free variables of every definition: the least fixpoint over the
+    reference sets of the scanned bodies."""
+    fvs = {name: set(s.free) for name, s in scans.items()}
+    changed = True
+    while changed:
+        changed = False
+        for name, s in scans.items():
+            got = fvs[name]
+            size = len(got)
+            got.update(*[fvs[r] for r in s.refs])
+            changed |= len(got) != size
+    return {name: frozenset(s) for name, s in fvs.items()}
+
+
+def _check_capture(defname, scan, fvs):
+    for ref, bound in scan.guards:
+        bad = bound & fvs[ref]
+        if bad:
+            binder = min(bad)
+            raise CaptureError(
+                f"in definition {defname!r}, reference to {ref!r} occurs "
+                f"beneath binder {binder!r} which is free in {ref!r}",
+                binder=binder, ref=ref)
 
 
 def _validate_graph(g):
     if g.root not in g.defs:
         raise DefinitionError(f"root {g.root!r} is not defined")
+    scans = {}
     for name, body in g.defs.items():
         if not isinstance(body, Node):
             raise DefinitionError(f"definition {name!r} is not a term")
-        for ref in _ref_names(body):
+        scans[name] = _scan_body(body)
+        for ref in scans[name].refs:
             if ref not in g.defs:
                 raise DefinitionError(
                     f"definition {name!r} references undefined {ref!r}")
@@ -307,16 +349,15 @@ def _validate_graph(g):
                 "unguarded definition: " + " -> ".join(chain), cycle=chain)
     # Variable and definition names share the surface namespace; keeping
     # them disjoint makes printing/parsing a faithful round trip.
-    defnames = set(g.defs)
-    for name, body in g.defs.items():
-        clash = _var_names(body) & defnames
+    for name, scan in scans.items():
+        clash = scan.names & g.defs.keys()
         if clash:
             raise DefinitionError(
                 f"variable {sorted(clash)[0]!r} in definition {name!r} "
                 "collides with a definition name")
-    fvs = g.def_free_vars()
-    for name, body in g.defs.items():
-        _check_capture(name, body, fvs, frozenset())
+    g._fvs = _solve_fvs(scans)
+    for name, scan in scans.items():
+        _check_capture(name, scan, g._fvs)
 
 
 def box_contents(g: TermGraph, box: Box) -> TermGraph:
@@ -356,56 +397,23 @@ def derive(g: TermGraph, name, body) -> TermGraph:
     defs = {**g.defs, name: body}
     if not isinstance(body, Node) or isinstance(body, Ref):
         return TermGraph(defs, name)
-    refs = frozenset(_ref_names(body))
-    names = _var_names(body)
+    scan = _scan_body(body)
     fresh = name in g.defs or name not in g.all_names()
-    if (name in refs or not refs <= defs.keys() or names & defs.keys()
-            or not fresh or any(name in g.refs_of(n) for n in g.defs)):
+    if (name in scan.refs or not scan.refs <= defs.keys()
+            or scan.names & defs.keys() or not fresh
+            or name in g.referenced()):
         out = TermGraph(defs, name)
     else:
         fvs = dict(g.def_free_vars())
-        fvs[name] = frozenset(_fv_node(body, fvs, frozenset()))
-        _check_capture(name, body, fvs, frozenset())
+        fvs[name] = _scan_fvs(scan, fvs)
+        _check_capture(name, scan, fvs)
         out = TermGraph(defs, name, _validate=False)
         out._fvs = fvs
-        out._refs = {**g._refs, name: refs}
+        out._refs = {**g._refs, name: scan.refs}
     out._names = g.all_names()
-    out._names |= names
+    out._names |= scan.names
     out._names.add(name)
     return out
-
-
-def _var_names(node):
-    out = set()
-    todo = [node]
-    while todo:
-        n = todo.pop()
-        match n:
-            case Var(x):
-                out.add(x)
-            case Lam(_, x, b):
-                out.add(x)
-                todo.append(b)
-            case _:
-                todo.extend(ch for _, ch in _children(n))
-    return out
-
-
-def _check_capture(defname, node, fvs, bound):
-    match node:
-        case Ref(ref):
-            bad = bound & fvs[ref]
-            if bad:
-                binder = sorted(bad)[0]
-                raise CaptureError(
-                    f"in definition {defname!r}, reference to {ref!r} occurs "
-                    f"beneath binder {binder!r} which is free in {ref!r}",
-                    binder=binder, ref=ref)
-        case Lam(_, x, b):
-            _check_capture(defname, b, fvs, bound | {x})
-        case _:
-            for _, ch in _children(node):
-                _check_capture(defname, ch, fvs, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -662,76 +670,68 @@ def fresh_name(base, used):
     raise RuntimeError("fresh name space exhausted")
 
 
-def _rename_free(node, old, new):
-    """Rename free occurrences of a variable inside a body tree.
-
-    Never descends into references: capture-freedom guarantees that no
-    reference beneath the renamed binder mentions it freely.
-    """
-    match node:
-        case Var(x):
-            return Var(new) if x == old else node
-        case Lam(k, x, b):
-            return node if x == old else Lam(k, x, _rename_free(b, old, new))
-        case App(f, a):
-            return App(_rename_free(f, old, new), _rename_free(a, old, new))
-        case Box(k, b):
-            return Box(k, _rename_free(b, old, new))
-        case Ref(_):
-            return node
-    raise TypeError(f"unexpected node {node!r}")
-
-
-def rename_binders_apart(node, avoid, used):
-    """Alpha-rename binders whose names collide with ``avoid``.
-
-    ``used`` holds every name to keep clear of, ``avoid`` included; the
-    new binder names are added to it."""
-    match node:
-        case Lam(k, x, b):
-            if x in avoid:
-                x2 = fresh_name(x, used)
-                used.add(x2)
-                b = _rename_free(b, x, x2)
-                return Lam(k, x2, rename_binders_apart(b, avoid, used))
-            return Lam(k, x, rename_binders_apart(b, avoid, used))
-        case App(f, a):
-            return App(rename_binders_apart(f, avoid, used),
-                       rename_binders_apart(a, avoid, used))
-        case Box(k, b):
-            return Box(k, rename_binders_apart(b, avoid, used))
-        case _:
-            return node
-
-
 def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node) -> Node:
-    """Capture-avoiding substitution inside one body tree.
+    """Capture-avoiding substitution inside one body tree, in one pass.
 
-    ``replacement`` may reference definitions; by capture-freedom no
-    referenced definition has ``x`` free when the body lies beneath an
-    ``x`` binder, so recursion stops at references and at shadowing
-    binders.
+    Binders named like a free variable of ``replacement`` are renamed
+    apart, in preorder, to names fresh in ``g``'s name set, which keeps
+    them.  ``replacement`` may reference definitions; by capture-freedom
+    no referenced definition has ``x`` free when the body lies beneath an
+    ``x`` binder, so the pass stops at references.  Subtrees it leaves
+    unchanged are shared with ``body``.
     """
     avoid = g.node_free_vars(replacement)
     used = g.all_names()    # shared: renamed binders stay reserved
     used |= avoid
-    body = rename_binders_apart(body, avoid, used)
-
-    def go(n):
-        match n:
-            case Var(v):
-                return replacement if v == x else n
-            case Lam(k, v, b):
-                return n if v == x else Lam(k, v, go(b))
-            case App(f, a):
-                return App(go(f), go(a))
-            case Box(k, b):
-                return Box(k, go(b))
-            case Ref(_):
-                return n
-        raise TypeError(f"unexpected node {n!r}")
-
-    return go(body)
+    vals = []
+    # (node, scope) visits a node, where scope maps each binder name in
+    # scope that is renamed, or that shadows x or a renamed binder, to its
+    # new name; (node, None or new binder name) rebuilds a visited node
+    # from the values of its children.
+    todo = [(body, {})]
+    while todo:
+        n, scope = todo.pop()
+        t = type(n)
+        if type(scope) is not dict:
+            if t is App:
+                a = vals.pop()
+                f = vals.pop()
+                vals.append(n if f is n.fn and a is n.arg else App(f, a))
+            else:
+                b = vals.pop()
+                if t is Box:
+                    vals.append(n if b is n.body else Box(n.kind, b))
+                else:
+                    vals.append(n if b is n.body and scope == n.name
+                                else Lam(n.kind, scope, b))
+        elif t is Var:
+            v = scope.get(n.name)
+            if v is None:
+                vals.append(replacement if n.name == x else n)
+            else:
+                vals.append(n if v == n.name else Var(v))
+        elif t is App:
+            todo.append((n, None))
+            todo.append((n.arg, scope))
+            todo.append((n.fn, scope))
+        elif t is Lam:
+            v = n.name
+            if v in avoid:
+                v = fresh_name(v, used)
+                used.add(v)
+                scope = {**scope, n.name: v}
+            elif v == x or v in scope:
+                scope = {**scope, v: v}
+            todo.append((n, v))
+            todo.append((n.body, scope))
+        elif t is Box:
+            todo.append((n, None))
+            todo.append((n.body, scope))
+        elif t is Ref:
+            vals.append(n)
+        else:
+            raise TypeError(f"unexpected node {n!r}")
+    return vals[0]
 
 
 def import_defs(target_defs: dict, src: TermGraph):
@@ -744,7 +744,7 @@ def import_defs(target_defs: dict, src: TermGraph):
     rename = {}
     used = set(target_defs)
     for body in target_defs.values():
-        used |= _var_names(body)
+        used |= _scan_body(body).names
     used |= src.all_names() - set(src.defs)
     for name in reach:
         if name in used:

@@ -11,7 +11,7 @@ from llinf.reduction import (
 from llinf.terms import (
     App, Box, Lam, Ref, TermGraph, Var,
     alpha_equal, equal_at_depth, graph_bisimilar, import_defs,
-    project_depth, _ref_names,
+    project_depth, _scan_body,
 )
 from conftest import parse
 
@@ -317,7 +317,7 @@ def _checked_contract(monkeypatch):
         full = TermGraph(out.defs, out.root)
         assert out._fvs is not None and full.def_free_vars() == out._fvs
         for name, refs in out._refs.items():
-            assert refs == _ref_names(out.defs[name])
+            assert refs == _scan_body(out.defs[name]).refs
         assert full.all_names() <= out.all_names()
         return out
 

@@ -1,12 +1,18 @@
+from itertools import count
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llinf import generate
-from llinf.errors import BudgetExceededError, CaptureError, GuardednessError
+from llinf import generate, terms
+from llinf.errors import (
+    BudgetExceededError, CaptureError, DefinitionError, GuardednessError,
+    LLinfError,
+)
 from llinf.terms import (
     App, Box, Cut, CUT, Lam, Ref, TermGraph, Var,
-    alpha_equal, equal_at_depth, graph_bisimilar, project_depth,
-    substitute, truncate_tree, unfold_height,
+    COIND, IND, LIN,
+    alpha_equal, derive, equal_at_depth, graph_bisimilar, project_depth,
+    subst_in_body, substitute, truncate_tree, unfold_height, _scan_body,
 )
 from conftest import parse
 
@@ -199,3 +205,162 @@ def _unfold_once(g):
                 return node
 
     return go(g.root_body())
+
+
+def _derive_cases():
+    """(graph, name, body, error class a fresh ``name`` must give or None):
+    generated bodies of both systems, and mutants of them."""
+    for system in ("llinf", "4s"):
+        for seed in range(20):
+            _, g = generate.random_term(("derive", seed), system, 26)
+            fvs = g.def_free_vars()
+            some_def = min(g.defs)
+            for body in g.defs.values():
+                cases = [
+                    (body, None),
+                    (App(body, Ref("undefined")), DefinitionError),
+                    (App(body, Var(some_def)), DefinitionError),
+                    (Ref(some_def), GuardednessError),
+                ]
+                cases += [(Lam(LIN, min(fv), App(body, Ref(d))), CaptureError)
+                          for d, fv in sorted(fvs.items()) if fv][:2]
+                for name in (g.root, some_def, "fresh_def"):
+                    for b, error in cases:
+                        yield g, name, b, error if name == "fresh_def" else None
+                    # a body that references its own name
+                    yield g, name, App(body, Box(COIND, Ref(name))), None
+
+
+def test_derive_agrees_with_full_validation():
+    """derive validates only the new body; it must accept and reject
+    exactly what full validation does, with the same error, and carry
+    caches equal to fresh ones."""
+    fast = slow = 0
+    for base, name, body, error in _derive_cases():
+        g = TermGraph(base.defs, base.root)     # a name set of its own
+        defs = {**g.defs, name: body}
+        try:
+            full = TermGraph(defs, name)
+            want = None
+        except LLinfError as exc:
+            want = exc
+        if error is not None:
+            assert type(want) is error, (name, body)
+        if want is not None:
+            with pytest.raises(LLinfError) as got:
+                derive(g, name, body)
+            assert type(got.value) is type(want)
+            assert str(got.value) == str(want)
+            continue
+        out = derive(g, name, body)
+        assert out.root == name and out.defs == defs
+        TermGraph(out.defs, out.root)
+        assert out.def_free_vars() == full.def_free_vars()
+        for n, refs in (out._refs or {}).items():
+            assert refs == full.refs_of(n)
+        assert full.all_names() <= out.all_names()
+        if out._refs is None:
+            slow += 1
+        else:
+            fast += 1
+    assert fast > 100 and slow > 100, (fast, slow)
+
+
+def _subst_reference(g, body, x, replacement):
+    """Substitution in three recursive passes (free variables of the
+    replacement, renaming binders apart, substituting), as it was before
+    one pass did all three: the oracle for :func:`subst_in_body`."""
+    avoid = g.node_free_vars(replacement)
+    used = g.all_names()
+    used |= avoid
+
+    def rename_free(node, old, new):
+        match node:
+            case Var(v):
+                return Var(new) if v == old else node
+            case Lam(k, v, b):
+                return node if v == old else Lam(k, v, rename_free(b, old, new))
+            case App(f, a):
+                return App(rename_free(f, old, new), rename_free(a, old, new))
+            case Box(k, b):
+                return Box(k, rename_free(b, old, new))
+        return node
+
+    def apart(node):
+        match node:
+            case Lam(k, v, b):
+                if v in avoid:
+                    v2 = terms.fresh_name(v, used)
+                    used.add(v2)
+                    return Lam(k, v2, apart(rename_free(b, v, v2)))
+                return Lam(k, v, apart(b))
+            case App(f, a):
+                return App(apart(f), apart(a))
+            case Box(k, b):
+                return Box(k, apart(b))
+        return node
+
+    def go(n):
+        match n:
+            case Var(v):
+                return replacement if v == x else n
+            case Lam(k, v, b):
+                return n if v == x else Lam(k, v, go(b))
+            case App(f, a):
+                return App(go(f), go(a))
+            case Box(k, b):
+                return Box(k, go(b))
+        return n
+
+    return go(apart(body))
+
+
+def test_subst_in_body_matches_three_pass_reference(monkeypatch):
+    renamed = 0
+    for system in ("llinf", "4s"):
+        for seed in range(20):
+            _, g = generate.random_term(("subst", seed), system, 30)
+            for body in g.defs.values():
+                scan = _scan_body(body)
+                names = sorted(scan.names)
+                for x in names[:3]:
+                    for ys in ([names[-1]], names[:2], ["q"]):
+                        repl = Var(ys[0]) if len(ys) == 1 else App(*map(Var, ys))
+                        outs = []
+                        for subst in (subst_in_body, _subst_reference):
+                            monkeypatch.setattr(terms, "_fresh_counter", count(1))
+                            outs.append(subst(TermGraph(g.defs, g.root), body,
+                                              x, repl))
+                        assert outs[0] == outs[1]
+                        renamed += not _scan_body(outs[0]).names <= {*names, *ys}
+    assert renamed > 50
+
+
+@pytest.mark.parametrize("shape", ["lambdas", "spine", "boxes"])
+def test_deep_bodies_need_no_recursion(shape):
+    """Validation, free variables, derive and substitution on bodies
+    5 000 nodes deep, built without the parser."""
+    n = 5_000
+    leaf = App(App(Var("y"), Var("x")), Ref("D"))
+    if shape == "lambdas":
+        body = Lam(LIN, "x", leaf)
+        for i in range(n):
+            body = Lam(LIN, f"x{i}", body)
+        free, repl, free_after = {"y"}, Var("x"), {"x"}
+    elif shape == "spine":
+        body = leaf
+        for i in range(n):
+            body = App(body, Var(f"a{i}"))
+        free = {"x", "y"} | {f"a{i}" for i in range(n)}
+        repl, free_after = Var("z"), free - {"y"} | {"z"}
+    else:
+        body = Lam(LIN, "x", leaf)
+        for i in range(n):
+            body = Box(IND if i % 2 else COIND, body)
+        free, repl, free_after = {"y"}, Var("x"), {"x"}
+    g = TermGraph({"main": body, "D": Lam(LIN, "w", Var("w"))}, "main")
+    assert g.def_free_vars()["main"] == free
+    assert g.node_free_vars(body) == free
+    assert derive(g, "main2", body).def_free_vars()["main2"] == free
+    out = subst_in_body(g, body, "y", repl)
+    assert _scan_body(out).free == free_after
