@@ -37,7 +37,7 @@ from .reduction import (
     EvalStats, Redex, classify, contract, eval_lbl, find_redexes,
     step_at_levelset, step_lbl,
 )
-from .metrics import df, size_at, twei, wei, weight_trace
+from .metrics import df, size_at, twei, wei, weight_profile, weight_trace
 from .lam import (
     DepthFlags, check_labc, embed_cbv, embed_girard, lbeta_step,
     simulate_cbv, simulate_girard,

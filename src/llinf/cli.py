@@ -132,16 +132,19 @@ def trace(depth, fuel, budget, human, path):
 def weight(depths, budget, path):
     """Print size, duplicability factor, and total weight per depth."""
     g, _ = _load_graph(path)
-    if ".." in depths:
-        lo, hi = depths.split("..", 1)
-        span = range(int(lo), int(hi) + 1)
-    else:
-        span = range(int(depths), int(depths) + 1)
+    lo, dots, hi = depths.partition("..")
+    try:
+        span = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        _fail(EXIT_USAGE,
+              f"--depths {depths!r} is not a depth or a range like 0..3")
+    if span.start < 0:
+        _fail(EXIT_USAGE, f"--depths {depths!r} starts below depth 0")
     click.echo("depth\tsize\tdf\ttwei")
     try:
         for m in span:
-            click.echo(f"{m}\t{metrics.size_at(g, m, budget)}"
-                       f"\t{metrics.df(g, m, budget)}\t{metrics.twei(g, m, budget)}")
+            p = metrics.weight_profile(g, m, budget)
+            click.echo(f"{m}\t{p.size[m]}\t{p.df[m]}\t{p.twei(m)}")
     except BudgetExceededError as exc:
         _fail(EXIT_EXHAUSTED, str(exc))
     sys.exit(EXIT_OK)
@@ -311,9 +314,9 @@ def bench(seed, count, system, size, metrics_out):
         buf.write("index\tdepth\tsize\tdf\ttwei\n")
         for i in range(count):
             _, g = generate.random_term((seed, i), system, size)
+            p = metrics.weight_profile(g, 2)
             for m in range(3):
-                buf.write(f"{i}\t{m}\t{metrics.size_at(g, m)}"
-                          f"\t{metrics.df(g, m)}\t{metrics.twei(g, m)}\n")
+                buf.write(f"{i}\t{m}\t{p.size[m]}\t{p.df[m]}\t{p.twei(m)}\n")
         with open(metrics_out, "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
         click.echo(f"metrics written to {metrics_out}")

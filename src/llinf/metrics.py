@@ -14,116 +14,147 @@ and is the termination measure of the 4S system: a depth-``n`` step
 strictly decreases ``twei_n`` and leaves ``twei_m`` (m < n) unchanged,
 while ``df_m`` never increases.
 
-The default implementations recurse over the finite depth projection
-(truncation markers contribute the neutral element); an independent
+Production computes every metric from one iterative pass over the
+unfolding down to depth ``D+1`` (:func:`weight_profile`), which gives,
+for every index ``m <= D``, ``size_m``, ``df_m`` and the number of
+weight-carrying symbols under ``k`` inductive boxes of depth ``m``;
+``wei_{n,m}`` is then a polynomial in ``n``.  An independent
 implementation computes the same equations directly on the cyclic graph
 with (node, index) memoisation and serves as a cross-check oracle.
+Weight traces run on the frontier evaluator and re-profile only the box
+a step changed.
 """
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
+from typing import NamedTuple
 
-from .errors import MetricsUndefinedError
+from .errors import BudgetExceededError, MetricsUndefinedError
 from .terms import (
-    App, Box, Cut, Lam, Node, TermGraph, Var,
-    DEFAULT_BUDGET, project_depth,
+    App, Box, Lam, Ref, TermGraph, Var,
+    FN, IND,
+    DEFAULT_BUDGET,
 )
 from . import reduction, wellform
 
 
 # ---------------------------------------------------------------------------
-# projection-based implementations (the default route)
+# the weight profile (the production route)
 
-def _nfo_tree(tree: Node, x: str) -> int:
-    """Free occurrences of ``x`` in a finite tree, at every index."""
-    match tree:
-        case Var(y):
-            return 1 if y == x else 0
-        case Lam(_, y, b):
-            return 0 if y == x else _nfo_tree(b, x)
-        case App(f, a):
-            return _nfo_tree(f, x) + _nfo_tree(a, x)
-        case Box(_, b):
-            return _nfo_tree(b, x)
-        case Cut():
-            return 0
-    raise TypeError(f"unexpected tree node {tree!r}")
+class WeightProfile(NamedTuple):
+    """Per-index sums of one region, indices ``0 .. top``."""
 
+    size: list      # size[m]: symbol occurrences at depth m
+    df: list        # df[m]: duplicability factor at depth m
+    h: list         # h[m][k]: variables and abstractions at depth m
+                    # under k inductive boxes of that depth
+    visited: int    # nodes of the depth-(top+1) region
 
-def _size_tree(tree: Node, i: int) -> int:
-    match tree:
-        case Cut():
-            return 0
-        case Var(_):
-            return 1 if i == 0 else 0
-        case App(f, a):
-            return _size_tree(f, i) + _size_tree(a, i) + (1 if i == 0 else 0)
-        case Lam(_, _, b):
-            return _size_tree(b, i) + (1 if i == 0 else 0)
-        case Box("ind", b):
-            return _size_tree(b, i) + (1 if i == 0 else 0)
-        case Box("coind", b):
-            return 0 if i == 0 else _size_tree(b, i - 1)
-    raise TypeError(f"unexpected tree node {tree!r}")
+    def wei(self, n: int, m: int) -> int:
+        return sum(c * n ** k for k, c in enumerate(self.h[m]))
+
+    def twei(self, m: int) -> int:
+        return self.wei(self.df[m], m)
 
 
-def _wei_tree(tree: Node, n: int, i: int) -> int:
-    match tree:
-        case Cut():
-            return 0
-        case Var(_):
-            return 1 if i == 0 else 0
-        case App(f, a):
-            return _wei_tree(f, n, i) + _wei_tree(a, n, i)
-        case Lam(_, _, b):
-            return _wei_tree(b, n, i) + (1 if i == 0 else 0)
-        case Box("ind", b):
-            w = _wei_tree(b, n, i)
-            return n * w if i == 0 else w
-        case Box("coind", b):
-            return 0 if i == 0 else _wei_tree(b, n, i - 1)
-    raise TypeError(f"unexpected tree node {tree!r}")
+_UNBOUND = object()
 
 
-def _df_tree(tree: Node, i: int) -> int:
-    match tree:
-        case Cut() | Var(_):
-            return 1
-        case App(f, a):
-            return max(_df_tree(f, i), _df_tree(a, i))
-        case Lam("ind", x, b):
-            if i == 0:
-                return max(_nfo_tree(b, x), _df_tree(b, 0))
-            return _df_tree(b, i)
-        case Lam(_, _, b):
-            return _df_tree(b, i)
-        case Box("ind", b):
-            return _df_tree(b, i)
-        case Box("coind", b):
-            return 1 if i == 0 else _df_tree(b, i - 1)
-    raise TypeError(f"unexpected tree node {tree!r}")
+def weight_profile(g: TermGraph, top: int,
+                   budget=DEFAULT_BUDGET) -> WeightProfile:
+    """One iterative preorder pass over the depth-``(top+1)`` region of
+    the unfolding (the nodes :func:`~llinf.terms.project_depth` at
+    ``top+1`` visits), building no tree.
+
+    ``nfo`` of an inductive abstraction at depth ``m`` counts the
+    occurrences its binder binds at depth ``m`` or ``m+1``: those of the
+    depth-``(m+1)`` projection.  Raises :class:`BudgetExceededError`
+    once the region passes ``budget`` nodes.
+    """
+    size = [0] * (top + 1)
+    df = [1] * (top + 1)
+    h = [[] for _ in range(top + 1)]
+    defs = g.defs
+    # binder name -> its innermost binder in scope: [depth, occurrences]
+    # for an inductive abstraction at depth <= top, None for any other
+    scope = {}
+    todo = [(g.root_body(), 0, 0)]      # (node, depth, inductive boxes)
+    visited = 0
+    while todo:
+        node, d, k = todo.pop()
+        if node is None:                # leaves the scope of binder d
+            binder = scope[d]
+            if binder is not None and binder[1] > df[binder[0]]:
+                df[binder[0]] = binder[1]
+            if k is _UNBOUND:
+                del scope[d]
+            else:
+                scope[d] = k
+            continue
+        t = type(node)
+        if t is Ref:
+            node = defs[node.name]      # bodies are never references
+            t = type(node)
+        visited += 1
+        if visited > budget:
+            raise BudgetExceededError(
+                f"depth-{top + 1} region exceeds {budget} nodes "
+                "(preterm is not well-formed)")
+        if t is Box:
+            if node.kind == IND:
+                if d <= top:
+                    size[d] += 1
+                todo.append((node.body, d, k + 1))
+            elif d <= top:
+                todo.append((node.body, d + 1, 0))
+            continue
+        if d <= top:
+            size[d] += 1
+            if t is not App:
+                hd = h[d]
+                if k < len(hd):
+                    hd[k] += 1
+                else:
+                    hd.extend([0] * (k - len(hd)))
+                    hd.append(1)
+        if t is App:
+            todo.append((node.arg, d, k))
+            todo.append((node.fn, d, k))
+        elif t is Var:
+            binder = scope.get(node.name)
+            if binder and d - binder[0] <= 1:
+                binder[1] += 1
+        elif t is Lam:
+            x = node.name
+            todo.append((None, x, scope.get(x, _UNBOUND)))
+            scope[x] = [d, 0] if node.kind == IND and d <= top else None
+            todo.append((node.body, d, k))
+        else:
+            raise TypeError(f"unexpected node {node!r}")
+    return WeightProfile(size, df, h, visited)
 
 
 def size_at(g: TermGraph, m: int, budget=DEFAULT_BUDGET) -> int:
     """Number of symbol occurrences at depth ``m`` of the unfolding."""
-    return _size_tree(project_depth(g, m + 1, budget), m)
+    return weight_profile(g, m, budget).size[m]
 
 
 def wei(g: TermGraph, n: int, m: int, budget=DEFAULT_BUDGET) -> int:
     """Parametrised weight at depth ``m`` with box multiplier ``n``."""
-    return _wei_tree(project_depth(g, m + 1, budget), n, m)
+    return weight_profile(g, m, budget).wei(n, m)
 
 
 def df(g: TermGraph, m: int, budget=DEFAULT_BUDGET) -> int:
     """Duplicability factor at depth ``m``: the largest number of free
     occurrences an inductive abstraction at that depth binds."""
-    return _df_tree(project_depth(g, m + 1, budget), m)
+    return weight_profile(g, m, budget).df[m]
 
 
 def twei(g: TermGraph, n: int, budget=DEFAULT_BUDGET) -> int:
     """Total weight at depth ``n``: weight with the duplicability factor
     as multiplier.  Strictly decreases along depth-``n`` steps of 4S
     terms."""
-    return wei(g, df(g, n, budget), n, budget)
+    return weight_profile(g, n, budget).twei(n)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +278,88 @@ class WeightTrace:
         return self.verdict == "pass"
 
 
+
+
+def _ind_bound(g: TermGraph, path) -> set:
+    """Names whose innermost binder above ``path`` in ``g``'s root body
+    is an inductive abstraction."""
+    node = g.resolve(g.root_body())
+    kinds = {}
+    for sel in path:
+        match node:
+            case App(f, a):
+                node = f if sel == FN else a
+            case Lam(kind, x, b):
+                kinds[x] = kind
+                node = b
+            case Box(_, b):
+                node = b
+        node = g.resolve(node)
+    return {x for x, kind in kinds.items() if kind == IND}
+
+
+def _weight_steps(g: TermGraph, depth_bound: int, fuel: int, budget):
+    """Level-by-level evaluation to the depth bound with the total-weight
+    vector around every step.  Returns the :class:`WeightStep` list and
+    the evaluation's stats.
+
+    One profile is kept per box of the frontier being evaluated, and a
+    depth-``n`` step profiles only the stepped box again.  Components
+    ``m >= n`` combine its profile with the other frontier boxes'.  A
+    depth-``(m+1)`` projection cannot reach a depth-``n`` box for
+    ``m <= n-2``, so those components carry over.  Component ``n-1``
+    sees the box only through the occurrences an inductive binder at
+    depth ``n-1`` counts: it is recomputed from the whole graph when an
+    inductive binder above the box in its parent binds one of the box's
+    free variables, and carries over otherwise.  The budget bounds the
+    depth-``(depth_bound+1)`` region as a whole (the region above the
+    frontier plus every frontier box), so it runs out exactly when a
+    projection of the graph after some step would.
+    """
+    whole = weight_profile(g, depth_bound, budget)
+    totals = whole._replace(df=list(whole.df), h=list(whole.h))
+    profiles = {0: whole}           # frontier box -> profile of its contents
+
+    def vector():
+        return tuple(map(totals.twei, range(depth_bound + 1)))
+
+    first = vector()
+    steps = []
+
+    def profile(graph, top, spent):
+        try:
+            return weight_profile(graph, top, budget - spent)
+        except BudgetExceededError:
+            raise BudgetExceededError(
+                f"depth-{depth_bound + 1} region exceeds {budget} nodes "
+                "(preterm is not well-formed)") from None
+
+    def on_step(boxes, frontier, used, i, before, r):
+        n = r.depth
+        top = depth_bound - n
+        for j in frontier:
+            if j != i:
+                if j not in profiles:
+                    profiles[j] = profile(boxes[j].graph, top, used)
+                used += profiles[j].visited
+        profiles[i] = profile(boxes[i].graph, top, used)
+        ps = [profiles[j] for j in frontier]
+        for m in range(n, depth_bound + 1):
+            totals.df[m] = max(p.df[m - n] for p in ps)
+            totals.h[m] = [sum(c) for c in zip_longest(
+                *(p.h[m - n] for p in ps), fillvalue=0)]
+        b = boxes[i]
+        if n and not _ind_bound(boxes[b.parent].graph, b.at).isdisjoint(
+                before.free_vars()):
+            totals.df[n - 1] = weight_profile(reduction._whole(boxes), n - 1,
+                                              budget).df[n - 1]
+        steps.append(WeightStep(n, steps[-1].after if steps else first,
+                                vector()))
+
+    _, stats = reduction._frontier_eval(g, depth_bound, fuel, budget, on_step)
+    return steps, stats
+
+
 def weight_trace(g: TermGraph, depth_bound: int, fuel: int = 10_000,
                  budget=DEFAULT_BUDGET) -> WeightTrace:
     """Run level-by-level evaluation to the depth bound, recording the
@@ -261,18 +374,9 @@ def weight_trace(g: TermGraph, depth_bound: int, fuel: int = 10_000,
         return WeightTrace(depth_bound, verdict="not-applicable",
                            detail="input is not well-formed in the 4S system")
     trace = WeightTrace(depth_bound)
-
-    def vector(graph):
-        return tuple(twei(graph, m, budget) for m in range(depth_bound + 1))
-
-    cur = [g, vector(g)]
-
-    def on_step(graph, redex):
-        before = cur[1]
-        after = vector(graph)
-        n = redex.depth
-        step = WeightStep(n, before, after)
-        trace.steps.append(step)
+    trace.steps, stats = _weight_steps(g, depth_bound, fuel, budget)
+    for step in trace.steps:
+        n, before, after = step.depth, step.before, step.after
         if not after[n] < before[n]:
             trace.verdict = "fail"
             trace.detail = (f"step at depth {n} did not decrease twei_{n}: "
@@ -281,10 +385,6 @@ def weight_trace(g: TermGraph, depth_bound: int, fuel: int = 10_000,
             trace.verdict = "fail"
             trace.detail = (f"step at depth {n} changed a lower component: "
                             f"{before[:n]} -> {after[:n]}")
-        cur[0] = graph
-        cur[1] = after
-
-    _, _, stats = reduction.eval_lbl(g, depth_bound, fuel, budget, on_step=on_step)
     if stats.outcome != "normalized" and trace.verdict == "pass":
         trace.verdict = "fail"
         trace.detail = f"evaluation outcome was {stats.outcome}: {stats.detail}"

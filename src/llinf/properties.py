@@ -43,11 +43,11 @@ def weight_laws_case(g, rng, max_depth=3):
         return None
     r = rng.choice(redexes)
     n = r.depth
-    before_t = [metrics.twei(g, m) for m in range(max_depth + 1)]
-    before_d = [metrics.df(g, m) for m in range(max_depth + 1)]
-    stepped = reduction.contract(g, r)
-    after_t = [metrics.twei(stepped, m) for m in range(max_depth + 1)]
-    after_d = [metrics.df(stepped, m) for m in range(max_depth + 1)]
+    before = metrics.weight_profile(g, max_depth)
+    after = metrics.weight_profile(reduction.contract(g, r), max_depth)
+    before_t = [before.twei(m) for m in range(max_depth + 1)]
+    after_t = [after.twei(m) for m in range(max_depth + 1)]
+    before_d, after_d = before.df, after.df
     if not after_t[n] < before_t[n]:
         return False
     if after_t[:n] != before_t[:n]:
@@ -58,17 +58,18 @@ def weight_laws_case(g, rng, max_depth=3):
 
 
 def oracle_agreement_case(g, max_depth=3):
-    """Projection-based metrics agree exactly with the graph-fixpoint
+    """The weight profile agrees exactly with the graph-fixpoint
     oracle."""
+    p = metrics.weight_profile(g, max_depth)
     for m in range(max_depth + 1):
-        if metrics.size_at(g, m) != metrics.size_at_oracle(g, m):
+        if p.size[m] != metrics.size_at_oracle(g, m):
             return False
-        if metrics.df(g, m) != metrics.df_oracle(g, m):
+        if p.df[m] != metrics.df_oracle(g, m):
             return False
-        if metrics.twei(g, m) != metrics.twei_oracle(g, m):
+        if p.twei(m) != metrics.twei_oracle(g, m):
             return False
-        n = metrics.df(g, m)
-        if metrics.wei(g, n, m) != metrics.wei_oracle(g, n, m):
+        n = p.df[m]
+        if p.wei(n, m) != metrics.wei_oracle(g, n, m):
             return False
     return True
 

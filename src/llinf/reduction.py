@@ -369,8 +369,11 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
     whole graph, and only the stepped box is rescanned.  The budget
     bounds the whole depth-``d`` region: a box's scan gets what the
     region above the frontier and a node for every other frontier box
-    leave.  Calls ``on_step(boxes, redex)`` with the redex's whole-term
-    position.  Returns ``(boxes, stats)``.
+    leave.  Calls ``on_step(boxes, frontier, used, i, before, redex)``
+    after each step: ``frontier`` lists the boxes at the depth being
+    normalised, ``used`` counts the nodes of the region above them,
+    ``i`` is the stepped box, ``before`` its graph before the step, and
+    the redex has its whole-term position.  Returns ``(boxes, stats)``.
     """
     stats = EvalStats(steps_per_depth={})
     boxes = [_Box((), "", g)]
@@ -401,14 +404,15 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
                 return boxes, stats
             _, i, r = heapq.heappop(heap)
             b = boxes[i]
-            b.graph = contract(b.graph, r)
+            before = b.graph
+            b.graph = contract(before, r)
             b.changed = True
             stats.steps_per_depth[d] += 1
             stats.fuel_consumed += 1
             push(i)
             if on_step is not None:
-                on_step(boxes, Redex(b.path + r.position, b.level + r.level,
-                                     r.kind))
+                on_step(boxes, frontier, used, i, before,
+                        Redex(b.path + r.position, b.level + r.level, r.kind))
         for i in frontier:
             dead = find_deadlock(boxes[i].graph, max_depth=0, budget=left)
             if dead is not None:
@@ -458,8 +462,7 @@ def _whole(boxes):
     return TermGraph(out.defs, root)
 
 
-def eval_lbl(g: TermGraph, depth: int, fuel: int,
-             budget=DEFAULT_BUDGET, on_step=None):
+def eval_lbl(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
     """Level-by-level evaluation: normalise depth 0, then 1, ... ``depth``.
 
     Spends at most ``fuel`` steps per depth.  On outcome ``normalized``
@@ -468,15 +471,11 @@ def eval_lbl(g: TermGraph, depth: int, fuel: int,
     they are never revisited and a step costs what its box costs, not
     what the output printed so far costs.  Raises
     :class:`BudgetExceededError` once the depth-bounded region passes
-    ``budget`` nodes.  ``on_step(graph, redex)`` is called after each
-    step with the whole graph.  Returns ``(graph, tree, stats)``; the
-    graph is ``g`` itself when no step was taken, and boxes no step
-    changed keep their nodes.
+    ``budget`` nodes.  Returns ``(graph, tree, stats)``; the graph is
+    ``g`` itself when no step was taken, and boxes no step changed keep
+    their nodes.
     """
-    hook = None
-    if on_step is not None:
-        hook = lambda boxes, r: on_step(_whole(boxes), r)
-    boxes, stats = _frontier_eval(g, depth, fuel, budget, hook)
+    boxes, stats = _frontier_eval(g, depth, fuel, budget, None)
     g = _whole(boxes)
     return g, project_depth(g, depth, budget), stats
 
@@ -486,7 +485,7 @@ def run_lbl_trace(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
     result."""
     records = []
     boxes, stats = _frontier_eval(g, depth, fuel, budget,
-                                  lambda _boxes, r: records.append(r))
+                                  lambda *step: records.append(step[-1]))
     g = _whole(boxes)
     return g, project_depth(g, depth, budget), stats, records
 

@@ -1,6 +1,7 @@
 import pytest
 
 from llinf import encodings, surface
+from llinf.terms import App, Ref, TermGraph, import_defs
 
 
 @pytest.fixture(scope="session")
@@ -10,6 +11,16 @@ def ex():
 
 def parse(text):
     return surface.parse_program(text)
+
+
+def flip_applied(prefix, cycle):
+    """``bit_flip`` applied to the stream ``prefix (cycle)^ω``."""
+    defs = {}
+    f = import_defs(defs, encodings.bit_flip())
+    s = import_defs(defs, encodings.scott_encode(
+        encodings.BINARY, encodings.stream_tree(prefix, cycle), "coalgebra"))
+    defs["main"] = App(Ref(f), Ref(s))
+    return TermGraph(defs, "main")
 
 
 @pytest.fixture

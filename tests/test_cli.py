@@ -1,3 +1,4 @@
+import pytest
 from click.testing import CliRunner
 
 from llinf.cli import main
@@ -117,6 +118,16 @@ def test_weight_budget_exit():
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
     assert "error: depth-1 region exceeds 2 nodes" in r.output
+
+
+@pytest.mark.parametrize("depths", ["x..2", "1.5", "2..", "-1..1", "-1"])
+def test_weight_bad_depths_usage_exit(depths):
+    r = run(["weight", "--depths", depths, "id.lli"],
+            {"id.lli": "def I = \\x. x ;\nroot I ;\n"})
+    assert r.exit_code == 3
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert r.output.count("\n") == 1 and r.output.startswith("error: --depths")
 
 
 def test_embed_output_parses():

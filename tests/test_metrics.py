@@ -1,13 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llinf import generate, properties, reduction
+import tree_metrics
+from llinf import encodings, generate, properties, reduction
 from llinf.errors import MetricsUndefinedError
 from llinf.metrics import (
     df, df_oracle, size_at, size_at_oracle, twei, twei_oracle, wei,
-    wei_oracle, weight_trace,
+    wei_oracle, weight_trace, _weight_steps,
 )
-from conftest import parse
+from llinf.terms import App, Box, Ref, TermGraph, COIND, import_defs
+from conftest import flip_applied, parse
 
 
 # frozen values, each computed by hand from the depth-indexed equations
@@ -119,14 +121,7 @@ def _longest_depth0_sequence(g, limit):
 
 
 def test_weight_trace_fixpoint_run():
-    from llinf import encodings
-    from llinf.terms import App, Box, Ref, TermGraph, import_defs, COIND
-    defs = {}
-    x = import_defs(defs, encodings.guarded_fixpoint())
-    n = import_defs(defs, parse("def N = \\#w. \\z. z ; root N"))
-    defs["run"] = App(App(Ref(x), Ref(n)), Box(COIND, Ref(n)))
-    g = TermGraph(defs, "run").pruned()
-    trace = weight_trace(g, 2)
+    trace = weight_trace(_fixpoint_run(), 2)
     assert trace.verdict == "pass", trace.detail
     assert trace.steps  # the unrolling actually stepped
 
@@ -179,3 +174,89 @@ def test_weight_laws_4s_35_df_is_the_oracle_df():
 def test_weight_laws_4s_35_df_never_increases():
     g, rng = _weight_laws_4s_35()
     assert properties.weight_laws_case(g, rng) is not False
+
+
+# the weight profile against the metrics by recursion on projections
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:    # the class is compared
+        return type(exc)
+
+
+def _metric_corpus():
+    for system in ("llinf", "4s"):
+        for seed in range(40):
+            yield f"{system}:{seed}", generate.random_term(("metrics", seed),
+                                                           system, 30)[1]
+    for name, g in sorted(encodings.counterexamples().items()):
+        yield name, g
+
+
+@pytest.mark.parametrize("budget", [3_000, 40, 12])
+def test_profile_matches_tree_metrics(budget):
+    """size_at, wei, df and twei equal the projection route, and run out
+    of budget where it does, with the same exception class.  No region
+    but rho's, which is infinite, passes 3 000 nodes."""
+    raised = 0
+    pairs = [(size_at, tree_metrics.size_at), (df, tree_metrics.df),
+             (twei, tree_metrics.twei)]
+    for name, g in _metric_corpus():
+        for m in range(4):
+            for f, oracle in pairs:
+                got = _outcome(f, g, m, budget)
+                assert got == _outcome(oracle, g, m, budget), (name, m)
+            for n in range(4):
+                got = _outcome(wei, g, n, m, budget)
+                want = _outcome(tree_metrics.wei, g, n, m, budget)
+                assert got == want, (name, n, m)
+                raised += not isinstance(got, int)
+    assert raised  # rho's region is infinite at any budget
+
+
+def _fixpoint_run():
+    defs = {}
+    x = import_defs(defs, encodings.guarded_fixpoint())
+    n = import_defs(defs, parse("def N = \\#w. \\z. z ; root N"))
+    defs["run"] = App(App(Ref(x), Ref(n)), Box(COIND, Ref(n)))
+    return TermGraph(defs, "run").pruned()
+
+
+def _trace_corpus():
+    for prefix, cycle in (("", "01"), ("1", "0"), ("01", "110"), ("", "1")):
+        for bound in range(4):
+            g = flip_applied(prefix, cycle)
+            yield f"flip {prefix}({cycle}) {bound}", g, bound
+    for seed in range(40):
+        _, g = generate.random_term(("trace", seed), "4s", 16 + seed % 25,
+                                    require_redex=True)
+        for bound in (1, 2):
+            yield f"4s:{seed} {bound}", g, bound
+    yield "guarded fixpoint run", _fixpoint_run(), 2
+    for name, g in sorted(encodings.counterexamples().items()):
+        yield name, g, 2
+
+
+@pytest.mark.parametrize("g,bound", [
+    pytest.param(g, bound, id=name) for name, g, bound in _trace_corpus()])
+def test_weight_trace_matches_whole_graph_route(g, bound):
+    """Profiling only the stepped box gives the vectors, verdict and
+    detail of measuring the whole graph after every step."""
+    got = weight_trace(g, bound)
+    want = tree_metrics.weight_trace(g, bound)
+    assert got.steps == want.steps
+    assert (got.verdict, got.detail) == (want.verdict, want.detail)
+
+
+def test_weight_steps_recompute_the_component_below():
+    # accepted by the full system, rejected by 4S: the depth-1 step
+    # (\!z. z z) !x -> x x doubles the occurrences of x, which the
+    # inductive binder at depth 0 counts, so df_0 and twei_0 rise
+    g = parse("def T = \\!x. (!u) (#((\\!z. z z) !x)) ; root T")
+    assert weight_trace(g, 2).verdict == "not-applicable"
+    steps, stats = _weight_steps(g, 2, 100, 10_000)
+    want, want_stats = tree_metrics.weight_steps(g, 2, 100, 10_000)
+    assert steps == want and stats == want_stats
+    assert [(s.depth, s.before, s.after) for s in steps] == [
+        (1, (2, 5, 0), (3, 2, 0))]

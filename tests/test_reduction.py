@@ -10,10 +10,10 @@ from llinf.reduction import (
 )
 from llinf.terms import (
     App, Box, Lam, Ref, TermGraph, Var,
-    alpha_equal, equal_at_depth, graph_bisimilar, import_defs,
+    alpha_equal, equal_at_depth, graph_bisimilar,
     project_depth, _scan_body,
 )
-from conftest import parse
+from conftest import flip_applied, parse
 
 
 def test_find_redex_simple():
@@ -267,15 +267,6 @@ def _whole_graph_eval(g, depth, fuel, budget):
     return "normalized", steps, None, trace, g
 
 
-def _stream_applied(prefix, cycle):
-    defs = {}
-    f = import_defs(defs, encodings.bit_flip())
-    s = import_defs(defs, encodings.scott_encode(
-        encodings.BINARY, encodings.stream_tree(prefix, cycle), "coalgebra"))
-    defs["main"] = App(Ref(f), Ref(s))
-    return TermGraph(defs, "main")
-
-
 # several boxes at one depth: step order across boxes, deadlock position
 FRONTIER_CASES = {
     "two boxes": "def T = (#((\\x. x) a)) (#((\\y. y) b)) ; root T",
@@ -300,7 +291,7 @@ def _gate_corpus():
     for a in (0, 1):
         yield f"fixpoint({a})", encodings.fixpoint(a), 3, 40
     for prefix, cycle in (("", "01"), ("1", "0"), ("01", "110"), ("", "1")):
-        yield f"bit_flip {prefix}({cycle})", _stream_applied(prefix, cycle), 12, 200
+        yield f"bit_flip {prefix}({cycle})", flip_applied(prefix, cycle), 12, 200
     for system in ("llinf", "4s"):
         for seed in range(40):
             _, g = generate.random_term(("gate", seed), system, 26)
@@ -338,8 +329,10 @@ def test_frontier_matches_whole_graph_loop(monkeypatch, g, depth, fuel):
         return
     outcome, steps, stuck, trace, gwant = want
     seen = []
-    gout, tree, stats = eval_lbl(g, depth, fuel, budget,
-                                 on_step=lambda h, r: seen.append((r, h)))
+    reduction._frontier_eval(
+        g, depth, fuel, budget,
+        lambda boxes, *step: seen.append((step[-1], reduction._whole(boxes))))
+    gout, tree, stats = eval_lbl(g, depth, fuel, budget)
     assert stats.outcome == outcome
     assert stats.steps_per_depth == steps
     assert stats.stuck_position == stuck
@@ -409,7 +402,7 @@ def test_frontier_step_cost_is_linear(monkeypatch):
     counts = {}
     for depth in (16, 32):
         visited[0] = 0
-        _, _, stats = eval_lbl(_stream_applied("", "01"), depth, 1000)
+        _, _, stats = eval_lbl(flip_applied("", "01"), depth, 1000)
         assert stats.outcome == "normalized"
         counts[depth] = visited[0]
     assert counts[32] <= 2.2 * counts[16], counts

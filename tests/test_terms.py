@@ -3,7 +3,7 @@ from itertools import count
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llinf import generate, terms
+from llinf import generate, metrics, terms
 from llinf.errors import (
     BudgetExceededError, CaptureError, DefinitionError, GuardednessError,
     LLinfError,
@@ -336,31 +336,57 @@ def test_subst_in_body_matches_three_pass_reference(monkeypatch):
     assert renamed > 50
 
 
-@pytest.mark.parametrize("shape", ["lambdas", "spine", "boxes"])
-def test_deep_bodies_need_no_recursion(shape):
-    """Validation, free variables, derive and substitution on bodies
-    5 000 nodes deep, built without the parser."""
-    n = 5_000
+def _deep_body(shape, n=5_000):
+    """A body ``n`` nodes deep: nested lambdas, an application spine, or
+    nested boxes alternately inductive and coinductive."""
     leaf = App(App(Var("y"), Var("x")), Ref("D"))
     if shape == "lambdas":
         body = Lam(LIN, "x", leaf)
         for i in range(n):
             body = Lam(LIN, f"x{i}", body)
-        free, repl, free_after = {"y"}, Var("x"), {"x"}
     elif shape == "spine":
         body = leaf
         for i in range(n):
             body = App(body, Var(f"a{i}"))
-        free = {"x", "y"} | {f"a{i}" for i in range(n)}
-        repl, free_after = Var("z"), free - {"y"} | {"z"}
     else:
         body = Lam(LIN, "x", leaf)
         for i in range(n):
             body = Box(IND if i % 2 else COIND, body)
+    return TermGraph({"main": body, "D": Lam(LIN, "w", Var("w"))}, "main")
+
+
+@pytest.mark.parametrize("shape", ["lambdas", "spine", "boxes"])
+def test_deep_bodies_need_no_recursion(shape):
+    """Validation, free variables, derive and substitution on bodies
+    5 000 nodes deep, built without the parser."""
+    n = 5_000
+    g = _deep_body(shape, n)
+    body = g.root_body()
+    if shape == "spine":
+        free = {"x", "y"} | {f"a{i}" for i in range(n)}
+        repl, free_after = Var("z"), free - {"y"} | {"z"}
+    else:
         free, repl, free_after = {"y"}, Var("x"), {"x"}
-    g = TermGraph({"main": body, "D": Lam(LIN, "w", Var("w"))}, "main")
     assert g.def_free_vars()["main"] == free
     assert g.node_free_vars(body) == free
     assert derive(g, "main2", body).def_free_vars()["main2"] == free
     out = subst_in_body(g, body, "y", repl)
     assert _scan_body(out).free == free_after
+
+
+@pytest.mark.parametrize("shape,m,size,weight", [
+    # 5 001 lambdas, the leaf's 2 applications, 2 variables and D's 2 nodes
+    ("lambdas", 0, 5_007, 5_005),
+    # 5 000 applications and arguments on the spine, then the leaf
+    ("spine", 0, 10_006, 5_004),
+    # 2 500 coinductive boxes: the leaf \x. y x D is at depth 2 500
+    ("boxes", 0, 1, 0),
+    ("boxes", 2_500, 7, 5),
+])
+def test_deep_bodies_metrics_need_no_recursion(shape, m, size, weight):
+    """The metrics on bodies 5 000 nodes deep, built without the parser."""
+    g = _deep_body(shape)
+    assert metrics.size_at(g, m) == size
+    assert metrics.wei(g, 2, m) == weight
+    assert metrics.df(g, m) == 1
+    assert metrics.twei(g, m) == weight
