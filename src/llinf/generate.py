@@ -20,8 +20,9 @@ import random
 
 from .terms import (
     App, Box, Lam, Ref, TermGraph, Var,
-    COIND, IND, LIN,
+    COIND, IND, LIN, import_defs,
 )
+from .reduction import has_any_redex
 from . import encodings
 
 LLINF = "llinf"
@@ -251,7 +252,6 @@ class TermGen:
                         for _ in range(self.rng.randrange(1, 3)))
         enc = encodings.scott_encode(
             encodings.BINARY, encodings.stream_tree(prefix, cycle), "coalgebra")
-        from .terms import import_defs
         root = import_defs(self.defs, enc)
         return Ref(root)
 
@@ -283,7 +283,6 @@ class TermGen:
 
 def random_term(seed, system, size=30, require_redex=False, max_tries=50):
     """One random well-formed term with its environment."""
-    from .reduction import has_any_redex
     for attempt in range(max_tries):
         gen = TermGen((seed, attempt), system)
         env, g = gen.term(size)

@@ -26,8 +26,8 @@ from .terms import (
     COIND, IND, LIN,
     DEFAULT_BUDGET, graph_bisimilar,
 )
-from .reduction import Redex, contract, level_at
-from .wellform import CheckReport
+from .reduction import Redex, contract, find_redexes, level_at
+from .wellform import CheckReport, _inductive_cycle
 from . import surface
 
 
@@ -80,40 +80,29 @@ def check_labc(g: TermGraph, flags: DepthFlags) -> CheckReport:
     a depth-increasing position.
     """
     require_pure_lambda(g)
+    # number the nodes in preorder, function side first: the numbering
+    # fixes which loop a rejection reports
     idx = {}
     nodes = []
-    edges = []
-
-    def visit(node):
-        node = g.resolve(node)
-        key = id(node)
-        if key in idx:
-            return idx[key]
-        i = len(nodes)
-        idx[key] = i
+    outs = []
+    todo = [g.resolve(g.root_body())]
+    while todo:
+        node = todo.pop()
+        if id(node) in idx:
+            continue
+        idx[id(node)] = len(nodes)
         nodes.append(node)
-        edges.append(None)
-        out = []
         match node:
-            case Var(_):
-                pass
             case App(f, a):
-                out.append((visit(f), flags.b == 1))
-                out.append((visit(a), flags.c == 1))
+                out = ((g.resolve(f), flags.b == 1), (g.resolve(a), flags.c == 1))
             case Lam(_, _, b):
-                out.append((visit(b), flags.a == 1))
-        edges[i] = out
-        return i
+                out = ((g.resolve(b), flags.a == 1),)
+            case _:
+                out = ()
+        outs.append(out)
+        todo.extend(child for child, _ in reversed(out))
+    edges = [[(idx[id(child)], deep) for child, deep in out] for out in outs]
 
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10_000))
-    try:
-        visit(g.root_body())
-    finally:
-        sys.setrecursionlimit(old)
-
-    from .wellform import _inductive_cycle
     cyc = _inductive_cycle(edges)
     if cyc is not None:
         desc = tuple(surface.format_node(nodes[i])[:48] for i in cyc)
@@ -323,7 +312,6 @@ def simulate_girard(g: TermGraph, a: int, steps: int,
     for _ in range(steps):
         target = embed_girard(g, a)
         if check_completeness:
-            from .reduction import find_redexes
             src_paths = {r.position for r in find_redexes(g, height_bound=height)}
             for tr in find_redexes(target, height_bound=2 * height):
                 back = girard_source_path(tr.position)

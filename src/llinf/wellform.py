@@ -13,6 +13,13 @@ pairs.  Acceptance then reduces to two checks over that state graph:
 * every cycle crosses a coinductive-box edge, i.e. the subgraph of
   non-coinductive edges is acyclic.
 
+Every cycle and order question here goes through one iterative Tarjan
+pass, ``_sccs``, which emits strongly connected components sinks first:
+occurrence counting sweeps the components of its product graph once for
+all four box classes, the inductive-loop search and the per-loop
+witnesses take the components of the state graph, and
+``lam.check_labc`` reuses the loop search for the pure calculi.
+
 Pattern kinds:
 
 ==========  =======================  ==================================
@@ -98,136 +105,103 @@ def occurrences(g: TermGraph, x: str, node: Node = None) -> OccSummary:
     4-class box automaton; a class count is infinite exactly when a
     cycle lies on a path from the start to an occurrence of the class.
     """
-    start_node = g.resolve(node if node is not None else g.root_body())
-    start = (id(start_node), _CLS_LIN)
-    nodes = {start: start_node}
-    edges = {}
-    todo = [start]
-    while todo:
-        key = todo.pop()
-        if key in edges:
-            continue
-        n = nodes[key]
-        cls = key[1]
-        outs = []
+    start = g.resolve(node if node is not None else g.root_body())
+    states = [(start, _CLS_LIN)]   # grows while it is read
+    ids = {(id(start), _CLS_LIN): 0}
+    succ = []
+    for n, cls in states:
         match n:
-            case Var(_):
-                pass
-            case Lam(_, v, b):
-                if v != x:
-                    outs.append((g.resolve(b), cls))
+            case Lam(_, v, b) if v != x:
+                outs = ((b, cls),)
             case App(f, a):
-                outs.append((g.resolve(f), cls))
-                outs.append((g.resolve(a), cls))
+                outs = ((f, cls), (a, cls))
             case Box(k, b):
-                outs.append((g.resolve(b), _shift(cls, k)))
-        keys = []
+                outs = ((b, _shift(cls, k)),)
+            case _:
+                outs = ()
+        row = []
         for child, ccls in outs:
-            ck = (id(child), ccls)
-            nodes.setdefault(ck, child)
-            keys.append(ck)
-            if ck not in edges:
-                todo.append(ck)
-        edges[key] = keys
+            child = g.resolve(child)
+            key = (id(child), ccls)
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(states)
+                states.append((child, ccls))
+            row.append(i)
+        succ.append(row)
 
-    def is_target(key, cls):
-        n = nodes[key]
-        return key[1] == cls and isinstance(n, Var) and n.name == x
+    # components come sinks first, so every edge leaving a component
+    # leads to states already counted (duplicate edges count twice)
+    counts = [None] * len(states)
+    for comp in _sccs(succ):
+        total = [0, 0, 0, 0]
+        for i in comp:
+            n, cls = states[i]
+            if isinstance(n, Var) and n.name == x:
+                total[cls] += 1
+            for j in succ[i]:
+                if counts[j] is not None:
+                    for c in range(4):
+                        total[c] += counts[j][c]
+        if _cyclic(comp, succ):
+            total = [INF if t else 0 for t in total]
+        for i in comp:
+            counts[i] = total
+    return OccSummary(*counts[0])
 
-    counts = []
-    for cls in range(4):
-        targets = {k for k in edges if is_target(k, cls)}
-        if not targets:
-            counts.append(0)
+
+def _sccs(succ):
+    """Strongly connected components of the graph on ``0..len(succ)-1``
+    with successor lists ``succ`` (Tarjan 1972, iterative).
+
+    Roots and edges are taken in order; each component is emitted after
+    every component it reaches, its states in stack-pop order.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        co = _coreachable(edges, targets)
-        relevant = co  # everything in `edges` is reachable from start
-        if start not in relevant:
-            counts.append(0)
-            continue
-        if _has_cycle(edges, relevant):
-            counts.append(INF)
-            continue
-        memo = {}
-
-        def npaths(key):
-            if key in memo:
-                return memo[key]
-            total = 1 if key in targets else 0
-            total += sum(npaths(c) for c in edges[key] if c in relevant)
-            memo[key] = total
-            return total
-
-        # children first, so each npaths call finds its children memoised
-        for key in reversed(_topo(edges, relevant)):
-            npaths(key)
-        counts.append(memo.get(start, 1 if start in targets else 0))
-    return OccSummary(*counts)
-
-
-def _coreachable(edges, targets):
-    rev = {k: [] for k in edges}
-    for k, outs in edges.items():
-        for c in outs:
-            rev[c].append(k)
-    seen = set(targets)
-    todo = list(targets)
-    while todo:
-        k = todo.pop()
-        for p in rev[k]:
-            if p not in seen:
-                seen.add(p)
-                todo.append(p)
-    return seen
-
-
-def _has_cycle(edges, relevant):
-    color = {}
-    for root in relevant:
-        if color.get(root):
-            continue
-        stack = [(root, iter([c for c in edges[root] if c in relevant]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if color.get(child) == 1:
-                    return True
-                if not color.get(child):
-                    color[child] = 1
-                    stack.append((child, iter([c for c in edges[child] if c in relevant])))
-                    advanced = True
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
 
 
-def _topo(edges, relevant):
-    color = {}
-    order = []
-    for root in relevant:
-        if color.get(root):
-            continue
-        stack = [(root, iter([c for c in edges[root] if c in relevant]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if not color.get(child):
-                    color[child] = 1
-                    stack.append((child, iter([c for c in edges[child] if c in relevant])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                order.append(node)
-                stack.pop()
-    order.reverse()
-    return order
+def _cyclic(comp, succ):
+    return len(comp) > 1 or comp[0] in succ[comp[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -480,102 +454,47 @@ def check(system: str, env: dict, g: TermGraph) -> CheckReport:
 
 
 def _inductive_cycle(out_edges):
-    """A cycle using only non-coinductive edges, or None."""
-    n = len(out_edges)
-    color = [0] * n
-    stack_pos = {}
-    for root in range(n):
-        if color[root]:
-            continue
-        path = [root]
-        iters = [iter([c for c, mc in out_edges[root] if not mc])]
-        color[root] = 1
-        stack_pos[root] = 0
-        while iters:
-            try:
-                child = next(iters[-1])
-            except StopIteration:
-                done = path.pop()
-                iters.pop()
-                color[done] = 2
-                del stack_pos[done]
-                continue
-            if color[child] == 1:
-                return path[stack_pos[child]:] + [child]
-            if color[child] == 0:
-                color[child] = 1
-                stack_pos[child] = len(path)
-                path.append(child)
-                iters.append(iter([c for c, mc in out_edges[child] if not mc]))
-    return None
+    """A closed walk (first state == last) over non-coinductive edges,
+    or None when those edges form no cycle.
+
+    The walk is the cycle a depth-first search from states 0, 1, ... in
+    edge order meets first: from the least state that reaches a cycle,
+    follow each state's first edge to a state that reaches one until a
+    state repeats.
+    """
+    succ = [[c for c, mc in edges if not mc] for edges in out_edges]
+    live = [False] * len(succ)   # reaches a cycle
+    for comp in _sccs(succ):
+        hit = _cyclic(comp, succ) or any(live[w] for w in succ[comp[0]])
+        for v in comp:
+            live[v] = hit
+    v = next((v for v, hit in enumerate(live) if hit), None)
+    if v is None:
+        return None
+    walk, seen = [], {}
+    while v not in seen:
+        seen[v] = len(walk)
+        walk.append(v)
+        v = next(w for w in succ[v] if live[w])
+    return walk[seen[v]:] + [v]
 
 
 def _loop_witness(out_edges, info):
-    """Per nontrivial SCC of the full state graph, one coinductive edge."""
-    n = len(out_edges)
-    index = [None] * n
-    low = [0] * n
-    on = [False] * n
-    stack = []
-    sccs = []
-    counter = [0]
+    """Per cyclic SCC of the full state graph, one coinductive edge.
 
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on[v] = True
-            recurse = False
-            edges = out_edges[v]
-            for i in range(pi, len(edges)):
-                w = edges[i][0]
-                if index[w] is None:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                parent_v = work[-1][0]
-                low[parent_v] = min(low[parent_v], low[v])
-
+    Only accepted derivations get here, so every cycle, and hence every
+    cyclic component, has a coinductive edge inside.
+    """
+    succ = [[c for c, _ in edges] for edges in out_edges]
     witness = []
-    for comp in sccs:
-        comp_set = set(comp)
-        if len(comp) == 1:
-            v = comp[0]
-            if not any(c == v for c, _ in out_edges[v]):
-                continue
-        mc_edge = None
-        for v in comp:
-            for c, mc in out_edges[v]:
-                if mc and c in comp_set:
-                    mc_edge = (v, c)
-                    break
-            if mc_edge:
-                break
-        witness.append({
-            "size": len(comp),
-            "coinductive_crossing": _describe(*info[mc_edge[0]]) if mc_edge else None,
-        })
+    for comp in _sccs(succ):
+        if not _cyclic(comp, succ):
+            continue
+        members = set(comp)
+        v = next(v for v in comp
+                 if any(mc and c in members for c, mc in out_edges[v]))
+        witness.append({"size": len(comp),
+                        "coinductive_crossing": _describe(*info[v])})
     return witness
 
 

@@ -51,6 +51,14 @@ def test_finite_terms_wellformed_everywhere():
                 assert check_labc(g, DepthFlags(a, b, c)).accepted
 
 
+def test_check_reports_the_first_loop_in_preorder():
+    # two inductive loops under flags 011; a breadth-first numbering
+    # would report B's, the depth-first search the check keeps meets C's
+    g = lparse("def T = (C d) B ; def C = \\x. C ; def B = \\y. B ; root T")
+    rep = check_labc(g, DepthFlags.parse("011"))
+    assert rep.cycle == ("\\x. C", "\\x. C")
+
+
 def test_boxes_rejected():
     g = parse_program("def T = !x ; root T")
     with pytest.raises(LLinfError):

@@ -1,9 +1,11 @@
+import sys
 from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from llinf import generate, metrics, terms
+from llinf.lam import DepthFlags, check_labc
 from llinf.errors import (
     BudgetExceededError, CaptureError, DefinitionError, GuardednessError,
     LLinfError,
@@ -372,6 +374,18 @@ def test_deep_bodies_need_no_recursion(shape):
     assert derive(g, "main2", body).def_free_vars()["main2"] == free
     out = subst_in_body(g, body, "y", repl)
     assert _scan_body(out).free == free_after
+
+
+@pytest.mark.parametrize("shape", ["lambdas", "spine"])
+def test_deep_lambda_terms_check_without_recursion(shape):
+    """The pure-calculus cycle check on bodies 20 000 nodes deep, built
+    without the parser, leaves the recursion limit alone."""
+    g = _deep_body(shape, 20_000)
+    limit = sys.getrecursionlimit()
+    rep = check_labc(g, DepthFlags(0, 0, 0))
+    assert rep.accepted
+    assert rep.states == {"lambdas": 20_007, "spine": 40_006}[shape]
+    assert sys.getrecursionlimit() == limit
 
 
 @pytest.mark.parametrize("shape,m,size,weight", [

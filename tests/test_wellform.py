@@ -1,17 +1,20 @@
 import math
+import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llinf import generate, reduction
-from llinf.encodings import bit_flip, fixpoint, guarded_fixpoint
-from llinf.terms import App, Box, Lam, Ref, TermGraph
+from llinf import generate, reduction, wellform
+from llinf.encodings import bit_flip, counterexamples, fixpoint, guarded_fixpoint
+from llinf.terms import App, Box, Lam, Ref, TermGraph, COIND, IND
 from llinf.wellform import (
     check, check_ll4s, check_llinf, env_precedes, infer_env, occurrences,
-    preceding_variants,
+    preceding_variants, _inductive_cycle, _sccs,
 )
 from llinf.terms import substitute
 from conftest import parse
+import graph_oracles
 
 
 # ----- the running examples -------------------------------------------------
@@ -153,6 +156,136 @@ def test_occurrences_deeper_ind():
     g = parse("def B = !(!(x)) ; root B")
     occ = occurrences(g, "x")
     assert occ.deeper_ind == 1 and occ.total == 1
+
+
+# ----- the SCC pass against its oracles ---------------------------------------
+
+def _occurrence_corpus():
+    """Generated terms of both systems, each also applied to itself (one
+    node reached by two edges) or on a cycle through its root (unguarded,
+    or under an inductive or a coinductive box), the counterexamples, the
+    fixpoints and bit_flip."""
+    named = dict(counterexamples())
+    named.update(bit_flip=bit_flip(), guarded_fixpoint=guarded_fixpoint(),
+                 fixpoint_ind=fixpoint(0), fixpoint_coind=fixpoint(1))
+    graphs = [named[k] for k in sorted(named)]
+    for system in ("llinf", "4s"):
+        for i in range(200):
+            g = generate.random_term((i, "occ"), system, 10 + i % 120)[1]
+            top = [App(Ref(g.root), Ref(g.root)),
+                   App(Ref(g.root), Ref("Top")),
+                   Box(IND, App(Ref(g.root), Ref("Top"))),
+                   Box(COIND, App(Ref(g.root), Ref("Top")))][i % 4]
+            graphs += [g, TermGraph({**g.defs, "Top": top}, "Top")]
+    return graphs
+
+
+def _binders(g):
+    """Every abstraction of every definition of ``g``."""
+    for body in g.defs.values():
+        todo = [body]
+        while todo:
+            n = todo.pop()
+            if isinstance(n, Lam):
+                yield n
+            if isinstance(n, App):
+                todo += (n.fn, n.arg)
+            elif isinstance(n, (Lam, Box)):
+                todo.append(n.body)
+
+
+def test_occurrences_match_the_multipass_oracle():
+    cases = 0
+    for g in _occurrence_corpus():
+        queries = [(x, None) for x in sorted(g.free_vars())]
+        queries += [(lam.name, lam.body) for lam in _binders(g)]
+        for x, node in queries:
+            assert astuple(occurrences(g, x, node)) == \
+                graph_oracles.occurrences(g, x, node), (x, node)
+            cases += 1
+    assert cases >= 10_000
+
+
+def _closure(succ):
+    """For each vertex, the vertices it reaches by one edge or more."""
+    reach = []
+    for v in range(len(succ)):
+        seen, todo = set(), list(succ[v])
+        while todo:
+            w = todo.pop()
+            if w not in seen:
+                seen.add(w)
+                todo.extend(succ[w])
+        reach.append(seen)
+    return reach
+
+
+def _random_digraph(rng):
+    """Successor lists with self-loops and duplicate edges."""
+    n = rng.randrange(1, 14)
+    p = rng.choice([0.05, 0.15, 0.3])
+    return [[w for w in range(n) for _ in range(rng.choice([1, 1, 2]))
+             if rng.random() < p] for _ in range(n)]
+
+
+def test_sccs_are_mutual_reachability_classes_sinks_first():
+    rng = random.Random("sccs")
+    for _ in range(400):
+        succ = _random_digraph(rng)
+        reach = _closure(succ)
+        comps = _sccs(succ)
+        assert sorted(v for comp in comps for v in comp) == list(range(len(succ)))
+        for comp in comps:
+            v = comp[0]
+            assert set(comp) == {v} | {w for w in reach[v] if v in reach[w]}
+        pos = {v: i for i, comp in enumerate(comps) for v in comp}
+        for v, outs in enumerate(succ):
+            assert all(pos[w] <= pos[v] for w in outs)
+
+
+def test_inductive_cycle_is_a_closed_inductive_walk():
+    rng = random.Random("inductive-cycle")
+    found = 0
+    for _ in range(400):
+        succ = _random_digraph(rng)
+        out_edges = [[(w, rng.random() < 0.3) for w in outs] for outs in succ]
+        inductive = [[w for w, mc in outs if not mc] for outs in out_edges]
+        acyclic = all(v not in r for v, r in enumerate(_closure(inductive)))
+        cyc = _inductive_cycle(out_edges)
+        assert (cyc is None) == acyclic
+        assert cyc == graph_oracles.inductive_cycle(out_edges)
+        if cyc is not None:
+            found += 1
+            assert cyc[0] == cyc[-1]
+            assert all((b, False) in out_edges[a] for a, b in zip(cyc, cyc[1:]))
+    assert 50 < found < 350
+
+
+def test_one_loop_per_cyclic_component(monkeypatch):
+    graphs = []
+    real = wellform._loop_witness
+
+    def spy(out_edges, info):
+        graphs.append(out_edges)
+        return real(out_edges, info)
+
+    monkeypatch.setattr(wellform, "_loop_witness", spy)
+    looped = 0
+    for g in _occurrence_corpus()[::6]:
+        for system in ("llinf", "4s"):
+            env = infer_env(system, g)
+            if env is None:
+                continue
+            rep = check(system, env, g)
+            succ = [[c for c, _ in edges] for edges in graphs[-1]]
+            reach = _closure(succ)
+            cyclic = {frozenset(w for w in reach[v] if v in reach[w])
+                      for v in range(len(succ)) if v in reach[v]}
+            assert len(rep.loops) == len(cyclic)
+            assert sorted(loop["size"] for loop in rep.loops) == \
+                sorted(len(c) for c in cyclic)
+            looped += bool(rep.loops)
+    assert looped >= 10
 
 
 # ----- inference and the environment order ----------------------------------
