@@ -23,7 +23,7 @@ from .terms import (
     App, Box, Cut, CUT, Lam, Node, Ref, TermGraph, Var,
     COIND, IND, LIN,
     alpha_equal, equal_at_depth, free_vars, graph_bisimilar, graph_of,
-    project_depth, substitute, unfold_height,
+    project_depth, substitute,
 )
 from .surface import (
     format_graph, format_node, parse_environment, parse_lambda_program,

@@ -12,8 +12,8 @@ coalgebra (streams and other infinite trees).  Infinite regular trees
 are encoded as cyclic graphs, one definition per distinct subtree.
 
 Decoding is lazy and constructor-by-constructor: normalise depth 0 of
-the candidate, match the case-analysis shape, and recurse into the
-boxed children.
+the candidate, match the case-analysis shape, and decode the boxed
+children the same way.
 """
 
 import re
@@ -23,7 +23,7 @@ from .errors import EncodingError
 from .terms import (
     App, Box, Lam, Node, Ref, TermGraph, Var,
     COIND, IND, LIN,
-    DEFAULT_BUDGET, fresh_name, graph_of, import_defs,
+    DEFAULT_BUDGET, fresh_name, graph_of, import_defs, rebuild,
 )
 from . import reduction
 
@@ -76,9 +76,21 @@ class FiniteTree:
     children: tuple = ()
 
     def __str__(self):
-        if not self.children:
-            return self.sym
-        return f"{self.sym}({','.join(str(c) for c in self.children)})"
+        out = []
+        todo = [self]
+        while todo:
+            t = todo.pop()
+            if type(t) is str:
+                out.append(t)
+                continue
+            out.append(t.sym)
+            if t.children:
+                first, *rest = t.children
+                todo.append(")")
+                for child in reversed(rest):
+                    todo += (child, ",")
+                todo += (first, "(")
+        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -216,14 +228,15 @@ def scott_encode(sig: Signature, spec, mode: str) -> TermGraph:
 
     match spec:
         case FiniteTree():
-            def enc(t):
+            def enc(t, ctx):
                 if len(t.children) != sig.arity(t.sym):
                     raise EncodingError(
                         f"symbol {t.sym!r} expects {sig.arity(t.sym)} children, "
                         f"got {len(t.children)}")
-                return _case_body(sig, t.sym, [enc(c) for c in t.children], boxkind)
+                return (lambda *kids: _case_body(sig, t.sym, kids, boxkind),
+                        [(child, ctx) for child in t.children])
 
-            return graph_of(enc(spec), "enc")
+            return graph_of(rebuild(spec, None, enc), "enc")
         case RegularTree():
             d = spec.as_dict()
             defs = {}
@@ -265,9 +278,24 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
     evaluator as a budget error.
     """
     boxkind = IND if mode == "algebra" else COIND
+    complete = True
 
-    def peel(graph, remaining):
-        graph, _, stats = reduction.eval_lbl(graph, 0, fuel, budget)
+    def peel(node, ctx):
+        # node is the whole input, or a child of a constructor of graph
+        nonlocal complete
+        graph, remaining = ctx
+        if graph is not None:
+            node = graph.resolve(node)
+            if not isinstance(node, Box) or node.kind != boxkind:
+                raise EncodingError(
+                    "shape mismatch: child is not wrapped in the "
+                    f"{'inductive' if boxkind == IND else 'coinductive'} box")
+        if remaining < 1:
+            complete = False
+            return FiniteTree("..."), None
+        if graph is not None:
+            node = reduction.box_contents(graph, node)
+        graph, _, stats = reduction.eval_lbl(node, 0, fuel, budget)
         if stats.outcome == "fuel-exhausted":
             raise EncodingError(f"evaluation fuel exhausted: {stats.detail}")
         if stats.outcome == "stuck":
@@ -293,27 +321,10 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
             raise EncodingError(
                 f"shape mismatch: {sym!r} applied to {len(args)} children, "
                 f"arity is {sig.arity(sym)}")
-        children = []
-        complete = True
-        for arg in args:
-            box = graph.resolve(arg)
-            if not isinstance(box, Box) or box.kind != boxkind:
-                raise EncodingError(
-                    "shape mismatch: child is not wrapped in the "
-                    f"{'inductive' if boxkind == IND else 'coinductive'} box")
-            if remaining <= 1:
-                children.append(FiniteTree("..."))
-                complete = False
-                continue
-            child, sub_ok = peel(reduction.box_contents(graph, box),
-                                 remaining - 1)
-            children.append(child)
-            complete = complete and sub_ok
-        return FiniteTree(sym, tuple(children)), complete
+        return ((lambda *kids: FiniteTree(sym, kids)),
+                [(arg, (graph, remaining - 1)) for arg in args])
 
-    if bound < 1:
-        return DecodeResult(FiniteTree("..."), False)
-    tree, complete = peel(g, bound)
+    tree = rebuild(g, (None, bound), peel)
     return DecodeResult(tree, complete)
 
 

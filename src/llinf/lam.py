@@ -18,13 +18,14 @@ argument boxed with kind ``b``) which needs exactly two.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import BudgetExceededError, LLinfError
 from .terms import (
     App, Box, Lam, Ref, TermGraph, Var,
     ARG, BODY, BOXED, FN,
     COIND, IND, LIN,
-    DEFAULT_BUDGET, graph_bisimilar,
+    DEFAULT_BUDGET, children, fresh_name, graph_bisimilar, rebuild,
 )
 from .reduction import Redex, contract, find_redexes, level_at
 from .wellform import CheckReport, _inductive_cycle
@@ -56,20 +57,13 @@ def require_pure_lambda(g: TermGraph):
         todo = [body]
         while todo:
             n = todo.pop()
-            match n:
-                case Box(_, _):
-                    raise LLinfError(
-                        f"definition {name!r} contains a box; not a pure lambda term")
-                case Lam(k, _, b):
-                    if k != LIN:
-                        raise LLinfError(
-                            f"definition {name!r} contains a non-plain abstraction")
-                    todo.append(b)
-                case App(f, a):
-                    todo.append(f)
-                    todo.append(a)
-                case _:
-                    pass
+            if type(n) is Box:
+                raise LLinfError(
+                    f"definition {name!r} contains a box; not a pure lambda term")
+            if type(n) is Lam and n.kind != LIN:
+                raise LLinfError(
+                    f"definition {name!r} contains a non-plain abstraction")
+            todo.extend(children(n))
 
 
 def check_labc(g: TermGraph, flags: DepthFlags) -> CheckReport:
@@ -105,7 +99,7 @@ def check_labc(g: TermGraph, flags: DepthFlags) -> CheckReport:
 
     cyc = _inductive_cycle(edges)
     if cyc is not None:
-        desc = tuple(surface.format_node(nodes[i])[:48] for i in cyc)
+        desc = tuple(surface.format_prefix(nodes[i], 48) for i in cyc)
         return CheckReport(
             False, f"lambda-{flags}",
             reason="inductive loop: a cycle crosses no depth-increasing position",
@@ -158,8 +152,9 @@ def lbeta_step(g: TermGraph, flags: DepthFlags, depth: int,
 # ---------------------------------------------------------------------------
 # embeddings
 
-def _map_defs(g, f):
-    return TermGraph({name: f(body) for name, body in g.defs.items()}, g.root)
+def _map_defs(g, visit):
+    return TermGraph({name: rebuild(body, None, visit)
+                      for name, body in g.defs.items()}, g.root)
 
 
 def embed_girard(g: TermGraph, a: int) -> TermGraph:
@@ -174,17 +169,18 @@ def embed_girard(g: TermGraph, a: int) -> TermGraph:
     kind = _box_kind(a)
     lamkind = COIND if a else IND
 
-    def go(node):
+    def visit(node, ctx):
         match node:
             case Var(_) | Ref(_):
-                return node
+                return node, None
             case App(f, x):
-                return App(go(f), Box(kind, go(x)))
+                return ((lambda fn, arg: App(fn, Box(kind, arg))),
+                        [(f, ctx), (x, ctx)])
             case Lam(_, v, b):
-                return Lam(lamkind, v, go(b))
+                return partial(Lam, lamkind, v), [(b, ctx)]
         raise TypeError(f"unexpected node {node!r}")
 
-    return _map_defs(g, go)
+    return _map_defs(g, visit)
 
 
 def embed_cbv(g: TermGraph, a: int, b: int) -> TermGraph:
@@ -203,30 +199,22 @@ def embed_cbv(g: TermGraph, a: int, b: int) -> TermGraph:
     alam = COIND if a else IND
     blam = COIND if b else IND
     used = set(g.all_names())
-    counter = [0]
 
-    def wrapper_var():
-        counter[0] += 1
-        name = f"w{counter[0]}"
-        while name in used:
-            counter[0] += 1
-            name = f"w{counter[0]}"
-        used.add(name)
-        return name
-
-    def go(node):
+    def visit(node, ctx):
         match node:
             case Var(_) | Ref(_):
-                return node
+                return node, None
             case App(f, x):
-                w = wrapper_var()
-                return App(Lam(alam, w, Var(w)),
-                           App(go(f), Box(bkind, go(x))))
+                w = fresh_name("w", used)
+                used.add(w)
+                return (lambda fn, arg: App(Lam(alam, w, Var(w)),
+                                            App(fn, Box(bkind, arg))),
+                        [(f, ctx), (x, ctx)])
             case Lam(_, v, body):
-                return Lam(blam, v, Box(akind, go(body)))
+                return (lambda b: Lam(blam, v, Box(akind, b))), [(body, ctx)]
         raise TypeError(f"unexpected node {node!r}")
 
-    return _map_defs(g, go)
+    return _map_defs(g, visit)
 
 
 def girard_image_path(path):

@@ -24,8 +24,8 @@ from .terms import (
     ARG, BODY, BOXED, FN,
     COIND, IND, LIN,
     DEFAULT_BUDGET,
-    box_contents, derive, fresh_name, level_depth, level_key, project_depth,
-    subst_in_body,
+    box_contents, children, derive, fresh_name, level_depth, level_key,
+    project_depth, subst_in_body,
 )
 
 DEFAULT_HEIGHT = 64
@@ -139,12 +139,7 @@ def has_any_redex(g: TermGraph) -> bool:
         seen.add(id(n))
         if redex_kind_at(g, n):
             return True
-        match n:
-            case App(f, a):
-                todo.append(f)
-                todo.append(a)
-            case Lam(_, _, b) | Box(_, b):
-                todo.append(b)
+        todo.extend(children(n))
     return False
 
 
@@ -183,22 +178,42 @@ def _rewrite(g: TermGraph, edits) -> Node:
             t = t.setdefault(sel, {})
         t[None] = edit
 
-    def go(node, t, at):
+    vals = []
+    # (node, trie, path) visits a node; (node, trie, None) rebuilds the
+    # resolved node from the values of the children the trie names
+    todo = [(g.root_body(), trie, ())]
+    while todo:
+        node, t, at = todo.pop()
+        if at is None:
+            if type(node) is App:
+                a = vals.pop() if ARG in t else node.arg
+                f = vals.pop() if FN in t else node.fn
+                vals.append(App(f, a))
+            elif type(node) is Lam:
+                vals.append(Lam(node.kind, node.name, vals.pop()))
+            else:
+                vals.append(Box(node.kind, vals.pop()))
+            continue
         node = g.resolve(node)
         if None in t:
-            return t[None](node)
+            vals.append(t[None](node))
+            continue
         match node:
             case App(f, a) if t.keys() <= {FN, ARG}:
-                return App(go(f, t[FN], at + (FN,)) if FN in t else f,
-                           go(a, t[ARG], at + (ARG,)) if ARG in t else a)
-            case Lam(k, x, b) if t.keys() == {BODY}:
-                return Lam(k, x, go(b, t[BODY], at + (BODY,)))
-            case Box(k, b) if t.keys() == {BOXED}:
-                return Box(k, go(b, t[BOXED], at + (BOXED,)))
-        raise InvalidPositionError(
-            f"selector {min(t)!r} does not apply at {'.'.join(at) or '<root>'}")
-
-    return go(g.root_body(), trie, ())
+                kids = ((a, ARG), (f, FN))
+            case Lam(_, _, b) if t.keys() == {BODY}:
+                kids = ((b, BODY),)
+            case Box(_, b) if t.keys() == {BOXED}:
+                kids = ((b, BOXED),)
+            case _:
+                raise InvalidPositionError(
+                    f"selector {min(t)!r} does not apply at "
+                    f"{'.'.join(at) or '<root>'}")
+        todo.append((node, t, None))
+        # the function side's edits run first
+        todo.extend((child, t[sel], at + (sel,)) for child, sel in kids
+                    if sel in t)
+    return vals[0]
 
 
 def contract(g: TermGraph, redex: Redex) -> TermGraph:

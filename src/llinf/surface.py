@@ -250,48 +250,66 @@ def parse_lambda_program(text: str):
 # ---------------------------------------------------------------------------
 # printing
 
-def _is_atom(node):
-    return isinstance(node, (Var, Ref, Cut))
+_LAM_MARKS = {LIN: "", IND: "!", COIND: "#"}
+# the nodes printed without parentheses as box contents, as application
+# arguments, and as the function side of an application
+_BARE_BOXED = {Var, Ref, Cut}
+_BARE_ARG = _BARE_BOXED | {Box}
+_BARE_FN = _BARE_ARG | {App}
+
+
+def _chunks(node: Node):
+    """The text of ``node`` in the surface grammar, chunk by chunk."""
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        t = type(n)
+        if t is str:
+            yield n
+        elif t is Var or t is Ref:
+            yield n.name
+        elif t is Cut:
+            yield "<cut>"
+        elif t is Lam:
+            yield f"\\{_LAM_MARKS[n.kind]}{n.name}. "
+            todo.append(n.body)
+        elif t is App:
+            a = n.arg
+            todo += (a,) if type(a) in _BARE_ARG else (")", a, "(")
+            todo.append(" ")
+            f = n.fn
+            todo += (f,) if type(f) in _BARE_FN else (")", f, "(")
+        elif t is Box:
+            yield "!" if n.kind == IND else "#"
+            b = n.body
+            todo += (b,) if type(b) in _BARE_BOXED else (")", b, "(")
+        else:
+            raise TypeError(f"unexpected node {n!r}")
 
 
 def format_node(node: Node) -> str:
     """Render one body (or truncated tree) in the surface grammar."""
-    def atom(n):
-        s = go(n)
-        return s if _is_atom(n) else f"({s})"
+    return "".join(_chunks(node))
 
-    def appfactor(n):
-        # application arguments: atoms and boxed atoms need no parens
-        if isinstance(n, Box):
-            return go(n)
-        return atom(n)
 
-    def go(n):
-        match n:
-            case Var(x):
-                return x
-            case Ref(name):
-                return name
-            case Cut():
-                return "<cut>"
-            case Lam(k, x, b):
-                marker = {LIN: "", IND: "!", COIND: "#"}[k]
-                return f"\\{marker}{x}. {go(b)}"
-            case App(f, a):
-                fs = go(f) if isinstance(f, (App, Box)) else atom(f)
-                return f"{fs} {appfactor(a)}"
-            case Box(k, b):
-                return ("!" if k == IND else "#") + atom(b)
-        raise TypeError(f"unexpected node {n!r}")
-
-    return go(node)
+def format_prefix(node: Node, width: int) -> str:
+    """The first ``width`` characters of :func:`format_node`, rendering
+    no more of ``node`` than they need."""
+    out = []
+    size = 0
+    for chunk in _chunks(node):
+        out.append(chunk)
+        size += len(chunk)
+        if size >= width:
+            break
+    return "".join(out)[:width]
 
 
 def format_graph(g: TermGraph) -> str:
     """Render a graph as a parseable program (reachable defs only)."""
     lines = []
     for name in g.reachable_defs():
-        lines.append(f"def {name} = {format_node(g.defs[name])} ;")
+        lines.append(f"def {name} = {''.join(_chunks(g.defs[name]))} ;")
     lines.append(f"root {g.root} ;")
     return "\n".join(lines) + "\n"
 

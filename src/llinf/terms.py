@@ -26,6 +26,7 @@ of ``c`` symbols.  Only coinductive boxes increase depth.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import NamedTuple
 
@@ -104,6 +105,61 @@ class Cut(Node):
 
 
 CUT = Cut()
+
+
+def children(node: Node) -> tuple:
+    """The child nodes of ``node``, function side first."""
+    t = type(node)
+    if t is App:
+        return (node.fn, node.arg)
+    return (node.body,) if t is Lam or t is Box else ()
+
+
+def remake(node: Node, *kids) -> Node:
+    """``node`` with the given children, or ``node`` itself when they are
+    its own, so that unchanged subtrees stay shared."""
+    t = type(node)
+    if t is App:
+        f, a = kids
+        return node if f is node.fn and a is node.arg else App(f, a)
+    if t is Lam:
+        (b,) = kids
+        return node if b is node.body else Lam(node.kind, node.name, b)
+    if t is Box:
+        (b,) = kids
+        return node if b is node.body else Box(node.kind, b)
+    return node
+
+
+_BUILD = object()       # marks in rebuild's stack where a node is built
+
+
+def rebuild(root, ctx, visit):
+    """Map a tree bottom-up with an explicit stack instead of recursion.
+
+    ``visit(node, ctx)`` runs on each node in preorder and returns either
+    ``(value, None)``, the node's value, or ``(build, [(child, child_ctx),
+    ...])``: the children are then mapped in order, and ``build`` applied
+    to their values gives the node's value.  Returns the root's value.
+    """
+    vals = []
+    builds = []         # (build, number of children) of the visited nodes
+    todo = [(root, ctx)]
+    while todo:
+        item = todo.pop()
+        if item is _BUILD:
+            build, n = builds.pop()
+            at = len(vals) - n
+            vals[at:] = [build(*vals[at:])]
+            continue
+        value, kids = visit(*item)
+        if kids is None:
+            vals.append(value)
+        else:
+            builds.append((value, len(kids)))
+            todo.append(_BUILD)
+            todo += reversed(kids)
+    return vals[0]
 
 
 def level_depth(level: str) -> int:
@@ -365,9 +421,7 @@ def box_contents(g: TermGraph, box: Box) -> TermGraph:
     graph of their own.
 
     The new root gets a name ``box<k>`` unused in ``g``'s family, ``k``
-    counting up from the size of its name set (one try as a rule); it
-    takes no number from the counter of :func:`fresh_name`, so splitting
-    a graph into boxes does not shift the names that contraction makes.
+    counting up from the size of its name set (one try as a rule).
     The caches carry over, so no body but the contents is scanned.
     """
     node = g.resolve(box.body)  # definition bodies stay guarded
@@ -428,156 +482,73 @@ def project_depth(g: TermGraph, depth: int, budget: int = DEFAULT_BUDGET) -> Nod
     Iterative: the region of an ill-formed preterm can be an arbitrarily
     deep spine.
     """
-    defs = g.defs
-    work = [("go", g.resolve(g.root_body()), depth)]
-    vals = []
     visited = 0
-    while work:
-        op = work.pop()
-        tag = op[0]
-        if tag == "go":
-            _, node, rd = op
-            visited += 1
-            if visited > budget:
-                raise BudgetExceededError(
-                    f"depth-{depth} region exceeds {budget} nodes "
-                    "(preterm is not well-formed)")
-            match node:
-                case Var(_):
-                    vals.append(node)
-                case Lam(k, x, b):
-                    work.append(("lam", k, x))
-                    work.append(("go", g.resolve(b), rd))
-                case App(f, a):
-                    work.append(("app",))
-                    work.append(("go", g.resolve(a), rd))
-                    work.append(("go", g.resolve(f), rd))
-                case Box("ind", b):
-                    work.append(("box", IND))
-                    work.append(("go", g.resolve(b), rd))
-                case Box("coind", b):
-                    if rd == 0:
-                        vals.append(Box(COIND, CUT))
-                    else:
-                        work.append(("box", COIND))
-                        work.append(("go", g.resolve(b), rd - 1))
-                case _:
-                    raise TypeError(f"unexpected node {node!r}")
-        elif tag == "app":
-            a = vals.pop()
-            f = vals.pop()
-            vals.append(App(f, a))
-        elif tag == "lam":
-            b = vals.pop()
-            vals.append(Lam(op[1], op[2], b))
-        else:  # box
-            b = vals.pop()
-            vals.append(Box(op[1], b))
-    return vals[0]
 
-
-def unfold_height(g: TermGraph, height: int) -> Node:
-    """Tree of all unfolding nodes at path length < height, ``Cut`` below.
-
-    Always terminates: each unfolding step crosses a constructor, so the
-    number of nodes above any fixed height is finite.
-    """
-    def go(node, h):
-        if h <= 0:
-            return CUT
+    def visit(node, rd):
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise BudgetExceededError(
+                f"depth-{depth} region exceeds {budget} nodes "
+                "(preterm is not well-formed)")
         node = g.resolve(node)
-        match node:
-            case Var(_):
-                return node
-            case Lam(k, x, b):
-                return Lam(k, x, go(b, h - 1))
-            case App(f, a):
-                return App(go(f, h - 1), go(a, h - 1))
-            case Box(k, b):
-                return Box(k, go(b, h - 1))
-        raise TypeError(f"unexpected node {node!r}")
+        t = type(node)
+        if t is Var:
+            return node, None
+        if t is Box and node.kind == COIND:
+            if rd == 0:
+                return Box(COIND, CUT), None
+            rd -= 1
+        elif t is Cut:
+            raise TypeError(f"unexpected node {node!r}")
+        return partial(remake, node), [(child, rd) for child in children(node)]
 
-    return go(g.root_body(), height)
-
-
-def truncate_tree(tree: Node, height: int) -> Node:
-    """Height-truncation of a finite tree (for coherence checks)."""
-    if height <= 0:
-        return CUT
-    match tree:
-        case Var(_) | Cut():
-            return tree
-        case Lam(k, x, b):
-            return Lam(k, x, truncate_tree(b, height - 1))
-        case App(f, a):
-            return App(truncate_tree(f, height - 1), truncate_tree(a, height - 1))
-        case Box(k, b):
-            return Box(k, truncate_tree(b, height - 1))
-    raise TypeError(f"unexpected tree node {tree!r}")
+    return rebuild(g.root_body(), depth, visit)
 
 
 # ---------------------------------------------------------------------------
 # equality
 
-def alpha_equal(t1: Node, t2: Node) -> bool:
-    """Alpha-equivalence of finite trees (de Bruijn comparison)."""
-    def go(a, b, ea, eb, lvl):
-        match (a, b):
-            case (Cut(), Cut()):
-                return True
-            case (Var(x), Var(y)):
-                ia, ib = ea.get(x), eb.get(y)
-                if ia is None and ib is None:
-                    return x == y
-                return ia == ib
-            case (App(f1, a1), App(f2, a2)):
-                return go(f1, f2, ea, eb, lvl) and go(a1, a2, ea, eb, lvl)
-            case (Lam(k1, x, b1), Lam(k2, y, b2)):
-                if k1 != k2:
-                    return False
-                ea2 = dict(ea)
-                eb2 = dict(eb)
-                ea2[x] = lvl
-                eb2[y] = lvl
-                return go(b1, b2, ea2, eb2, lvl + 1)
-            case (Box(k1, b1), Box(k2, b2)):
-                return k1 == k2 and go(b1, b2, ea, eb, lvl)
-            case _:
-                return False
-
-    return go(t1, t2, {}, {}, 0)
-
-
 def canonical_string(tree: Node) -> str:
-    """Canonical (alpha-invariant) rendering of a finite tree."""
+    """Canonical (alpha-invariant) rendering of a finite tree, in prefix
+    form: a bound variable is named by the number of binders above its
+    own."""
     parts = []
+    bound = {}      # binder name -> levels of its binders above the visit
+    level = 0       # binders above the visit
+    todo = [tree]
+    while todo:
+        n = todo.pop()
+        t = type(n)
+        if t is App:
+            parts.append("@")
+            todo.append(n.arg)
+            todo.append(n.fn)
+        elif t is Var:
+            levels = bound.get(n.name)
+            parts.append(f"b{levels[-1]}" if levels else f"f:{n.name}")
+        elif t is Lam:
+            parts.append(f"\\{n.kind}")
+            bound.setdefault(n.name, []).append(level)
+            level += 1
+            todo.append((n.name,))      # leaves the binder's scope
+            todo.append(n.body)
+        elif t is tuple:
+            bound[n[0]].pop()
+            level -= 1
+        elif t is Box:
+            parts.append(f"{n.kind[0]}#")
+            todo.append(n.body)
+        elif t is Cut:
+            parts.append("?")
+        else:
+            raise TypeError(f"unexpected node {n!r}")
+    return " ".join(parts)
 
-    def go(t, env, lvl):
-        match t:
-            case Cut():
-                parts.append("?")
-            case Var(x):
-                i = env.get(x)
-                parts.append(f"b{i}" if i is not None else f"f:{x}")
-            case App(f, a):
-                parts.append("(")
-                go(f, env, lvl)
-                parts.append(" ")
-                go(a, env, lvl)
-                parts.append(")")
-            case Lam(k, x, b):
-                parts.append(f"(\\{k} ")
-                env2 = dict(env)
-                env2[x] = lvl
-                go(b, env2, lvl + 1)
-                parts.append(")")
-            case Box(k, b):
-                parts.append(f"({k[0]}# ")
-                go(b, env, lvl)
-                parts.append(")")
 
-    go(tree, {}, 0)
-    return "".join(parts)
+def alpha_equal(t1: Node, t2: Node) -> bool:
+    """Alpha-equivalence of finite trees."""
+    return canonical_string(t1) == canonical_string(t2)
 
 
 def equal_at_depth(g1: TermGraph, g2: TermGraph, depth: int,
@@ -589,24 +560,26 @@ def equal_at_depth(g1: TermGraph, g2: TermGraph, depth: int,
 
 def _debruijn(g):
     """Per-definition de Bruijn conversion (binders never cross defs)."""
-    def conv(node, env, lvl):
-        match node:
-            case Var(x):
-                i = env.get(x)
-                return ("bv", lvl - 1 - i) if i is not None else ("fv", x)
-            case App(f, a):
-                return ("app", conv(f, env, lvl), conv(a, env, lvl))
-            case Lam(k, x, b):
-                env2 = dict(env)
-                env2[x] = lvl
-                return ("lam", k, conv(b, env2, lvl + 1))
-            case Box(k, b):
-                return ("box", k, conv(b, env, lvl))
-            case Ref(name):
-                return ("ref", name)
+    def visit(node, scope):
+        env, lvl = scope
+        t = type(node)
+        if t is Var:
+            i = env.get(node.name)
+            return (("fv", node.name) if i is None else ("bv", lvl - 1 - i)), None
+        if t is App:
+            return ((lambda f, a: ("app", f, a)),
+                    [(node.fn, scope), (node.arg, scope)])
+        if t is Lam:
+            return ((lambda b, k=node.kind: ("lam", k, b)),
+                    [(node.body, ({**env, node.name: lvl}, lvl + 1))])
+        if t is Box:
+            return (lambda b, k=node.kind: ("box", k, b)), [(node.body, scope)]
+        if t is Ref:
+            return ("ref", node.name), None
         raise TypeError(f"unexpected node {node!r}")
 
-    return {name: conv(body, {}, 0) for name, body in g.defs.items()}
+    return {name: rebuild(body, ({}, 0), visit)
+            for name, body in g.defs.items()}
 
 
 def graph_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
@@ -658,16 +631,12 @@ def graph_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
 # ---------------------------------------------------------------------------
 # substitution
 
-_fresh_counter = count(1)
-
-
 def fresh_name(base, used):
+    """``base`` without its trailing digits plus the smallest suffix
+    ``1, 2, ...`` giving a name not in ``used``."""
     base = base.rstrip("0123456789") or "v"
-    for _ in range(10_000_000):
-        cand = f"{base}{next(_fresh_counter)}"
-        if cand not in used:
-            return cand
-    raise RuntimeError("fresh name space exhausted")
+    return next(name for name in map(f"{base}{{}}".format, count(1))
+                if name not in used)
 
 
 def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node) -> Node:
@@ -754,21 +723,13 @@ def import_defs(target_defs: dict, src: TermGraph):
         rename[name] = new
         used.add(new)
 
-    def fix(node):
-        match node:
-            case Ref(name):
-                return Ref(rename[name])
-            case App(f, a):
-                return App(fix(f), fix(a))
-            case Lam(k, v, b):
-                return Lam(k, v, fix(b))
-            case Box(k, b):
-                return Box(k, fix(b))
-            case _:
-                return node
+    def fix(node, _):
+        if type(node) is Ref:
+            return Ref(rename[node.name]), None
+        return partial(remake, node), [(c, None) for c in children(node)]
 
     for name in reach:
-        target_defs[rename[name]] = fix(src.defs[name])
+        target_defs[rename[name]] = rebuild(src.defs[name], None, fix)
     return rename[src.root]
 
 

@@ -250,7 +250,7 @@ class _Fail(LLinfError):
 
 
 def _describe(node, env):
-    txt = surface.format_node(node)
+    txt = surface.format_prefix(node, 49)
     if len(txt) > 48:
         txt = txt[:45] + "..."
     return f"{surface.format_environment(env) or chr(0x2205)} |- {txt}"

@@ -1,10 +1,22 @@
-"""Occurrence counting and the inductive-cycle search as separate graph
-passes (reverse reachability, a cycle test, a topological order, a
-memoised path count, a depth-first search): the earlier production
-route, kept as the oracle of the single SCC pass in
-:mod:`llinf.wellform`."""
+"""Oracles and helpers over graphs and finite trees.
 
-from llinf.terms import App, Box, Lam, Node, TermGraph, Var
+* Occurrence counting and the inductive-cycle search as separate graph
+  passes (reverse reachability, a cycle test, a topological order, a
+  memoised path count, a depth-first search): the earlier production
+  route, kept as the oracle of the single SCC pass in
+  :mod:`llinf.wellform`.
+* Alpha-equivalence and printing by structural recursion: the earlier
+  production route, kept as the oracle of the iterative passes in
+  :mod:`llinf.terms` and :mod:`llinf.surface`.
+* Height-bounded unfolding and truncation, for coherence checks.
+"""
+
+from functools import partial
+
+from llinf.terms import (
+    App, Box, Cut, CUT, Lam, Node, Ref, TermGraph, Var, IND, LIN, COIND,
+    children, rebuild, remake,
+)
 from llinf.wellform import INF, _CLS_LIN, _shift
 
 
@@ -171,3 +183,91 @@ def inductive_cycle(out_edges):
                 path.append(child)
                 iters.append(iter([c for c, mc in out_edges[child] if not mc]))
     return None
+
+
+def _height_visit(resolve):
+    def visit(node, height):
+        if height <= 0:
+            return CUT, None
+        node = resolve(node)
+        if type(node) is Ref:
+            raise TypeError(f"unexpected node {node!r}")
+        return partial(remake, node), [(c, height - 1) for c in children(node)]
+
+    return visit
+
+
+def unfold_height(g: TermGraph, height: int) -> Node:
+    """Tree of all unfolding nodes at path length < height, ``Cut`` below.
+
+    Always terminates: each unfolding step crosses a constructor, so the
+    number of nodes above any fixed height is finite.
+    """
+    return rebuild(g.root_body(), height, _height_visit(g.resolve))
+
+
+def truncate_tree(tree: Node, height: int) -> Node:
+    """Height-truncation of a finite tree."""
+    return rebuild(tree, height, _height_visit(lambda node: node))
+
+
+def alpha_equal(t1: Node, t2: Node) -> bool:
+    """Alpha-equivalence of finite trees (de Bruijn comparison)."""
+    def go(a, b, ea, eb, lvl):
+        match (a, b):
+            case (Cut(), Cut()):
+                return True
+            case (Var(x), Var(y)):
+                ia, ib = ea.get(x), eb.get(y)
+                if ia is None and ib is None:
+                    return x == y
+                return ia == ib
+            case (App(f1, a1), App(f2, a2)):
+                return go(f1, f2, ea, eb, lvl) and go(a1, a2, ea, eb, lvl)
+            case (Lam(k1, x, b1), Lam(k2, y, b2)):
+                if k1 != k2:
+                    return False
+                ea2 = dict(ea)
+                eb2 = dict(eb)
+                ea2[x] = lvl
+                eb2[y] = lvl
+                return go(b1, b2, ea2, eb2, lvl + 1)
+            case (Box(k1, b1), Box(k2, b2)):
+                return k1 == k2 and go(b1, b2, ea, eb, lvl)
+            case _:
+                return False
+
+    return go(t1, t2, {}, {}, 0)
+
+
+def format_node(node: Node) -> str:
+    """Render one body (or truncated tree) in the surface grammar."""
+    def atom(n):
+        s = go(n)
+        return s if isinstance(n, (Var, Ref, Cut)) else f"({s})"
+
+    def appfactor(n):
+        # application arguments: atoms and boxed atoms need no parens
+        if isinstance(n, Box):
+            return go(n)
+        return atom(n)
+
+    def go(n):
+        match n:
+            case Var(x):
+                return x
+            case Ref(name):
+                return name
+            case Cut():
+                return "<cut>"
+            case Lam(k, x, b):
+                marker = {LIN: "", IND: "!", COIND: "#"}[k]
+                return f"\\{marker}{x}. {go(b)}"
+            case App(f, a):
+                fs = go(f) if isinstance(f, (App, Box)) else atom(f)
+                return f"{fs} {appfactor(a)}"
+            case Box(k, b):
+                return ("!" if k == IND else "#") + atom(b)
+        raise TypeError(f"unexpected node {n!r}")
+
+    return go(node)

@@ -176,3 +176,28 @@ def test_bench_metrics_file():
         table = open("m.tsv").read().splitlines()
         assert table[0] == "index\tdepth\tsize\tdf\ttwei"
         assert len(table) == 1 + 4 * 3
+
+
+@pytest.fixture(scope="module")
+def flip_program():
+    from llinf.surface import format_graph
+    from conftest import flip_applied
+    return format_graph(flip_applied("", "01"))
+
+
+def test_eval_prints_deep_stream_prefixes(flip_program):
+    r = run(["eval", "--depth", "200", "s.lli"], {"s.lli": flip_program})
+    assert r.exit_code == 0, r.output
+    tree, outcome = r.output.splitlines()
+    assert tree.count("#(") == 200 and tree.endswith("#<cut>" + ")" * 200)
+    assert tree.startswith("\\!y_0. \\!y_1. \\!y_e. y_1 #("
+                           "\\!y_0. \\!y_1. \\!y_e. y_0 #(")
+    assert outcome == ("outcome: normalized (steps per depth: "
+                       + " ".join(f"{d}:9" for d in range(201)) + ")")
+
+
+def test_decode_deep_stream_prefix(flip_program):
+    r = run(["decode", "--mode", "coalgebra", "--bound", "1200", "s.lli"],
+            {"s.lli": flip_program})
+    assert r.exit_code == 0, r.output
+    assert r.output == "10" * 600 + "\n"

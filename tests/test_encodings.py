@@ -90,6 +90,8 @@ def test_general_signature_tree():
     enc = scott_encode(sig, t, "algebra")
     dec = scott_decode(enc, sig, "algebra", 16)
     assert dec.tree == t and dec.complete
+    assert str(dec.tree) == "node(leaf,node(leaf,leaf))"
+    assert str(scott_decode(enc, sig, "algebra", 2).tree) == "node(leaf,node(...,...))"
 
 
 def test_decode_shape_mismatch(identity):

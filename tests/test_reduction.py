@@ -406,3 +406,12 @@ def test_frontier_step_cost_is_linear(monkeypatch):
         assert stats.outcome == "normalized"
         counts[depth] = visited[0]
     assert counts[32] <= 2.2 * counts[16], counts
+
+
+def test_fresh_names_do_not_depend_on_earlier_calls():
+    """The name a renamed binder gets is a function of the graph alone:
+    the same evaluation prints the same term however often it runs."""
+    from llinf.surface import format_node, parse_term
+    for _ in range(3):
+        _, tree, _ = eval_lbl(parse_term("(\\y. \\x. y x) x"), 0, 10)
+        assert format_node(tree) == "\\x1. x x1"

@@ -91,3 +91,33 @@ def test_print_parse_round_trip(seed, system):
 def test_print_parse_round_trip_examples(ex):
     for name, g in ex.items():
         assert graph_bisimilar(g, parse_program(format_graph(g))), name
+
+
+def _printed_nodes():
+    """Definition bodies and depth projections of generated terms of both
+    systems, and pure lambda terms with their two embeddings."""
+    from llinf import lam
+    from llinf.terms import project_depth
+    for system in ("llinf", "4s"):
+        for seed in range(150):
+            _, g = generate.random_term(("print", seed), system, 10 + seed % 50)
+            yield from g.defs.values()
+            yield from (project_depth(g, d, 5_000) for d in range(3))
+    for seed in range(100):
+        g = generate.random_lambda(seed)
+        yield from g.defs.values()
+        for image in (lam.embed_girard(g, seed % 2), lam.embed_cbv(g, 1, seed % 2)):
+            yield from image.defs.values()
+
+
+def test_printer_matches_the_recursive_oracle():
+    from graph_oracles import format_node as oracle
+    from llinf.surface import format_prefix
+    n = 0
+    for node in _printed_nodes():
+        want = oracle(node)
+        assert format_node(node) == want
+        for width in (0, 1, 7, 48, 49, len(want), len(want) + 5):
+            assert format_prefix(node, width) == want[:width]
+        n += 1
+    assert n > 1_500

@@ -1,5 +1,6 @@
 import sys
-from itertools import count
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,10 @@ from llinf.terms import (
     App, Box, Cut, CUT, Lam, Ref, TermGraph, Var,
     COIND, IND, LIN,
     alpha_equal, derive, equal_at_depth, graph_bisimilar, project_depth,
-    subst_in_body, substitute, truncate_tree, unfold_height, _scan_body,
+    subst_in_body, substitute, _scan_body,
 )
 from conftest import parse
+from graph_oracles import truncate_tree, unfold_height
 
 
 def test_parse_cyclic_term(cyclic_term):
@@ -317,7 +319,7 @@ def _subst_reference(g, body, x, replacement):
     return go(apart(body))
 
 
-def test_subst_in_body_matches_three_pass_reference(monkeypatch):
+def test_subst_in_body_matches_three_pass_reference():
     renamed = 0
     for system in ("llinf", "4s"):
         for seed in range(20):
@@ -330,7 +332,6 @@ def test_subst_in_body_matches_three_pass_reference(monkeypatch):
                         repl = Var(ys[0]) if len(ys) == 1 else App(*map(Var, ys))
                         outs = []
                         for subst in (subst_in_body, _subst_reference):
-                            monkeypatch.setattr(terms, "_fresh_counter", count(1))
                             outs.append(subst(TermGraph(g.defs, g.root), body,
                                               x, repl))
                         assert outs[0] == outs[1]
@@ -404,3 +405,87 @@ def test_deep_bodies_metrics_need_no_recursion(shape, m, size, weight):
     assert metrics.wei(g, 2, m) == weight
     assert metrics.df(g, m) == 1
     assert metrics.twei(g, m) == weight
+
+
+def test_fresh_name_takes_the_smallest_unused_suffix():
+    assert terms.fresh_name("x", set()) == "x1"
+    assert terms.fresh_name("x12", {"x1", "x2", "x4"}) == "x3"
+    assert terms.fresh_name("7", {"v1"}) == "v2"
+
+
+def test_rebuild_maps_children_in_order_and_shares_unchanged_subtrees():
+    tree = Lam(LIN, "x", App(App(Var("x"), Box(IND, Var("y"))), Var("z")))
+    seen = []
+
+    def visit(node, depth):
+        seen.append((type(node).__name__, depth))
+        if type(node) is Var and node.name == "z":
+            return Var("w"), None
+        return (lambda *kids: terms.remake(node, *kids),
+                [(c, depth + 1) for c in terms.children(node)])
+
+    out = terms.rebuild(tree, 0, visit)
+    assert out == Lam(LIN, "x", App(App(Var("x"), Box(IND, Var("y"))), Var("w")))
+    assert out.body.fn is tree.body.fn
+    assert seen == [("Lam", 0), ("App", 1), ("App", 2), ("Var", 3), ("Box", 3),
+                    ("Var", 4), ("Var", 2)]
+
+
+def _alpha_pairs():
+    """Finite trees from generated terms of both systems, each paired
+    with its successor, with itself with every binder renamed apart, with
+    itself with every binder renamed to one name (which captures
+    whenever a variable lies beneath a binder other than its own), and
+    with itself with the kinds of its abstractions, or of its boxes,
+    changed."""
+    def renamed(tree, name_of):
+        count = iter(range(10**9))
+
+        def visit(node, scope):
+            match node:
+                case Var(x):
+                    return (Var(scope[x]) if x in scope else node), None
+                case Lam(k, x, b):
+                    y = name_of(next(count))
+                    return (lambda body: Lam(k, y, body)), [(b, {**scope, x: y})]
+            return (lambda *kids: terms.remake(node, *kids),
+                    [(c, scope) for c in terms.children(node)])
+
+        return terms.rebuild(tree, {}, visit)
+
+    def rekinded(tree, cls):
+        other = {LIN: IND, IND: COIND, COIND: LIN if cls is Lam else IND}
+
+        def visit(node, ctx):
+            if type(node) is not cls:
+                return (lambda *kids: terms.remake(node, *kids),
+                        [(c, ctx) for c in terms.children(node)])
+            if cls is Lam:
+                return partial(Lam, other[node.kind], node.name), [(node.body, ctx)]
+            return partial(Box, other[node.kind]), [(node.body, ctx)]
+
+        return terms.rebuild(tree, None, visit)
+
+    trees = []
+    for system in ("llinf", "4s"):
+        for seed in range(100):
+            _, g = generate.random_term(("alpha", seed), system, 24)
+            trees += [project_depth(g, d, 5_000) for d in range(3)]
+    for t, u in zip(trees, trees[1:]):
+        yield t, u
+        yield t, renamed(t, lambda i: f"r{i}")
+        yield t, renamed(t, lambda i: "r")
+        yield renamed(t, lambda i: "r"), renamed(u, lambda i: "r")
+        yield t, rekinded(t, Lam)
+        yield t, rekinded(t, Box)
+
+
+def test_alpha_equal_matches_the_recursive_oracle():
+    from graph_oracles import alpha_equal as oracle
+    verdicts = Counter()
+    for t, u in _alpha_pairs():
+        got = alpha_equal(t, u)
+        assert got == oracle(t, u), (t, u)
+        assert alpha_equal(u, t) == got
+        verdicts[got] += 1
+    assert sum(verdicts.values()) > 2_000 and min(verdicts.values()) > 500, verdicts
