@@ -27,7 +27,7 @@ from .terms import (
     COIND, IND, LIN,
     DEFAULT_BUDGET, children, fresh_name, graph_bisimilar, rebuild,
 )
-from .reduction import Redex, contract, find_redexes, level_at
+from .reduction import Redex, contract, find_redexes, level_at, path_of
 from .wellform import CheckReport, _inductive_cycle
 from . import surface
 
@@ -109,34 +109,35 @@ def check_labc(g: TermGraph, flags: DepthFlags) -> CheckReport:
 
 def lwalk(g: TermGraph, flags: DepthFlags, max_depth, budget=DEFAULT_BUDGET):
     """Preorder traversal with flag-counted depth, not descending past
-    ``max_depth``."""
+    ``max_depth``; yields (node, parent link, depth) as
+    :func:`~llinf.reduction.walk` does."""
     stack = [(g.resolve(g.root_body()), (), 0)]
     visited = 0
     while stack:
-        node, path, depth = stack.pop()
+        node, at, depth = stack.pop()
         visited += 1
         if visited > budget:
             raise BudgetExceededError(f"traversal exceeded {budget} nodes")
-        yield node, path, depth
+        yield node, at, depth
         match node:
             case App(f, a):
                 if depth + flags.c <= max_depth:
-                    stack.append((g.resolve(a), path + (ARG,), depth + flags.c))
+                    stack.append((g.resolve(a), (at, ARG), depth + flags.c))
                 if depth + flags.b <= max_depth:
-                    stack.append((g.resolve(f), path + (FN,), depth + flags.b))
+                    stack.append((g.resolve(f), (at, FN), depth + flags.b))
             case Lam(_, _, b):
                 if depth + flags.a <= max_depth:
-                    stack.append((g.resolve(b), path + (BODY,), depth + flags.a))
+                    stack.append((g.resolve(b), (at, BODY), depth + flags.a))
 
 
 def find_beta_redexes(g: TermGraph, flags: DepthFlags, depth: int,
                       budget=DEFAULT_BUDGET):
     """Beta redexes at exactly the given flag depth, leftmost-outermost."""
     out = []
-    for node, path, d in lwalk(g, flags, depth, budget):
+    for node, at, d in lwalk(g, flags, depth, budget):
         if d == depth and isinstance(node, App) \
                 and isinstance(g.resolve(node.fn), Lam):
-            out.append(Redex(path, "", "linear"))
+            out.append(Redex(path_of(at), "", "linear"))
     return out
 
 

@@ -59,34 +59,48 @@ class EvalStats:
 
 def walk(g: TermGraph, *, max_height=None, max_depth=None,
          budget=DEFAULT_BUDGET):
-    """Preorder traversal of the unfolding, yielding (node, path, level).
+    """Preorder traversal of the unfolding, yielding (node, at, level).
 
-    ``max_height`` bounds the path length; ``max_depth`` stops descent
-    into coinductive boxes beyond the bound (the box node itself is
-    still yielded).  References are transparent.
+    ``at`` is the node's parent link: ``()`` at the root, else the pair
+    (parent's link, selector); :func:`path_of` turns it into a path, so
+    a walk builds no path it does not need.  ``max_height`` bounds the
+    path length; ``max_depth`` stops descent into coinductive boxes
+    beyond the bound (the box node itself is still yielded).  References
+    are transparent.
     """
-    stack = [(g.resolve(g.root_body()), (), "")]
+    stack = [(g.resolve(g.root_body()), (), "", 0)]
     visited = 0
     while stack:
-        node, path, level = stack.pop()
+        node, at, level, height = stack.pop()
         visited += 1
         if visited > budget:
             raise BudgetExceededError(
                 f"traversal exceeded {budget} nodes (ill-formed input?)")
-        yield node, path, level
-        if max_height is not None and len(path) >= max_height:
+        yield node, at, level
+        if max_height is not None and height >= max_height:
             continue
+        height += 1
         match node:
             case App(f, a):
-                stack.append((g.resolve(a), path + (ARG,), level))
-                stack.append((g.resolve(f), path + (FN,), level))
+                stack.append((g.resolve(a), (at, ARG), level, height))
+                stack.append((g.resolve(f), (at, FN), level, height))
             case Lam(_, _, b):
-                stack.append((g.resolve(b), path + (BODY,), level))
+                stack.append((g.resolve(b), (at, BODY), level, height))
             case Box("ind", b):
-                stack.append((g.resolve(b), path + (BOXED,), level + "i"))
+                stack.append((g.resolve(b), (at, BOXED), level + "i", height))
             case Box("coind", b):
                 if max_depth is None or level_depth(level) < max_depth:
-                    stack.append((g.resolve(b), path + (BOXED,), level + "c"))
+                    stack.append((g.resolve(b), (at, BOXED), level + "c",
+                                  height))
+
+
+def path_of(at) -> tuple:
+    """The path of a parent link yielded by :func:`walk`."""
+    sels = []
+    while at:
+        at, sel = at
+        sels.append(sel)
+    return tuple(reversed(sels))
 
 
 def redex_kind_at(g: TermGraph, node: Node):
@@ -106,11 +120,11 @@ def redex_kind_at(g: TermGraph, node: Node):
 
 def _collect_redexes(g, *, max_height=None, max_depth=None, budget):
     found = []
-    for i, (node, path, level) in enumerate(
+    for i, (node, at, level) in enumerate(
             walk(g, max_height=max_height, max_depth=max_depth, budget=budget)):
         kind = redex_kind_at(g, node)
         if kind:
-            found.append((Redex(path, level, kind), i))
+            found.append((Redex(path_of(at), level, kind), i))
     found.sort(key=lambda ri: ri[0].sort_key(ri[1]))
     return [r for r, _ in found]
 
@@ -125,6 +139,55 @@ def find_redexes(g: TermGraph, height_bound=DEFAULT_HEIGHT,
 def redexes_within_depth(g: TermGraph, max_depth, budget=DEFAULT_BUDGET):
     """All redexes in the depth-bounded region (finite on terms)."""
     return _collect_redexes(g, max_depth=max_depth, budget=budget)
+
+
+def _first_redex(g: TermGraph, budget, whole=True):
+    """``redexes_within_depth(g, 0, budget)[0]``, or None when there is
+    none, found without collecting or sorting the others.
+
+    At depth 0 every level is ``i^k``, so the first redex is one with
+    the least ``k``, and preorder breaks ties.  With ``whole`` the search
+    visits the depth-0 region as :func:`walk` does and raises
+    :class:`BudgetExceededError` where it would.  Otherwise it skips
+    every subtree at or below the best ``k`` found so far and stops at a
+    redex with ``k = 0``; the region is then charged by the root body's
+    :meth:`~TermGraph.shallow_size` instead, which a walk never
+    undercounts.  Only the winner's path is built, from parent links.
+    """
+    if not whole and g.shallow_size() > budget:
+        raise BudgetExceededError(
+            f"traversal exceeded {budget} nodes (ill-formed input?)")
+    best = None                 # (parent link, k, kind) of the first redex
+    best_k = float("inf")
+    stack = [(g.resolve(g.root_body()), (), 0)]
+    visited = 0
+    while stack:
+        node, at, k = stack.pop()
+        if k >= best_k and not whole:
+            continue
+        visited += 1
+        if visited > budget:
+            raise BudgetExceededError(
+                f"traversal exceeded {budget} nodes (ill-formed input?)")
+        t = type(node)
+        if t is App:
+            if k < best_k:
+                kind = redex_kind_at(g, node)
+                if kind:
+                    best = at, k, kind
+                    best_k = k
+                    if not k and not whole:
+                        break
+            stack.append((g.resolve(node.arg), (at, ARG), k))
+            stack.append((g.resolve(node.fn), (at, FN), k))
+        elif t is Lam:
+            stack.append((g.resolve(node.body), (at, BODY), k))
+        elif t is Box and node.kind == IND:
+            stack.append((g.resolve(node.body), (at, BOXED), k + 1))
+    if best is None:
+        return None
+    at, k, kind = best
+    return Redex(path_of(at), "i" * k, kind)
 
 
 def has_any_redex(g: TermGraph) -> bool:
@@ -311,24 +374,24 @@ def find_deadlock(g: TermGraph, *, max_depth=None, max_height=None,
     inert but legitimate (the non-normalising examples carry one at
     every depth), so evaluation must not halt on them.
     """
-    for node, path, level in walk(g, max_depth=max_depth,
-                                  max_height=max_height, budget=budget):
+    for node, at, level in walk(g, max_depth=max_depth,
+                                max_height=max_height, budget=budget):
         if not isinstance(node, App):
             continue
         f = g.resolve(node.fn)
         if isinstance(f, Box):
             if include_box_heads and not g.node_free_vars(node):
-                return path, "application head is a box"
+                return path_of(at), "application head is a box"
             continue
         if isinstance(f, Lam) and f.kind != LIN:
             a = g.resolve(node.arg)
             if isinstance(a, Box) and a.kind != f.kind:
                 want = "inductive" if f.kind == IND else "coinductive"
-                return path, (f"{want} abstraction applied to a "
-                              f"{'inductive' if a.kind == IND else 'coinductive'} box")
+                got = "inductive" if a.kind == IND else "coinductive"
+                return path_of(at), f"{want} abstraction applied to a {got} box"
             if isinstance(a, Lam):
-                return path, ("boxed argument expected but the argument "
-                              "is an abstraction")
+                return path_of(at), ("boxed argument expected but the "
+                                     "argument is an abstraction")
     return None
 
 
@@ -361,9 +424,10 @@ def _split(boxes, frontier, used, budget):
     out = []
     for i in frontier:
         b = boxes[i]
-        for node, path, level in walk(b.graph, max_depth=0, budget=budget):
+        for node, at, level in walk(b.graph, max_depth=0, budget=budget):
             used += 1
             if isinstance(node, Box) and node.kind == COIND:
+                path = path_of(at)
                 out.append(len(boxes))
                 boxes.append(_Box(b.path + path + (BOXED,), b.level + level + "c",
                                   box_contents(b.graph, node), i, path))
@@ -381,14 +445,20 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
     boxes reached by crossing ``d`` coinductive boxes; completed depths
     are final, so those contents are normalised each on its own graph.
     Steps are taken in the order of :func:`redexes_within_depth` on the
-    whole graph, and only the stepped box is rescanned.  The budget
-    bounds the whole depth-``d`` region: a box's scan gets what the
-    region above the frontier and a node for every other frontier box
-    leave.  Calls ``on_step(boxes, frontier, used, i, before, redex)``
-    after each step: ``frontier`` lists the boxes at the depth being
-    normalised, ``used`` counts the nodes of the region above them,
-    ``i`` is the stepped box, ``before`` its graph before the step, and
-    the redex has its whole-term position.  Returns ``(boxes, stats)``.
+    whole graph: a heap holds each box's first redex
+    (:func:`_first_redex`) keyed by its whole level, then by box
+    preorder, and after a step only the stepped box is searched again,
+    up to its first redex.  The budget bounds every state of the
+    depth-``d`` region.  A box gets what the region above the frontier
+    and a node for every other frontier box leave: its whole region is
+    walked against that share when the box is queued, and after each
+    step the stepped root body's node count above its coinductive boxes
+    is charged against it.  Calls
+    ``on_step(boxes, frontier, used, i, before, redex)`` after each
+    step: ``frontier`` lists the boxes at the depth being normalised,
+    ``used`` counts the nodes of the region above them, ``i`` is the
+    stepped box, ``before`` its graph before the step, and the redex
+    has its whole-term position.  Returns ``(boxes, stats)``.
     """
     stats = EvalStats(steps_per_depth={})
     boxes = [_Box((), "", g)]
@@ -396,14 +466,13 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
     used = 0
     heap = []
 
-    def push(i):
+    def push(i, whole):
         # box i's first redex, keyed as in the whole term: by level, then
         # by box preorder (local preorder decides within the box)
         b = boxes[i]
-        found = redexes_within_depth(b.graph, 0, left)
-        if found:
-            heapq.heappush(heap, (level_key(b.level + found[0].level), i,
-                                  found[0]))
+        r = _first_redex(b.graph, left, whole)
+        if r is not None:
+            heapq.heappush(heap, (level_key(b.level + r.level), i, r))
 
     for d in range(depth + 1):
         if d:
@@ -411,7 +480,7 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
         left = budget - used - len(frontier) + 1
         stats.steps_per_depth[d] = 0
         for i in frontier:
-            push(i)
+            push(i, True)
         while heap:
             if stats.steps_per_depth[d] >= fuel:
                 stats.outcome = "fuel-exhausted"
@@ -424,7 +493,7 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
             b.changed = True
             stats.steps_per_depth[d] += 1
             stats.fuel_consumed += 1
-            push(i)
+            push(i, False)
             if on_step is not None:
                 on_step(boxes, frontier, used, i, before,
                         Redex(b.path + r.position, b.level + r.level, r.kind))

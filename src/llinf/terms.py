@@ -175,7 +175,8 @@ def level_key(level: str):
 class TermGraph:
     """An immutable system of named, guarded equations plus a root name."""
 
-    __slots__ = ("defs", "root", "_fvs", "_refs", "_referenced", "_names")
+    __slots__ = ("defs", "root", "_fvs", "_refs", "_referenced", "_names",
+                 "_shallow")
 
     def __init__(self, defs, root, _validate=True):
         self.defs = dict(defs)
@@ -184,6 +185,7 @@ class TermGraph:
         self._refs = None
         self._referenced = None
         self._names = None
+        self._shallow = None
         if _validate:
             _validate_graph(self)
 
@@ -218,6 +220,17 @@ class TermGraph:
         if got is None:
             got = self._refs[name] = _scan_body(self.defs[name]).refs
         return got
+
+    def shallow_size(self) -> int:
+        """Nodes of the root body above its coinductive boxes, the boxes
+        included; a reference counts as one node and is not followed.
+
+        Cached: :func:`derive` records it from the scan it runs anyway.
+        A walk of the depth-0 region visits at least this many nodes.
+        """
+        if self._shallow is None:
+            self._shallow = _scan_body(self.root_body()).shallow
+        return self._shallow
 
     def referenced(self) -> frozenset:
         """Names referenced by the body of some definition (cached)."""
@@ -275,6 +288,7 @@ class TermGraph:
         if self._refs is not None:
             out._refs = {n: r for n, r in self._refs.items() if n in keep}
         out._names = self._names
+        out._shallow = self._shallow
         return out
 
     def __repr__(self):
@@ -302,28 +316,31 @@ class _Scan(NamedTuple):
     names: set          # variable and binder names
     free: set           # free variables, not counting those of references
     guards: list        # (ref, names bound above it) in preorder, fn before arg
+    shallow: int        # nodes above every coinductive box, the boxes included
 
 
 def _scan_body(node) -> _Scan:
     """One iterative preorder pass over a body tree; references are not
     followed.  A reference beneath no binder records no guard."""
     refs = set()
-    names = set()
+    names = set()       # binder names; the free variables join at the end
     free = set()
     guards = []
     bound = {}          # binder name -> number of its binders above the visit
+    shallow = 1         # the root, plus the children above every coinductive box
     todo = [node]
     while todo:
         n = todo.pop()
         t = type(n)
         if t is App:
+            shallow += 2
             todo.append(n.arg)
             todo.append(n.fn)
         elif t is Var:
-            names.add(n.name)
             if n.name not in bound:
                 free.add(n.name)
         elif t is Lam:
+            shallow += 1
             x = n.name
             names.add(x)
             bound[x] = bound.get(x, 0) + 1
@@ -334,14 +351,23 @@ def _scan_body(node) -> _Scan:
             if not bound[n[0]]:
                 del bound[n[0]]
         elif t is Box:
+            if n.kind == COIND:
+                # leaving the box restores the count, so that nothing
+                # inside it is counted
+                todo.append(shallow)
+            else:
+                shallow += 1
             todo.append(n.body)
         elif t is Ref:
             refs.add(n.name)
             if bound:
                 guards.append((n.name, frozenset(bound)))
+        elif t is int:
+            shallow = n
         elif t is not Cut:
             raise TypeError(f"not a node: {n!r}")
-    return _Scan(frozenset(refs), names, free, guards)
+    names |= free       # a bound variable's name is its binder's
+    return _Scan(frozenset(refs), names, free, guards, shallow)
 
 
 def _scan_fvs(scan, fvs) -> frozenset:
@@ -467,6 +493,7 @@ def derive(g: TermGraph, name, body) -> TermGraph:
     out._names = g.all_names()
     out._names |= scan.names
     out._names.add(name)
+    out._shallow = scan.shallow
     return out
 
 

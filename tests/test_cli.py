@@ -8,6 +8,8 @@ RHO = "def N = N (\\x. x) ;\nroot N ;\n"
 DEAD = "def D = (\\!x. x) (#(\\y. y)) ;\nroot D ;\n"
 LAM = "def T = \\x. T ;\nroot T ;\nflags 100 ;\n"
 OMEGA = "def O = (\\!x. x !x) (!(\\!x. x !x)) ;\nroot O ;\n"
+DOUBLING = ("def R = (\\!g. \\!a. g !g !(a a)) !(\\!g. \\!a. g !g !(a a)) "
+            "!(\\z. z) ;\nroot R ;\n")
 
 
 def run(args, files=None):
@@ -100,6 +102,27 @@ def test_eval_branching_budget_exit():
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
     assert "error: evaluated region exceeds 100000 nodes" in r.output
+
+
+@pytest.mark.parametrize("args", [["eval", "--depth", "3", "--fuel", "50"],
+                                  ["trace", "--depth", "2", "--fuel", "50"]])
+def test_rho_budget_exit(args):
+    # the depth-0 region of the spine is infinite: the budget, not the
+    # memory, has to stop the first search
+    r = run(args + ["rho.lli"], {"rho.lli": RHO})
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert "error: traversal exceeded 100000 nodes" in r.output
+
+
+def test_doubling_body_budget_exit():
+    r = run(["eval", "--depth", "0", "--budget", "20000", "r.lli"],
+            {"r.lli": DOUBLING})
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert "error: traversal exceeded 20000 nodes" in r.output
 
 
 def test_weight_table():

@@ -6,7 +6,7 @@ from llinf.errors import BudgetExceededError, InvalidPositionError
 from llinf.reduction import (
     Redex, classify, contract, eval_lbl, find_deadlock, find_redexes,
     format_step, has_any_redex, level_at, redexes_within_depth,
-    run_lbl_trace, step_at_levelset, step_lbl, _admissible,
+    run_lbl_trace, step_at_levelset, step_lbl, _admissible, _first_redex,
 )
 from llinf.terms import (
     App, Box, Lam, Ref, TermGraph, Var,
@@ -406,6 +406,89 @@ def test_frontier_step_cost_is_linear(monkeypatch):
         assert stats.outcome == "normalized"
         counts[depth] = visited[0]
     assert counts[32] <= 2.2 * counts[16], counts
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the message of the BudgetExceededError it raises."""
+    try:
+        return fn(*args)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def _first_of_sorted_scan(g, budget):
+    return (redexes_within_depth(g, 0, budget) or [None])[0]
+
+
+def _region_nodes(g, budget):
+    return sum(1 for _ in reduction.walk(g, max_depth=0, budget=budget))
+
+
+def _assert_first_redex_on_fresh(g, budget):
+    # the first search of a queued box finds the same redex as the sorted
+    # scan, and runs out of budget exactly where the scan does
+    n = _outcome(_region_nodes, g, budget)
+    budgets = {1, 2, budget} | ({n - 1, n} if isinstance(n, int) else set())
+    for b in sorted(budgets - {0}):
+        assert (_outcome(_first_redex, g, b)
+                == _outcome(_first_of_sorted_scan, g, b)), b
+
+
+@pytest.mark.parametrize("g,depth,fuel", [
+    pytest.param(g, depth, fuel, id=name.replace(" ", "_"))
+    for name, g, depth, fuel in _gate_corpus()])
+def test_first_redex_matches_the_sorted_scan(g, depth, fuel):
+    budget = 3_000
+    _assert_first_redex_on_fresh(g, budget)
+    stepped = []
+
+    def on_step(boxes, frontier, used, i, before, redex):
+        stepped.extend((before, boxes[i].graph))
+
+    try:
+        boxes, _ = reduction._frontier_eval(g, depth, fuel, budget, on_step)
+    except BudgetExceededError:
+        boxes = []
+    for b in boxes:
+        if not b.changed:
+            _assert_first_redex_on_fresh(b.graph, budget)
+    for h in stepped:
+        want = _outcome(_first_of_sorted_scan, h, budget)
+        assert _outcome(_first_redex, h, budget) == want
+        if not isinstance(want, str):
+            assert _first_redex(h, budget, whole=False) == want
+        # the charge after a step is the scan's count: never more than a
+        # walk of the region visits, and as many when no reference is met
+        scan = _scan_body(h.root_body())
+        assert h.shallow_size() == scan.shallow
+        n = _outcome(_region_nodes, h, budget)
+        assert isinstance(n, str) or h.shallow_size() <= n
+        assert scan.refs or h.shallow_size() == n
+
+
+def test_queued_box_is_charged_its_whole_region():
+    # the root body has 4 nodes and its redex is at the root, but with
+    # the reference unfolded the depth-0 region has 9
+    g = parse("def S = \\y. y y y ; def T = (\\x. x) S ; root T")
+    with pytest.raises(BudgetExceededError, match="traversal exceeded 8 nodes"):
+        eval_lbl(g, 0, 10, 8)
+    assert eval_lbl(g, 0, 10, 9)[2].outcome == "normalized"
+
+
+# each step doubles the argument at level i, and a redex at level
+# epsilon is always there: only the charge for the stepped body stops it
+DOUBLING = ("def R = (\\!g. \\!a. g !g !(a a)) !(\\!g. \\!a. g !g !(a a)) "
+            "!(\\z. z) ; root R")
+
+
+def test_doubling_body_exceeds_the_budget():
+    g = parse(DOUBLING)
+    # few enough steps that the evaluation ends even without the charge
+    # (then the projection of the result stops it, with another message)
+    with pytest.raises(BudgetExceededError, match="traversal exceeded 2000"):
+        eval_lbl(g, 0, 24, 2_000)
+    with pytest.raises(BudgetExceededError, match="traversal exceeded 20000"):
+        eval_lbl(g, 0, 1000, 20_000)
 
 
 def test_fresh_names_do_not_depend_on_earlier_calls():
