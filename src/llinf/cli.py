@@ -27,7 +27,7 @@ def _fail(code, message):
 def _load_graph(path):
     try:
         text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(EXIT_USAGE, str(exc))
     try:
         if path.endswith(".lam"):

@@ -10,7 +10,12 @@ Application is left-associative, a lambda body extends maximally to the
 right, and ``!``/``#`` bind exactly one atom.  Identifiers that match a
 defined name parse as references; all others are variables.  Lambda
 files (pure lambda calculus) use the same shape plus an optional
-``flags abc ;`` clause and permit only plain ``\\VAR.`` abstractions.
+``flags abc ;`` clause, with no boxes and only plain ``\\VAR.``
+abstractions.
+
+The front end is one scanner pass and one parser loop over an explicit
+stack, and the printer emits chunks from an explicit stack, so nesting
+depth is bounded by memory only.
 
 Environments for the command line are comma-separated patterns:
 ``x`` linear, ``!x`` inductive (ind-one in the 4S system), ``#x``
@@ -30,203 +35,174 @@ _TOKEN_RE = re.compile(
       | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
       | (?P<digits>[0-9]+)
       | (?P<punct>[\\!#.();=])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {"def", "root", "flags"}
+_MARKS = {"!": IND, "#": COIND}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"{self.kind}:{self.text!r}@{self.line}:{self.col}"
+def _syntax_error(text, offset, message):
+    """The error at ``offset`` of ``text``, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return SurfaceSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    line = 1
-    linestart = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SurfaceSyntaxError(
-                f"unexpected character {text[pos]!r}",
-                line, pos - linestart + 1)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(),
-                                 line, m.start() - linestart + 1))
-        nl = text.count("\n", pos, m.end())
-        if nl:
-            line += nl
-            linestart = text.rfind("\n", pos, m.end()) + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - linestart + 1))
-    return tokens
+    """``(kind, text, offset)`` for each token of ``text``, then ``eof``."""
+    toks = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise _syntax_error(text, m.start(), f"unexpected character {m.group()!r}")
+        toks.append((kind, m.group(), m.start()))
+    toks.append(("eof", "", len(text)))
+    return toks
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        # the identifier after each ``def`` names a definition, and every
+        # occurrence of it parses as a reference
+        self.refs = {b[1] for a, b in zip(self.toks, self.toks[1:])
+                     if a[1] == "def" and b[0] == "ident"}
+        self.clash = None  # the first binder named like a definition
 
-    def peek(self):
-        return self.toks[self.i]
+    def err(self, message, at=None):
+        at = self.i if at is None else at
+        raise _syntax_error(self.text, self.toks[at][2], message)
 
     def next(self):
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def err(self, message, tok=None):
-        tok = tok or self.peek()
-        raise SurfaceSyntaxError(message, tok.line, tok.col)
-
     def expect(self, text):
-        t = self.next()
-        if t.text != text:
-            self.err(f"expected {text!r}, found {t.text or 'end of input'!r}", t)
-        return t
+        found = self.next()[1]
+        if found != text:
+            self.err(f"expected {text!r}, found {found or 'end of input'!r}",
+                     self.i - 1)
 
-    def expect_ident(self, what="identifier"):
-        t = self.next()
-        if t.kind != "ident" or t.text in _KEYWORDS:
-            self.err(f"expected {what}, found {t.text or 'end of input'!r}", t)
-        return t.text
+    def expect_ident(self, what):
+        kind, text, _ = self.next()
+        if kind != "ident" or text in _KEYWORDS:
+            self.err(f"expected {what}, found {text or 'end of input'!r}",
+                     self.i - 1)
+        return text
 
-    # term := lambda | application of factors
-    def parse_term(self, lambdas_only=False):
-        t = self.peek()
-        if t.text == "\\":
-            return self.parse_lambda(lambdas_only)
-        factors = [self.parse_factor(lambdas_only)]
+    def term(self, marks):
+        """The term from the current token on; ``marks`` maps the box
+        marks allowed in it to their kinds.
+
+        One loop over a stack of open frames: the whole term, a
+        parenthesis, or a lambda body.  A frame is ``[closer,
+        application so far, pending box mark]``, with ``closer`` None,
+        ``")"`` or the lambda's ``(kind, name)``.  A finished atom is
+        boxed by the pending mark and applied to the frame's application.
+        """
+        toks, refs = self.toks, self.refs
+        i = self.i
+        stack = []
+        frame = [None, None, None]
         while True:
-            t = self.peek()
-            if t.kind == "ident" and t.text not in _KEYWORDS:
-                factors.append(self.parse_factor(lambdas_only))
-            elif t.text == "(" or (t.text in ("!", "#") and not lambdas_only):
-                factors.append(self.parse_factor(lambdas_only))
-            elif t.text == "\\":
-                # a trailing lambda extends maximally to the right
-                factors.append(self.parse_lambda(lambdas_only))
-                break
+            kind, text, _ = toks[i]
+            if kind == "ident" and text not in _KEYWORDS:
+                node = Ref(text) if text in refs else Var(text)
+                i += 1
+            elif text == "(":
+                stack.append(frame)
+                frame = [")", None, None]
+                i += 1
+                continue
+            elif frame[2] is None and text == "\\":
+                lam = LIN
+                mark = toks[i + 1][1]
+                if mark in _MARKS:
+                    if not marks:
+                        self.err("only plain abstractions are allowed here", i + 1)
+                    lam = _MARKS[mark]
+                    i += 1
+                self.i = i + 1
+                name = self.expect_ident("bound variable")
+                self.expect(".")
+                i = self.i
+                if name in refs and self.clash is None:
+                    self.clash = name
+                stack.append(frame)
+                frame = [(lam, name), None, None]
+                continue
+            elif frame[2] is None and text in marks:
+                frame[2] = marks[text]
+                i += 1
+                continue
+            elif frame[1] is None or frame[2] is not None:
+                self.err(f"expected a term, found {text or 'end of input'!r}", i)
             else:
-                break
-        term = factors[0]
-        for f in factors[1:]:
-            term = App(term, f)
-        return term
+                # this token ends the frame's term (a lambda body's term
+                # ends with the term that holds it)
+                closer, node, _ = frame
+                if closer is None:
+                    self.i = i
+                    return node
+                if closer == ")":
+                    self.i = i
+                    self.expect(")")
+                    i += 1
+                else:
+                    node = Lam(*closer, node)
+                frame = stack.pop()
+            if frame[2] is not None:
+                node = Box(frame[2], node)
+                frame[2] = None
+            frame[1] = node if frame[1] is None else App(frame[1], node)
 
-    def parse_lambda(self, lambdas_only):
-        self.expect("\\")
-        kind = LIN
-        t = self.peek()
-        if t.text == "!":
-            if lambdas_only:
-                self.err("only plain abstractions are allowed here")
-            self.next()
-            kind = IND
-        elif t.text == "#":
-            if lambdas_only:
-                self.err("only plain abstractions are allowed here")
-            self.next()
-            kind = COIND
-        name = self.expect_ident("bound variable")
-        self.expect(".")
-        body = self.parse_term(lambdas_only)
-        return Lam(kind, name, body)
-
-    def parse_factor(self, lambdas_only):
-        t = self.peek()
-        if t.text == "!":
-            self.next()
-            return Box(IND, self.parse_atom(lambdas_only))
-        if t.text == "#":
-            self.next()
-            return Box(COIND, self.parse_atom(lambdas_only))
-        return self.parse_atom(lambdas_only)
-
-    def parse_atom(self, lambdas_only):
-        t = self.peek()
-        if t.text == "(":
-            self.next()
-            term = self.parse_term(lambdas_only)
-            self.expect(")")
-            return term
-        if t.kind == "ident" and t.text not in _KEYWORDS:
-            self.next()
-            return Var(t.text)  # refs resolved after all defs are known
-        self.err(f"expected a term, found {t.text or 'end of input'!r}")
-
-    def parse_program(self, lambdas_only=False):
+    def program(self, lambdas_only=False):
+        marks = {} if lambdas_only else _MARKS
         defs = {}
-        order = []
-        root = None
-        flags = None
-        while True:
-            t = self.peek()
-            if t.text == "def":
-                self.next()
+        root = flags = None
+        while self.toks[self.i][0] != "eof":
+            at = self.i
+            text = self.next()[1]
+            if text == "def":
                 name = self.expect_ident("definition name")
                 if name in defs:
-                    self.err(f"duplicate definition {name!r}", t)
+                    self.err(f"duplicate definition {name!r}", at)
                 self.expect("=")
-                defs[name] = self.parse_term(lambdas_only)
-                order.append(name)
+                defs[name] = self.term(marks)
                 self.expect(";")
-            elif t.text == "root":
-                self.next()
+            elif text == "root":
                 root = self.expect_ident("root name")
-                if self.peek().text == ";":
-                    self.next()
-            elif t.text == "flags":
-                self.next()
-                tok = self.next()
-                if tok.kind != "digits" or not re.fullmatch(r"[01]{3}", tok.text):
-                    self.err("flags must be three binary digits", tok)
-                flags = tuple(int(ch) for ch in tok.text)
-                if self.peek().text == ";":
-                    self.next()
-            elif t.kind == "eof":
-                break
+                if self.toks[self.i][1] == ";":
+                    self.i += 1
+            elif text == "flags":
+                kind, digits, _ = self.next()
+                if kind != "digits" or not re.fullmatch(r"[01]{3}", digits):
+                    self.err("flags must be three binary digits", self.i - 1)
+                flags = tuple(int(ch) for ch in digits)
+                if self.toks[self.i][1] == ";":
+                    self.i += 1
             else:
-                self.err(
-                    f"expected 'def' or 'root', found {t.text or 'end of input'!r}")
+                self.err(f"expected 'def' or 'root', found {text!r}", at)
         if root is None:
             self.err("missing 'root' clause")
         if root not in defs:
             raise DefinitionError(f"root {root!r} is not defined")
-        defs = {name: _resolve_idents(body, set(defs)) for name, body in defs.items()}
+        if self.clash is not None:
+            raise DefinitionError(
+                f"bound variable {self.clash!r} collides with a definition name")
         return defs, root, flags
-
-
-def _resolve_idents(node, defnames):
-    match node:
-        case Var(x):
-            return Ref(x) if x in defnames else node
-        case App(f, a):
-            return App(_resolve_idents(f, defnames), _resolve_idents(a, defnames))
-        case Lam(k, x, b):
-            if x in defnames:
-                raise DefinitionError(
-                    f"bound variable {x!r} collides with a definition name")
-            return Lam(k, x, _resolve_idents(b, defnames))
-        case Box(k, b):
-            return Box(k, _resolve_idents(b, defnames))
-    return node
 
 
 def parse_program(text: str) -> TermGraph:
     """Parse a full program into a validated term graph."""
-    defs, root, flags = _Parser(text).parse_program()
+    defs, root, flags = _Parser(text).program()
     if flags is not None:
         raise SurfaceSyntaxError("'flags' is only meaningful in lambda files")
     return TermGraph(defs, root)
@@ -235,15 +211,15 @@ def parse_program(text: str) -> TermGraph:
 def parse_term(text: str) -> TermGraph:
     """Parse a bare closed-form term (no definitions) into a graph."""
     p = _Parser(text)
-    term = p.parse_term()
-    if p.peek().kind != "eof":
+    term = p.term(_MARKS)
+    if p.toks[p.i][0] != "eof":
         p.err("trailing input after term")
     return TermGraph({"main": term}, "main")
 
 
 def parse_lambda_program(text: str):
     """Parse a pure-lambda program; returns ``(graph, flags_or_None)``."""
-    defs, root, flags = _Parser(text).parse_program(lambdas_only=True)
+    defs, root, flags = _Parser(text).program(lambdas_only=True)
     return TermGraph(defs, root), flags
 
 

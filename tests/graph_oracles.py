@@ -8,11 +8,17 @@
 * Alpha-equivalence and printing by structural recursion: the earlier
   production route, kept as the oracle of the iterative passes in
   :mod:`llinf.terms` and :mod:`llinf.surface`.
+* The recursive-descent parser, its line-tracking tokenizer and the
+  reference-resolving pass after it: the earlier production front end,
+  kept as the oracle of the scanner and parser loop in
+  :mod:`llinf.surface` (which also rejects boxes in lambda files).
 * Height-bounded unfolding and truncation, for coherence checks.
 """
 
+import re
 from functools import partial
 
+from llinf.errors import DefinitionError, SurfaceSyntaxError
 from llinf.terms import (
     App, Box, Cut, CUT, Lam, Node, Ref, TermGraph, Var, IND, LIN, COIND,
     children, rebuild, remake,
@@ -271,3 +277,228 @@ def format_node(node: Node) -> str:
         raise TypeError(f"unexpected node {n!r}")
 
     return go(node)
+
+
+# ---------------------------------------------------------------------------
+# parsing
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+|//[^\n]*)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<digits>[0-9]+)
+      | (?P<punct>[\\!#.();=])
+    """,
+    re.VERBOSE,
+)
+
+_KEYWORDS = {"def", "root", "flags"}
+
+
+class _Token:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __repr__(self):
+        return f"{self.kind}:{self.text!r}@{self.line}:{self.col}"
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    line = 1
+    linestart = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise SurfaceSyntaxError(
+                f"unexpected character {text[pos]!r}",
+                line, pos - linestart + 1)
+        if m.lastgroup != "ws":
+            tokens.append(_Token(m.lastgroup, m.group(),
+                                 line, m.start() - linestart + 1))
+        nl = text.count("\n", pos, m.end())
+        if nl:
+            line += nl
+            linestart = text.rfind("\n", pos, m.end()) + 1
+        pos = m.end()
+    tokens.append(_Token("eof", "", line, len(text) - linestart + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text):
+        self.toks = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def next(self):
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def err(self, message, tok=None):
+        tok = tok or self.peek()
+        raise SurfaceSyntaxError(message, tok.line, tok.col)
+
+    def expect(self, text):
+        t = self.next()
+        if t.text != text:
+            self.err(f"expected {text!r}, found {t.text or 'end of input'!r}", t)
+        return t
+
+    def expect_ident(self, what="identifier"):
+        t = self.next()
+        if t.kind != "ident" or t.text in _KEYWORDS:
+            self.err(f"expected {what}, found {t.text or 'end of input'!r}", t)
+        return t.text
+
+    # term := lambda | application of factors
+    def parse_term(self, lambdas_only=False):
+        t = self.peek()
+        if t.text == "\\":
+            return self.parse_lambda(lambdas_only)
+        factors = [self.parse_factor(lambdas_only)]
+        while True:
+            t = self.peek()
+            if t.kind == "ident" and t.text not in _KEYWORDS:
+                factors.append(self.parse_factor(lambdas_only))
+            elif t.text == "(" or (t.text in ("!", "#") and not lambdas_only):
+                factors.append(self.parse_factor(lambdas_only))
+            elif t.text == "\\":
+                # a trailing lambda extends maximally to the right
+                factors.append(self.parse_lambda(lambdas_only))
+                break
+            else:
+                break
+        term = factors[0]
+        for f in factors[1:]:
+            term = App(term, f)
+        return term
+
+    def parse_lambda(self, lambdas_only):
+        self.expect("\\")
+        kind = LIN
+        t = self.peek()
+        if t.text == "!":
+            if lambdas_only:
+                self.err("only plain abstractions are allowed here")
+            self.next()
+            kind = IND
+        elif t.text == "#":
+            if lambdas_only:
+                self.err("only plain abstractions are allowed here")
+            self.next()
+            kind = COIND
+        name = self.expect_ident("bound variable")
+        self.expect(".")
+        body = self.parse_term(lambdas_only)
+        return Lam(kind, name, body)
+
+    def parse_factor(self, lambdas_only):
+        t = self.peek()
+        if t.text == "!":
+            self.next()
+            return Box(IND, self.parse_atom(lambdas_only))
+        if t.text == "#":
+            self.next()
+            return Box(COIND, self.parse_atom(lambdas_only))
+        return self.parse_atom(lambdas_only)
+
+    def parse_atom(self, lambdas_only):
+        t = self.peek()
+        if t.text == "(":
+            self.next()
+            term = self.parse_term(lambdas_only)
+            self.expect(")")
+            return term
+        if t.kind == "ident" and t.text not in _KEYWORDS:
+            self.next()
+            return Var(t.text)  # refs resolved after all defs are known
+        self.err(f"expected a term, found {t.text or 'end of input'!r}")
+
+    def parse_program(self, lambdas_only=False):
+        defs = {}
+        order = []
+        root = None
+        flags = None
+        while True:
+            t = self.peek()
+            if t.text == "def":
+                self.next()
+                name = self.expect_ident("definition name")
+                if name in defs:
+                    self.err(f"duplicate definition {name!r}", t)
+                self.expect("=")
+                defs[name] = self.parse_term(lambdas_only)
+                order.append(name)
+                self.expect(";")
+            elif t.text == "root":
+                self.next()
+                root = self.expect_ident("root name")
+                if self.peek().text == ";":
+                    self.next()
+            elif t.text == "flags":
+                self.next()
+                tok = self.next()
+                if tok.kind != "digits" or not re.fullmatch(r"[01]{3}", tok.text):
+                    self.err("flags must be three binary digits", tok)
+                flags = tuple(int(ch) for ch in tok.text)
+                if self.peek().text == ";":
+                    self.next()
+            elif t.kind == "eof":
+                break
+            else:
+                self.err(
+                    f"expected 'def' or 'root', found {t.text or 'end of input'!r}")
+        if root is None:
+            self.err("missing 'root' clause")
+        if root not in defs:
+            raise DefinitionError(f"root {root!r} is not defined")
+        defs = {name: _resolve_idents(body, set(defs)) for name, body in defs.items()}
+        return defs, root, flags
+
+
+def _resolve_idents(node, defnames):
+    match node:
+        case Var(x):
+            return Ref(x) if x in defnames else node
+        case App(f, a):
+            return App(_resolve_idents(f, defnames), _resolve_idents(a, defnames))
+        case Lam(k, x, b):
+            if x in defnames:
+                raise DefinitionError(
+                    f"bound variable {x!r} collides with a definition name")
+            return Lam(k, x, _resolve_idents(b, defnames))
+        case Box(k, b):
+            return Box(k, _resolve_idents(b, defnames))
+    return node
+
+
+def parse_program(text: str) -> TermGraph:
+    """Parse a full program into a validated term graph."""
+    defs, root, flags = _Parser(text).parse_program()
+    if flags is not None:
+        raise SurfaceSyntaxError("'flags' is only meaningful in lambda files")
+    return TermGraph(defs, root)
+
+
+def parse_term(text: str) -> TermGraph:
+    """Parse a bare closed-form term (no definitions) into a graph."""
+    p = _Parser(text)
+    term = p.parse_term()
+    if p.peek().kind != "eof":
+        p.err("trailing input after term")
+    return TermGraph({"main": term}, "main")
+
+
+def parse_lambda_program(text: str):
+    """Parse a pure-lambda program; returns ``(graph, flags_or_None)``."""
+    defs, root, flags = _Parser(text).parse_program(lambdas_only=True)
+    return TermGraph(defs, root), flags

@@ -1,5 +1,6 @@
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from llinf.cli import main
 
@@ -16,7 +17,7 @@ def run(args, files=None):
     runner = CliRunner()
     with runner.isolated_filesystem():
         for name, text in (files or {}).items():
-            with open(name, "w") as fh:
+            with open(name, "wb" if isinstance(text, bytes) else "w") as fh:
                 fh.write(text)
         return runner.invoke(main, args)
 
@@ -52,6 +53,13 @@ def test_check_lambda_flags():
 def test_parse_error_exit_code():
     r = run(["check", "bad.lli"], {"bad.lli": "def M = ( ; root M"})
     assert r.exit_code == 3
+
+
+def test_lambda_file_rejects_a_box():
+    r = run(["check", "box.lam"], {"box.lam": "def M = !x ; root M ; flags 001 ;"})
+    assert r.exit_code == 3
+    assert isinstance(r.exception, SystemExit)
+    assert r.output == "error: expected a term, found '!' (line 1, column 9)\n"
 
 
 def test_eval_deadlock_exit():
@@ -224,3 +232,85 @@ def test_decode_deep_stream_prefix(flip_program):
             {"s.lli": flip_program})
     assert r.exit_code == 0, r.output
     assert r.output == "10" * 600 + "\n"
+
+
+# ---------------------------------------------------------------------------
+# every input ends in a documented exit code
+
+DEEP = 5_000
+DEEP_BOXES = f"def M = {'!(#(' * (DEEP // 2)}y{'))' * (DEEP // 2)} ;\nroot M ;\n"
+DEEP_PARENS = f"def M = {'(' * DEEP}y{')' * DEEP} ;\nroot M ;\n"
+FLAGS = "flags 001 ;\n"
+
+# deep lambdas and deep application spines stay out: checking them is
+# quadratic in their depth
+CLI_COMMANDS = [
+    ["check"],
+    ["check", "--infer", "--system", "llinf"],
+    ["check", "--infer", "--system", "4s"],
+    ["eval", "--depth", "2", "--fuel", "30", "--budget", "2000"],
+    ["trace", "--depth", "2", "--fuel", "30", "--budget", "2000"],
+    ["weight", "--depths", "0..2", "--budget", "2000"],
+    ["embed", "--which", "cbv", "--a", "1"],
+    ["decode", "--mode", "coalgebra", "--bound", "4", "--fuel", "30"],
+]
+
+# single tokens and short phrases, so that many soups parse
+_WORDS = ["def", "root", "flags", "M", "N", "x", "y", "\\", "!", "#", ".",
+          "(", ")", ";", "=", "001", "7", "// c", "$", "é",
+          "!x", "#y", "(x y)", "\\x.", "\\!y.", "x y", "#(M)", "!(\\x. x)"]
+
+
+@st.composite
+def _cli_programs(draw):
+    """A token soup, often inside a definition and a root clause, saved
+    as a term file or as a lambda file with a flags clause; now and then
+    with a few raw bytes put in."""
+    words = draw(st.lists(st.sampled_from(_WORDS), max_size=10))
+    text = "".join(w + draw(st.sampled_from(["", " ", "\n"])) for w in words)
+    if draw(st.booleans()):
+        text = f"def M = {text} ;\nroot M ;\n"
+    name = draw(st.sampled_from(["p.lli", "p.lam"]))
+    data = (text + FLAGS if name == "p.lam" else text).encode()
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data, name
+
+
+def _assert_documented_exit(args, name, text):
+    r = run(args + [name], {name: text})
+    assert r.exit_code in (0, 1, 2, 3), r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), (
+        repr(r.exception))
+    assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("args", CLI_COMMANDS, ids=" ".join)
+@settings(max_examples=40, deadline=None)
+@given(program=_cli_programs())
+def test_cli_exits_with_a_documented_code(args, program):
+    text, name = program
+    _assert_documented_exit(args, name, text)
+
+
+@pytest.mark.parametrize("args", CLI_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("deep", ["boxes", "parentheses"])
+@pytest.mark.parametrize("name", ["p.lli", "p.lam"])
+def test_cli_exits_with_a_documented_code_on_deep_input(args, deep, name):
+    text = DEEP_BOXES if deep == "boxes" else DEEP_PARENS
+    _assert_documented_exit(args, name, text + FLAGS if name == "p.lam" else text)
+
+
+@pytest.mark.parametrize("args", [["check", "--infer"], ["weight"], ["eval"]],
+                         ids=" ".join)
+def test_deep_boxes_run_to_the_end(args):
+    r = run(args + ["deep.lli"], {"deep.lli": DEEP_BOXES})
+    assert r.exit_code == 0, r.output
+
+
+def test_text_that_is_not_utf8_is_a_usage_error():
+    r = run(["check", "p.lli"], {"p.lli": b"def M = \xff ;\nroot M ;\n"})
+    assert r.exit_code == 3
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: 'utf-8' codec can't decode byte 0xff")

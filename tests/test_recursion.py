@@ -1,7 +1,6 @@
-"""Stack safety: no routine outside the parser recurses on term depth.
+"""Stack safety: no routine in the library recurses on term depth.
 
-Deep inputs are built here without the parser, whose nesting limit is
-still its own (ROADMAP item 2).
+Deep inputs are built here as trees, and as text for the parser.
 """
 
 import ast
@@ -146,6 +145,50 @@ def test_deep_input_needs_no_recursion(name):
     DEEP_CASES[name]()
 
 
+def _program(body):
+    return f"def M = {body} ;\nroot M ;\n"
+
+
+def _deep_boxes():
+    marks = ["!#"[i % 2] for i in range(DEPTH)]
+    return "".join(m + "(" for m in marks[:-1]) + marks[-1] + "y" + ")" * (DEPTH - 1)
+
+
+def _deep_lambdas():
+    marks = ("", "!", "#")
+    return "".join(f"\\{marks[i % 3]}x{i}. " for i in range(DEPTH)) + "x0"
+
+
+def _deep_parentheses():
+    """``((a0 a1) a2) ...``: printed without its parentheses."""
+    return "(" * DEPTH + "a0" + "".join(f" a{i})" for i in range(1, DEPTH + 1))
+
+
+def _deep_arguments():
+    """``a0 (a1 (... (a4999 u)))``."""
+    return ("".join(f"a{i} (" for i in range(DEPTH - 1))
+            + f"a{DEPTH - 1} u" + ")" * (DEPTH - 1))
+
+
+DEEP_TEXTS = {f.__name__[6:]: f for f in [
+    _deep_boxes, _deep_lambdas, _deep_parentheses, _deep_arguments]}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TEXTS))
+def test_deep_text_round_trips_through_the_parser(name):
+    """Text nested 5 000 levels deep goes through ``parse_program``,
+    ``format_graph`` and ``parse_program`` again under the default
+    recursion limit, and prints the same text both times."""
+    assert sys.getrecursionlimit() <= 1_000 < DEPTH
+    text = _program(DEEP_TEXTS[name]())
+    printed = surface.format_graph(surface.parse_program(text))
+    assert surface.format_graph(surface.parse_program(printed)) == printed
+    if name == "parentheses":
+        assert printed == _program(" ".join(f"a{i}" for i in range(DEPTH + 1)))
+    else:
+        assert printed == text
+
+
 def test_check_rejects_a_deep_unused_binder_chain():
     """``\\x1999. ... \\x0. z`` under ``{z: lin}``: every binder is unused,
     so the check rejects at the outermost one, describing each state
@@ -163,11 +206,10 @@ def test_check_rejects_a_deep_unused_binder_chain():
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "llinf"
 
-# Recursion on term depth stays only in the parser (ROADMAP item 2), in
-# the metric oracle that the bench's metrics-oracle suite checks
-# against, and in the generators, whose depth their size bounds.
+# Recursion on term depth stays only in the metric oracle that the
+# bench's metrics-oracle suite checks against, and in the generators,
+# whose depth their size bounds.
 ALLOWED = {
-    ("surface", "_Parser"), ("surface", "_resolve_idents"),
     ("metrics", "_graph_metric"),
     ("generate", "TermGen"), ("generate", "random_lambda"),
 }

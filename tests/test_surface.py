@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,3 +124,105 @@ def test_printer_matches_the_recursive_oracle():
             assert format_prefix(node, width) == want[:width]
         n += 1
     assert n > 1_500
+
+
+# ---------------------------------------------------------------------------
+# parity with the recursive-descent oracle
+
+# words of the token soups, with their weights: names, keywords, marks,
+# binders, parentheses, digits, a comment, blanks, and two characters
+# no token starts with
+_SOUP = {"x": 6, "y": 4, "M": 4, "N": 3, "f'": 1, "_a": 1, "def": 1,
+         "root": 1, "flags": 1, "!": 4, "#": 4, "\\x.": 3, "\\!y.": 2,
+         "\\#x.": 2, "\\M.": 2, "\\G0.": 1, "\\": 1, ".": 1, "(": 5,
+         ")": 5, "!(": 2, "#(": 2, ";": 1, "=": 1, "0": 1, "001": 1, "12": 1,
+         "// c\n": 1, "\n": 1, "\t": 1, "$": 0.3, "é": 0.3}
+
+
+def _soups(n=4_000):
+    """Seeded token soups: bare, or wrapped in a definition, a root clause
+    and (for lambda files) a flags clause, so that many of them parse."""
+    rng = random.Random(8)
+    words, weights = list(_SOUP), list(_SOUP.values())
+    for _ in range(n):
+        soup = "".join(w + rng.choice(["", " ", " ", "\n"]) for w in
+                       rng.choices(words, weights, k=rng.randrange(12)))
+        wrap = rng.random()
+        if wrap < 0.4:
+            soup = f"def M = {soup} ;\nroot M ;\n"
+        elif wrap < 0.6:
+            # a binder named like a definition may come before or after
+            # one in the soup: the first in the text is reported
+            other = rng.choice(["x", "N"])
+            defs = [f"def N = {soup} ;", f"def M = \\{other}. {other} ;"]
+            rng.shuffle(defs)
+            soup = " ".join(defs) + "\nroot N ; flags 001 ;\n"
+        yield soup
+
+
+def _parity_texts():
+    """Printed programs (the bundled examples, generated terms of both
+    systems, lambda programs), each with two one-word mutations, then
+    the token soups."""
+    from llinf import encodings
+    from llinf.surface import format_lambda_graph
+    printed = [format_graph(g) for g in encodings.counterexamples().values()]
+    printed += [format_graph(g) for g in (
+        encodings.bit_flip(), encodings.fixpoint(0), encodings.guarded_fixpoint())]
+    for system in ("llinf", "4s"):
+        printed += [format_graph(generate.random_term(
+            ("parse", seed), system, 10 + seed % 50)[1]) for seed in range(150)]
+    printed += [format_lambda_graph(generate.random_lambda(seed),
+                                    (seed % 2, 0, seed // 2 % 2))
+                for seed in range(150)]
+    yield from printed
+    rng = random.Random(9)
+    for text in printed * 2:
+        words = text.split(" ")
+        words[rng.randrange(len(words))] = rng.choices(
+            list(_SOUP), list(_SOUP.values()))[0]
+        yield " ".join(words)
+    yield from _soups()
+
+
+def _outcome(entry, text):
+    """The ``repr`` of defs, root and flags, or the error's class, message,
+    line and column."""
+    try:
+        out = entry(text)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "col", None))
+    g, flags = out if isinstance(out, tuple) else (out, None)
+    return ("ok", repr(g.defs), g.root, repr(flags))
+
+
+def _box_in_lambda_file(new, old):
+    """Lambda files now reject a box where a term starts.  Up to that
+    mark both parsers read alike, so the oracle took the box and failed
+    later in the text, or not at all."""
+    if new[0] != "SurfaceSyntaxError" or not re.match(
+            r"expected a term, found '[!#]'", new[1]):
+        return False
+    return old[0] != "SurfaceSyntaxError" or old[2:] > new[2:]
+
+
+def test_parser_matches_the_recursive_oracle():
+    import graph_oracles as oracle
+    entries = [(parse_program, oracle.parse_program),
+               (parse_term, oracle.parse_term),
+               (parse_lambda_program, oracle.parse_lambda_program)]
+    n = boxes_skipped = 0
+    kinds = set()
+    for text in _parity_texts():
+        for entry, old_entry in entries:
+            new, old = _outcome(entry, text), _outcome(old_entry, text)
+            if (new != old and entry is parse_lambda_program
+                    and _box_in_lambda_file(new, old)):
+                boxes_skipped += 1
+                continue
+            assert new == old, text
+            kinds.add(new[0])
+            n += 1
+    assert boxes_skipped > 0 and n > 10_000
+    assert {"ok", "SurfaceSyntaxError", "DefinitionError"} <= kinds
