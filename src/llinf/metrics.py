@@ -227,6 +227,8 @@ def wei_oracle(g: TermGraph, n: int, m: int) -> int:
 
 
 def df_oracle(g: TermGraph, m: int) -> int:
+    own = wellform.body_pass(g).own
+
     def combine(node, i, go):
         match node:
             case Var(_):
@@ -236,11 +238,7 @@ def df_oracle(g: TermGraph, m: int) -> int:
             case Lam("ind", x, b):
                 d = go(b, i)
                 if i == 0:
-                    occ = wellform.occurrences(g, x, b)
-                    if occ.infinite:
-                        raise MetricsUndefinedError(
-                            f"nfo({x}) is infinite; duplicability undefined")
-                    return max(occ.total, d)
+                    return max(sum(own[(id(b), x)]), d)
                 return d
             case Lam(_, _, b):
                 return go(b, i)

@@ -13,12 +13,20 @@ pairs.  Acceptance then reduces to two checks over that state graph:
 * every cycle crosses a coinductive-box edge, i.e. the subgraph of
   non-coinductive edges is acyclic.
 
+Occurrences are counted by two shared passes.  Inference makes one
+root sweep (``_root_sweep``): path counting for every variable at once,
+on the product of the definition bodies with the 4-class box automaton.
+The check makes one pass over each definition body (``body_pass``),
+which gives the free variables of every node, to split an application's
+environment, and the counts of each binder's own name in its body, to
+pick the 4S inductive-binder rule.
+
 Every cycle and order question here goes through one iterative Tarjan
 pass, ``_sccs``, which emits strongly connected components sinks first:
-occurrence counting sweeps the components of its product graph once for
-all four box classes, the inductive-loop search and the per-loop
-witnesses take the components of the state graph, and
-``lam.check_labc`` reuses the loop search for the pure calculi.
+the root sweep takes the components of its product graph, the
+inductive-loop search and the per-loop witnesses take those of the
+state graph, and ``lam.check_labc`` reuses the loop search for the pure
+calculi.
 
 Pattern kinds:
 
@@ -40,10 +48,11 @@ kind        full system              4S system
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LLinfError
 from .terms import (
-    App, Box, Lam, Node, TermGraph, Var,
+    App, Box, Lam, Node, Ref, TermGraph, Var,
     COIND, IND, LIN,
 )
 from . import surface
@@ -86,6 +95,7 @@ class OccSummary:
 
 
 _CLS_LIN, _CLS_IND1, _CLS_IND2, _CLS_COIND = range(4)
+_UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _shift(cls, boxkind):
@@ -99,55 +109,212 @@ def _shift(cls, boxkind):
 
 
 def occurrences(g: TermGraph, x: str, node: Node = None) -> OccSummary:
-    """Classified free-occurrence counts of ``x`` below ``node``.
+    """Classified free-occurrence counts of ``x`` at the root of ``g``,
+    or in the body of a binder of ``x``.
 
-    Computed by path counting on the product of the graph with the
-    4-class box automaton; a class count is infinite exactly when a
-    cycle lies on a path from the start to an occurrence of the class.
+    ``node`` is ``None`` or the root body for the root, where the counts
+    come from :func:`_root_sweep`; otherwise it must be the ``body`` of
+    an abstraction of ``x`` in a definition of ``g``, where they come
+    from :func:`body_pass`.  Any other node raises ``ValueError``: the
+    counts of a free variable of an arbitrary subterm are not computed.
     """
-    start = g.resolve(node if node is not None else g.root_body())
-    states = [(start, _CLS_LIN)]   # grows while it is read
-    ids = {(id(start), _CLS_LIN): 0}
+    if node is None or g.resolve(node) is g.root_body():
+        counts = _root_sweep(g).get(x, (0, 0, 0, 0))
+    else:
+        counts = body_pass(g).own.get((id(node), x))
+        if counts is None:
+            raise ValueError(
+                f"node is neither the root nor the body of a binder of {x!r}")
+    return OccSummary(*counts)
+
+
+def _root_sweep(g: TermGraph) -> dict:
+    """Map from each free variable of the root to its 4-class counts.
+
+    Path counting for all variables at once, on the product of the
+    definition bodies with the 4-class box automaton: a state is a
+    position in a body tree with a class, and only references merge
+    states, one per definition and class.  The components come sinks
+    first, and each state's map from variable to counts is the sum of
+    its successors' maps (duplicate edges count twice).  A ``Lam(v)``
+    state drops ``v``.  A cyclic component makes each nonzero class
+    infinite and drops every name bound by an abstraction inside it.
+
+    That drop is exact where the component is read.  A position has one
+    predecessor, so a cyclic component is entered only at definition
+    roots, and by capture-freedom no name bound inside it is free there.
+    """
+    start = g.root_body()
+    nodes = [start]         # grows while it is read
+    classes = [_CLS_LIN]
+    roots = {(g.root, _CLS_LIN): 0}
     succ = []
-    for n, cls in states:
-        match n:
-            case Lam(_, v, b) if v != x:
-                outs = ((b, cls),)
-            case App(f, a):
-                outs = ((f, cls), (a, cls))
-            case Box(k, b):
-                outs = ((b, _shift(cls, k)),)
-            case _:
-                outs = ()
+    for i, n in enumerate(nodes):
+        cls = classes[i]
+        t = type(n)
+        if t is App:
+            outs = ((n.fn, cls), (n.arg, cls))
+        elif t is Lam:
+            outs = ((n.body, cls),)
+        elif t is Box:
+            outs = ((n.body, _shift(cls, n.kind)),)
+        else:
+            outs = ()
         row = []
         for child, ccls in outs:
-            child = g.resolve(child)
-            key = (id(child), ccls)
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = len(states)
-                states.append((child, ccls))
-            row.append(i)
+            if type(child) is Ref:
+                key = (child.name, ccls)
+                j = roots.get(key)
+                if j is not None:
+                    row.append(j)
+                    continue
+                roots[key] = len(nodes)
+                child = g.defs[child.name]
+            row.append(len(nodes))
+            nodes.append(child)
+            classes.append(ccls)
         succ.append(row)
 
-    # components come sinks first, so every edge leaving a component
-    # leads to states already counted (duplicate edges count twice)
-    counts = [None] * len(states)
+    # A state's map is dropped once its last reader has read it, and a
+    # map is copied before it is changed: states may share one.
+    readers = [0] * len(succ)
+    readers[0] = 1          # the caller
+    for row in succ:
+        for j in row:
+            readers[j] += 1
+    maps = [None] * len(succ)
+
+    def take(j):
+        m = maps[j]
+        readers[j] -= 1
+        if not readers[j]:
+            maps[j] = None
+        return m
+
     for comp in _sccs(succ):
-        total = [0, 0, 0, 0]
-        for i in comp:
-            n, cls = states[i]
-            if isinstance(n, Var) and n.name == x:
-                total[cls] += 1
-            for j in succ[i]:
-                if counts[j] is not None:
-                    for c in range(4):
-                        total[c] += counts[j][c]
         if _cyclic(comp, succ):
-            total = [INF if t else 0 for t in total]
-        for i in comp:
-            counts[i] = total
-    return OccSummary(*counts[0])
+            members = set(comp)
+            total = {}
+            bound = set()
+            for i in comp:
+                n = nodes[i]
+                if type(n) is Var:
+                    _merge(total, {n.name: _UNIT[classes[i]]})
+                elif type(n) is Lam:
+                    bound.add(n.name)
+                for j in succ[i]:
+                    if j not in members:
+                        _merge(total, take(j))
+            pumped = {v: tuple(INF if k else 0 for k in c)
+                      for v, c in total.items() if v not in bound}
+            for i in comp:
+                maps[i] = pumped
+            continue
+        i = comp[0]
+        n = nodes[i]
+        t = type(n)
+        if t is App:
+            m, other = take(succ[i][0]), take(succ[i][1])
+            if len(other) > len(m):
+                m, other = other, m
+            if other:
+                m = _merge(dict(m), other)
+        elif t is Var:
+            m = {n.name: _UNIT[classes[i]]}
+        elif t is Lam or t is Box:
+            m = take(succ[i][0])
+            if t is Lam and n.name in m:
+                m = dict(m)
+                del m[n.name]
+        else:
+            m = {}
+        maps[i] = m
+    return maps[0]
+
+
+def _merge(m, other):
+    """Add the class counts of ``other`` into ``m``; returns ``m``."""
+    for v, c in other.items():
+        got = m.get(v)
+        m[v] = c if got is None else (got[0] + c[0], got[1] + c[1],
+                                      got[2] + c[2], got[3] + c[3])
+    return m
+
+
+class BodyPass(NamedTuple):
+    """What :func:`body_pass` finds in the definition bodies of a graph."""
+
+    free: dict   # id(node) -> free variables of the node's unfolding
+    own: dict    # (id(binder's body), binder's name) -> the name's 4-class
+                 # counts in that body
+
+
+def body_pass(g: TermGraph) -> BodyPass:
+    """One iterative pass over each definition body of ``g``; references
+    are not followed.
+
+    A reference's free variables are its definition's.  A binder counts
+    the occurrences of its own name in its body tree, classified by the
+    boxes between: by capture-freedom no definition referenced beneath
+    the binder has the name free, so these are all its occurrences in
+    the unfolding, and they are finitely many.
+    """
+    def_fvs = g.def_free_vars()
+    free = {}
+    own = {}
+    scope = {}      # name -> [c_lin, c_ind1, c_ind2, c_coind, ind, coind]
+                    # per binder of the name in scope, innermost last
+    for body in g.defs.values():
+        todo = [(body, 0, 0)]   # (node, inductive boxes, coinductive boxes)
+        while todo:
+            n, ind, co = todo.pop()
+            t = type(n)
+            if ind < 0:         # leaving n: its children are done
+                if t is App:
+                    f = free[id(n.fn)]
+                    a = free[id(n.arg)]
+                    if len(a) > len(f):
+                        f, a = a, f
+                    free[id(n)] = f if a <= f else f | a
+                elif t is Box:
+                    free[id(n)] = free[id(n.body)]
+                else:
+                    binders = scope[n.name]
+                    rec = binders.pop()
+                    if not binders:
+                        del scope[n.name]
+                    own[(id(n.body), n.name)] = tuple(rec[:4])
+                    got = free[id(n.body)]
+                    free[id(n)] = got - {n.name} if n.name in got else got
+                continue
+            if t is Var:
+                binders = scope.get(n.name)
+                if binders:
+                    rec = binders[-1]
+                    if co > rec[5]:
+                        rec[_CLS_COIND] += 1
+                    else:
+                        rec[min(ind - rec[4], _CLS_IND2)] += 1
+                free[id(n)] = frozenset((n.name,))
+            elif t is Ref:
+                free[id(n)] = def_fvs[n.name]
+            elif t is App:
+                todo.append((n, -1, 0))
+                todo.append((n.arg, ind, co))
+                todo.append((n.fn, ind, co))
+            elif t is Lam:
+                scope.setdefault(n.name, []).append([0, 0, 0, 0, ind, co])
+                todo.append((n, -1, 0))
+                todo.append((n.body, ind, co))
+            elif t is Box:
+                todo.append((n, -1, 0))
+                if n.kind == COIND:
+                    todo.append((n.body, ind, co + 1))
+                else:
+                    todo.append((n.body, ind + 1, co))
+            else:
+                raise TypeError(f"not a node: {n!r}")
+    return BodyPass(free, own)
 
 
 def _sccs(succ):
@@ -256,13 +423,15 @@ def _describe(node, env):
     return f"{surface.format_environment(env) or chr(0x2205)} |- {txt}"
 
 
-def _split_sides(g, fv_memo, env, f, a, strict_kinds):
+def _split_sides(bodies, env, f, a, strict_kinds):
+    free_f = bodies.free[id(f)]
+    free_a = bodies.free[id(a)]
     env_f = {}
     env_a = {}
     for v, k in env.items():
         if k in strict_kinds:
-            in_f = v in _node_fv(g, fv_memo, f)
-            in_a = v in _node_fv(g, fv_memo, a)
+            in_f = v in free_f
+            in_a = v in free_a
             if in_f and in_a:
                 raise _Fail(f"{k} variable {v!r} occurs in both sides of an application")
             if not in_f and not in_a:
@@ -274,16 +443,7 @@ def _split_sides(g, fv_memo, env, f, a, strict_kinds):
     return env_f, env_a
 
 
-def _node_fv(g, memo, node):
-    key = id(node)
-    got = memo.get(key)
-    if got is None:
-        got = g.node_free_vars(node)
-        memo[key] = got
-    return got
-
-
-def _expand_llinf(g, fv_memo, node, env):
+def _expand_llinf(bodies, node, env):
     match node:
         case Var(x):
             k = env.get(x)
@@ -294,7 +454,7 @@ def _expand_llinf(g, fv_memo, node, env):
                     raise _Fail(f"linear variable {v!r} is unused")
             return []
         case App(f, a):
-            env_f, env_a = _split_sides(g, fv_memo, env, f, a, ("lin",))
+            env_f, env_a = _split_sides(bodies, env, f, a, ("lin",))
             return [(f, env_f, False), (a, env_a, False)]
         case Lam(k, x, b):
             bind = {LIN: "lin", IND: "ind", COIND: "coind"}[k]
@@ -309,7 +469,7 @@ def _expand_llinf(g, fv_memo, node, env):
     raise TypeError(f"unexpected node {node!r}")
 
 
-def _expand_ll4s(g, fv_memo, node, env):
+def _expand_ll4s(bodies, node, env):
     match node:
         case Var(x):
             k = env.get(x)
@@ -330,7 +490,7 @@ def _expand_ll4s(g, fv_memo, node, env):
                     raise _Fail(f"ind-one variable {v!r} is unused")
             return []
         case App(f, a):
-            env_f, env_a = _split_sides(g, fv_memo, env, f, a, ("lin", "ind1"))
+            env_f, env_a = _split_sides(bodies, env, f, a, ("lin", "ind1"))
             return [(f, env_f, False), (a, env_a, False)]
         case Lam("lin", x, b):
             env2 = dict(env)
@@ -341,14 +501,14 @@ def _expand_ll4s(g, fv_memo, node, env):
             env2[x] = "coind"
             return [(b, env2, False)]
         case Lam("ind", x, b):
-            occ = occurrences(g, x, b)
-            if occ.coind > 0 or occ.deeper_ind > 0:
+            linear, ind_one, deeper_ind, coind = bodies.own[(id(b), x)]
+            if coind > 0 or deeper_ind > 0:
                 raise _Fail(
                     f"inductively bound {x!r} occurs under a coinductive box "
                     "or under more than one inductive box")
-            if occ.ind_one == 0:
+            if ind_one == 0:
                 bind = "dup"
-            elif occ.linear == 0 and occ.ind_one == 1:
+            elif linear == 0 and ind_one == 1:
                 bind = "ind1"
             else:
                 raise _Fail(
@@ -387,7 +547,7 @@ def check(system: str, env: dict, g: TermGraph) -> CheckReport:
     if bad:
         raise ValueError(f"pattern kinds {sorted(bad)} are not valid for {system}")
     expand = _expand_llinf if system == LLINF else _expand_ll4s
-    fv_memo = {}
+    bodies = body_pass(g)
 
     keys = {}
     info = []      # (node, env)
@@ -410,7 +570,7 @@ def check(system: str, env: dict, g: TermGraph) -> CheckReport:
             continue
         node, st_env = info[idx]
         try:
-            children = expand(g, fv_memo, node, st_env)
+            children = expand(bodies, node, st_env)
         except _Fail as f:
             failure = (idx, f.reason)
             break
@@ -516,9 +676,10 @@ def infer_env(system: str, g: TermGraph):
     preferred, then the most specific 4S kind), then verified by a full
     check.
     """
+    counts = _root_sweep(g)
     env = {}
     for x in sorted(g.free_vars()):
-        occ = occurrences(g, x)
+        occ = OccSummary(*counts[x])
         if occ.total == 1 and occ.linear == 1:
             env[x] = "lin"
         elif system == LLINF:

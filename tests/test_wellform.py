@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from dataclasses import astuple
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from llinf import generate, reduction, wellform
 from llinf.encodings import bit_flip, counterexamples, fixpoint, guarded_fixpoint
-from llinf.terms import App, Box, Lam, Ref, TermGraph, COIND, IND
+from llinf.terms import App, Box, Lam, Ref, TermGraph, Var, COIND, IND
 from llinf.wellform import (
     check, check_ll4s, check_llinf, env_precedes, infer_env, occurrences,
     preceding_variants, _inductive_cycle, _sccs,
@@ -204,6 +205,111 @@ def test_occurrences_match_the_multipass_oracle():
                 graph_oracles.occurrences(g, x, node), (x, node)
             cases += 1
     assert cases >= 10_000
+
+
+def _counting_root_sweeps(monkeypatch):
+    """Calls to the root sweep, whatever the caller."""
+    calls = []
+    real = wellform._root_sweep
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(wellform, "_root_sweep", spy)
+    return calls
+
+
+def _spine(n):
+    """``a0 (a1 (... (a{n-1} u)))``, through the parser."""
+    return parse("def S = " + "".join(f"a{i} (" for i in range(n)) + "u"
+                 + ")" * n + " ; root S ;")
+
+
+@pytest.mark.parametrize("n", [10, 200])
+def test_infer_env_sweeps_the_root_once(monkeypatch, n):
+    calls = _counting_root_sweeps(monkeypatch)
+    assert infer_env("llinf", _spine(n)) == \
+        {**{f"a{i}": "lin" for i in range(n)}, "u": "lin"}
+    assert len(calls) == 1
+
+
+def test_check_makes_no_root_sweep(monkeypatch):
+    graphs = _occurrence_corpus()[::10]
+    envs = [(system, infer_env(system, g), g)
+            for g in graphs for system in ("llinf", "4s")]
+    calls = _counting_root_sweeps(monkeypatch)
+    for system, env, g in envs:
+        check(system, env or {}, g)
+    assert calls == []
+    assert sum(env is not None for _, env, _ in envs) >= 10
+
+
+def test_binder_on_a_cycle_entered_at_its_definition():
+    """``D``'s cycle holds the binder of ``x`` and is entered at ``D``,
+    where no ``x`` is free: the root's one ``x`` stays linear."""
+    g = parse("def R = x D ; def D = \\x. x D ; root R ;")
+    assert astuple(occurrences(g, "x")) == (1, 0, 0, 0)
+    assert astuple(occurrences(g, "x")) == graph_oracles.occurrences(g, "x")
+    boxed = parse("def R = x #D ; def D = \\x. x #D ; root R ;")
+    for system in ("llinf", "4s"):
+        # without a box on the cycle the check rejects what inference picks
+        assert infer_env(system, g) is None
+        assert check(system, {"x": "lin"}, g).reason.startswith("inductive loop")
+        assert infer_env(system, boxed) == {"x": "lin"}
+
+
+def test_binder_on_a_cycle_shared_with_the_root():
+    """A body node shared by the root definition and a binder's body on a
+    cycle: the root's counts follow its own position, not the binder's."""
+    w = App(Var("v"), Ref("D"))
+    g = TermGraph({"D": Lam("lin", "v", w), "E": w}, "E")
+    assert astuple(occurrences(g, "v")) == (1, 0, 0, 0) == \
+        graph_oracles.occurrences(g, "v")
+
+
+def test_occurrences_only_at_the_root_or_a_binders_body():
+    g = parse("def B = \\x. x !(\\y. y x) ; root B ;")
+    lam_x = g.root_body()
+    lam_y = lam_x.body.arg.body
+    assert occurrences(g, "x").total == 0
+    assert occurrences(g, "x", Ref("B")).total == 0
+    assert astuple(occurrences(g, "x", lam_x.body)) == (1, 1, 0, 0)
+    assert astuple(occurrences(g, "y", lam_y.body)) == (1, 0, 0, 0)
+    for x, node in [("x", lam_x.body.arg), ("x", lam_y.body),
+                    ("y", lam_x.body), ("x", parse("def C = x ; root C").root_body())]:
+        with pytest.raises(ValueError):
+            occurrences(g, x, node)
+
+
+# ----- deep inference --------------------------------------------------------
+
+def test_infer_env_on_a_deep_spine(monkeypatch):
+    """2 000 arguments, every one of them linear, in one root sweep."""
+    calls = _counting_root_sweeps(monkeypatch)
+    n = 2_000
+    assert infer_env("4s", _spine(n)) == \
+        {**{f"a{i}": "lin" for i in range(n)}, "u": "lin"}
+    assert len(calls) == 1
+
+
+def test_infer_env_rejects_a_deep_binder_chain():
+    """``\\x0. ... \\x1999. x0``: the path of the rejection runs
+    through all 2 001 states, each environment printed in full."""
+    n = 2_000
+    g = parse("def L = " + " ".join(f"\\x{i}." for i in range(n))
+              + " x0 ; root L ;")
+    assert infer_env("llinf", g) is None
+    lines = ["rejected: linear variable 'x1' is unused"]
+    names = []
+    for k in range(n + 1):
+        # ten binders are longer than the 45 characters a line shows
+        txt = "".join(f"\\x{i}. " for i in range(k, min(n, k + 10))) + "x0"
+        if len(txt) > 48:
+            txt = txt[:45] + "..."
+        lines.append(f"  at {', '.join(names) or chr(0x2205)} |- {txt}")
+        bisect.insort(names, f"x{k}")
+    assert check("llinf", {}, g).summary() == "\n".join(lines)
 
 
 def _closure(succ):
