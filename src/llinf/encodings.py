@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import EncodingError
 from .terms import (
-    App, Box, Lam, Node, Ref, TermGraph, Var,
+    App, Box, Lam, Node, Ref, TermGraph, Tree, Var,
     COIND, IND, LIN,
     DEFAULT_BUDGET, fresh_name, graph_of, import_defs, rebuild,
 )
@@ -70,8 +70,11 @@ def alphabet_signature(alphabet: str) -> Signature:
 BINARY = alphabet_signature("01")
 
 
-@dataclass(frozen=True)
-class FiniteTree:
+@dataclass(frozen=True, eq=False, repr=False)
+class FiniteTree(Tree):
+    """A constructor tree; ``==``, ``hash`` and ``repr`` need no
+    recursion (:class:`~llinf.terms.Tree`)."""
+
     sym: str
     children: tuple = ()
 

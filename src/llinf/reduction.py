@@ -206,24 +206,31 @@ def has_any_redex(g: TermGraph) -> bool:
     return False
 
 
-def level_at(g: TermGraph, path) -> str:
-    """Level of the position reached by ``path`` from the root."""
+def _node_at(g: TermGraph, path):
+    """The node at ``path`` of the unfolding, references resolved, and
+    its level."""
     node = g.resolve(g.root_body())
     level = ""
-    for sel in path:
-        match (node, sel):
-            case (App(f, _), "fn"):
-                node = g.resolve(f)
-            case (App(_, a), "arg"):
-                node = g.resolve(a)
-            case (Lam(_, _, b), "body"):
-                node = g.resolve(b)
-            case (Box(k, b), "box"):
-                level += "i" if k == IND else "c"
-                node = g.resolve(b)
-            case _:
-                raise InvalidPositionError(f"selector {sel!r} does not apply")
-    return level
+    for i, sel in enumerate(path):
+        t = type(node)
+        if t is App and (sel == FN or sel == ARG):
+            node = node.fn if sel == FN else node.arg
+        elif t is Lam and sel == BODY:
+            node = node.body
+        elif t is Box and sel == BOXED:
+            level += "i" if node.kind == IND else "c"
+            node = node.body
+        else:
+            raise InvalidPositionError(
+                f"selector {sel!r} does not apply at "
+                f"{'.'.join(path[:i]) or '<root>'}")
+        node = g.resolve(node)
+    return node, level
+
+
+def level_at(g: TermGraph, path) -> str:
+    """Level of the position reached by ``path`` from the root."""
+    return _node_at(g, path)[1]
 
 
 def _rewrite(g: TermGraph, edits) -> Node:
@@ -282,31 +289,30 @@ def _rewrite(g: TermGraph, edits) -> Node:
 def contract(g: TermGraph, redex: Redex) -> TermGraph:
     """Contract one redex occurrence.
 
-    Only the new root body is validated: the other definitions are
-    those of ``g``.
+    One pass of :func:`~llinf.terms.subst_in_body` copies the root body
+    down to the redex, substitutes in the abstraction's body, and scans
+    the new root body; :func:`~llinf.terms.derive` checks that body
+    against ``g``'s caches, since the other definitions are those of
+    ``g``.  The result is pruned, unless ``derive`` finds that the root
+    keeps its name and its references in a pruned ``g``, so that the
+    same definitions stay reachable.
     """
     path = redex.position
-
-    def beta(node):
-        kind = redex_kind_at(g, node)
-        if kind != redex.kind:
-            raise InvalidPositionError(
-                f"position {'.'.join(path) or '<root>'} holds "
-                f"{kind or 'no redex'}, not a {redex.kind} redex")
-        f = g.resolve(node.fn)
-        if f.kind == LIN:
-            value = node.arg
-        else:
-            value = g.resolve(node.arg).body
-        # keep definition bodies guarded
-        return g.resolve(subst_in_body(g, f.body, f.name, value))
-
-    new_body = _rewrite(g, {path: beta})
+    node, _ = _node_at(g, path)
+    kind = redex_kind_at(g, node)
+    if kind != redex.kind:
+        raise InvalidPositionError(
+            f"position {'.'.join(path) or '<root>'} holds "
+            f"{kind or 'no redex'}, not a {redex.kind} redex")
+    f = g.resolve(node.fn)
+    value = node.arg if f.kind == LIN else g.resolve(node.arg).body
+    body, scan = subst_in_body(g, f.body, f.name, value, path)
     root = g.root
     if root in g.referenced():
         # the old root is shared; give the rewritten unfolding a new name
         root = fresh_name(root, g.all_names())
-    return derive(g, root, new_body).pruned()
+    out = derive(g, root, body, scan)
+    return out if out._pruned else out.pruned()
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +358,15 @@ def step_lbl(g: TermGraph, max_depth=256, budget=DEFAULT_BUDGET):
     outermost non-normal level.  Returns (graph, redex) or None."""
     if not has_any_redex(g):
         return None
-    d = 0
-    while d <= max_depth:
-        redexes = redexes_within_depth(g, d, budget)
-        if redexes:
-            r = _admissible(redexes)[0]
+    for d in range(max_depth + 1):
+        if d:
+            redexes = redexes_within_depth(g, d, budget)
+            r = _admissible(redexes)[0] if redexes else None
+        else:
+            # at depth 0 the first redex in order is admissible
+            r = _first_redex(g, budget)
+        if r is not None:
             return contract(g, r), r
-        d += 1
     raise BudgetExceededError(
         f"no redex found at depth <= {max_depth} despite the graph holding one")
 

@@ -52,27 +52,118 @@ BOXED = "box"
 DEFAULT_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class Node:
+class _Hashed:
+    """Stands for a value whose hash is already known."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def _tree_item(v):
+    return v if isinstance(v, (Tree, tuple)) else repr(v)
+
+
+class Tree:
+    """``==``, ``hash`` and ``repr`` of a frozen dataclass tree with the
+    results of the dataclass-generated methods, without recursion.
+
+    A field holds a leaf, a tree or a tuple of them; ``__match_args__``
+    names the fields, as the dataclass decorator makes it.  Subclasses
+    are decorated with ``eq=False, repr=False`` so that these methods
+    are the ones used.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return [getattr(self, f) for f in self.__match_args__]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if isinstance(a, Tree):
+                if b.__class__ is not a.__class__:
+                    return False
+                todo += zip(a._fields(), b._fields())
+            elif type(a) is tuple and type(b) is tuple:
+                if len(a) != len(b):
+                    return False
+                todo += zip(a, b)
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        # hash((f1, f2, ...)) only reads hash() of each field, so a tuple
+        # of _Hashed child hashes gives the same value
+        def visit(v, _):
+            if isinstance(v, Tree):
+                parts = v._fields()
+            elif type(v) is tuple:
+                parts = v
+            else:
+                return hash(v), None
+            return (lambda *hs: hash(tuple(map(_Hashed, hs)))), \
+                [(p, None) for p in parts]
+
+        return rebuild(self, None, visit)
+
+    def __repr__(self):
+        out = []
+        todo = [self]       # literal chunks, and trees and tuples to expand
+        while todo:
+            v = todo.pop()
+            if type(v) is str:
+                out.append(v)
+                continue
+            if isinstance(v, Tree):
+                chunks = [f"{type(v).__qualname__}("]
+                for i, (f, x) in enumerate(zip(v.__match_args__, v._fields())):
+                    chunks += (f"{', ' if i else ''}{f}=", _tree_item(x))
+                chunks.append(")")
+            else:
+                chunks = ["("]
+                for i, x in enumerate(v):
+                    chunks += (", " if i else "", _tree_item(x))
+                chunks.append(",)" if len(v) == 1 else ")")
+            todo += reversed(chunks)
+        return "".join(out)
+
+
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
+class Node(Tree):
     """Base class of preterm tree nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Node):
     __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class App(Node):
     __slots__ = ("fn", "arg")
     fn: Node
     arg: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Lam(Node):
     """Abstraction; ``kind`` is one of ``lin``, ``ind``, ``coind``."""
 
@@ -82,7 +173,7 @@ class Lam(Node):
     body: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Node):
     """Box; ``kind`` is ``ind`` or ``coind``."""
 
@@ -91,13 +182,13 @@ class Box(Node):
     body: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Ref(Node):
     __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Cut(Node):
     """Truncation marker in finite approximants (never occurs in graphs)."""
 
@@ -176,7 +267,7 @@ class TermGraph:
     """An immutable system of named, guarded equations plus a root name."""
 
     __slots__ = ("defs", "root", "_fvs", "_refs", "_referenced", "_names",
-                 "_shallow")
+                 "_shallow", "_pruned")
 
     def __init__(self, defs, root, _validate=True):
         self.defs = dict(defs)
@@ -186,6 +277,7 @@ class TermGraph:
         self._referenced = None
         self._names = None
         self._shallow = None
+        self._pruned = False    # known to hold only reachable definitions
         if _validate:
             _validate_graph(self)
 
@@ -225,7 +317,8 @@ class TermGraph:
         """Nodes of the root body above its coinductive boxes, the boxes
         included; a reference counts as one node and is not followed.
 
-        Cached: :func:`derive` records it from the scan it runs anyway.
+        Cached: :func:`derive` and :func:`box_contents` record it from
+        the scans they have anyway.
         A walk of the depth-0 region visits at least this many nodes.
         """
         if self._shallow is None:
@@ -277,12 +370,16 @@ class TermGraph:
         return seen
 
     def pruned(self) -> "TermGraph":
-        """Drop definitions unreachable from the root (caches carry over)."""
+        """Drop definitions unreachable from the root (caches carry over).
+
+        The result is marked pruned, which :func:`derive` carries over."""
         keep = set(self.reachable_defs())
         if len(keep) == len(self.defs):
+            self._pruned = True
             return self
         out = TermGraph({n: b for n, b in self.defs.items() if n in keep},
                         self.root, _validate=False)
+        out._pruned = True
         if self._fvs is not None:
             out._fvs = {n: self._fvs[n] for n in out.defs}
         if self._refs is not None:
@@ -315,24 +412,147 @@ class _Scan(NamedTuple):
     refs: frozenset     # names of the definitions referenced
     names: set          # variable and binder names
     free: set           # free variables, not counting those of references
-    guards: list        # (ref, names bound above it) in preorder, fn before arg
+    guards: list        # (ref, names bound above it) per reference, in preorder
     shallow: int        # nodes above every coinductive box, the boxes included
 
 
 def _scan_body(node) -> _Scan:
     """One iterative preorder pass over a body tree; references are not
-    followed.  A reference beneath no binder records no guard."""
+    followed."""
+    return _body_pass([node])[1]
+
+
+def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
+               arg_scan=None, avoid=(), used=None):
+    """The loop behind :func:`_scan_body` and :func:`subst_in_body`:
+    builds a tree and its :class:`_Scan` in one preorder pass.
+
+    ``todo`` holds the first item.  A bare node is a shared subtree,
+    only scanned.  ``(node, scope)`` substitutes ``arg`` for the free
+    ``x`` in ``node``, renaming the binders in ``avoid`` to names fresh
+    in ``used``; ``scope`` maps each binder name in scope that is
+    renamed, or that shadows ``x`` or a renamed binder, to its new name.
+    At each occurrence of ``x``, ``arg_scan``, the scan of ``arg``, is
+    spliced in, under the names bound there.  ``(node, k)`` copies the
+    node at ``path[:k]`` of ``g``'s root body, references resolved;
+    ``start`` is the item below the end of ``path``.  Returns the
+    substitution's result with the copied path above it (None when
+    nothing is substituted), and the scan of that tree.
+    """
     refs = set()
     names = set()       # binder names; the free variables join at the end
     free = set()
     guards = []
     bound = {}          # binder name -> number of its binders above the visit
     shallow = 1         # the root, plus the children above every coinductive box
-    todo = [node]
+    vals = []           # values of the substituted nodes
+    spine = []          # (node, selector) of the copied path, top-down
     while todo:
         n = todo.pop()
         t = type(n)
-        if t is App:
+        if t is tuple:
+            n, ctx = n
+            t = type(n)
+            tc = type(ctx)
+            if tc is dict:
+                # substitution: visit a node
+                scope = ctx
+                if t is Var:
+                    v = scope.get(n.name)
+                    if v is None and n.name == x:
+                        vals.append(arg)
+                        free.update(arg_scan.free.difference(bound))
+                        names |= arg_scan.names
+                        refs |= arg_scan.refs
+                        if bound:
+                            outer = frozenset(bound)
+                            guards += [(r, b | outer)
+                                       for r, b in arg_scan.guards]
+                        else:
+                            guards += arg_scan.guards
+                        shallow += arg_scan.shallow - 1
+                        continue
+                    if v is not None and v != n.name:
+                        n = Var(v)
+                    vals.append(n)
+                    if n.name not in bound:
+                        free.add(n.name)
+                elif t is App:
+                    shallow += 2
+                    todo.append((n, None))
+                    todo.append((n.arg, scope))
+                    todo.append((n.fn, scope))
+                elif t is Lam:
+                    shallow += 1
+                    v = n.name
+                    if v in avoid:
+                        v = fresh_name(v, used)
+                        used.add(v)
+                        scope = {**scope, n.name: v}
+                    elif v == x or v in scope:
+                        scope = {**scope, v: v}
+                    names.add(v)
+                    bound[v] = bound.get(v, 0) + 1
+                    todo.append((n, v))     # also leaves the binder's scope
+                    todo.append((n.body, scope))
+                elif t is Box:
+                    if n.kind == COIND:
+                        todo.append(shallow)
+                    else:
+                        shallow += 1
+                    todo.append((n, None))
+                    todo.append((n.body, scope))
+                elif t is Ref:
+                    vals.append(n)
+                    refs.add(n.name)
+                    guards.append((n.name, frozenset(bound)))
+                else:
+                    raise TypeError(f"unexpected node {n!r}")
+            elif tc is not int:
+                # substitution: rebuild a visited node from its children
+                if t is App:
+                    a = vals.pop()
+                    f = vals.pop()
+                    vals.append(n if f is n.fn and a is n.arg else App(f, a))
+                    continue
+                b = vals.pop()
+                if t is Box:
+                    vals.append(n if b is n.body else Box(n.kind, b))
+                    continue
+                vals.append(n if b is n.body and ctx == n.name
+                            else Lam(n.kind, ctx, b))
+                if bound[ctx] == 1:
+                    del bound[ctx]
+                else:
+                    bound[ctx] -= 1
+            else:
+                # path copying: visit the node at path[:ctx]
+                sel = path[ctx]
+                spine.append((n, sel))
+                if t is App:
+                    shallow += 2
+                    if sel == FN:
+                        child = n.fn
+                        todo.append(n.arg)
+                    else:
+                        child = n.arg
+                else:
+                    child = n.body
+                    if t is Lam:
+                        shallow += 1
+                        names.add(n.name)
+                        bound[n.name] = bound.get(n.name, 0) + 1
+                        todo.append(n.name)
+                    elif n.kind == COIND:
+                        todo.append(shallow)
+                    else:
+                        shallow += 1
+                ctx += 1
+                todo.append(start if ctx == len(path)
+                            else (g.resolve(child), ctx))
+                if sel == ARG:
+                    todo.append(n.fn)
+        elif t is App:
             shallow += 2
             todo.append(n.arg)
             todo.append(n.fn)
@@ -341,15 +561,16 @@ def _scan_body(node) -> _Scan:
                 free.add(n.name)
         elif t is Lam:
             shallow += 1
-            x = n.name
-            names.add(x)
-            bound[x] = bound.get(x, 0) + 1
-            todo.append((x,))       # leaves the binder's scope
+            v = n.name
+            names.add(v)
+            bound[v] = bound.get(v, 0) + 1
+            todo.append(v)          # leaves the binder's scope
             todo.append(n.body)
-        elif t is tuple:
-            bound[n[0]] -= 1
-            if not bound[n[0]]:
-                del bound[n[0]]
+        elif t is str:
+            if bound[n] == 1:
+                del bound[n]
+            else:
+                bound[n] -= 1
         elif t is Box:
             if n.kind == COIND:
                 # leaving the box restores the count, so that nothing
@@ -360,14 +581,23 @@ def _scan_body(node) -> _Scan:
             todo.append(n.body)
         elif t is Ref:
             refs.add(n.name)
-            if bound:
-                guards.append((n.name, frozenset(bound)))
+            guards.append((n.name, frozenset(bound)))
         elif t is int:
             shallow = n
         elif t is not Cut:
             raise TypeError(f"not a node: {n!r}")
     names |= free       # a bound variable's name is its binder's
-    return _Scan(frozenset(refs), names, free, guards, shallow)
+    node = vals[0] if vals else None
+    for n, sel in reversed(spine):
+        if sel == FN:
+            node = App(node, n.arg)
+        elif sel == ARG:
+            node = App(n.fn, node)
+        elif type(n) is Lam:
+            node = Lam(n.kind, n.name, node)
+        else:
+            node = Box(n.kind, node)
+    return node, _Scan(frozenset(refs), names, free, guards, shallow)
 
 
 def _scan_fvs(scan, fvs) -> frozenset:
@@ -448,7 +678,7 @@ def box_contents(g: TermGraph, box: Box) -> TermGraph:
 
     The new root gets a name ``box<k>`` unused in ``g``'s family, ``k``
     counting up from the size of its name set (one try as a rule).
-    The caches carry over, so no body but the contents is scanned.
+    The caches carry over, so no body but the contents is scanned, once.
     """
     node = g.resolve(box.body)  # definition bodies stay guarded
     names = g.all_names()
@@ -456,15 +686,18 @@ def box_contents(g: TermGraph, box: Box) -> TermGraph:
                 if f"box{k}" not in names)
     names.add(name)
     fvs = g.def_free_vars()
+    scan = _scan_body(node)
     out = TermGraph({**g.defs, name: node}, name, _validate=False)
-    out._fvs = {**fvs, name: g.node_free_vars(node)}
-    out._refs = dict(g._refs or ())
+    out._fvs = {**fvs, name: _scan_fvs(scan, fvs)}
+    out._refs = {**(g._refs or {}), name: scan.refs}
     out._names = names
+    out._shallow = scan.shallow
     return out.pruned()
 
 
-def derive(g: TermGraph, name, body) -> TermGraph:
-    """``g`` with definition ``name`` set to ``body``, validated.
+def derive(g: TermGraph, name, body, scan) -> TermGraph:
+    """``g`` with definition ``name`` set to ``body``, validated; ``scan``
+    is ``body``'s :class:`_Scan`, and no body is scanned here.
 
     When no definition references ``name``, the others keep their
     references and free variables, so on a valid ``g`` only ``body`` can
@@ -472,12 +705,13 @@ def derive(g: TermGraph, name, body) -> TermGraph:
     caches, which finds everything a full validation of the result
     would.  In any other case, or when ``body`` fails a check that a
     full validation reports better, the result is validated in full.
-    Either way the result shares ``g``'s name set.
+    Either way the result shares ``g``'s name set.  When ``name`` is the
+    root of a pruned ``g`` and keeps its references, the result is
+    pruned too, and keeps ``g``'s set of referenced names.
     """
     defs = {**g.defs, name: body}
     if not isinstance(body, Node) or isinstance(body, Ref):
         return TermGraph(defs, name)
-    scan = _scan_body(body)
     fresh = name in g.defs or name not in g.all_names()
     if (name in scan.refs or not scan.refs <= defs.keys()
             or scan.names & defs.keys() or not fresh
@@ -490,6 +724,10 @@ def derive(g: TermGraph, name, body) -> TermGraph:
         out = TermGraph(defs, name, _validate=False)
         out._fvs = fvs
         out._refs = {**g._refs, name: scan.refs}
+        if g._pruned and name == g.root and scan.refs == g._refs[name]:
+            # the same definitions stay reachable and referenced
+            out._pruned = True
+            out._referenced = g._referenced
     out._names = g.all_names()
     out._names |= scan.names
     out._names.add(name)
@@ -666,68 +904,44 @@ def fresh_name(base, used):
                 if name not in used)
 
 
-def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node) -> Node:
-    """Capture-avoiding substitution inside one body tree, in one pass.
+def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
+                  path=None):
+    """Capture-avoiding substitution inside one body tree, in one pass
+    that also scans the result.  Returns the new tree and its
+    :class:`_Scan`.
 
     Binders named like a free variable of ``replacement`` are renamed
     apart, in preorder, to names fresh in ``g``'s name set, which keeps
     them.  ``replacement`` may reference definitions; by capture-freedom
     no referenced definition has ``x`` free when the body lies beneath an
     ``x`` binder, so the pass stops at references.  Subtrees it leaves
-    unchanged are shared with ``body``.
+    unchanged are shared with ``body``, and a result that would be a
+    bare reference is the referenced body instead.  ``replacement`` is
+    scanned once, and its scan is spliced in at each occurrence of ``x``.
+
+    With a ``path``, the result takes the place of the node at ``path``
+    in ``g``'s root body, whose path is copied with the references along
+    it inlined (path copying); the other subtrees beside it are shared,
+    and only scanned.  The path must lead to a node.
     """
-    avoid = g.node_free_vars(replacement)
-    used = g.all_names()    # shared: renamed binders stay reserved
-    used |= avoid
-    vals = []
-    # (node, scope) visits a node, where scope maps each binder name in
-    # scope that is renamed, or that shadows x or a renamed binder, to its
-    # new name; (node, None or new binder name) rebuilds a visited node
-    # from the values of its children.
-    todo = [(body, {})]
-    while todo:
-        n, scope = todo.pop()
-        t = type(n)
-        if type(scope) is not dict:
-            if t is App:
-                a = vals.pop()
-                f = vals.pop()
-                vals.append(n if f is n.fn and a is n.arg else App(f, a))
-            else:
-                b = vals.pop()
-                if t is Box:
-                    vals.append(n if b is n.body else Box(n.kind, b))
-                else:
-                    vals.append(n if b is n.body and scope == n.name
-                                else Lam(n.kind, scope, b))
-        elif t is Var:
-            v = scope.get(n.name)
-            if v is None:
-                vals.append(replacement if n.name == x else n)
-            else:
-                vals.append(n if v == n.name else Var(v))
-        elif t is App:
-            todo.append((n, None))
-            todo.append((n.arg, scope))
-            todo.append((n.fn, scope))
-        elif t is Lam:
-            v = n.name
-            if v in avoid:
-                v = fresh_name(v, used)
-                used.add(v)
-                scope = {**scope, n.name: v}
-            elif v == x or v in scope:
-                scope = {**scope, v: v}
-            todo.append((n, v))
-            todo.append((n.body, scope))
-        elif t is Box:
-            todo.append((n, None))
-            todo.append((n.body, scope))
-        elif t is Ref:
-            vals.append(n)
-        else:
-            raise TypeError(f"unexpected node {n!r}")
-    return vals[0]
+    if type(body) is Var and body.name == x:
+        body = replacement
+        x = None            # nothing is left to substitute
+    if type(body) is Ref:
+        body = g.defs[body.name]
+        x = None            # by capture-freedom, x is not free in it
+    arg_scan = used = None
+    avoid = ()
+    if x is not None and type(body) is not Var:
+        arg_scan = _scan_body(replacement)
+        avoid = _scan_fvs(arg_scan, g.def_free_vars())
+        used = g.all_names()    # shared: renamed binders stay reserved
+        used |= avoid
+    start = (body, {})
+    todo = [start if not path else (g.resolve(g.root_body()), 0)]
+    return _body_pass(todo, g=g, path=path, start=start, x=x,
+                      arg=replacement, arg_scan=arg_scan, avoid=avoid,
+                      used=used)
 
 
 def import_defs(target_defs: dict, src: TermGraph):
@@ -781,7 +995,7 @@ def substitute(g: TermGraph, x: str, n: TermGraph) -> TermGraph:
     new_defs = {}
     for name, body in defs.items():
         if name in g.defs and x in fvs.get(name, frozenset()):
-            new_defs[name] = subst_in_body(tmp, body, x, replacement)
+            new_defs[name] = subst_in_body(tmp, body, x, replacement)[0]
         else:
             new_defs[name] = body
     return TermGraph(new_defs, g.root).pruned()

@@ -12,16 +12,24 @@
   reference-resolving pass after it: the earlier production front end,
   kept as the oracle of the scanner and parser loop in
   :mod:`llinf.surface` (which also rejects boxes in lambda files).
+* A contraction step in separate passes (the position rewritten by
+  ``reduction._rewrite``, the substitution alone, a ``derive`` given a
+  fresh scan of the new root body, and ``pruned()`` every time): the
+  earlier production route, kept as the oracle of the one pass that
+  :func:`llinf.reduction.contract` makes.
 * Height-bounded unfolding and truncation, for coherence checks.
 """
 
 import re
 from functools import partial
 
-from llinf.errors import DefinitionError, SurfaceSyntaxError
+from llinf import reduction
+from llinf.errors import (
+    DefinitionError, InvalidPositionError, SurfaceSyntaxError,
+)
 from llinf.terms import (
     App, Box, Cut, CUT, Lam, Node, Ref, TermGraph, Var, IND, LIN, COIND,
-    children, rebuild, remake,
+    children, derive, fresh_name, rebuild, remake, subst_in_body, _scan_body,
 )
 from llinf.wellform import INF, _CLS_LIN, _shift
 
@@ -189,6 +197,32 @@ def inductive_cycle(out_edges):
                 path.append(child)
                 iters.append(iter([c for c, mc in out_edges[child] if not mc]))
     return None
+
+
+def contract(g: TermGraph, redex) -> TermGraph:
+    """One contraction in separate passes; see the module docstring."""
+    path = redex.position
+
+    def beta(node):
+        kind = reduction.redex_kind_at(g, node)
+        if kind != redex.kind:
+            raise InvalidPositionError(
+                f"position {'.'.join(path) or '<root>'} holds "
+                f"{kind or 'no redex'}, not a {redex.kind} redex")
+        f = g.resolve(node.fn)
+        if f.kind == LIN:
+            value = node.arg
+        else:
+            value = g.resolve(node.arg).body
+        # keep definition bodies guarded
+        return g.resolve(subst_in_body(g, f.body, f.name, value)[0])
+
+    new_body = reduction._rewrite(g, {path: beta})
+    root = g.root
+    if root in g.referenced():
+        # the old root is shared; give the rewritten unfolding a new name
+        root = fresh_name(root, g.all_names())
+    return derive(g, root, new_body, _scan_body(new_body)).pruned()
 
 
 def _height_visit(resolve):

@@ -4,12 +4,13 @@ Deep inputs are built here as trees, and as text for the parser.
 """
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
 import pytest
 
-from llinf import encodings, lam, reduction, surface, wellform
+from llinf import encodings, generate, lam, reduction, surface, terms, wellform
 from llinf.terms import (
     App, Box, Lam, Ref, TermGraph, Var, BODY, COIND, LIN,
     alpha_equal, canonical_string, equal_at_depth, graph_bisimilar, graph_of,
@@ -129,11 +130,28 @@ def _scott_encode():
     assert surface.format_graph(g).count("y_0 !") == DEPTH // 2
 
 
+def _node_methods():
+    a, b = _lams(Var("z")), _lams(Var("z"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != _lams(Var("y")) and a != _lams(Var("z"), "y")
+    text = repr(a)
+    assert text.startswith("Lam(kind='lin', name='x4999', body=Lam(")
+    assert text.endswith("body=Var(name='z'))" + ")" * (DEPTH - 1))
+
+
+def _finite_tree_methods():
+    word = "01" * (DEPTH // 2)
+    a, b = encodings.word_tree(word), encodings.word_tree(word)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != encodings.word_tree(word[:-1] + "0")
+    assert repr(a).startswith("FiniteTree(sym='0', children=(FiniteTree(")
+
+
 DEEP_CASES = {f.__name__[1:]: f for f in [
     _eval, _contract, _alpha_equal, _canonical_string, _equal_at_depth,
     _graph_bisimilar, _unfold_height, _truncate_tree, _import_defs,
     _format_node, _format_graph, _embed_girard, _embed_cbv, _scott_decode,
-    _scott_encode,
+    _scott_encode, _node_methods, _finite_tree_methods,
 ]}
 
 
@@ -143,6 +161,47 @@ def test_deep_input_needs_no_recursion(name):
     parser, under the default recursion limit."""
     assert sys.getrecursionlimit() <= 1_000 < DEPTH
     DEEP_CASES[name]()
+
+
+def _generated_twin(value, classes):
+    """``value`` rebuilt from classes whose ``==``, ``hash`` and ``repr``
+    the dataclass decorator generates (shallow trees only)."""
+    if isinstance(value, terms.Tree):
+        cls = type(value)
+        if cls not in classes:
+            classes[cls] = dataclasses.make_dataclass(
+                cls.__qualname__, [(f, object) for f in cls.__match_args__],
+                frozen=True)
+        return classes[cls](*(_generated_twin(getattr(value, f), classes)
+                              for f in cls.__match_args__))
+    if type(value) is tuple:
+        return tuple(_generated_twin(v, classes) for v in value)
+    return value
+
+
+def test_tree_methods_match_the_generated_ones():
+    """On generated terms and constructor trees, ``==``, ``hash`` and
+    ``repr`` give what the dataclass-generated methods give."""
+    classes = {}
+    trees = []
+    for system in ("llinf", "4s"):
+        for seed in range(15):
+            _, g = generate.random_term(("methods", seed), system, 30)
+            trees += g.defs.values()
+    trees += [encodings.word_tree("0110"), encodings.FiniteTree("..."),
+              encodings.FiniteTree("f", (encodings.word_tree("1"),
+                                         encodings.FiniteTree("e")))]
+    twins = [_generated_twin(t, classes) for t in trees]
+    for t, tw in zip(trees, twins):
+        assert repr(t) == repr(tw)
+        assert hash(t) == hash(tw)
+    for i in range(len(trees)):
+        for j in range(i, min(i + 5, len(trees))):
+            assert (trees[i] == trees[j]) == (twins[i] == twins[j])
+            assert (trees[i] != trees[j]) == (twins[i] != twins[j])
+    assert any(trees[i] == trees[j] and trees[i] is not trees[j]
+               for i in range(len(trees)) for j in range(i))
+    assert (Var("x") == Ref("x")) is False and (Var("x") == "x") is False
 
 
 def _program(body):

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llinf import encodings, generate, properties, reduction
+import graph_oracles
+from llinf import encodings, generate, properties, reduction, terms
 from llinf.errors import BudgetExceededError, InvalidPositionError
 from llinf.reduction import (
     Redex, classify, contract, eval_lbl, find_deadlock, find_redexes,
@@ -310,6 +311,10 @@ def _checked_contract(monkeypatch):
         for name, refs in out._refs.items():
             assert refs == _scan_body(out.defs[name]).refs
         assert full.all_names() <= out.all_names()
+        assert out._shallow == _scan_body(out.root_body()).shallow
+        if out._referenced is not None:     # carried over from g
+            assert out._referenced == full.referenced()
+        assert set(out.reachable_defs()) == set(out.defs)
         return out
 
     monkeypatch.setattr(reduction, "contract", checked)
@@ -489,6 +494,206 @@ def test_doubling_body_exceeds_the_budget():
         eval_lbl(g, 0, 24, 2_000)
     with pytest.raises(BudgetExceededError, match="traversal exceeded 20000"):
         eval_lbl(g, 0, 1000, 20_000)
+
+
+# ----- one pass per contraction against the separate-pass oracle -------------
+
+def _twin(g):
+    """A copy of ``g`` with its caches and a name set of its own, so that
+    two routes given copies draw the same fresh names."""
+    h = TermGraph(g.defs, g.root, _validate=False)
+    for slot in ("_fvs", "_referenced", "_shallow", "_pruned"):
+        setattr(h, slot, getattr(g, slot))
+    h._refs = None if g._refs is None else dict(g._refs)
+    h._names = set(g.all_names())
+    return h
+
+
+def _assert_contract_matches_oracle(g, r):
+    """``contract`` and the oracle agree on ``g`` and ``r``: the same
+    graph and caches, or the same ``InvalidPositionError``.  Returns
+    the contracted graph or None."""
+    try:
+        want = graph_oracles.contract(_twin(g), r)
+    except InvalidPositionError as exc:
+        with pytest.raises(InvalidPositionError) as got:
+            contract(_twin(g), r)
+        assert str(got.value) == str(exc)
+        return None
+    h = _twin(g)
+    node = reduction._node_at(h, r.position)[0]
+    f = h.resolve(node.fn)
+    value = node.arg if f.kind == "lin" else h.resolve(node.arg).body
+    body, scan = terms.subst_in_body(h, f.body, f.name, value, r.position)
+    assert body == want.root_body() and scan == _scan_body(body)
+    out = contract(_twin(g), r)
+    assert out.root == want.root and out.defs == want.defs
+    assert out._fvs == want._fvs and out._refs == want._refs
+    assert out._shallow == want._shallow
+    assert out.all_names() == want.all_names()
+    fresh = frozenset().union(*(_scan_body(b).refs for b in out.defs.values()))
+    if out._referenced is not None:         # carried over from g
+        assert out._referenced == fresh
+    assert out.referenced() == want.referenced() == fresh
+    assert out._pruned and set(out.reachable_defs()) == set(out.defs)
+    return out
+
+
+CONTRACT_CASES = {
+    # inductive and coinductive redexes that copy or drop their argument
+    "! copies": "def D = \\q. q ; def T = (\\!x. x (x (!x))) !(D (\\y. y)) ; root T",
+    "# copies": "def T = (\\#x. \\z. x (#x) z) #(\\y. y w) ; root T",
+    "! drops": "def D = \\q. q ; def T = (\\!x. \\y. y) !D ; root T",
+    "# drops under a box": "def D = \\q. q ; def T = c !((\\#x. \\y. y) #(D D)) ; root T",
+    "renames apart": "def T = \\y. (\\x. \\y. x y) (y u) ; root T",
+    # a spine down to the redex that crosses references
+    "spine through refs": "def F = \\b. b D ; def D = \\a. w ((\\x. x x) a) ; "
+                          "def T = F (#D) ; root T",
+    "siblings on both sides": "def D = \\q. q ; def T = D (\\y. (\\x. x D) y) ; "
+                              "root T",
+    "shared root": "def T = (\\x. x) (#T) ; root T",
+    # contracta that are bare references
+    "argument is a ref": "def D = \\q. q ; def T = (\\x. x) D ; root T",
+    "body is a ref": "def D = \\q. q ; def T = y ((\\x. D) z) ; root T",
+    "boxed ref": "def D = \\q. q ; def T = (\\#x. x) #D ; root T",
+    # the root keeps its name and references, but the parsed graph is
+    # not pruned
+    "unused definition": "def U = \\u. u ; def T = (\\x. x) y ; root T",
+}
+
+BAD_POSITIONS = [
+    Redex(("fn",), "", "linear"), Redex((), "", "coinductive"),
+    Redex(("body",), "", "linear"), Redex(("fn", "fn"), "", "linear"),
+    Redex(("arg", "box"), "", "linear"), Redex(("zz",), "", "linear"),
+    Redex(("fn", "body", "arg", "body", "zz"), "", "linear"),
+    Redex(("fn", "body", "arg"), "", "linear"),
+]
+
+
+def _oracle_corpus():
+    for name, text in CONTRACT_CASES.items():
+        yield name, parse(text)
+    for name, g in sorted(encodings.counterexamples().items()):
+        yield name, g
+    for system in ("llinf", "4s"):
+        for seed in range(30):
+            _, g = generate.random_term(("oracle", seed), system, 26,
+                                        require_redex=True)
+            yield f"{system}:{seed}", g
+
+
+@pytest.mark.parametrize("name,g", list(_oracle_corpus()))
+def test_one_pass_contract_matches_the_oracle(name, g):
+    """Every redex at depths 0-2, on the graph and on the graphs its
+    first steps reach, and positions that hold no redex of the kind."""
+    for _ in range(4):
+        redexes = _outcome(redexes_within_depth, g, 2, 3_000)
+        if isinstance(redexes, str):    # an infinite region (rho)
+            break
+        for r in redexes + BAD_POSITIONS:
+            _assert_contract_matches_oracle(g, r)
+        if not redexes:
+            break
+        g = _assert_contract_matches_oracle(g, redexes[0])
+
+
+def test_one_pass_contract_matches_the_oracle_on_frontier_boxes():
+    """The steps the frontier evaluator takes on stream programs: pruned
+    box graphs whose caches are all filled."""
+    steps = []
+
+    def on_step(boxes, frontier, used, i, before, redex):
+        b = boxes[i]
+        steps.append((before, Redex(redex.position[len(b.path):],
+                                    redex.level[len(b.level):], redex.kind)))
+
+    for prefix, cycle in (("", "01"), ("1", "0"), ("01", "110")):
+        reduction._frontier_eval(flip_applied(prefix, cycle), 6, 500,
+                                 100_000, on_step)
+    kept = 0
+    for before, r in steps:
+        out = _assert_contract_matches_oracle(before, r)
+        kept += out._referenced is not None
+    assert len(steps) > 150 and kept > 100, (len(steps), kept)
+
+
+def test_contract_error_messages():
+    g = parse(CONTRACT_CASES["spine through refs"])
+    with pytest.raises(InvalidPositionError, match=(
+            "^selector 'zz' does not apply at fn.body.arg.body$")):
+        contract(g, BAD_POSITIONS[6])
+    with pytest.raises(InvalidPositionError, match=(
+            "^position fn.body.arg holds no redex, not a linear redex$")):
+        contract(g, BAD_POSITIONS[7])
+
+
+def test_one_scan_per_step_on_the_argument(monkeypatch):
+    """On graphs whose caches are filled, a step scans nothing but the
+    redex's argument, at most once, and ``derive`` scans nothing."""
+    scanned = []
+    plain_scan = terms._scan_body
+    monkeypatch.setattr(terms, "_scan_body",
+                        lambda node: scanned.append(node) or plain_scan(node))
+    plain_contract, plain_derive = reduction.contract, reduction.derive
+    counts = []
+
+    def counted_contract(g, r):
+        node = reduction._node_at(g, r.position)[0]
+        f = g.resolve(node.fn)
+        value = node.arg if f.kind == "lin" else g.resolve(node.arg).body
+        before = len(scanned)
+        out = plain_contract(g, r)
+        assert all(n is value for n in scanned[before:])
+        counts.append(len(scanned) - before)
+        return out
+
+    def counted_derive(*args):
+        before = len(scanned)
+        out = plain_derive(*args)
+        assert len(scanned) == before
+        return out
+
+    monkeypatch.setattr(reduction, "contract", counted_contract)
+    monkeypatch.setattr(reduction, "derive", counted_derive)
+    for g in (flip_applied("01", "110"), parse(CONTRACT_CASES["! copies"]),
+              parse(CONTRACT_CASES["argument is a ref"])):
+        g.referenced(), g.all_names(), g.def_free_vars()
+        assert eval_lbl(g, 6, 500)[2].outcome == "normalized"
+    assert max(counts) == 1 and 0 in counts and len(counts) > 50
+
+
+def test_step_lbl_takes_depth_0_from_the_first_redex_search(monkeypatch, ex):
+    """``step_lbl`` picks the redex the per-depth scan would, and scans
+    by depth only from depth 1 on."""
+    plain = reduction.redexes_within_depth
+    depths = []
+    monkeypatch.setattr(reduction, "redexes_within_depth",
+                        lambda g, d, budget=100_000:
+                        depths.append(d) or plain(g, d, budget))
+    graphs = [parse("def T = y (#((\\x. x) z)) ; root T")]
+    graphs += [g for _, g in sorted(ex.items())]
+    graphs += [generate.random_term(("step_lbl", seed), system, 26)[1]
+               for system in ("llinf", "4s") for seed in range(20)]
+
+    def by_depth(g):
+        # the earlier loop: one sorted scan per depth from depth 0
+        if not has_any_redex(g):
+            return None
+        for d in range(257):
+            redexes = plain(g, d, 3_000)
+            if redexes:
+                return _admissible(redexes)[0]
+        raise AssertionError("no redex found")
+
+    for g in graphs:
+        got = _outcome(lambda: (step_lbl(g, budget=3_000) or (None, None))[1])
+        assert got == _outcome(by_depth, g)
+    assert 0 not in depths and 1 in depths
+
+
+def test_step_lbl_on_a_graph_without_redexes_needs_no_budget(rho):
+    # the depth-0 region of rho is infinite, but it holds no redex
+    assert step_lbl(rho, budget=10) is None
 
 
 def test_fresh_names_do_not_depend_on_earlier_calls():

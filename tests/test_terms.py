@@ -252,11 +252,11 @@ def test_derive_agrees_with_full_validation():
             assert type(want) is error, (name, body)
         if want is not None:
             with pytest.raises(LLinfError) as got:
-                derive(g, name, body)
+                derive(g, name, body, _scan_body(body))
             assert type(got.value) is type(want)
             assert str(got.value) == str(want)
             continue
-        out = derive(g, name, body)
+        out = derive(g, name, body, _scan_body(body))
         assert out.root == name and out.defs == defs
         TermGraph(out.defs, out.root)
         assert out.def_free_vars() == full.def_free_vars()
@@ -330,10 +330,11 @@ def test_subst_in_body_matches_three_pass_reference():
                 for x in names[:3]:
                     for ys in ([names[-1]], names[:2], ["q"]):
                         repl = Var(ys[0]) if len(ys) == 1 else App(*map(Var, ys))
-                        outs = []
-                        for subst in (subst_in_body, _subst_reference):
-                            outs.append(subst(TermGraph(g.defs, g.root), body,
-                                              x, repl))
+                        h = TermGraph(g.defs, g.root)
+                        got, scan = subst_in_body(h, body, x, repl)
+                        assert scan == _scan_body(got)
+                        outs = [got, _subst_reference(TermGraph(g.defs, g.root),
+                                                      body, x, repl)]
                         assert outs[0] == outs[1]
                         renamed += not _scan_body(outs[0]).names <= {*names, *ys}
     assert renamed > 50
@@ -372,9 +373,10 @@ def test_deep_bodies_need_no_recursion(shape):
         free, repl, free_after = {"y"}, Var("x"), {"x"}
     assert g.def_free_vars()["main"] == free
     assert g.node_free_vars(body) == free
-    assert derive(g, "main2", body).def_free_vars()["main2"] == free
-    out = subst_in_body(g, body, "y", repl)
-    assert _scan_body(out).free == free_after
+    assert derive(g, "main2", body,
+                  _scan_body(body)).def_free_vars()["main2"] == free
+    out, scan = subst_in_body(g, body, "y", repl)
+    assert _scan_body(out).free == scan.free == free_after
 
 
 @pytest.mark.parametrize("shape", ["lambdas", "spine"])
