@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success / accepted / normalized; 1 rejected, mismatch, or
-deadlock; 2 fuel or budget exhaustion; 3 usage or parse errors.
+deadlock; 2 fuel or budget exhaustion; 3 usage or parse errors, click's
+own included (an option value that is not a number or out of its range,
+an unknown command or option, a missing or extra argument).
 """
 
+import contextlib
 import sys
 
 import click
@@ -38,7 +41,34 @@ def _load_graph(path):
         _fail(EXIT_USAGE, str(exc))
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group.  Click's usage errors, its own and its
+    commands', exit with ``EXIT_USAGE`` rather than click's 2, which here
+    means fuel or budget exhaustion."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        with _usage_exit():
+            return super().make_context(info_name, args, parent, **extra)
+
+    def invoke(self, ctx):
+        with _usage_exit():
+            return super().invoke(ctx)
+
+
+@contextlib.contextmanager
+def _usage_exit():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_USAGE
+        raise
+
+
+_NATURAL = click.IntRange(min=0)    # depths, fuel, bounds
+_POSITIVE = click.IntRange(min=1)   # budgets, counts, sizes
+
+
+@click.group(cls=_Main)
 def main():
     """Tools for the linear infinitary lambda calculus and its
     terminating 4S fragment."""
@@ -80,9 +110,10 @@ def check(system, env_text, flags_text, infer, path):
 
 
 @main.command("eval")
-@click.option("--depth", default=2, show_default=True)
-@click.option("--fuel", default=1000, show_default=True)
-@click.option("--budget", default=terms.DEFAULT_BUDGET, show_default=True)
+@click.option("--depth", default=2, show_default=True, type=_NATURAL)
+@click.option("--fuel", default=1000, show_default=True, type=_NATURAL)
+@click.option("--budget", default=terms.DEFAULT_BUDGET, show_default=True,
+              type=_POSITIVE)
 @click.argument("path")
 def eval_cmd(depth, fuel, budget, path):
     """Evaluate level by level and print the depth projection."""
@@ -105,9 +136,10 @@ def eval_cmd(depth, fuel, budget, path):
 
 
 @main.command()
-@click.option("--depth", default=2, show_default=True)
-@click.option("--fuel", default=1000, show_default=True)
-@click.option("--budget", default=terms.DEFAULT_BUDGET, show_default=True)
+@click.option("--depth", default=2, show_default=True, type=_NATURAL)
+@click.option("--fuel", default=1000, show_default=True, type=_NATURAL)
+@click.option("--budget", default=terms.DEFAULT_BUDGET, show_default=True,
+              type=_POSITIVE)
 @click.option("--human", is_flag=True)
 @click.argument("path")
 def trace(depth, fuel, budget, human, path):
@@ -127,7 +159,8 @@ def trace(depth, fuel, budget, human, path):
 @main.command()
 @click.option("--depths", default="0..2", show_default=True,
               help="range like 0..3 or a single depth")
-@click.option("--budget", default=terms.DEFAULT_BUDGET, show_default=True)
+@click.option("--budget", default=terms.DEFAULT_BUDGET, show_default=True,
+              type=_POSITIVE)
 @click.argument("path")
 def weight(depths, budget, path):
     """Print size, duplicability factor, and total weight per depth."""
@@ -140,6 +173,8 @@ def weight(depths, budget, path):
               f"--depths {depths!r} is not a depth or a range like 0..3")
     if span.start < 0:
         _fail(EXIT_USAGE, f"--depths {depths!r} starts below depth 0")
+    if not span:
+        _fail(EXIT_USAGE, f"--depths {depths!r} ends below its start")
     click.echo("depth\tsize\tdf\ttwei")
     try:
         for m in span:
@@ -193,8 +228,8 @@ def encode(alphabet, mode, spec):
               help="general signature like 'sig t { node/2, leaf/0 }'")
 @click.option("--mode", type=click.Choice(["algebra", "coalgebra"]),
               default="algebra", show_default=True)
-@click.option("--bound", default=16, show_default=True)
-@click.option("--fuel", default=2000, show_default=True)
+@click.option("--bound", default=16, show_default=True, type=_NATURAL)
+@click.option("--fuel", default=2000, show_default=True, type=_NATURAL)
 @click.argument("path")
 def decode(alphabet, sig_text, mode, bound, fuel, path):
     """Evaluate the program in PATH and decode its Scott-encoded value."""
@@ -284,10 +319,10 @@ def examples(run, name):
 
 @main.command()
 @click.option("--seed", default=1, show_default=True)
-@click.option("--count", default=50, show_default=True)
+@click.option("--count", default=50, show_default=True, type=_POSITIVE)
 @click.option("--system", type=click.Choice(["llinf", "4s"]), default="4s",
               show_default=True)
-@click.option("--size", default=26, show_default=True)
+@click.option("--size", default=26, show_default=True, type=_POSITIVE)
 @click.option("--metrics-out", "metrics_out", default=None,
               help="write a per-term metrics table to this file")
 def bench(seed, count, system, size, metrics_out):

@@ -21,12 +21,24 @@ which gives the free variables of every node, to split an application's
 environment, and the counts of each binder's own name in its body, to
 pick the 4S inductive-binder rule.
 
-Every cycle and order question here goes through one iterative Tarjan
-pass, ``_sccs``, which emits strongly connected components sinks first:
-the root sweep takes the components of its product graph, the
-inductive-loop search and the per-loop witnesses take those of the
-state graph, and ``lam.check_labc`` reuses the loop search for the pure
-calculi.
+Every cycle and order question here goes through one routine,
+``_sccs``, which emits strongly connected components sinks first.  The
+graphs number their states in the order they are found, so a graph
+whose every edge leads to a higher number is acyclic; ``_sccs`` then
+returns the states highest first and makes no search, and only other
+graphs get an iterative Tarjan pass.  The root sweep takes the
+components of its product graph.  The check takes those of its state
+graph once: an inductive loop lies inside a cyclic component, so it is
+looked for there only, and the same components give the per-loop
+witnesses; the exact loop a rejection reports comes from a separate
+search over the non-coinductive edges, made only then, which
+``lam.check_labc`` also uses for the pure calculi.
+
+The check's environments are interned (hash-consing: Filliâtre and
+Conchon, "Type-safe modular hash-consing", 2006): a state is a node and
+the id of its environment's contents, the rules derive environments
+through memoised operations, and an application whose environment
+holds no variable of a strict kind passes it to both sides as it is.
 
 Pattern kinds:
 
@@ -53,7 +65,7 @@ from typing import NamedTuple
 from .errors import LLinfError
 from .terms import (
     App, Box, Lam, Node, Ref, TermGraph, Var,
-    COIND, IND, LIN,
+    COIND, IND,
 )
 from . import surface
 
@@ -319,12 +331,18 @@ def body_pass(g: TermGraph) -> BodyPass:
 
 def _sccs(succ):
     """Strongly connected components of the graph on ``0..len(succ)-1``
-    with successor lists ``succ`` (Tarjan 1972, iterative).
+    with successor lists ``succ``, each emitted after every component it
+    reaches.
 
-    Roots and edges are taken in order; each component is emitted after
-    every component it reaches, its states in stack-pop order.
+    A graph whose every edge goes from a lower to a higher index is
+    acyclic: its components are its states, highest first, and no
+    search is made.  Otherwise Tarjan's pass (1972, iterative) takes
+    roots and edges in order and emits each component's states in
+    stack-pop order.
     """
     n = len(succ)
+    if all(v < w for v, row in enumerate(succ) for w in row):
+        return [[v] for v in range(n - 1, -1, -1)]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -423,84 +441,145 @@ def _describe(node, env):
     return f"{surface.format_environment(env) or chr(0x2205)} |- {txt}"
 
 
-def _split_sides(bodies, env, f, a, strict_kinds):
-    free_f = bodies.free[id(f)]
-    free_a = bodies.free[id(a)]
-    env_f = {}
-    env_a = {}
-    for v, k in env.items():
-        if k in strict_kinds:
-            in_f = v in free_f
-            in_a = v in free_a
-            if in_f and in_a:
-                raise _Fail(f"{k} variable {v!r} occurs in both sides of an application")
-            if not in_f and not in_a:
-                raise _Fail(f"{k} variable {v!r} is unused")
-            (env_f if in_f else env_a)[v] = k
-        else:
-            env_f[v] = k
-            env_a[v] = k
-    return env_f, env_a
+_STRICT = {LLINF: frozenset({"lin"}), LL4S: frozenset({"lin", "ind1"})}
+_BOX_RENAME = {IND: {"ind1": "lin"}, COIND: {"coind": "any"}}
 
 
-def _expand_llinf(bodies, node, env):
-    match node:
-        case Var(x):
-            k = env.get(x)
-            if k is None:
-                raise _Fail(f"free variable {x!r} has no pattern in the environment")
-            for v, kv in env.items():
-                if v != x and kv == "lin":
-                    raise _Fail(f"linear variable {v!r} is unused")
-            return []
-        case App(f, a):
-            env_f, env_a = _split_sides(bodies, env, f, a, ("lin",))
-            return [(f, env_f, False), (a, env_a, False)]
-        case Lam(k, x, b):
-            bind = {LIN: "lin", IND: "ind", COIND: "coind"}[k]
-            env2 = dict(env)
-            env2[x] = bind
-            return [(b, env2, False)]
-        case Box(k, b):
-            for v, kv in env.items():
-                if kv == "lin":
-                    raise _Fail(f"linear variable {v!r} cannot occur under a box")
-            return [(b, env, k == COIND)]
+class _Envs:
+    """The environments of one check, interned.
+
+    An environment is an index into ``dicts``.  Extending one,
+    restricting one under a 4S box and dropping its strict variables
+    (those of a kind used exactly once: ``lin``, and ``ind1`` in 4S) are
+    memoised per environment, so a rule that repeats one of them
+    allocates nothing.  An application passes its environment on as it
+    is to both sides when it holds no strict variable, and to the side
+    that takes all of them otherwise.  ``content`` ids key the
+    derivation states: equal environments share one, whatever route
+    built them.  A state still reads the dict it was found with, whose
+    order decides which variable a failure names: each rule scans its
+    environment in order and names the first variable that breaks it.
+    """
+
+    def __init__(self, strict_kinds):
+        self.kinds = strict_kinds
+        self.dicts = []
+        self.content = []
+        self.strict = []        # index -> whether a variable has a strict kind
+        self._contents = {}     # frozenset of items -> content id
+        self._extended = {}     # (index, name, kind) -> index
+        self._restricted = {}   # (index, box kind) -> index
+        self._unstrict = {}     # index -> index without its strict variables
+
+    def add(self, d):
+        self.dicts.append(d)
+        self.content.append(self._contents.setdefault(
+            frozenset(d.items()), len(self._contents)))
+        self.strict.append(not self.kinds.isdisjoint(d.values()))
+        return len(self.dicts) - 1
+
+    def strict_vars(self, e):
+        """The (name, kind) pairs of ``e`` with a strict kind, in order."""
+        if not self.strict[e]:
+            return ()
+        kinds = self.kinds
+        return [(v, k) for v, k in self.dicts[e].items() if k in kinds]
+
+    def extend(self, e, name, kind):
+        key = (e, name, kind)
+        got = self._extended.get(key)
+        if got is None:
+            d = self.dicts[e]
+            if d.get(name) == kind:
+                got = e
+            else:
+                d = dict(d)
+                d[name] = kind
+                got = self.add(d)
+            self._extended[key] = got
+        return got
+
+    def restrict(self, e, box_kind):
+        """``e`` under a 4S box: duplicable variables dropped, ``ind1``
+        made linear under an inductive box and ``coind`` made ``any``
+        under a coinductive one.  The caller checks the strict kinds."""
+        key = (e, box_kind)
+        got = self._restricted.get(key)
+        if got is None:
+            rename = _BOX_RENAME[box_kind]
+            d = self.dicts[e]
+            kept = {v: rename.get(k, k) for v, k in d.items() if k != "dup"}
+            got = self._restricted[key] = e if kept == d else self.add(kept)
+        return got
+
+    def split(self, e, free_f, free_a):
+        """The environments of an application's function and argument:
+        a variable of a strict kind goes to the one side where it is
+        free, any other variable to both."""
+        if not self.strict[e]:
+            return e, e
+        kinds = self.kinds
+        d = self.dicts[e]
+        env_f = {}
+        env_a = {}
+        for v, k in d.items():
+            if k in kinds:
+                in_f = v in free_f
+                if in_f == (v in free_a):
+                    raise _Fail(f"{k} variable {v!r} occurs in both sides of an application"
+                                if in_f else f"{k} variable {v!r} is unused")
+                (env_f if in_f else env_a)[v] = k
+            else:
+                env_f[v] = env_a[v] = k
+        if len(env_f) == len(d):
+            return e, self._without_strict(e, env_a)
+        if len(env_a) == len(d):
+            return self._without_strict(e, env_f), e
+        return self.add(env_f), self.add(env_a)
+
+    def _without_strict(self, e, rest):
+        """``e`` without its strict variables, which are ``rest``."""
+        got = self._unstrict.get(e)
+        if got is None:
+            got = self._unstrict[e] = self.add(rest)
+        return got
+
+
+def _app_premises(bodies, envs, node, e):
+    env_f, env_a = envs.split(e, bodies.free[id(node.fn)], bodies.free[id(node.arg)])
+    return (node.fn, env_f), (node.arg, env_a)
+
+
+def _expand_llinf(bodies, envs, node, e):
+    """The premises of the rule for ``node`` under environment ``e``, as
+    (child, environment) pairs."""
+    t = type(node)
+    if t is App:
+        return _app_premises(bodies, envs, node, e)
+    if t is Lam:
+        return ((node.body, envs.extend(e, node.name, node.kind)),)
+    if t is Box:
+        for v, _ in envs.strict_vars(e):
+            raise _Fail(f"linear variable {v!r} cannot occur under a box")
+        return ((node.body, e),)
+    if t is Var:
+        x = node.name
+        if x not in envs.dicts[e]:
+            raise _Fail(f"free variable {x!r} has no pattern in the environment")
+        for v, _ in envs.strict_vars(e):
+            if v != x:
+                raise _Fail(f"linear variable {v!r} is unused")
+        return ()
     raise TypeError(f"unexpected node {node!r}")
 
 
-def _expand_ll4s(bodies, node, env):
-    match node:
-        case Var(x):
-            k = env.get(x)
-            if k is None:
-                raise _Fail(f"free variable {x!r} has no pattern in the environment")
-            if k == "coind":
-                raise _Fail(
-                    f"coinductive variable {x!r} occurs outside every coinductive box")
-            if k == "ind1":
-                raise _Fail(
-                    f"ind-one variable {x!r} occurs outside its inductive box")
-            for v, kv in env.items():
-                if v == x:
-                    continue
-                if kv == "lin":
-                    raise _Fail(f"linear variable {v!r} is unused")
-                if kv == "ind1":
-                    raise _Fail(f"ind-one variable {v!r} is unused")
-            return []
-        case App(f, a):
-            env_f, env_a = _split_sides(bodies, env, f, a, ("lin", "ind1"))
-            return [(f, env_f, False), (a, env_a, False)]
-        case Lam("lin", x, b):
-            env2 = dict(env)
-            env2[x] = "lin"
-            return [(b, env2, False)]
-        case Lam("coind", x, b):
-            env2 = dict(env)
-            env2[x] = "coind"
-            return [(b, env2, False)]
-        case Lam("ind", x, b):
+def _expand_ll4s(bodies, envs, node, e):
+    t = type(node)
+    if t is App:
+        return _app_premises(bodies, envs, node, e)
+    if t is Lam:
+        x, b, bind = node.name, node.body, node.kind
+        if bind == IND:
             linear, ind_one, deeper_ind, coind = bodies.own[(id(b), x)]
             if coind > 0 or deeper_ind > 0:
                 raise _Fail(
@@ -514,30 +593,31 @@ def _expand_ll4s(bodies, node, env):
                 raise _Fail(
                     f"inductively bound {x!r} occurs both outside and inside "
                     "inductive boxes")
-            env2 = dict(env)
-            env2[x] = bind
-            return [(b, env2, False)]
-        case Box("ind", b):
-            env2 = {}
-            for v, kv in env.items():
-                if kv == "lin":
-                    raise _Fail(f"linear variable {v!r} cannot occur under a box")
-                if kv == "dup":
-                    continue  # duplicable variables may not enter boxes
-                env2[v] = "lin" if kv == "ind1" else kv
-            return [(b, env2, False)]
-        case Box("coind", b):
-            env2 = {}
-            for v, kv in env.items():
-                if kv == "lin":
-                    raise _Fail(f"linear variable {v!r} cannot occur under a box")
-                if kv == "ind1":
-                    raise _Fail(
-                        f"ind-one variable {v!r} cannot occur under a coinductive box")
-                if kv == "dup":
-                    continue
-                env2[v] = "any" if kv == "coind" else kv
-            return [(b, env2, True)]
+        return ((b, envs.extend(e, x, bind)),)
+    if t is Box:
+        for v, k in envs.strict_vars(e):
+            if k == "lin":
+                raise _Fail(f"linear variable {v!r} cannot occur under a box")
+            if node.kind == COIND:
+                raise _Fail(
+                    f"ind-one variable {v!r} cannot occur under a coinductive box")
+        return ((node.body, envs.restrict(e, node.kind)),)
+    if t is Var:
+        x = node.name
+        k = envs.dicts[e].get(x)
+        if k is None:
+            raise _Fail(f"free variable {x!r} has no pattern in the environment")
+        if k == "coind":
+            raise _Fail(
+                f"coinductive variable {x!r} occurs outside every coinductive box")
+        if k == "ind1":
+            raise _Fail(
+                f"ind-one variable {x!r} occurs outside its inductive box")
+        for v, kv in envs.strict_vars(e):
+            if v != x:
+                raise _Fail(f"linear variable {v!r} is unused" if kv == "lin"
+                            else f"ind-one variable {v!r} is unused")
+        return ()
     raise TypeError(f"unexpected node {node!r}")
 
 
@@ -548,69 +628,79 @@ def check(system: str, env: dict, g: TermGraph) -> CheckReport:
         raise ValueError(f"pattern kinds {sorted(bad)} are not valid for {system}")
     expand = _expand_llinf if system == LLINF else _expand_ll4s
     bodies = body_pass(g)
+    envs = _Envs(_STRICT[system])
+    content = envs.content
+    defs = g.defs
 
-    keys = {}
-    info = []      # (node, env)
-    out_edges = []  # per state: list of (child_idx, is_mc)
-    parent = []
+    root = g.resolve(g.root_body())
+    e = envs.add(dict(env))
+    nodes = [root]      # state -> its subterm
+    at = [e]            # state -> its environment
+    succ = [None]       # state -> its premises' states
+    parent = [None]     # state -> the state that found it
+    index = {(id(root), content[e]): 0}
 
-    def state_key(node, env):
-        return (id(node), frozenset(env.items()))
+    def describe(i):
+        return _describe(nodes[i], envs.dicts[at[i]])
 
-    root_node = g.resolve(g.root_body())
-    keys[state_key(root_node, env)] = 0
-    info.append((root_node, dict(env)))
-    out_edges.append(None)
-    parent.append(None)
     todo = [0]
-    failure = None
     while todo:
-        idx = todo.pop()
-        if out_edges[idx] is not None:
-            continue
-        node, st_env = info[idx]
+        i = todo.pop()
         try:
-            children = expand(bodies, node, st_env)
+            premises = expand(bodies, envs, nodes[i], at[i])
         except _Fail as f:
-            failure = (idx, f.reason)
-            break
-        edges = []
-        for child, cenv, mc in children:
-            child = g.resolve(child)
-            key = state_key(child, cenv)
-            cidx = keys.get(key)
-            if cidx is None:
-                cidx = len(info)
-                keys[key] = cidx
-                info.append((child, cenv))
-                out_edges.append(None)
-                parent.append(idx)
-                todo.append(cidx)
-            edges.append((cidx, mc))
-        out_edges[idx] = edges
+            path = []
+            while i is not None:
+                path.append(describe(i))
+                i = parent[i]
+            return CheckReport(False, system, reason=f.reason,
+                               failure_path=tuple(reversed(path)),
+                               states=len(nodes))
+        row = []
+        for child, e in premises:
+            if type(child) is Ref:
+                child = defs[child.name]
+            key = (id(child), content[e])
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(nodes)
+                nodes.append(child)
+                at.append(e)
+                succ.append(None)
+                parent.append(i)
+                todo.append(j)
+            row.append(j)
+        succ[i] = row
 
-    if failure is not None:
-        idx, reason = failure
-        path = []
-        while idx is not None:
-            node, st_env = info[idx]
-            path.append(_describe(node, st_env))
-            idx = parent[idx]
-        path.reverse()
-        return CheckReport(False, system, reason=reason,
-                           failure_path=tuple(path), states=len(info))
-
-    cycle = _inductive_cycle(out_edges)
-    if cycle is not None:
-        desc = tuple(_describe(*info[i]) for i in cycle)
+    loops = [comp for comp in _sccs(succ) if _cyclic(comp, succ)]
+    if not loops:
+        return CheckReport(True, system, states=len(nodes))
+    crossing = [type(n) is Box and n.kind == COIND for n in nodes]
+    if _inductive_loop(loops, succ, crossing):
+        cycle = _inductive_cycle([[(j, crossing[i]) for j in row]
+                                  for i, row in enumerate(succ)])
         return CheckReport(
             False, system,
             reason="inductive loop: a cycle of the derivation crosses no "
                    "coinductive box",
-            cycle=desc, states=len(info))
+            cycle=tuple(map(describe, cycle)), states=len(nodes))
+    return CheckReport(True, system, states=len(nodes),
+                       loops=_loop_witness(loops, succ, crossing, describe))
 
-    loops = _loop_witness(out_edges, info)
-    return CheckReport(True, system, states=len(info), loops=tuple(loops))
+
+def _inductive_loop(comps, succ, crossing):
+    """Whether the non-coinductive edges inside one of the components
+    ``comps`` close a cycle.  Any cycle lies inside one component.  Its
+    states are taken in index order, so that when only coinductive edges
+    lead back the components' own pass makes no search."""
+    for comp in comps:
+        members = sorted(comp)
+        local = {v: k for k, v in enumerate(members)}
+        inner = [() if crossing[v] else [local[w] for w in succ[v] if w in local]
+                 for v in members]
+        if any(_cyclic(c, inner) for c in _sccs(inner)):
+            return True
+    return False
 
 
 def _inductive_cycle(out_edges):
@@ -639,23 +729,16 @@ def _inductive_cycle(out_edges):
     return walk[seen[v]:] + [v]
 
 
-def _loop_witness(out_edges, info):
-    """Per cyclic SCC of the full state graph, one coinductive edge.
-
-    Only accepted derivations get here, so every cycle, and hence every
-    cyclic component, has a coinductive edge inside.
-    """
-    succ = [[c for c, _ in edges] for edges in out_edges]
+def _loop_witness(loops, succ, crossing, describe):
+    """Per cyclic component of an accepted derivation's state graph, its
+    size and its first state with a coinductive edge inside: every cycle
+    of an accepted derivation crosses one."""
     witness = []
-    for comp in _sccs(succ):
-        if not _cyclic(comp, succ):
-            continue
+    for comp in loops:
         members = set(comp)
-        v = next(v for v in comp
-                 if any(mc and c in members for c, mc in out_edges[v]))
-        witness.append({"size": len(comp),
-                        "coinductive_crossing": _describe(*info[v])})
-    return witness
+        v = next(v for v in comp if crossing[v] and succ[v][0] in members)
+        witness.append({"size": len(comp), "coinductive_crossing": describe(v)})
+    return tuple(witness)
 
 
 def check_llinf(env: dict, g: TermGraph) -> CheckReport:

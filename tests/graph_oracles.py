@@ -5,6 +5,11 @@
   memoised path count, a depth-first search): the earlier production
   route, kept as the oracle of the single SCC pass in
   :mod:`llinf.wellform`.
+* The well-formation check with a frozenset of the whole environment
+  as each state's key and two Tarjan passes over every state graph, and
+  the root sweep with a Tarjan pass over every product graph: the
+  earlier production route, kept as the oracle of the interned
+  environments and the acyclic shortcut of :mod:`llinf.wellform`.
 * Alpha-equivalence and printing by structural recursion: the earlier
   production route, kept as the oracle of the iterative passes in
   :mod:`llinf.terms` and :mod:`llinf.surface`.
@@ -31,7 +36,10 @@ from llinf.terms import (
     App, Box, Cut, CUT, Lam, Node, Ref, TermGraph, Var, IND, LIN, COIND,
     children, derive, fresh_name, rebuild, remake, subst_in_body, _scan_body,
 )
-from llinf.wellform import INF, _CLS_LIN, _shift
+from llinf.wellform import (
+    CheckReport, INF, KINDS, LLINF, _CLS_LIN, _Fail, _UNIT, _describe,
+    _merge, _shift, body_pass,
+)
 
 
 def occurrences(g: TermGraph, x: str, node: Node = None) -> tuple:
@@ -197,6 +205,322 @@ def inductive_cycle(out_edges):
                 path.append(child)
                 iters.append(iter([c for c, mc in out_edges[child] if not mc]))
     return None
+
+
+def tarjan(succ):
+    """Strongly connected components, sinks first (Tarjan 1972,
+    iterative): roots and edges in order, each component in stack-pop
+    order.  No shortcut for acyclic graphs."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def _cyclic(comp, succ):
+    return len(comp) > 1 or comp[0] in succ[comp[0]]
+
+
+def root_sweep(g: TermGraph) -> dict:
+    """``wellform._root_sweep`` with a Tarjan pass over every product
+    graph, acyclic or not, and every state's map kept to the end."""
+    start = g.root_body()
+    nodes = [start]
+    classes = [_CLS_LIN]
+    roots = {(g.root, _CLS_LIN): 0}
+    succ = []
+    for i, n in enumerate(nodes):
+        cls = classes[i]
+        t = type(n)
+        if t is App:
+            outs = ((n.fn, cls), (n.arg, cls))
+        elif t is Lam:
+            outs = ((n.body, cls),)
+        elif t is Box:
+            outs = ((n.body, _shift(cls, n.kind)),)
+        else:
+            outs = ()
+        row = []
+        for child, ccls in outs:
+            if type(child) is Ref:
+                key = (child.name, ccls)
+                j = roots.get(key)
+                if j is not None:
+                    row.append(j)
+                    continue
+                roots[key] = len(nodes)
+                child = g.defs[child.name]
+            row.append(len(nodes))
+            nodes.append(child)
+            classes.append(ccls)
+        succ.append(row)
+
+    maps = [None] * len(succ)
+    for comp in tarjan(succ):
+        if _cyclic(comp, succ):
+            members = set(comp)
+            total = {}
+            bound = set()
+            for i in comp:
+                n = nodes[i]
+                if type(n) is Var:
+                    _merge(total, {n.name: _UNIT[classes[i]]})
+                elif type(n) is Lam:
+                    bound.add(n.name)
+                for j in succ[i]:
+                    if j not in members:
+                        _merge(total, maps[j])
+            pumped = {v: tuple(INF if k else 0 for k in c)
+                      for v, c in total.items() if v not in bound}
+            for i in comp:
+                maps[i] = pumped
+            continue
+        i = comp[0]
+        n = nodes[i]
+        if type(n) is Var:
+            m = {n.name: _UNIT[classes[i]]}
+        else:
+            m = {}
+            for j in succ[i]:
+                _merge(m, maps[j])
+            if type(n) is Lam:
+                m.pop(n.name, None)
+        maps[i] = m
+    return maps[0]
+
+
+def _split_sides(bodies, env, f, a, strict_kinds):
+    free_f = bodies.free[id(f)]
+    free_a = bodies.free[id(a)]
+    env_f = {}
+    env_a = {}
+    for v, k in env.items():
+        if k in strict_kinds:
+            in_f = v in free_f
+            in_a = v in free_a
+            if in_f and in_a:
+                raise _Fail(f"{k} variable {v!r} occurs in both sides of an application")
+            if not in_f and not in_a:
+                raise _Fail(f"{k} variable {v!r} is unused")
+            (env_f if in_f else env_a)[v] = k
+        else:
+            env_f[v] = k
+            env_a[v] = k
+    return env_f, env_a
+
+
+def _expand_llinf(bodies, node, env):
+    match node:
+        case Var(x):
+            k = env.get(x)
+            if k is None:
+                raise _Fail(f"free variable {x!r} has no pattern in the environment")
+            for v, kv in env.items():
+                if v != x and kv == "lin":
+                    raise _Fail(f"linear variable {v!r} is unused")
+            return []
+        case App(f, a):
+            env_f, env_a = _split_sides(bodies, env, f, a, ("lin",))
+            return [(f, env_f, False), (a, env_a, False)]
+        case Lam(k, x, b):
+            bind = {LIN: "lin", IND: "ind", COIND: "coind"}[k]
+            env2 = dict(env)
+            env2[x] = bind
+            return [(b, env2, False)]
+        case Box(k, b):
+            for v, kv in env.items():
+                if kv == "lin":
+                    raise _Fail(f"linear variable {v!r} cannot occur under a box")
+            return [(b, env, k == COIND)]
+    raise TypeError(f"unexpected node {node!r}")
+
+
+def _expand_ll4s(bodies, node, env):
+    match node:
+        case Var(x):
+            k = env.get(x)
+            if k is None:
+                raise _Fail(f"free variable {x!r} has no pattern in the environment")
+            if k == "coind":
+                raise _Fail(
+                    f"coinductive variable {x!r} occurs outside every coinductive box")
+            if k == "ind1":
+                raise _Fail(
+                    f"ind-one variable {x!r} occurs outside its inductive box")
+            for v, kv in env.items():
+                if v == x:
+                    continue
+                if kv == "lin":
+                    raise _Fail(f"linear variable {v!r} is unused")
+                if kv == "ind1":
+                    raise _Fail(f"ind-one variable {v!r} is unused")
+            return []
+        case App(f, a):
+            env_f, env_a = _split_sides(bodies, env, f, a, ("lin", "ind1"))
+            return [(f, env_f, False), (a, env_a, False)]
+        case Lam("lin", x, b):
+            env2 = dict(env)
+            env2[x] = "lin"
+            return [(b, env2, False)]
+        case Lam("coind", x, b):
+            env2 = dict(env)
+            env2[x] = "coind"
+            return [(b, env2, False)]
+        case Lam("ind", x, b):
+            linear, ind_one, deeper_ind, coind = bodies.own[(id(b), x)]
+            if coind > 0 or deeper_ind > 0:
+                raise _Fail(
+                    f"inductively bound {x!r} occurs under a coinductive box "
+                    "or under more than one inductive box")
+            if ind_one == 0:
+                bind = "dup"
+            elif linear == 0 and ind_one == 1:
+                bind = "ind1"
+            else:
+                raise _Fail(
+                    f"inductively bound {x!r} occurs both outside and inside "
+                    "inductive boxes")
+            env2 = dict(env)
+            env2[x] = bind
+            return [(b, env2, False)]
+        case Box("ind", b):
+            env2 = {}
+            for v, kv in env.items():
+                if kv == "lin":
+                    raise _Fail(f"linear variable {v!r} cannot occur under a box")
+                if kv == "dup":
+                    continue  # duplicable variables may not enter boxes
+                env2[v] = "lin" if kv == "ind1" else kv
+            return [(b, env2, False)]
+        case Box("coind", b):
+            env2 = {}
+            for v, kv in env.items():
+                if kv == "lin":
+                    raise _Fail(f"linear variable {v!r} cannot occur under a box")
+                if kv == "ind1":
+                    raise _Fail(
+                        f"ind-one variable {v!r} cannot occur under a coinductive box")
+                if kv == "dup":
+                    continue
+                env2[v] = "any" if kv == "coind" else kv
+            return [(b, env2, True)]
+    raise TypeError(f"unexpected node {node!r}")
+
+
+def check(system: str, env: dict, g: TermGraph):
+    """``wellform.check`` with a fresh dict per state, keyed by a
+    frozenset of it, and with two Tarjan passes: one over the
+    non-coinductive edges for an inductive loop, one over all edges for
+    the loops of an accepted derivation.  Returns the report and the
+    state graph as lists of ``(successor, coinductive)`` pairs."""
+    bad = set(env.values()) - KINDS[system]
+    if bad:
+        raise ValueError(f"pattern kinds {sorted(bad)} are not valid for {system}")
+    expand = _expand_llinf if system == LLINF else _expand_ll4s
+    bodies = body_pass(g)
+
+    def state_key(node, env):
+        return (id(node), frozenset(env.items()))
+
+    root_node = g.resolve(g.root_body())
+    keys = {state_key(root_node, env): 0}
+    info = [(root_node, dict(env))]
+    out_edges = [None]
+    parent = [None]
+    todo = [0]
+    failure = None
+    while todo:
+        idx = todo.pop()
+        node, st_env = info[idx]
+        try:
+            children = expand(bodies, node, st_env)
+        except _Fail as f:
+            failure = (idx, f.reason)
+            break
+        edges = []
+        for child, cenv, mc in children:
+            child = g.resolve(child)
+            key = state_key(child, cenv)
+            cidx = keys.get(key)
+            if cidx is None:
+                cidx = len(info)
+                keys[key] = cidx
+                info.append((child, cenv))
+                out_edges.append(None)
+                parent.append(idx)
+                todo.append(cidx)
+            edges.append((cidx, mc))
+        out_edges[idx] = edges
+
+    if failure is not None:
+        idx, reason = failure
+        path = []
+        while idx is not None:
+            node, st_env = info[idx]
+            path.append(_describe(node, st_env))
+            idx = parent[idx]
+        path.reverse()
+        return CheckReport(False, system, reason=reason,
+                           failure_path=tuple(path), states=len(info)), out_edges
+
+    cycle = inductive_cycle(out_edges)
+    if cycle is not None:
+        return CheckReport(
+            False, system,
+            reason="inductive loop: a cycle of the derivation crosses no "
+                   "coinductive box",
+            cycle=tuple(_describe(*info[i]) for i in cycle),
+            states=len(info)), out_edges
+
+    succ = [[c for c, _ in edges] for edges in out_edges]
+    loops = []
+    for comp in tarjan(succ):
+        if not _cyclic(comp, succ):
+            continue
+        members = set(comp)
+        v = next(v for v in comp
+                 if any(mc and c in members for c, mc in out_edges[v]))
+        loops.append({"size": len(comp),
+                      "coinductive_crossing": _describe(*info[v])})
+    return CheckReport(True, system, states=len(info),
+                       loops=tuple(loops)), out_edges
 
 
 def contract(g: TermGraph, redex) -> TermGraph:

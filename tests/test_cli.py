@@ -151,7 +151,7 @@ def test_weight_budget_exit():
     assert "error: depth-1 region exceeds 2 nodes" in r.output
 
 
-@pytest.mark.parametrize("depths", ["x..2", "1.5", "2..", "-1..1", "-1"])
+@pytest.mark.parametrize("depths", ["x..2", "1.5", "2..", "-1..1", "-1", "3..1"])
 def test_weight_bad_depths_usage_exit(depths):
     r = run(["weight", "--depths", depths, "id.lli"],
             {"id.lli": "def I = \\x. x ;\nroot I ;\n"})
@@ -159,6 +159,92 @@ def test_weight_bad_depths_usage_exit(depths):
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
     assert r.output.count("\n") == 1 and r.output.startswith("error: --depths")
+
+
+# ---------------------------------------------------------------------------
+# usage errors, click's own included, exit 3
+
+TERM = "def T = #((\\x. x) y) ;\nroot T ;\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--depth", "x", "t.lli"],
+    ["no-such-command", "t.lli"],
+    ["eval", "t.lli", "extra"],
+    ["eval", "--no-such-option", "t.lli"],
+    ["eval"],
+    ["eval", "--depth", "-1", "t.lli"],
+    ["eval", "--budget", "-3", "t.lli"],
+    ["bench", "--count", "-1"],
+], ids=" ".join)
+def test_usage_errors_exit_3(args):
+    r = run(args, {"t.lli": TERM})
+    assert r.exit_code == 3, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert "Error: " in r.output
+
+
+# command -> its arguments but the one drawn; a repeated option takes its
+# last value
+_BASE = {"eval": ["eval"], "trace": ["trace"], "weight": ["weight"],
+         "decode": ["decode"], "embed": ["embed"],
+         "bench": ["bench", "--count", "1", "--size", "8"]}
+# (command, option) -> (least, greatest) valid value
+_INT_OPTIONS = {
+    ("eval", "--depth"): (0, None), ("eval", "--fuel"): (0, None),
+    ("eval", "--budget"): (1, None),
+    ("trace", "--depth"): (0, None), ("trace", "--fuel"): (0, None),
+    ("trace", "--budget"): (1, None),
+    ("weight", "--budget"): (1, None),
+    ("decode", "--bound"): (0, None), ("decode", "--fuel"): (0, None),
+    ("embed", "--a"): (0, 1), ("embed", "--b"): (0, 1),
+    ("bench", "--count"): (1, None), ("bench", "--size"): (1, None),
+}
+_VALUES = st.one_of(st.integers(-3, 4).map(str),
+                    st.sampled_from(["x", "1.5", "", "1e3", "0..2", "- 1"]))
+
+
+def _expected_exit(value, lo, hi):
+    """3 for a value that is not an integer or out of range, else None
+    (any code but 3)."""
+    try:
+        n = int(value)
+    except ValueError:
+        return 3
+    return 3 if n < lo or (hi is not None and n > hi) else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(option=st.sampled_from(sorted(_INT_OPTIONS)), value=_VALUES,
+       extra=st.sampled_from([[], ["extra"], ["--no-such-option"]]))
+def test_cli_option_values_exit_with_the_documented_code(option, value, extra):
+    cmd, name = option
+    lo, hi = _INT_OPTIONS[option]
+    path = "t.lam" if cmd == "embed" else "t.lli"
+    args = _BASE[cmd] + [name, value] + extra + ([] if cmd == "bench" else [path])
+    r = run(args, {"t.lli": TERM, "t.lam": "def D = \\x. x x ;\nroot D ;\n"})
+    assert "Traceback" not in r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), (
+        repr(r.exception))
+    want = 3 if extra else _expected_exit(value, lo, hi)
+    if want is None:
+        assert r.exit_code in (0, 1, 2), r.output
+    else:
+        assert r.exit_code == want, r.output
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(-2, 4), hi=st.integers(-2, 4), single=st.booleans())
+def test_weight_depths_exit_with_the_documented_code(lo, hi, single):
+    depths = str(lo) if single else f"{lo}..{hi}"
+    r = run(["weight", "--depths", depths, "t.lli"], {"t.lli": TERM})
+    if lo < 0 or (not single and hi < lo):
+        assert r.exit_code == 3, r.output
+        assert r.output.startswith("error: --depths")
+    else:
+        assert r.exit_code == 0, r.output
+        assert len(r.output.splitlines()) == 2 + (0 if single else hi - lo)
 
 
 def test_embed_output_parses():

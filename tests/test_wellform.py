@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import math
 import random
 from dataclasses import astuple
@@ -14,7 +15,7 @@ from llinf.wellform import (
     preceding_variants, _inductive_cycle, _sccs,
 )
 from llinf.terms import substitute
-from conftest import parse
+from conftest import flip_applied, parse
 import graph_oracles
 
 
@@ -367,23 +368,18 @@ def test_inductive_cycle_is_a_closed_inductive_walk():
     assert 50 < found < 350
 
 
-def test_one_loop_per_cyclic_component(monkeypatch):
-    graphs = []
-    real = wellform._loop_witness
-
-    def spy(out_edges, info):
-        graphs.append(out_edges)
-        return real(out_edges, info)
-
-    monkeypatch.setattr(wellform, "_loop_witness", spy)
-    looped = 0
+def test_one_loop_per_cyclic_component():
+    """The loops of every accepted check against the cyclic components
+    of its state graph, which the oracle check returns."""
+    looped = acyclic = 0
     for g in _occurrence_corpus()[::6]:
         for system in ("llinf", "4s"):
             env = infer_env(system, g)
             if env is None:
                 continue
             rep = check(system, env, g)
-            succ = [[c for c, _ in edges] for edges in graphs[-1]]
+            _, out_edges = graph_oracles.check(system, env, g)
+            succ = [[c for c, _ in edges] for edges in out_edges]
             reach = _closure(succ)
             cyclic = {frozenset(w for w in reach[v] if v in reach[w])
                       for v in range(len(succ)) if v in reach[v]}
@@ -391,7 +387,83 @@ def test_one_loop_per_cyclic_component(monkeypatch):
             assert sorted(loop["size"] for loop in rep.loops) == \
                 sorted(len(c) for c in cyclic)
             looped += bool(rep.loops)
+            acyclic += rep.loops == ()
     assert looped >= 10
+    assert acyclic >= 10
+
+
+# ----- the check and the root sweep against their oracles ---------------------
+
+def _check_corpus():
+    """The occurrence corpus with ``bit_flip`` applied to streams, each
+    graph under its inferred environment in both systems and under
+    environments that make every free variable linear, inductive or
+    arbitrary."""
+    graphs = _occurrence_corpus()
+    graphs += [flip_applied(prefix, cycle) for prefix, cycle in
+               [("", "0"), ("", "01"), ("1", "10"), ("0110", "1"), ("", "0011")]]
+    for g in graphs:
+        free = sorted(g.free_vars())
+        for system in ("llinf", "4s"):
+            wide = "ind" if system == "llinf" else "any"
+            envs = [infer_env(system, g) or {}, dict.fromkeys(free, "lin"),
+                    dict.fromkeys(free, wide)]
+            for env in envs:
+                yield system, env, g
+
+
+def test_check_matches_the_frozenset_oracle():
+    verdicts = {}
+    looped = 0
+    for system, env, g in _check_corpus():
+        rep = check(system, env, g)
+        want, _ = graph_oracles.check(system, env, g)
+        assert rep == want, (system, env)
+        verdict = "loop" if rep.cycle else rep.accepted
+        verdicts[verdict] = verdicts.get(verdict, 0) + 1
+        looped += bool(rep.loops)
+    assert min(verdicts.values()) >= 50, verdicts
+    assert looped >= 50
+
+
+def test_root_sweep_matches_the_tarjan_oracle():
+    seen = set()
+    for _, _, g in _check_corpus():
+        if id(g) not in seen:
+            seen.add(id(g))
+            assert wellform._root_sweep(g) == graph_oracles.root_sweep(g)
+    assert len(seen) >= 800
+
+
+def test_a_deep_binder_chain_keeps_its_pinned_summary():
+    """The 2 001-state rejection of ``\\x0. ... \\x1999. x0`` prints
+    12.4 MB, pinned by its SHA-256."""
+    n = 2_000
+    g = parse("def L = " + " ".join(f"\\x{i}." for i in range(n))
+              + " x0 ; root L ;")
+    rep = check("llinf", {}, g)
+    text = rep.summary()
+    assert (rep.states, len(text)) == (n + 1, 12_403_438)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f052796737d734d53c287289bf63c851968f670b2fd4644da5926676e1a8f092"
+
+
+def test_forward_only_digraphs_are_acyclic_without_a_search():
+    """Every edge from a lower to a higher index: each state is its own
+    component, highest first, as the oracle's components are, and no
+    non-coinductive cycle exists."""
+    rng = random.Random("forward")
+    for _ in range(400):
+        n = rng.randrange(1, 30)
+        p = rng.choice([0.05, 0.2, 0.5])
+        succ = [[w for w in range(v + 1, n) for _ in range(rng.choice([1, 1, 2]))
+                 if rng.random() < p] for v in range(n)]
+        comps = _sccs(succ)
+        assert comps == [[v] for v in reversed(range(n))]
+        assert sorted(comps) == sorted(graph_oracles.tarjan(succ))
+        out_edges = [[(w, rng.random() < 0.3) for w in outs] for outs in succ]
+        assert _inductive_cycle(out_edges) is None
+        assert graph_oracles.inductive_cycle(out_edges) is None
 
 
 # ----- inference and the environment order ----------------------------------
