@@ -65,7 +65,7 @@ def _usage_exit():
 
 
 _NATURAL = click.IntRange(min=0)    # depths, fuel, bounds
-_POSITIVE = click.IntRange(min=1)   # budgets, counts, sizes
+_POSITIVE = click.IntRange(min=1)   # budgets, counts
 
 
 @click.group(cls=_Main)
@@ -212,8 +212,8 @@ def embed(which, a_bit, b_bit, path):
 @click.argument("spec")
 def encode(alphabet, mode, spec):
     """Print the Scott encoding of a word spec like 01 or 01(10)."""
-    sig = encodings.alphabet_signature(alphabet)
     try:
+        sig = encodings.alphabet_signature(alphabet)
         tree = encodings.parse_stream_spec(spec)
         g = encodings.scott_encode(sig, tree, mode)
     except LLinfError as exc:
@@ -322,7 +322,9 @@ def examples(run, name):
 @click.option("--count", default=50, show_default=True, type=_POSITIVE)
 @click.option("--system", type=click.Choice(["llinf", "4s"]), default="4s",
               show_default=True)
-@click.option("--size", default=26, show_default=True, type=_POSITIVE)
+# below size 3 the generator finds no term with a redex
+@click.option("--size", default=26, show_default=True,
+              type=click.IntRange(min=3))
 @click.option("--metrics-out", "metrics_out", default=None,
               help="write a per-term metrics table to this file")
 def bench(seed, count, system, size, metrics_out):

@@ -63,7 +63,15 @@ EPSILON = "e"
 
 
 def alphabet_signature(alphabet: str) -> Signature:
-    """Unary symbols for each letter plus the nullary end marker."""
+    """Unary symbols for each letter plus the nullary end marker.
+
+    The letters must be distinct, in ``[0-9A-Za-z]`` and not the end
+    marker: the letters a stream spec can hold."""
+    for ch in alphabet:
+        if ch == EPSILON or not re.fullmatch("[0-9A-Za-z]", ch):
+            raise EncodingError(
+                f"alphabet letter {ch!r} is not one of [0-9A-Za-z] "
+                f"other than the end marker {EPSILON!r}")
     return Signature(tuple((ch, 1) for ch in alphabet) + ((EPSILON, 0),))
 
 

@@ -17,6 +17,7 @@ their output depth by depth.
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import BudgetExceededError, InvalidPositionError
 from .terms import (
@@ -25,7 +26,7 @@ from .terms import (
     COIND, IND, LIN,
     DEFAULT_BUDGET,
     box_contents, children, derive, fresh_name, level_depth, level_key,
-    project_depth, subst_in_body,
+    project_depth, rebuild, subst_in_body,
 )
 
 DEFAULT_HEIGHT = 64
@@ -237,9 +238,10 @@ def _rewrite(g: TermGraph, edits) -> Node:
     """``g``'s root body with the node ``n`` at each position ``p`` of
     ``edits`` replaced by ``edits[p](n)``.
 
-    The paths are rebuilt top-down; reference crossings along them are
-    inlined first, so other occurrences of shared definitions are
-    untouched (path copying).
+    One :func:`~llinf.terms.rebuild` over the trie of the paths, which
+    copies them top-down; reference crossings along them are inlined
+    first, so other occurrences of shared definitions are untouched
+    (path copying).  The function side's edits run first.
     """
     trie = {}
     for path, edit in edits.items():
@@ -248,42 +250,29 @@ def _rewrite(g: TermGraph, edits) -> Node:
             t = t.setdefault(sel, {})
         t[None] = edit
 
-    vals = []
-    # (node, trie, path) visits a node; (node, trie, None) rebuilds the
-    # resolved node from the values of the children the trie names
-    todo = [(g.root_body(), trie, ())]
-    while todo:
-        node, t, at = todo.pop()
-        if at is None:
-            if type(node) is App:
-                a = vals.pop() if ARG in t else node.arg
-                f = vals.pop() if FN in t else node.fn
-                vals.append(App(f, a))
-            elif type(node) is Lam:
-                vals.append(Lam(node.kind, node.name, vals.pop()))
-            else:
-                vals.append(Box(node.kind, vals.pop()))
-            continue
+    def visit(node, ctx):
+        if ctx is None:
+            return node, None       # off every path: shared
+        t, at = ctx
         node = g.resolve(node)
         if None in t:
-            vals.append(t[None](node))
-            continue
-        match node:
-            case App(f, a) if t.keys() <= {FN, ARG}:
-                kids = ((a, ARG), (f, FN))
-            case Lam(_, _, b) if t.keys() == {BODY}:
-                kids = ((b, BODY),)
-            case Box(_, b) if t.keys() == {BOXED}:
-                kids = ((b, BOXED),)
-            case _:
-                raise InvalidPositionError(
-                    f"selector {min(t)!r} does not apply at "
-                    f"{'.'.join(at) or '<root>'}")
-        todo.append((node, t, None))
-        # the function side's edits run first
-        todo.extend((child, t[sel], at + (sel,)) for child, sel in kids
-                    if sel in t)
-    return vals[0]
+            return t[None](node), None
+        kind = type(node)
+        if kind is App and t.keys() <= {FN, ARG}:
+            build, kids = App, ((node.fn, FN), (node.arg, ARG))
+        elif kind is Lam and t.keys() == {BODY}:
+            build = partial(Lam, node.kind, node.name)
+            kids = ((node.body, BODY),)
+        elif kind is Box and t.keys() == {BOXED}:
+            build, kids = partial(Box, node.kind), ((node.body, BOXED),)
+        else:
+            raise InvalidPositionError(
+                f"selector {min(t)!r} does not apply at "
+                f"{'.'.join(at) or '<root>'}")
+        return build, [(child, (t[sel], at + (sel,)) if sel in t else None)
+                       for child, sel in kids]
+
+    return rebuild(g.root_body(), (trie, ()), visit)
 
 
 def contract(g: TermGraph, redex: Redex) -> TermGraph:

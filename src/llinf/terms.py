@@ -291,7 +291,9 @@ class TermGraph:
         return node
 
     def def_free_vars(self):
-        """Free variables of each definition's unfolding (cached fixpoint)."""
+        """Free variables of each definition's unfolding (cached), solved
+        in one pass over the components of the reference graph, sinks
+        first (:func:`_solve_fvs`)."""
         if self._fvs is None:
             self._fvs = _solve_fvs({name: _scan_body(body)
                                     for name, body in self.defs.items()})
@@ -609,18 +611,82 @@ def _scan_fvs(scan, fvs) -> frozenset:
 
 
 def _solve_fvs(scans) -> dict:
-    """Free variables of every definition: the least fixpoint over the
-    reference sets of the scanned bodies."""
-    fvs = {name: set(s.free) for name, s in scans.items()}
-    changed = True
-    while changed:
-        changed = False
-        for name, s in scans.items():
-            got = fvs[name]
-            size = len(got)
-            got.update(*[fvs[r] for r in s.refs])
-            changed |= len(got) != size
-    return {name: frozenset(s) for name, s in fvs.items()}
+    """Free variables of every definition, one pass over the components
+    of the reference graph of the scanned bodies, sinks first: a
+    component's definitions share the union of their bodies' free
+    variables and their successors' sets."""
+    names = list(scans)
+    at = {name: i for i, name in enumerate(names)}
+    # a self-reference adds nothing; left out, a root-first system needs no search
+    succ = [[at[r] for r in s.refs if r != name] for name, s in scans.items()]
+    fvs = [s.free for s in scans.values()]     # the body's own until solved
+    for comp in _sccs(succ):
+        got = frozenset().union(*[fvs[i] for i in comp],
+                                *[fvs[j] for i in comp for j in succ[i]])
+        for i in comp:
+            fvs[i] = got
+    return dict(zip(names, fvs))
+
+
+def _sccs(succ):
+    """Strongly connected components of the graph on ``0..len(succ)-1``
+    with successor lists ``succ``, each emitted after every component it
+    reaches.
+
+    A graph whose every edge goes from a lower to a higher index is
+    acyclic: its components are its states, highest first, and no
+    search is made.  Otherwise Tarjan's pass (1972, iterative) takes
+    roots and edges in order and emits each component's states in
+    stack-pop order.
+    """
+    n = len(succ)
+    if all(v < w for v, row in enumerate(succ) for w in row):
+        return [[v] for v in range(n - 1, -1, -1)]
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def _cyclic(comp, succ):
+    """Whether the component ``comp`` of :func:`_sccs` holds a cycle."""
+    return len(comp) > 1 or comp[0] in succ[comp[0]]
 
 
 def _check_capture(defname, scan, fvs):

@@ -14,25 +14,29 @@ pairs.  Acceptance then reduces to two checks over that state graph:
   non-coinductive edges is acyclic.
 
 Occurrences are counted by two shared passes.  Inference makes one
-root sweep (``_root_sweep``): path counting for every variable at once,
-on the product of the definition bodies with the 4-class box automaton.
-The check makes one pass over each definition body (``body_pass``),
-which gives the free variables of every node, to split an application's
-environment, and the counts of each binder's own name in its body, to
-pick the 4S inductive-binder rule.
+root sweep (``_root_sweep``) for every variable at once, over the
+definitions each entered at a box class: by capture-freedom a
+definition's counts are its own body's plus those of the definitions it
+references (Courcelle, "Fundamental properties of infinite trees",
+1983).  The check makes one pass over each definition body
+(``body_pass``), which gives the free variables of every node, to split
+an application's environment, and the counts of each binder's own name
+in its body, to pick the 4S inductive-binder rule.
 
 Every cycle and order question here goes through one routine,
-``_sccs``, which emits strongly connected components sinks first.  The
+``terms._sccs``, which emits strongly connected components sinks first
+and which also solves the free variables of the definitions.  The
 graphs number their states in the order they are found, so a graph
 whose every edge leads to a higher number is acyclic; ``_sccs`` then
 returns the states highest first and makes no search, and only other
-graphs get an iterative Tarjan pass.  The root sweep takes the
-components of its product graph.  The check takes those of its state
-graph once: an inductive loop lies inside a cyclic component, so it is
-looked for there only, and the same components give the per-loop
-witnesses; the exact loop a rejection reports comes from a separate
-search over the non-coinductive edges, made only then, which
-``lam.check_labc`` also uses for the pure calculi.
+graphs get an iterative Tarjan pass.  The root sweep sums its
+(definition, class) states over the components.  The check takes the
+components of its state graph once: an inductive loop lies inside a
+cyclic component, so it is looked for there only, and the same
+components give the per-loop witnesses; the exact loop a rejection
+reports comes from a separate search over the non-coinductive edges,
+made only then, which ``lam.check_labc`` also uses for the pure
+calculi.
 
 The check's environments are interned (hash-consing: Filliâtre and
 Conchon, "Type-safe modular hash-consing", 2006): a state is a node and
@@ -66,6 +70,7 @@ from .errors import LLinfError
 from .terms import (
     App, Box, Lam, Node, Ref, TermGraph, Var,
     COIND, IND,
+    _cyclic, _sccs,
 )
 from . import surface
 
@@ -107,7 +112,6 @@ class OccSummary:
 
 
 _CLS_LIN, _CLS_IND1, _CLS_IND2, _CLS_COIND = range(4)
-_UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _shift(cls, boxkind):
@@ -125,10 +129,12 @@ def occurrences(g: TermGraph, x: str, node: Node = None) -> OccSummary:
     or in the body of a binder of ``x``.
 
     ``node`` is ``None`` or the root body for the root, where the counts
-    come from :func:`_root_sweep`; otherwise it must be the ``body`` of
-    an abstraction of ``x`` in a definition of ``g``, where they come
-    from :func:`body_pass`.  Any other node raises ``ValueError``: the
-    counts of a free variable of an arbitrary subterm are not computed.
+    come from :func:`_root_sweep`, summed over the definitions entered
+    at each box class; otherwise it must be the ``body`` of an
+    abstraction of ``x`` in a definition of ``g``, where they come from
+    :func:`body_pass`, one walk of that body.  Any other node raises
+    ``ValueError``: the counts of a free variable of an arbitrary
+    subterm are not computed.
     """
     if node is None or g.resolve(node) is g.root_body():
         counts = _root_sweep(g).get(x, (0, 0, 0, 0))
@@ -143,58 +149,56 @@ def occurrences(g: TermGraph, x: str, node: Node = None) -> OccSummary:
 def _root_sweep(g: TermGraph) -> dict:
     """Map from each free variable of the root to its 4-class counts.
 
-    Path counting for all variables at once, on the product of the
-    definition bodies with the 4-class box automaton: a state is a
-    position in a body tree with a class, and only references merge
-    states, one per definition and class.  The components come sinks
-    first, and each state's map from variable to counts is the sum of
-    its successors' maps (duplicate edges count twice).  A ``Lam(v)``
-    state drops ``v``.  A cyclic component makes each nonzero class
-    infinite and drops every name bound by an abstraction inside it.
-
-    That drop is exact where the component is read.  A position has one
-    predecessor, so a cyclic component is entered only at definition
-    roots, and by capture-freedom no name bound inside it is free there.
+    A state is a definition entered at a box class, starting from the
+    root at ``lin``.  One walk of its body counts the free occurrences of
+    each variable by the boxes above them and lists the states its
+    references enter, once per reference.  By capture-freedom no name
+    bound above a reference is free in the referenced definition, so a
+    state's counts are its own plus the sum of its successors', taken
+    sinks first over the components.  A cyclic component makes each
+    nonzero class infinite.  Maps are dropped after their last reader,
+    and copied before they change, since states may share one.
     """
-    start = g.root_body()
-    nodes = [start]         # grows while it is read
-    classes = [_CLS_LIN]
-    roots = {(g.root, _CLS_LIN): 0}
+    states = [(g.root, _CLS_LIN)]   # grows while it is read
+    index = {states[0]: 0}
+    readers = [1]   # state -> reads of its map to come, the caller's included
+    maps = []       # state -> its own counts, then its sum
     succ = []
-    for i, n in enumerate(nodes):
-        cls = classes[i]
-        t = type(n)
-        if t is App:
-            outs = ((n.fn, cls), (n.arg, cls))
-        elif t is Lam:
-            outs = ((n.body, cls),)
-        elif t is Box:
-            outs = ((n.body, _shift(cls, n.kind)),)
-        else:
-            outs = ()
+    for name, cls in states:
+        counts = {}
         row = []
-        for child, ccls in outs:
-            if type(child) is Ref:
-                key = (child.name, ccls)
-                j = roots.get(key)
-                if j is not None:
-                    row.append(j)
-                    continue
-                roots[key] = len(nodes)
-                child = g.defs[child.name]
-            row.append(len(nodes))
-            nodes.append(child)
-            classes.append(ccls)
+        bound = {}      # binder name -> number of its binders above the visit
+        todo = [(g.defs[name], cls)]
+        while todo:
+            n, c = todo.pop()
+            t = type(n)
+            if t is App:
+                todo.append((n.arg, c))
+                todo.append((n.fn, c))
+            elif t is Var:
+                if n.name not in bound:
+                    counts.setdefault(n.name, [0, 0, 0, 0])[c] += 1
+            elif t is Lam:
+                bound[n.name] = bound.get(n.name, 0) + 1
+                todo.append((n.name, c))    # leaves the binder's scope
+                todo.append((n.body, c))
+            elif t is Box:
+                todo.append((n.body, _shift(c, n.kind)))
+            elif t is Ref:
+                key = (n.name, c)
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(states)
+                    states.append(key)
+                    readers.append(0)
+                readers[j] += 1
+                row.append(j)
+            elif bound[n] == 1:
+                del bound[n]
+            else:
+                bound[n] -= 1
+        maps.append({v: tuple(k) for v, k in counts.items()})
         succ.append(row)
-
-    # A state's map is dropped once its last reader has read it, and a
-    # map is copied before it is changed: states may share one.
-    readers = [0] * len(succ)
-    readers[0] = 1          # the caller
-    for row in succ:
-        for j in row:
-            readers[j] += 1
-    maps = [None] * len(succ)
 
     def take(j):
         m = maps[j]
@@ -207,39 +211,27 @@ def _root_sweep(g: TermGraph) -> dict:
         if _cyclic(comp, succ):
             members = set(comp)
             total = {}
-            bound = set()
             for i in comp:
-                n = nodes[i]
-                if type(n) is Var:
-                    _merge(total, {n.name: _UNIT[classes[i]]})
-                elif type(n) is Lam:
-                    bound.add(n.name)
+                _merge(total, maps[i])
                 for j in succ[i]:
                     if j not in members:
                         _merge(total, take(j))
             pumped = {v: tuple(INF if k else 0 for k in c)
-                      for v, c in total.items() if v not in bound}
+                      for v, c in total.items()}
             for i in comp:
                 maps[i] = pumped
             continue
         i = comp[0]
-        n = nodes[i]
-        t = type(n)
-        if t is App:
-            m, other = take(succ[i][0]), take(succ[i][1])
+        m = maps[i]     # the state's own counts: changed in place
+        mine = True
+        for j in succ[i]:
+            other = take(j)
             if len(other) > len(m):
-                m, other = other, m
+                m, other, mine = other, m, False
             if other:
-                m = _merge(dict(m), other)
-        elif t is Var:
-            m = {n.name: _UNIT[classes[i]]}
-        elif t is Lam or t is Box:
-            m = take(succ[i][0])
-            if t is Lam and n.name in m:
-                m = dict(m)
-                del m[n.name]
-        else:
-            m = {}
+                if not mine:
+                    m, mine = dict(m), True
+                _merge(m, other)
         maps[i] = m
     return maps[0]
 
@@ -327,66 +319,6 @@ def body_pass(g: TermGraph) -> BodyPass:
             else:
                 raise TypeError(f"not a node: {n!r}")
     return BodyPass(free, own)
-
-
-def _sccs(succ):
-    """Strongly connected components of the graph on ``0..len(succ)-1``
-    with successor lists ``succ``, each emitted after every component it
-    reaches.
-
-    A graph whose every edge goes from a lower to a higher index is
-    acyclic: its components are its states, highest first, and no
-    search is made.  Otherwise Tarjan's pass (1972, iterative) takes
-    roots and edges in order and emits each component's states in
-    stack-pop order.
-    """
-    n = len(succ)
-    if all(v < w for v, row in enumerate(succ) for w in row):
-        return [[v] for v in range(n - 1, -1, -1)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-    return comps
-
-
-def _cyclic(comp, succ):
-    return len(comp) > 1 or comp[0] in succ[comp[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,15 @@
   route, kept as the oracle of the single SCC pass in
   :mod:`llinf.wellform`.
 * The well-formation check with a frozenset of the whole environment
-  as each state's key and two Tarjan passes over every state graph, and
-  the root sweep with a Tarjan pass over every product graph: the
+  as each state's key and two Tarjan passes over every state graph: the
   earlier production route, kept as the oracle of the interned
   environments and the acyclic shortcut of :mod:`llinf.wellform`.
+* The root sweep over the product of the body positions with the box
+  classes, with a Tarjan pass over every product graph, and the free
+  variables of the definitions as a round-robin fixpoint over their
+  reference sets: the earlier production routes, kept as the oracles of
+  the per-definition passes over the reference graph in
+  :func:`llinf.wellform._root_sweep` and :func:`llinf.terms._solve_fvs`.
 * Alpha-equivalence and printing by structural recursion: the earlier
   production route, kept as the oracle of the iterative passes in
   :mod:`llinf.terms` and :mod:`llinf.surface`.
@@ -23,6 +28,9 @@
   earlier production route, kept as the oracle of the one pass that
   :func:`llinf.reduction.contract` makes.
 * Height-bounded unfolding and truncation, for coherence checks.
+* Random systems of several definitions that reference each other under
+  boxes and binders, cycles included, for the passes over the reference
+  graph.
 """
 
 import re
@@ -30,16 +38,18 @@ from functools import partial
 
 from llinf import reduction
 from llinf.errors import (
-    DefinitionError, InvalidPositionError, SurfaceSyntaxError,
+    CaptureError, DefinitionError, InvalidPositionError, SurfaceSyntaxError,
 )
 from llinf.terms import (
     App, Box, Cut, CUT, Lam, Node, Ref, TermGraph, Var, IND, LIN, COIND,
     children, derive, fresh_name, rebuild, remake, subst_in_body, _scan_body,
 )
 from llinf.wellform import (
-    CheckReport, INF, KINDS, LLINF, _CLS_LIN, _Fail, _UNIT, _describe,
-    _merge, _shift, body_pass,
+    CheckReport, INF, KINDS, LLINF, _CLS_LIN, _Fail, _describe, _merge,
+    _shift, body_pass,
 )
+
+_UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def occurrences(g: TermGraph, x: str, node: Node = None) -> tuple:
@@ -259,8 +269,13 @@ def _cyclic(comp, succ):
 
 
 def root_sweep(g: TermGraph) -> dict:
-    """``wellform._root_sweep`` with a Tarjan pass over every product
-    graph, acyclic or not, and every state's map kept to the end."""
+    """The results of ``wellform._root_sweep`` by path counting on the
+    product of the definition bodies with the 4-class box automaton: a
+    state is a position in a body tree with a class, and only references
+    merge states.  A Tarjan pass runs over every product graph, acyclic
+    or not, and every state's map is kept to the end.  A ``Lam(v)``
+    state drops ``v``; a cyclic component makes each nonzero class
+    infinite and drops every name bound by an abstraction inside it."""
     start = g.root_body()
     nodes = [start]
     classes = [_CLS_LIN]
@@ -324,6 +339,64 @@ def root_sweep(g: TermGraph) -> dict:
                 m.pop(n.name, None)
         maps[i] = m
     return maps[0]
+
+
+def solve_fvs(scans) -> dict:
+    """Free variables of every definition: the least fixpoint over the
+    reference sets of the scanned bodies, one round over all of them at
+    a time until none grows."""
+    fvs = {name: set(s.free) for name, s in scans.items()}
+    changed = True
+    while changed:
+        changed = False
+        for name, s in scans.items():
+            got = fvs[name]
+            size = len(got)
+            got.update(*[fvs[r] for r in s.refs])
+            changed |= len(got) != size
+    return {name: frozenset(s) for name, s in fvs.items()}
+
+
+def def_free_vars(g: TermGraph) -> dict:
+    """``g.def_free_vars()`` from :func:`solve_fvs`."""
+    return solve_fvs({name: _scan_body(body) for name, body in g.defs.items()})
+
+
+def random_defs(rng):
+    """A graph of one to six definitions in a random order, with a random
+    root, or None when the draw breaks capture-freedom.  Bodies mix
+    applications, abstractions of the three kinds and boxes of both
+    kinds over variables and references to any definition, so reference
+    cycles and references under boxes and binders are common.  A
+    variable is a free name, a binder in scope or, now and then, a
+    binder name out of scope."""
+    names = [f"D{i}" for i in range(rng.randrange(1, 7))]
+    free, binders = ("a", "b", "c"), ("x", "y")
+
+    def body(size, scope):
+        if size <= 1:
+            r = rng.random()
+            if r < 0.4:
+                return Ref(rng.choice(names))
+            return Var(rng.choice(binders if r < 0.45 else free + scope))
+        r = rng.random()
+        if r < 0.4:
+            left = rng.randrange(1, size)
+            return App(body(left, scope), body(size - left, scope))
+        if r < 0.65:
+            x = rng.choice(binders)
+            return Lam(rng.choice([LIN, IND, COIND]), x,
+                       body(size - 1, scope + (x,)))
+        return Box(rng.choice([IND, COIND]), body(size - 1, scope))
+
+    defs = {}
+    for name in rng.sample(names, len(names)):
+        b = body(rng.randrange(1, 12), ())
+        defs[name] = Box(rng.choice([IND, COIND]), b) if type(b) is Ref else b
+    try:
+        return TermGraph(defs, rng.choice(names))
+    except CaptureError:
+        return None
 
 
 def _split_sides(bodies, env, f, a, strict_kinds):

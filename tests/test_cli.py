@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from llinf.cli import main
+from llinf.surface import parse_program
 
 CYCLIC = "def M = y #M ;\nroot M ;\n"
 RHO = "def N = N (\\x. x) ;\nroot N ;\n"
@@ -176,6 +179,8 @@ TERM = "def T = #((\\x. x) y) ;\nroot T ;\n"
     ["eval", "--depth", "-1", "t.lli"],
     ["eval", "--budget", "-3", "t.lli"],
     ["bench", "--count", "-1"],
+    ["bench", "--size", "1"],
+    ["bench", "--size", "2", "--count", "3"],
 ], ids=" ".join)
 def test_usage_errors_exit_3(args):
     r = run(args, {"t.lli": TERM})
@@ -199,7 +204,7 @@ _INT_OPTIONS = {
     ("weight", "--budget"): (1, None),
     ("decode", "--bound"): (0, None), ("decode", "--fuel"): (0, None),
     ("embed", "--a"): (0, 1), ("embed", "--b"): (0, 1),
-    ("bench", "--count"): (1, None), ("bench", "--size"): (1, None),
+    ("bench", "--count"): (1, None), ("bench", "--size"): (3, None),
 }
 _VALUES = st.one_of(st.integers(-3, 4).map(str),
                     st.sampled_from(["x", "1.5", "", "1e3", "0..2", "- 1"]))
@@ -260,6 +265,92 @@ def test_encode_decode_round_trip():
     r2 = run(["decode", "--mode", "algebra", "enc.lli"], {"enc.lli": r.output})
     assert r2.exit_code == 0
     assert r2.output.strip() == "011e"
+
+
+@pytest.mark.parametrize("alphabet,spec", [
+    ("00", "0"), ("0e", "0e"), ("a/", "a"), ("", "0"), ("01", "0e1"),
+    ("ab", "a(c)"), ("01", "01("),
+])
+def test_encode_bad_alphabet_or_spec_exits_3(alphabet, spec):
+    r = run(["encode", "--alphabet", alphabet, "--mode", "coalgebra", spec])
+    assert r.exit_code == 3, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert r.output.startswith("error: ")
+
+
+def test_encode_letters_of_a_spec_parse_back():
+    r = run(["encode", "--alphabet", "aZ9", "--mode", "coalgebra", "a(Z9)"])
+    assert r.exit_code == 0, r.output
+    assert "y_9" in r.output
+    r2 = run(["decode", "--alphabet", "aZ9", "--mode", "coalgebra", "--bound",
+              "5", "s.lli"], {"s.lli": r.output})
+    assert (r2.exit_code, r2.output) == (0, "aZ9Z9\n")
+
+
+_SPEC = re.compile(r"([0-9A-Za-z]*)(?:\(([0-9A-Za-z]+)\))?")
+
+
+def _encode_exit(alphabet, mode, spec):
+    """0 for distinct letters of [0-9A-Za-z] other than ``e`` and a spec
+    of those letters (a finite one in the algebra), else 3."""
+    m = _SPEC.fullmatch(spec.strip())
+    ok = (len(set(alphabet)) == len(alphabet)
+          and all(re.fullmatch("[0-9A-Za-z]", ch) and ch != "e" for ch in alphabet)
+          and m is not None and set(spec.strip()) - set("()") <= set(alphabet)
+          and (mode == "coalgebra" or m.group(2) is None))
+    return 0 if ok else 3
+
+
+# well-formed alphabets and specs, and any text over their characters
+_ALPHABETS = st.one_of(
+    st.lists(st.sampled_from("01aZ9"), max_size=4, unique=True).map("".join),
+    st.text("01aZe/( ", max_size=4))
+_SPECS = st.one_of(
+    st.tuples(st.text("01aZ", max_size=4),
+              st.text("01aZ", min_size=1, max_size=3) | st.none()).map(
+        lambda pc: pc[0] + (f"({pc[1]})" if pc[1] else "")),
+    st.text("01aZe/( )", max_size=7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(alphabet=_ALPHABETS, mode=st.sampled_from(["algebra", "coalgebra"]),
+       spec=_SPECS)
+def test_encode_exits_with_the_documented_code(alphabet, mode, spec):
+    r = run(["encode", "--alphabet", alphabet, "--mode", mode, "--", spec])
+    assert "Traceback" not in r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), (
+        repr(r.exception))
+    assert r.exit_code == _encode_exit(alphabet, mode, spec), r.output
+    if r.exit_code == 0:
+        parse_program(r.output)
+
+
+_EXAMPLES = ["bit_flip", "cyclic", "deadlock", "fixpoint_coind", "fixpoint_ind",
+             "guarded_fixpoint", "nonNF", "nonNF_L", "nonNF_N", "nonNF_P",
+             "nonconf", "nonconf_L", "nonconf_P", "omega_ind", "rho"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(_EXAMPLES + ["rho2", "RHO", "bitflip", "é", "x y"]),
+       run_flag=st.booleans())
+def test_examples_exit_with_the_documented_code(name, run_flag):
+    r = run(["examples"] + (["--run"] if run_flag else []) + [name])
+    assert "Traceback" not in r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), (
+        repr(r.exception))
+    if name in _EXAMPLES:
+        assert r.exit_code == 0, r.output
+        assert r.output.splitlines()[-1].startswith("// documented verdict: ")
+        parse_program(r.output)
+    else:
+        assert r.exit_code == 3, r.output
+        assert r.output.startswith(f"error: unknown example {name!r}")
+
+
+def test_examples_list_names_every_example():
+    r = run(["examples"])
+    assert [line.split("\t")[0] for line in r.output.splitlines()] == _EXAMPLES
 
 
 def test_examples_listing_and_run():

@@ -18,6 +18,7 @@ from llinf.terms import (
     subst_in_body, substitute, _scan_body,
 )
 from conftest import parse
+import graph_oracles
 from graph_oracles import truncate_tree, unfold_height
 
 
@@ -112,6 +113,43 @@ def test_free_vars(cyclic_term, identity):
     assert cyclic_term.free_vars() == {"y"}
     assert identity.free_vars() == set()
     assert parse("def A = \\#x. x z ; root A").free_vars() == {"z"}
+
+
+def _forward_only(succ):
+    return all(v < w for v, row in enumerate(succ) for w in row)
+
+
+@pytest.mark.parametrize("leaf_first", [False, True])
+@pytest.mark.parametrize("cycle", [False, True])
+def test_free_vars_of_chains_and_cycles(monkeypatch, cycle, leaf_first):
+    """``def D{i} = a{i} #D{i+1}``, ending in ``u`` or back at ``D0``.
+    Declared root-first, a chain's reference graph is forward-only, and
+    ``_sccs`` makes no search; declared leaf-first, or on a cycle, it
+    gets a Tarjan pass.  The sets match the round-robin oracle."""
+    n = 200
+    defs = [f"def D{i} = a{i} #D{i + 1} ;" for i in range(n)]
+    defs.append(f"def D{n} = a{n} #D0 ;" if cycle else f"def D{n} = u ;")
+    if leaf_first:
+        defs.reverse()
+    graphs = []
+    real = terms._sccs
+
+    def spy(succ):
+        graphs.append(succ)
+        return real(succ)
+
+    monkeypatch.setattr(terms, "_sccs", spy)
+    g = parse("\n".join(defs) + "\nroot D0 ;")
+    assert len(graphs) == 1
+    assert _forward_only(graphs[0]) == (not cycle and not leaf_first)
+    fvs = g.def_free_vars()
+    names = [f"a{i}" for i in range(n + 1)]
+    for i in range(n + 1):
+        want = names if cycle else names[i:n] + ["u"]
+        assert fvs[f"D{i}"] == frozenset(want)
+    assert fvs == graph_oracles.def_free_vars(g)
+    # one frozenset per component: all of a cycle's definitions share it
+    assert len({id(s) for s in fvs.values()}) == (1 if cycle else n + 1)
 
 
 def test_substitute_variable(identity):

@@ -11,7 +11,7 @@ from llinf import generate, reduction, wellform
 from llinf.encodings import bit_flip, counterexamples, fixpoint, guarded_fixpoint
 from llinf.terms import App, Box, Lam, Ref, TermGraph, Var, COIND, IND
 from llinf.wellform import (
-    check, check_ll4s, check_llinf, env_precedes, infer_env, occurrences,
+    INF, check, check_ll4s, check_llinf, env_precedes, infer_env, occurrences,
     preceding_variants, _inductive_cycle, _sccs,
 )
 from llinf.terms import substitute
@@ -427,12 +427,96 @@ def test_check_matches_the_frozenset_oracle():
 
 
 def test_root_sweep_matches_the_tarjan_oracle():
+    """The root sweep against the product-graph oracle, and the free
+    variables of the definitions against the round-robin fixpoint."""
     seen = set()
     for _, _, g in _check_corpus():
         if id(g) not in seen:
             seen.add(id(g))
             assert wellform._root_sweep(g) == graph_oracles.root_sweep(g)
+            assert g.def_free_vars() == graph_oracles.def_free_vars(g)
     assert len(seen) >= 800
+
+
+def test_random_definition_systems_match_both_oracles():
+    """Root sweeps and free-variable sets of random systems of references
+    under mixed boxes and binders, against the product-graph sweep and
+    the round-robin fixpoint."""
+    rng = random.Random("definition systems")
+    seen = cyclic = 0
+    for _ in range(3_000):
+        g = graph_oracles.random_defs(rng)
+        if g is None:
+            continue
+        counts = wellform._root_sweep(g)
+        assert counts == graph_oracles.root_sweep(g)
+        assert counts.keys() == g.free_vars()
+        assert g.def_free_vars() == graph_oracles.def_free_vars(g)
+        seen += 1
+        cyclic += any(INF in c for c in counts.values())
+    assert seen >= 2_000 and cyclic >= 300
+
+
+def _sweep_graphs(monkeypatch):
+    """The successor lists of each graph the root sweep gives ``_sccs``."""
+    graphs = []
+    real = wellform._sccs
+
+    def spy(succ):
+        graphs.append(succ)
+        return real(succ)
+
+    monkeypatch.setattr(wellform, "_sccs", spy)
+    return graphs
+
+
+def test_a_root_sweep_state_is_a_definition_at_a_class(monkeypatch):
+    graphs = _occurrence_corpus()
+    swept = _sweep_graphs(monkeypatch)
+    for g in graphs:
+        wellform._root_sweep(g)
+        assert len(swept[-1]) <= 4 * len(g.defs)
+    assert len(swept) == len(graphs)
+
+
+def test_one_definition_entered_at_every_class(monkeypatch):
+    g = parse("def R = D !D !(!(!D)) #(!D) ; def D = x (\\x. x) !x #x ; root R ;")
+    swept = _sweep_graphs(monkeypatch)
+    counts = wellform._root_sweep(g)
+    assert [len(succ) for succ in swept] == [5]   # R, and D at each class
+    assert counts == {"x": (1, 2, 3, 6)} == graph_oracles.root_sweep(g)
+
+
+def _chain(n, cycle=False, leaf_first=False):
+    """``def D{i} = a{i} #D{i+1}``, the last one ``u`` or back to ``D0``."""
+    defs = [f"def D{i} = a{i} #D{i + 1} ;" for i in range(n)]
+    defs.append(f"def D{n} = a{n} #D0 ;" if cycle else f"def D{n} = u ;")
+    if leaf_first:
+        defs.reverse()
+    return parse("\n".join(defs) + "\nroot D0 ;")
+
+
+@pytest.mark.parametrize("leaf_first", [False, True])
+@pytest.mark.parametrize("cycle", [False, True])
+def test_chains_and_cycles_of_definitions(monkeypatch, cycle, leaf_first):
+    """A chain of references is forward-only in the order the sweep finds
+    its states, whatever the order of the declarations, so ``_sccs``
+    makes no search; a cycle gets a Tarjan pass."""
+    n = 300
+    g = _chain(n, cycle, leaf_first)
+    swept = _sweep_graphs(monkeypatch)
+    counts = wellform._root_sweep(g)
+    assert counts == graph_oracles.root_sweep(g)
+    (succ,) = swept
+    assert len(succ) == (n + 2 if cycle else n + 1)     # D0 twice on the cycle
+    assert all(v < w for v, row in enumerate(succ) for w in row) == (not cycle)
+    deep = INF if cycle else 1
+    want = {"a0": (1, 0, 0, INF if cycle else 0)}
+    want.update({f"a{i}": (0, 0, 0, deep) for i in range(1, n + 1)})
+    if not cycle:
+        want["u"] = (0, 0, 0, 1)
+        del want[f"a{n}"]
+    assert counts == want
 
 
 def test_a_deep_binder_chain_keeps_its_pinned_summary():
