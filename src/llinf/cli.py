@@ -86,7 +86,10 @@ def check(system, env_text, flags_text, infer, path):
     """Decide well-formation of the program in PATH."""
     g, file_flags = _load_graph(path)
     if path.endswith(".lam"):
-        flags = lam.DepthFlags.parse(flags_text) if flags_text else None
+        try:
+            flags = lam.DepthFlags.parse(flags_text) if flags_text else None
+        except ValueError as exc:
+            _fail(EXIT_USAGE, str(exc))
         if flags is None and file_flags is not None:
             flags = lam.DepthFlags(*file_flags)
         if flags is None:
@@ -295,7 +298,7 @@ def _run_example(name, g, verdict):
 def examples(run, name):
     """List the bundled example terms, print one, or re-check them all."""
     table = _example_expectations()
-    if name:
+    if name is not None:
         if name not in table:
             _fail(EXIT_USAGE, f"unknown example {name!r}; try 'examples'")
         g, verdict = table[name]

@@ -25,14 +25,26 @@ from .terms import (
     ARG, BODY, BOXED, FN,
     COIND, IND, LIN,
     DEFAULT_BUDGET,
-    box_contents, children, derive, fresh_name, level_depth, level_key,
-    project_depth, rebuild, subst_in_body,
+    box_contents, children, derive, fresh_name, project_depth, rebuild,
+    subst_in_body,
 )
 
 DEFAULT_HEIGHT = 64
 LINEAR = "linear"
 INDUCTIVE = "inductive"
 COINDUCTIVE = "coinductive"
+
+_LEVEL_DIGITS = str.maketrans("ic", "01")
+
+
+def level_depth(level: str) -> int:
+    """Depth of a level word = number of coinductive crossings."""
+    return level.count("c")
+
+
+def level_key(level: str):
+    """Sort key: by depth, then lexicographically (i < c, prefixes first)."""
+    return level.count("c"), level.translate(_LEVEL_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -44,9 +56,6 @@ class Redex:
     @property
     def depth(self) -> int:
         return level_depth(self.level)
-
-    def sort_key(self, preorder_index=0):
-        return (*level_key(self.level), preorder_index)
 
 
 @dataclass
@@ -120,14 +129,13 @@ def redex_kind_at(g: TermGraph, node: Node):
 
 
 def _collect_redexes(g, *, max_height=None, max_depth=None, budget):
-    found = []
-    for i, (node, at, level) in enumerate(
-            walk(g, max_height=max_height, max_depth=max_depth, budget=budget)):
-        kind = redex_kind_at(g, node)
-        if kind:
-            found.append((Redex(path_of(at), level, kind), i))
-    found.sort(key=lambda ri: ri[0].sort_key(ri[1]))
-    return [r for r, _ in found]
+    found = [Redex(path_of(at), level, kind)
+             for node, at, level in walk(g, max_height=max_height,
+                                         max_depth=max_depth, budget=budget)
+             if (kind := redex_kind_at(g, node))]
+    # stable: preorder breaks ties between equal levels
+    found.sort(key=lambda r: level_key(r.level))
+    return found
 
 
 def find_redexes(g: TermGraph, height_bound=DEFAULT_HEIGHT,
@@ -142,6 +150,27 @@ def redexes_within_depth(g: TermGraph, max_depth, budget=DEFAULT_BUDGET):
     return _collect_redexes(g, max_depth=max_depth, budget=budget)
 
 
+def _shallow_size(g: TermGraph, budget) -> int:
+    """Nodes of ``g``'s root body above its coinductive boxes, the boxes
+    included; a reference counts as one node and is not followed.  Once
+    the count passes ``budget``, the walk stops and returns what it has."""
+    n = 0
+    todo = [g.root_body()]
+    while todo and n <= budget:
+        node = todo.pop()
+        while True:         # down the function sides, arguments stacked
+            n += 1
+            t = type(node)
+            if t is App:
+                todo.append(node.arg)
+                node = node.fn
+            elif t is Lam or (t is Box and node.kind == IND):
+                node = node.body
+            else:
+                break
+    return n
+
+
 def _first_redex(g: TermGraph, budget, whole=True):
     """``redexes_within_depth(g, 0, budget)[0]``, or None when there is
     none, found without collecting or sorting the others.
@@ -151,11 +180,11 @@ def _first_redex(g: TermGraph, budget, whole=True):
     visits the depth-0 region as :func:`walk` does and raises
     :class:`BudgetExceededError` where it would.  Otherwise it skips
     every subtree at or below the best ``k`` found so far and stops at a
-    redex with ``k = 0``; the region is then charged by the root body's
-    :meth:`~TermGraph.shallow_size` instead, which a walk never
-    undercounts.  Only the winner's path is built, from parent links.
+    redex with ``k = 0``; the region is then charged by
+    :func:`_shallow_size` instead, which never counts more than a walk
+    visits.  Only the winner's path is built, from parent links.
     """
-    if not whole and g.shallow_size() > budget:
+    if not whole and _shallow_size(g, budget) > budget:
         raise BudgetExceededError(
             f"traversal exceeded {budget} nodes (ill-formed input?)")
     best = None                 # (parent link, k, kind) of the first redex
@@ -344,15 +373,16 @@ def _admissible(redexes):
 
 def step_lbl(g: TermGraph, max_depth=256, budget=DEFAULT_BUDGET):
     """One level-by-level step: the leftmost admissible redex at the
-    outermost non-normal level.  Returns (graph, redex) or None."""
+    outermost non-normal level.  Returns (graph, redex) or None.
+
+    The first redex in :func:`level_key` order is admissible: every
+    proper prefix of its level sorts before it."""
     if not has_any_redex(g):
         return None
     for d in range(max_depth + 1):
         if d:
-            redexes = redexes_within_depth(g, d, budget)
-            r = _admissible(redexes)[0] if redexes else None
+            r = (redexes_within_depth(g, d, budget) or [None])[0]
         else:
-            # at depth 0 the first redex in order is admissible
             r = _first_redex(g, budget)
         if r is not None:
             return contract(g, r), r
@@ -449,8 +479,8 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
     depth-``d`` region.  A box gets what the region above the frontier
     and a node for every other frontier box leave: its whole region is
     walked against that share when the box is queued, and after each
-    step the stepped root body's node count above its coinductive boxes
-    is charged against it.  Calls
+    step the stepped root body's nodes above its coinductive boxes
+    (:func:`_shallow_size`) are charged against it.  Calls
     ``on_step(boxes, frontier, used, i, before, redex)`` after each
     step: ``frontier`` lists the boxes at the depth being normalised,
     ``used`` counts the nodes of the region above them, ``i`` is the

@@ -300,13 +300,22 @@ def format_lambda_graph(g: TermGraph, flags=None) -> str:
 # ---------------------------------------------------------------------------
 # environments
 
+# pattern mark -> kind, per system; and kind -> mark
+_PATTERNS = {
+    "llinf": {"": "lin", "!": "ind", "#": "coind"},
+    "4s": {"": "lin", "!": "ind1", "#": "coind", "^": "dup", "*": "any"},
+}
+_PATTERN_MARKS = {k: m for kinds in _PATTERNS.values() for m, k in kinds.items()}
+
+
 def parse_environment(text: str, system: str) -> dict:
     """Parse the comma-separated environment syntax for one system.
 
     ``!x`` means the inductive pattern in the full system and the
-    ind-one pattern in the 4S system.
+    ind-one pattern in the 4S system; ``^x`` and ``*x`` exist in 4S only.
     """
     env = {}
+    kinds = _PATTERNS[system]
     text = text.strip()
     if not text:
         return env
@@ -322,21 +331,12 @@ def parse_environment(text: str, system: str) -> dict:
             raise SurfaceSyntaxError(f"bad environment variable {item!r}")
         if item in env:
             raise SurfaceSyntaxError(f"variable {item!r} bound twice in environment")
-        if mark == "":
-            kind = "lin"
-        elif mark == "!":
-            kind = "ind" if system == "llinf" else "ind1"
-        elif mark == "#":
-            kind = "coind"
-        elif mark == "^":
-            kind = "dup"
-        else:
-            kind = "any"
-        env[item] = kind
+        if mark not in kinds:
+            raise SurfaceSyntaxError(
+                f"pattern {mark}{item} has no kind in {system}")
+        env[item] = kinds[mark]
     return env
 
 
 def format_environment(env: dict) -> str:
-    marks = {"lin": "", "ind": "!", "ind1": "!", "coind": "#",
-             "dup": "^", "any": "*"}
-    return ", ".join(f"{marks[k]}{x}" for x, k in sorted(env.items()))
+    return ", ".join(f"{_PATTERN_MARKS[k]}{x}" for x, k in sorted(env.items()))

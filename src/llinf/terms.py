@@ -20,9 +20,8 @@ Capture-freedom gives a global property used throughout the package:
 free variables of a definition are free in the whole unfolding, and a
 binder never scopes across a definition boundary.
 
-Levels are words over ``{i, c}`` recording which boxes a path crosses
-(``i`` inductive, ``c`` coinductive); the depth of a level is its number
-of ``c`` symbols.  Only coinductive boxes increase depth.
+The depth of a position is the number of coinductive boxes above it;
+inductive boxes do not count.
 """
 
 from dataclasses import dataclass
@@ -253,21 +252,11 @@ def rebuild(root, ctx, visit):
     return vals[0]
 
 
-def level_depth(level: str) -> int:
-    """Depth of a level word = number of coinductive crossings."""
-    return level.count("c")
-
-
-def level_key(level: str):
-    """Sort key ordering levels by depth, then lexicographically (i < c)."""
-    return (level_depth(level), tuple(0 if ch == "i" else 1 for ch in level))
-
-
 class TermGraph:
     """An immutable system of named, guarded equations plus a root name."""
 
     __slots__ = ("defs", "root", "_fvs", "_refs", "_referenced", "_names",
-                 "_shallow", "_pruned")
+                 "_pruned")
 
     def __init__(self, defs, root, _validate=True):
         self.defs = dict(defs)
@@ -276,7 +265,6 @@ class TermGraph:
         self._refs = None
         self._referenced = None
         self._names = None
-        self._shallow = None
         self._pruned = False    # known to hold only reachable definitions
         if _validate:
             _validate_graph(self)
@@ -314,18 +302,6 @@ class TermGraph:
         if got is None:
             got = self._refs[name] = _scan_body(self.defs[name]).refs
         return got
-
-    def shallow_size(self) -> int:
-        """Nodes of the root body above its coinductive boxes, the boxes
-        included; a reference counts as one node and is not followed.
-
-        Cached: :func:`derive` and :func:`box_contents` record it from
-        the scans they have anyway.
-        A walk of the depth-0 region visits at least this many nodes.
-        """
-        if self._shallow is None:
-            self._shallow = _scan_body(self.root_body()).shallow
-        return self._shallow
 
     def referenced(self) -> frozenset:
         """Names referenced by the body of some definition (cached)."""
@@ -387,7 +363,6 @@ class TermGraph:
         if self._refs is not None:
             out._refs = {n: r for n, r in self._refs.items() if n in keep}
         out._names = self._names
-        out._shallow = self._shallow
         return out
 
     def __repr__(self):
@@ -415,7 +390,6 @@ class _Scan(NamedTuple):
     names: set          # variable and binder names
     free: set           # free variables, not counting those of references
     guards: list        # (ref, names bound above it) per reference, in preorder
-    shallow: int        # nodes above every coinductive box, the boxes included
 
 
 def _scan_body(node) -> _Scan:
@@ -446,7 +420,6 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
     free = set()
     guards = []
     bound = {}          # binder name -> number of its binders above the visit
-    shallow = 1         # the root, plus the children above every coinductive box
     vals = []           # values of the substituted nodes
     spine = []          # (node, selector) of the copied path, top-down
     while todo:
@@ -472,7 +445,6 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                                        for r, b in arg_scan.guards]
                         else:
                             guards += arg_scan.guards
-                        shallow += arg_scan.shallow - 1
                         continue
                     if v is not None and v != n.name:
                         n = Var(v)
@@ -480,12 +452,10 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                     if n.name not in bound:
                         free.add(n.name)
                 elif t is App:
-                    shallow += 2
                     todo.append((n, None))
                     todo.append((n.arg, scope))
                     todo.append((n.fn, scope))
                 elif t is Lam:
-                    shallow += 1
                     v = n.name
                     if v in avoid:
                         v = fresh_name(v, used)
@@ -498,10 +468,6 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                     todo.append((n, v))     # also leaves the binder's scope
                     todo.append((n.body, scope))
                 elif t is Box:
-                    if n.kind == COIND:
-                        todo.append(shallow)
-                    else:
-                        shallow += 1
                     todo.append((n, None))
                     todo.append((n.body, scope))
                 elif t is Ref:
@@ -532,7 +498,6 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                 sel = path[ctx]
                 spine.append((n, sel))
                 if t is App:
-                    shallow += 2
                     if sel == FN:
                         child = n.fn
                         todo.append(n.arg)
@@ -541,28 +506,21 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                 else:
                     child = n.body
                     if t is Lam:
-                        shallow += 1
                         names.add(n.name)
                         bound[n.name] = bound.get(n.name, 0) + 1
                         todo.append(n.name)
-                    elif n.kind == COIND:
-                        todo.append(shallow)
-                    else:
-                        shallow += 1
                 ctx += 1
                 todo.append(start if ctx == len(path)
                             else (g.resolve(child), ctx))
                 if sel == ARG:
                     todo.append(n.fn)
         elif t is App:
-            shallow += 2
             todo.append(n.arg)
             todo.append(n.fn)
         elif t is Var:
             if n.name not in bound:
                 free.add(n.name)
         elif t is Lam:
-            shallow += 1
             v = n.name
             names.add(v)
             bound[v] = bound.get(v, 0) + 1
@@ -574,18 +532,10 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
             else:
                 bound[n] -= 1
         elif t is Box:
-            if n.kind == COIND:
-                # leaving the box restores the count, so that nothing
-                # inside it is counted
-                todo.append(shallow)
-            else:
-                shallow += 1
             todo.append(n.body)
         elif t is Ref:
             refs.add(n.name)
             guards.append((n.name, frozenset(bound)))
-        elif t is int:
-            shallow = n
         elif t is not Cut:
             raise TypeError(f"not a node: {n!r}")
     names |= free       # a bound variable's name is its binder's
@@ -599,7 +549,7 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
             node = Lam(n.kind, n.name, node)
         else:
             node = Box(n.kind, node)
-    return node, _Scan(frozenset(refs), names, free, guards, shallow)
+    return node, _Scan(frozenset(refs), names, free, guards)
 
 
 def _scan_fvs(scan, fvs) -> frozenset:
@@ -757,7 +707,6 @@ def box_contents(g: TermGraph, box: Box) -> TermGraph:
     out._fvs = {**fvs, name: _scan_fvs(scan, fvs)}
     out._refs = {**(g._refs or {}), name: scan.refs}
     out._names = names
-    out._shallow = scan.shallow
     return out.pruned()
 
 
@@ -797,7 +746,6 @@ def derive(g: TermGraph, name, body, scan) -> TermGraph:
     out._names = g.all_names()
     out._names |= scan.names
     out._names.add(name)
-    out._shallow = scan.shallow
     return out
 
 

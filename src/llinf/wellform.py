@@ -489,6 +489,9 @@ def _expand_llinf(bodies, envs, node, e):
     if t is App:
         return _app_premises(bodies, envs, node, e)
     if t is Lam:
+        if envs.dicts[e].get(node.name) == "lin":
+            # the binder shadows it: nothing below can use it
+            raise _Fail(f"linear variable {node.name!r} is unused")
         return ((node.body, envs.extend(e, node.name, node.kind)),)
     if t is Box:
         for v, _ in envs.strict_vars(e):
@@ -511,6 +514,11 @@ def _expand_ll4s(bodies, envs, node, e):
         return _app_premises(bodies, envs, node, e)
     if t is Lam:
         x, b, bind = node.name, node.body, node.kind
+        k = envs.dicts[e].get(x)
+        if k in envs.kinds:
+            # the binder shadows it: nothing below can use it
+            raise _Fail(f"linear variable {x!r} is unused" if k == "lin"
+                        else f"ind-one variable {x!r} is unused")
         if bind == IND:
             linear, ind_one, deeper_ind, coind = bodies.own[(id(b), x)]
             if coind > 0 or deeper_ind > 0:

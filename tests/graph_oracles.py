@@ -27,6 +27,9 @@
   fresh scan of the new root body, and ``pruned()`` every time): the
   earlier production route, kept as the oracle of the one pass that
   :func:`llinf.reduction.contract` makes.
+* The evaluator's charge for a stepped root body, its nodes above its
+  coinductive boxes with references as leaves, by structural recursion:
+  the oracle of the walk in :func:`llinf.reduction._shallow_size`.
 * Height-bounded unfolding and truncation, for coherence checks.
 * Random systems of several definitions that reference each other under
   boxes and binders, cycles included, for the passes over the reference
@@ -433,6 +436,8 @@ def _expand_llinf(bodies, node, env):
             env_f, env_a = _split_sides(bodies, env, f, a, ("lin",))
             return [(f, env_f, False), (a, env_a, False)]
         case Lam(k, x, b):
+            if env.get(x) == "lin":
+                raise _Fail(f"linear variable {x!r} is unused")
             bind = {LIN: "lin", IND: "ind", COIND: "coind"}[k]
             env2 = dict(env)
             env2[x] = bind
@@ -468,6 +473,10 @@ def _expand_ll4s(bodies, node, env):
         case App(f, a):
             env_f, env_a = _split_sides(bodies, env, f, a, ("lin", "ind1"))
             return [(f, env_f, False), (a, env_a, False)]
+        case Lam(_, x, _) if env.get(x) == "lin":
+            raise _Fail(f"linear variable {x!r} is unused")
+        case Lam(_, x, _) if env.get(x) == "ind1":
+            raise _Fail(f"ind-one variable {x!r} is unused")
         case Lam("lin", x, b):
             env2 = dict(env)
             env2[x] = "lin"
@@ -620,6 +629,20 @@ def contract(g: TermGraph, redex) -> TermGraph:
         # the old root is shared; give the rewritten unfolding a new name
         root = fresh_name(root, g.all_names())
     return derive(g, root, new_body, _scan_body(new_body)).pruned()
+
+
+def shallow_size(g: TermGraph) -> int:
+    """Nodes of the root body above its coinductive boxes, the boxes
+    included; a reference is a leaf."""
+    def count(node):
+        match node:
+            case App(f, a):
+                return 1 + count(f) + count(a)
+            case Lam(_, _, b) | Box("ind", b):
+                return 1 + count(b)
+        return 1
+
+    return count(g.root_body())
 
 
 def _height_visit(resolve):

@@ -252,6 +252,56 @@ def test_weight_depths_exit_with_the_documented_code(lo, hi, single):
         assert len(r.output.splitlines()) == 2 + (0 if single else hi - lo)
 
 
+# check's --env and --flags: entries of a mark and a name, and any text
+_ENV_ENTRIES = st.lists(st.tuples(st.sampled_from(["", "!", "#", "^", "*"]),
+                                  st.sampled_from(["x", "y", "M", "1a", ""])),
+                        max_size=3)
+_ENV_TEXT = st.text(" ,!#^*xy1", max_size=6)
+_FLAGS = st.none() | st.text("01x ", max_size=4)
+_MARKS = {"llinf": "!#", "4s": "!#^*"}
+
+
+def _check_exit(system, entries, flags, name):
+    """3 for a lambda file without valid flags (given, or in the file's
+    clause when none are given), and for a term file whose environment
+    has an empty entry, a bad name, a name bound twice or a mark with
+    no kind in the system; else None (0 or 1)."""
+    if name.endswith(".lam"):
+        if not flags:
+            return None if name == "flags.lam" else 3
+        return None if re.fullmatch("[01]{3}", flags) else 3
+    if entries is None:
+        return None
+    names = [n for _, n in entries]
+    ok = (all(re.fullmatch("[A-Za-z_][A-Za-z0-9_']*", n) for n in names)
+          and len(set(names)) == len(names)
+          and all(m in _MARKS[system] for m, _ in entries))
+    return None if ok else 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=st.sampled_from(["llinf", "4s"]),
+       env=_ENV_ENTRIES | _ENV_TEXT, flags=_FLAGS,
+       name=st.sampled_from(["t.lli", "t.lam", "flags.lam"]))
+def test_check_options_exit_with_the_documented_code(system, env, flags, name):
+    entries = env if isinstance(env, list) else None
+    text = env if entries is None else ", ".join(m + n for m, n in entries)
+    args = ["check", "--system", system, f"--env={text}"]
+    args += [] if flags is None else [f"--flags={flags}"]
+    r = run(args + [name], {"t.lli": CYCLIC, "t.lam": "def T = \\x. T ;\nroot T ;\n",
+                            "flags.lam": LAM})
+    assert "Traceback" not in r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), (
+        repr(r.exception))
+    want = _check_exit(system, entries, flags, name)
+    if want is None:
+        assert r.exit_code in ((0, 1, 3) if entries is None and name == "t.lli"
+                               else (0, 1)), r.output
+    else:
+        assert r.exit_code == want, r.output
+        assert r.output.startswith("error: ")
+
+
 def test_embed_output_parses():
     r = run(["embed", "--which", "girard", "--a", "0", "d.lam"],
             {"d.lam": "def D = \\x. x x ;\nroot D ;\n"})
@@ -346,6 +396,13 @@ def test_examples_exit_with_the_documented_code(name, run_flag):
     else:
         assert r.exit_code == 3, r.output
         assert r.output.startswith(f"error: unknown example {name!r}")
+
+
+def test_examples_with_an_empty_name_exit_3():
+    for args in (["examples", ""], ["examples", "--run", ""]):
+        r = run(args)
+        assert r.exit_code == 3, r.output
+        assert r.output == "error: unknown example ''; try 'examples'\n"
 
 
 def test_examples_list_names_every_example():

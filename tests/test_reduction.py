@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +10,8 @@ from llinf.errors import BudgetExceededError, InvalidPositionError
 from llinf.reduction import (
     Redex, classify, contract, eval_lbl, find_deadlock, find_redexes,
     format_step, has_any_redex, level_at, redexes_within_depth,
-    run_lbl_trace, step_at_levelset, step_lbl, _admissible, _first_redex,
+    level_key, run_lbl_trace, step_at_levelset, step_lbl, _admissible,
+    _first_redex, _shallow_size,
 )
 from llinf.terms import (
     App, Box, Lam, Ref, TermGraph, Var,
@@ -311,7 +315,6 @@ def _checked_contract(monkeypatch):
         for name, refs in out._refs.items():
             assert refs == _scan_body(out.defs[name]).refs
         assert full.all_names() <= out.all_names()
-        assert out._shallow == _scan_body(out.root_body()).shallow
         if out._referenced is not None:     # carried over from g
             assert out._referenced == full.referenced()
         assert set(out.reachable_defs()) == set(out.defs)
@@ -462,13 +465,48 @@ def test_first_redex_matches_the_sorted_scan(g, depth, fuel):
         assert _outcome(_first_redex, h, budget) == want
         if not isinstance(want, str):
             assert _first_redex(h, budget, whole=False) == want
-        # the charge after a step is the scan's count: never more than a
-        # walk of the region visits, and as many when no reference is met
-        scan = _scan_body(h.root_body())
-        assert h.shallow_size() == scan.shallow
+        # the charge after a step is the oracle's count: never more than
+        # a walk of the region visits, and as many when no reference is met
+        charge = _shallow_size(h, math.inf)
+        assert charge == graph_oracles.shallow_size(h)
         n = _outcome(_region_nodes, h, budget)
-        assert isinstance(n, str) or h.shallow_size() <= n
-        assert scan.refs or h.shallow_size() == n
+        assert isinstance(n, str) or charge <= n
+        assert _scan_body(h.root_body()).refs or charge == n
+
+
+@pytest.mark.parametrize("g,depth,fuel", [
+    pytest.param(g, depth, fuel, id=name.replace(" ", "_"))
+    for name, g, depth, fuel in _gate_corpus()])
+def test_shallow_size_matches_the_recursive_count(g, depth, fuel):
+    want = graph_oracles.shallow_size(g)
+    assert _shallow_size(g, math.inf) == want
+    # past the budget the walk stops, with a count past it
+    for budget in range(want + 2):
+        got = _shallow_size(g, budget)
+        assert got == want if want <= budget else budget < got <= want
+
+
+def test_shallow_size_stops_past_the_budget_on_a_shared_tree():
+    # 2^41 - 1 nodes as a tree, 41 as a graph: the walk stops within a
+    # spine of the budget
+    node = Var("y")
+    for _ in range(40):
+        node = App(node, node)
+    g = TermGraph({"m": node}, "m", _validate=False)
+    assert 1_000 < _shallow_size(g, 1_000) <= 1_041
+
+
+def _old_level_key(level):
+    return (level.count("c"), tuple(0 if ch == "i" else 1 for ch in level))
+
+
+def test_level_key_orders_levels_as_the_tuple_key():
+    words = ["".join(w) for n in range(9) for w in itertools.product("ic", repeat=n)]
+    assert len(words) == 511
+    assert sorted(words, key=level_key) == sorted(words, key=_old_level_key)
+    # so the first redex in order is admissible: a proper prefix sorts first
+    assert all(level_key(w[:k]) < level_key(w) for w in words
+               for k in range(len(w)))
 
 
 def test_queued_box_is_charged_its_whole_region():
@@ -502,7 +540,7 @@ def _twin(g):
     """A copy of ``g`` with its caches and a name set of its own, so that
     two routes given copies draw the same fresh names."""
     h = TermGraph(g.defs, g.root, _validate=False)
-    for slot in ("_fvs", "_referenced", "_shallow", "_pruned"):
+    for slot in ("_fvs", "_referenced", "_pruned"):
         setattr(h, slot, getattr(g, slot))
     h._refs = None if g._refs is None else dict(g._refs)
     h._names = set(g.all_names())
@@ -529,7 +567,6 @@ def _assert_contract_matches_oracle(g, r):
     out = contract(_twin(g), r)
     assert out.root == want.root and out.defs == want.defs
     assert out._fvs == want._fvs and out._refs == want._refs
-    assert out._shallow == want._shallow
     assert out.all_names() == want.all_names()
     fresh = frozenset().union(*(_scan_body(b).refs for b in out.defs.values()))
     if out._referenced is not None:         # carried over from g

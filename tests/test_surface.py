@@ -71,6 +71,13 @@ def test_environment_syntax():
         parse_environment("x, x", "llinf")
 
 
+@pytest.mark.parametrize("text", ["^x", "*x", "y, ^x"])
+def test_environment_marks_without_a_kind_in_llinf(text):
+    with pytest.raises(SurfaceSyntaxError, match="has no kind in llinf"):
+        parse_environment(text, "llinf")
+    parse_environment(text, "4s")
+
+
 def test_environment_round_trip():
     env = {"a": "lin", "b": "coind", "c": "dup"}
     assert parse_environment(format_environment(env), "4s") == env

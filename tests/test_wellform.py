@@ -3,13 +3,17 @@ import hashlib
 import math
 import random
 from dataclasses import astuple
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from llinf import generate, reduction, wellform
 from llinf.encodings import bit_flip, counterexamples, fixpoint, guarded_fixpoint
-from llinf.terms import App, Box, Lam, Ref, TermGraph, Var, COIND, IND
+from llinf.terms import (
+    App, Box, Lam, Ref, TermGraph, Var, COIND, IND,
+    children, fresh_name, rebuild, remake,
+)
 from llinf.wellform import (
     INF, check, check_ll4s, check_llinf, env_precedes, infer_env, occurrences,
     preceding_variants, _inductive_cycle, _sccs,
@@ -424,6 +428,69 @@ def test_check_matches_the_frozenset_oracle():
         looped += bool(rep.loops)
     assert min(verdicts.values()) >= 50, verdicts
     assert looped >= 50
+
+
+# ----- the verdict does not depend on the names of binders --------------------
+
+def _rename_binders_apart(g):
+    """``g`` with every binder renamed to a name used nowhere else, and
+    the binders' old names.  Binders never scope across definitions, so
+    each body is renamed on its own."""
+    used = set(g.all_names())
+    old = set()
+
+    def visit(node, scope):
+        if type(node) is Var:
+            return Var(scope.get(node.name, node.name)), None
+        if type(node) is Lam:
+            old.add(node.name)
+            new = fresh_name("r", used)
+            used.add(new)
+            return (partial(Lam, node.kind, new),
+                    [(node.body, {**scope, node.name: new})])
+        return partial(remake, node), [(c, scope) for c in children(node)]
+
+    renamed = TermGraph({name: rebuild(body, {}, visit)
+                         for name, body in g.defs.items()}, g.root)
+    return renamed, sorted(old)
+
+
+@pytest.mark.parametrize("system,env,text,reason", [
+    ("llinf", {"x": "lin"}, "\\x. x", "linear variable 'x' is unused"),
+    ("4s", {"x": "ind1"}, "\\x. x", "ind-one variable 'x' is unused"),
+    ("llinf", {"z": "lin", "w": "lin"}, "\\z. z w",
+     "linear variable 'z' is unused"),
+])
+def test_a_binder_shadowing_a_strict_variable_leaves_it_unused(
+        system, env, text, reason):
+    g = parse(f"def m = {text} ; root m")
+    assert check(system, env, g).reason == reason
+    rep = check(system, env, _rename_binders_apart(g)[0])
+    assert not rep.accepted and rep.reason.endswith("is unused")
+
+
+@pytest.mark.parametrize("system", ["llinf", "4s"])
+def test_verdict_is_the_same_on_binders_renamed_apart(system):
+    """Under the inferred environment extended with a strict variable
+    named like a binder, a term and its binders renamed apart get the
+    same verdict, and the oracle agrees."""
+    strict = ["lin"] if system == "llinf" else ["lin", "ind1"]
+    cases = shadowed = 0
+    for seed in range(40):
+        _, g = generate.random_term(("renamed", seed), system, 16)
+        env = infer_env(system, g)
+        renamed, binders = _rename_binders_apart(g)
+        assert check(system, env, renamed).accepted
+        for x in binders:
+            for kind in strict:
+                wider = {**env, x: kind}
+                rep = check(system, wider, g)
+                assert rep.accepted == check(system, wider, renamed).accepted
+                assert rep == graph_oracles.check(system, wider, g)[0]
+                cases += 1
+                shadowed += type(g.root_body()) is Lam \
+                    and g.root_body().name == x
+    assert cases >= 100 and shadowed >= 10, (cases, shadowed)
 
 
 def test_root_sweep_matches_the_tarjan_oracle():
