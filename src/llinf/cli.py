@@ -3,7 +3,9 @@
 Exit codes: 0 success / accepted / normalized; 1 rejected, mismatch, or
 deadlock; 2 fuel or budget exhaustion; 3 usage or parse errors, click's
 own included (an option value that is not a number or out of its range,
-an unknown command or option, a missing or extra argument).
+an unknown command or option, a missing or extra argument); 4 an
+internal error, a fault of the program, reported on one line of stderr
+as ``internal error: <type>: <message>`` with no traceback.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_EXHAUSTED = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 def _fail(code, message):
@@ -44,15 +47,23 @@ def _load_graph(path):
 class _Main(click.Group):
     """The command group.  Click's usage errors, its own and its
     commands', exit with ``EXIT_USAGE`` rather than click's 2, which here
-    means fuel or budget exhaustion."""
+    means fuel or budget exhaustion.  Any other exception a command
+    raises, but click's own and an interrupt, is an internal error and
+    exits with ``EXIT_INTERNAL``."""
 
     def make_context(self, info_name, args, parent=None, **extra):
         with _usage_exit():
             return super().make_context(info_name, args, parent, **extra)
 
     def invoke(self, ctx):
-        with _usage_exit():
-            return super().invoke(ctx)
+        try:
+            with _usage_exit():
+                return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise       # Exit and Abort subclass RuntimeError
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(EXIT_INTERNAL)
 
 
 @contextlib.contextmanager

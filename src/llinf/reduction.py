@@ -308,12 +308,10 @@ def contract(g: TermGraph, redex: Redex) -> TermGraph:
     """Contract one redex occurrence.
 
     One pass of :func:`~llinf.terms.subst_in_body` copies the root body
-    down to the redex, substitutes in the abstraction's body, and scans
-    the new root body; :func:`~llinf.terms.derive` checks that body
-    against ``g``'s caches, since the other definitions are those of
-    ``g``.  The result is pruned, unless ``derive`` finds that the root
-    keeps its name and its references in a pruned ``g``, so that the
-    same definitions stay reachable.
+    down to the redex and substitutes in the abstraction's body, and
+    :func:`~llinf.terms.derive` builds the result from the new body's
+    references and free variables, unchecked.  The result is pruned
+    unless the root keeps its name and references in a pruned ``g``.
     """
     path = redex.position
     node, _ = _node_at(g, path)
@@ -324,12 +322,12 @@ def contract(g: TermGraph, redex: Redex) -> TermGraph:
             f"{kind or 'no redex'}, not a {redex.kind} redex")
     f = g.resolve(node.fn)
     value = node.arg if f.kind == LIN else g.resolve(node.arg).body
-    body, scan = subst_in_body(g, f.body, f.name, value, path)
+    body, refs, free = subst_in_body(g, f.body, f.name, value, path)
     root = g.root
     if root in g.referenced():
         # the old root is shared; give the rewritten unfolding a new name
         root = fresh_name(root, g.all_names())
-    out = derive(g, root, body, scan)
+    out = derive(g, root, body, refs, free)
     return out if out._pruned else out.pruned()
 
 
@@ -554,7 +552,7 @@ def _whole(boxes):
     Other boxes keep their original nodes, so the parts of the input no
     step touched keep their sharing.  Contents are inlined, not
     referenced: they may mention variables bound above the box.  Only
-    the result is pruned and validated."""
+    the result is pruned; like every step, it is not validated."""
     inner = [[] for _ in boxes]      # (position of the box node, contents, defs)
     for i in range(len(boxes) - 1, 0, -1):
         b = boxes[i]
@@ -569,8 +567,7 @@ def _whole(boxes):
         # the unplugged root body stays in use: name the plugged one anew
         root = fresh_name(root, g.all_names())
     defs[root] = body
-    out = TermGraph(defs, root, _validate=False).pruned()
-    return TermGraph(out.defs, root)
+    return TermGraph(defs, root, _validate=False).pruned()
 
 
 def eval_lbl(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):

@@ -8,7 +8,8 @@ a finite map from definition names to bodies, where bodies may contain
 ``Ref`` back-references.  The denoted (infinite) tree is the unfolding
 of the root definition.
 
-Three structural invariants are enforced at construction time:
+Three structural invariants are checked where terms enter (reduction
+keeps them by construction, see :func:`derive`):
 
 * every referenced name is defined exactly once;
 * no definition body is a bare reference, so every reference cycle
@@ -292,7 +293,8 @@ class TermGraph:
 
     def node_free_vars(self, node: Node) -> frozenset:
         """Free variables of an arbitrary subterm of this graph."""
-        return _scan_fvs(_scan_body(node), self.def_free_vars())
+        scan = _scan_body(node)
+        return _scan_fvs(scan.refs, scan.free, self.def_free_vars())
 
     def refs_of(self, name) -> frozenset:
         """Names referenced by the body of definition ``name`` (cached)."""
@@ -312,12 +314,12 @@ class TermGraph:
     def all_names(self) -> set:
         """Every identifier in use: definition names plus variable names.
 
-        Cached and shared, never copied: a graph made by :func:`derive`
-        or :func:`box_contents`, or pruned, uses the set of the graph it
-        came from and adds its new names to it.  The set only grows, so
-        it may hold names of other graphs of the family too, and a name
-        not in it is fresh for every one of them.  Callers add to it the
-        names they reserve and never remove any.
+        Cached and shared, never copied: a graph made by :func:`derive`,
+        or pruned, uses the set of the graph it came from and adds its
+        new names to it.  The set only grows, so it may hold names of
+        other graphs of the family too, and a name not in it is fresh
+        for every one of them.  Callers add to it the names they reserve
+        and never remove any.
         """
         if self._names is None:
             names = set(self.defs)
@@ -395,26 +397,28 @@ class _Scan(NamedTuple):
 def _scan_body(node) -> _Scan:
     """One iterative preorder pass over a body tree; references are not
     followed."""
-    return _body_pass([node])[1]
+    return _body_pass([node])
 
 
 def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                arg_scan=None, avoid=(), used=None):
-    """The loop behind :func:`_scan_body` and :func:`subst_in_body`:
-    builds a tree and its :class:`_Scan` in one preorder pass.
+    """The loop behind :func:`_scan_body` and :func:`subst_in_body`.
 
-    ``todo`` holds the first item.  A bare node is a shared subtree,
-    only scanned.  ``(node, scope)`` substitutes ``arg`` for the free
-    ``x`` in ``node``, renaming the binders in ``avoid`` to names fresh
-    in ``used``; ``scope`` maps each binder name in scope that is
-    renamed, or that shadows ``x`` or a renamed binder, to its new name.
-    At each occurrence of ``x``, ``arg_scan``, the scan of ``arg``, is
-    spliced in, under the names bound there.  ``(node, k)`` copies the
-    node at ``path[:k]`` of ``g``'s root body, references resolved;
-    ``start`` is the item below the end of ``path``.  Returns the
-    substitution's result with the copied path above it (None when
-    nothing is substituted), and the scan of that tree.
+    ``todo`` holds the first item.  A bare node is a subtree only
+    scanned.  ``(node, scope)`` substitutes ``arg`` for the free ``x``
+    in ``node``, renaming the binders in ``avoid`` to names fresh in
+    ``used``; ``scope`` maps each binder name in scope that is renamed,
+    or that shadows ``x`` or a renamed binder, to its new name.  At each
+    occurrence of ``x`` the refs and free variables of ``arg_scan``, the
+    scan of ``arg``, are spliced in.  ``(node, k)`` copies the node at
+    ``path[:k]`` of ``g``'s root body, references resolved; ``start`` is
+    the item below the end of ``path``.  Without a ``start``, returns
+    the tree's :class:`_Scan`.  With one, collects no names and no
+    guards, and returns the substitution's result with the copied path
+    above it (None when nothing is substituted), its refs and free
+    variables.
     """
+    whole = start is None
     refs = set()
     names = set()       # binder names; the free variables join at the end
     free = set()
@@ -437,14 +441,7 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                     if v is None and n.name == x:
                         vals.append(arg)
                         free.update(arg_scan.free.difference(bound))
-                        names |= arg_scan.names
                         refs |= arg_scan.refs
-                        if bound:
-                            outer = frozenset(bound)
-                            guards += [(r, b | outer)
-                                       for r, b in arg_scan.guards]
-                        else:
-                            guards += arg_scan.guards
                         continue
                     if v is not None and v != n.name:
                         n = Var(v)
@@ -463,7 +460,6 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                         scope = {**scope, n.name: v}
                     elif v == x or v in scope:
                         scope = {**scope, v: v}
-                    names.add(v)
                     bound[v] = bound.get(v, 0) + 1
                     todo.append((n, v))     # also leaves the binder's scope
                     todo.append((n.body, scope))
@@ -473,7 +469,6 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                 elif t is Ref:
                     vals.append(n)
                     refs.add(n.name)
-                    guards.append((n.name, frozenset(bound)))
                 else:
                     raise TypeError(f"unexpected node {n!r}")
             elif tc is not int:
@@ -506,7 +501,6 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                 else:
                     child = n.body
                     if t is Lam:
-                        names.add(n.name)
                         bound[n.name] = bound.get(n.name, 0) + 1
                         todo.append(n.name)
                 ctx += 1
@@ -522,7 +516,8 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                 free.add(n.name)
         elif t is Lam:
             v = n.name
-            names.add(v)
+            if whole:
+                names.add(v)
             bound[v] = bound.get(v, 0) + 1
             todo.append(v)          # leaves the binder's scope
             todo.append(n.body)
@@ -535,10 +530,12 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
             todo.append(n.body)
         elif t is Ref:
             refs.add(n.name)
-            guards.append((n.name, frozenset(bound)))
+            if whole:
+                guards.append((n.name, frozenset(bound)))
         elif t is not Cut:
             raise TypeError(f"not a node: {n!r}")
-    names |= free       # a bound variable's name is its binder's
+    if whole:           # a bound variable's name is its binder's
+        return _Scan(frozenset(refs), names | free, free, guards)
     node = vals[0] if vals else None
     for n, sel in reversed(spine):
         if sel == FN:
@@ -549,15 +546,13 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
             node = Lam(n.kind, n.name, node)
         else:
             node = Box(n.kind, node)
-    return node, _Scan(frozenset(refs), names, free, guards)
+    return node, frozenset(refs), free
 
 
-def _scan_fvs(scan, fvs) -> frozenset:
-    """Free variables of a scanned body, given those of every definition.
-
-    Capture-freedom: a definition's free variables are never bound above
-    a reference to it, so none of them is subtracted."""
-    return frozenset(scan.free.union(*[fvs[r] for r in scan.refs]))
+def _scan_fvs(refs, free, fvs) -> frozenset:
+    """``free`` plus the free variables ``fvs`` of the definitions in
+    ``refs``, none of which is bound above its reference (capture-freedom)."""
+    return frozenset(free.union(*[fvs[r] for r in refs]))
 
 
 def _solve_fvs(scans) -> dict:
@@ -639,17 +634,6 @@ def _cyclic(comp, succ):
     return len(comp) > 1 or comp[0] in succ[comp[0]]
 
 
-def _check_capture(defname, scan, fvs):
-    for ref, bound in scan.guards:
-        bad = bound & fvs[ref]
-        if bad:
-            binder = min(bad)
-            raise CaptureError(
-                f"in definition {defname!r}, reference to {ref!r} occurs "
-                f"beneath binder {binder!r} which is free in {ref!r}",
-                binder=binder, ref=ref)
-
-
 def _validate_graph(g):
     if g.root not in g.defs:
         raise DefinitionError(f"root {g.root!r} is not defined")
@@ -683,69 +667,57 @@ def _validate_graph(g):
             raise DefinitionError(
                 f"variable {sorted(clash)[0]!r} in definition {name!r} "
                 "collides with a definition name")
-    g._fvs = _solve_fvs(scans)
+    g._fvs = fvs = _solve_fvs(scans)
     for name, scan in scans.items():
-        _check_capture(name, scan, g._fvs)
+        for ref, bound in scan.guards:
+            bad = bound & fvs[ref]
+            if bad:
+                binder = min(bad)
+                raise CaptureError(
+                    f"in definition {name!r}, reference to {ref!r} occurs "
+                    f"beneath binder {binder!r} which is free in {ref!r}",
+                    binder=binder, ref=ref)
 
 
 def box_contents(g: TermGraph, box: Box) -> TermGraph:
     """The contents of ``box``, a box of ``g``'s unfolding, as a pruned
-    graph of their own.
+    graph of their own, made by :func:`derive`.
 
     The new root gets a name ``box<k>`` unused in ``g``'s family, ``k``
-    counting up from the size of its name set (one try as a rule).
-    The caches carry over, so no body but the contents is scanned, once.
+    counting up from the size of its name set (one try as a rule).  No
+    body but the contents is scanned, once.
     """
     node = g.resolve(box.body)  # definition bodies stay guarded
     names = g.all_names()
     name = next(f"box{k}" for k in count(len(names))
                 if f"box{k}" not in names)
-    names.add(name)
-    fvs = g.def_free_vars()
     scan = _scan_body(node)
-    out = TermGraph({**g.defs, name: node}, name, _validate=False)
-    out._fvs = {**fvs, name: _scan_fvs(scan, fvs)}
-    out._refs = {**(g._refs or {}), name: scan.refs}
-    out._names = names
-    return out.pruned()
+    return derive(g, name, node, scan.refs, scan.free).pruned()
 
 
-def derive(g: TermGraph, name, body, scan) -> TermGraph:
-    """``g`` with definition ``name`` set to ``body``, validated; ``scan``
-    is ``body``'s :class:`_Scan`, and no body is scanned here.
+def derive(g: TermGraph, name, body, refs, free) -> TermGraph:
+    """``g`` with root ``name`` defined as ``body``, built unchecked from
+    ``g``'s caches; ``refs`` and ``free`` are ``body``'s references and
+    its free variables not counting those of references.
 
-    When no definition references ``name``, the others keep their
-    references and free variables, so on a valid ``g`` only ``body`` can
-    break an invariant: it alone is checked, against the carried-over
-    caches, which finds everything a full validation of the result
-    would.  In any other case, or when ``body`` fails a check that a
-    full validation reports better, the result is validated in full.
-    Either way the result shares ``g``'s name set.  When ``name`` is the
-    root of a pruned ``g`` and keeps its references, the result is
-    pruned too, and keeps ``g``'s set of referenced names.
+    Precondition: ``body`` is made from ``g``'s bodies by a
+    capture-avoiding step, or it is the contents of a box of ``g``;
+    ``name`` is ``g``'s unreferenced root, or a name fresh in its family.  The
+    result is then valid, and the other definitions keep their caches.
+    It shares ``g``'s name set, with ``name`` added, and it is pruned,
+    with ``g``'s referenced names, when ``g`` is and the root keeps its
+    name and references.
     """
-    defs = {**g.defs, name: body}
-    if not isinstance(body, Node) or isinstance(body, Ref):
-        return TermGraph(defs, name)
-    fresh = name in g.defs or name not in g.all_names()
-    if (name in scan.refs or not scan.refs <= defs.keys()
-            or scan.names & defs.keys() or not fresh
-            or name in g.referenced()):
-        out = TermGraph(defs, name)
-    else:
-        fvs = dict(g.def_free_vars())
-        fvs[name] = _scan_fvs(scan, fvs)
-        _check_capture(name, scan, fvs)
-        out = TermGraph(defs, name, _validate=False)
-        out._fvs = fvs
-        out._refs = {**g._refs, name: scan.refs}
-        if g._pruned and name == g.root and scan.refs == g._refs[name]:
-            # the same definitions stay reachable and referenced
-            out._pruned = True
-            out._referenced = g._referenced
+    fvs = g.def_free_vars()
+    out = TermGraph({**g.defs, name: body}, name, _validate=False)
+    out._fvs = {**fvs, name: _scan_fvs(refs, free, fvs)}
+    out._refs = {**(g._refs or {}), name: refs}
     out._names = g.all_names()
-    out._names |= scan.names
     out._names.add(name)
+    if g._pruned and name == g.root and refs == g.refs_of(name):
+        # the same definitions stay reachable and referenced
+        out._pruned = True
+        out._referenced = g._referenced
     return out
 
 
@@ -921,8 +893,8 @@ def fresh_name(base, used):
 def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
                   path=None):
     """Capture-avoiding substitution inside one body tree, in one pass
-    that also scans the result.  Returns the new tree and its
-    :class:`_Scan`.
+    that also finds the result's references and its own free variables
+    (what :func:`derive` takes): returns the three.
 
     Binders named like a free variable of ``replacement`` are renamed
     apart, in preorder, to names fresh in ``g``'s name set, which keeps
@@ -936,7 +908,7 @@ def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
     With a ``path``, the result takes the place of the node at ``path``
     in ``g``'s root body, whose path is copied with the references along
     it inlined (path copying); the other subtrees beside it are shared,
-    and only scanned.  The path must lead to a node.
+    and only scanned.  The path must lead to a node.  Nothing is checked.
     """
     if type(body) is Var and body.name == x:
         body = replacement
@@ -948,7 +920,7 @@ def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
     avoid = ()
     if x is not None and type(body) is not Var:
         arg_scan = _scan_body(replacement)
-        avoid = _scan_fvs(arg_scan, g.def_free_vars())
+        avoid = _scan_fvs(arg_scan.refs, arg_scan.free, g.def_free_vars())
         used = g.all_names()    # shared: renamed binders stay reserved
         used |= avoid
     start = (body, {})

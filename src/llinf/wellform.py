@@ -374,6 +374,7 @@ def _describe(node, env):
 
 
 _STRICT = {LLINF: frozenset({"lin"}), LL4S: frozenset({"lin", "ind1"})}
+_WORD = {"lin": "linear", "ind1": "ind-one"}   # strict kinds in messages
 _BOX_RENAME = {IND: {"ind1": "lin"}, COIND: {"coind": "any"}}
 
 
@@ -458,8 +459,9 @@ class _Envs:
             if k in kinds:
                 in_f = v in free_f
                 if in_f == (v in free_a):
-                    raise _Fail(f"{k} variable {v!r} occurs in both sides of an application"
-                                if in_f else f"{k} variable {v!r} is unused")
+                    raise _Fail(f"{_WORD[k]} variable {v!r} occurs in both sides "
+                                "of an application" if in_f
+                                else f"{_WORD[k]} variable {v!r} is unused")
                 (env_f if in_f else env_a)[v] = k
             else:
                 env_f[v] = env_a[v] = k
@@ -517,8 +519,7 @@ def _expand_ll4s(bodies, envs, node, e):
         k = envs.dicts[e].get(x)
         if k in envs.kinds:
             # the binder shadows it: nothing below can use it
-            raise _Fail(f"linear variable {x!r} is unused" if k == "lin"
-                        else f"ind-one variable {x!r} is unused")
+            raise _Fail(f"{_WORD[k]} variable {x!r} is unused")
         if bind == IND:
             linear, ind_one, deeper_ind, coind = bodies.own[(id(b), x)]
             if coind > 0 or deeper_ind > 0:
@@ -555,8 +556,7 @@ def _expand_ll4s(bodies, envs, node, e):
                 f"ind-one variable {x!r} occurs outside its inductive box")
         for v, kv in envs.strict_vars(e):
             if v != x:
-                raise _Fail(f"linear variable {v!r} is unused" if kv == "lin"
-                            else f"ind-one variable {v!r} is unused")
+                raise _Fail(f"{_WORD[kv]} variable {v!r} is unused")
         return ()
     raise TypeError(f"unexpected node {node!r}")
 

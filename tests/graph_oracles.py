@@ -23,10 +23,10 @@
   kept as the oracle of the scanner and parser loop in
   :mod:`llinf.surface` (which also rejects boxes in lambda files).
 * A contraction step in separate passes (the position rewritten by
-  ``reduction._rewrite``, the substitution alone, a ``derive`` given a
-  fresh scan of the new root body, and ``pruned()`` every time): the
-  earlier production route, kept as the oracle of the one pass that
-  :func:`llinf.reduction.contract` makes.
+  ``reduction._rewrite``, the substitution alone, a full validation of
+  the new graph, and ``pruned()`` every time): the oracle of the one
+  pass and the unchecked :func:`llinf.terms.derive` that
+  :func:`llinf.reduction.contract` makes, with caches computed afresh.
 * The evaluator's charge for a stepped root body, its nodes above its
   coinductive boxes with references as leaves, by structural recursion:
   the oracle of the walk in :func:`llinf.reduction._shallow_size`.
@@ -45,7 +45,7 @@ from llinf.errors import (
 )
 from llinf.terms import (
     App, Box, Cut, CUT, Lam, Node, Ref, TermGraph, Var, IND, LIN, COIND,
-    children, derive, fresh_name, rebuild, remake, subst_in_body, _scan_body,
+    children, fresh_name, rebuild, remake, subst_in_body, _scan_body,
 )
 from llinf.wellform import (
     CheckReport, INF, KINDS, LLINF, _CLS_LIN, _Fail, _describe, _merge,
@@ -403,6 +403,7 @@ def random_defs(rng):
 
 
 def _split_sides(bodies, env, f, a, strict_kinds):
+    words = {"lin": "linear", "ind1": "ind-one"}
     free_f = bodies.free[id(f)]
     free_a = bodies.free[id(a)]
     env_f = {}
@@ -412,9 +413,10 @@ def _split_sides(bodies, env, f, a, strict_kinds):
             in_f = v in free_f
             in_a = v in free_a
             if in_f and in_a:
-                raise _Fail(f"{k} variable {v!r} occurs in both sides of an application")
+                raise _Fail(f"{words[k]} variable {v!r} occurs in both sides "
+                            "of an application")
             if not in_f and not in_a:
-                raise _Fail(f"{k} variable {v!r} is unused")
+                raise _Fail(f"{words[k]} variable {v!r} is unused")
             (env_f if in_f else env_a)[v] = k
         else:
             env_f[v] = k
@@ -606,7 +608,8 @@ def check(system: str, env: dict, g: TermGraph):
 
 
 def contract(g: TermGraph, redex) -> TermGraph:
-    """One contraction in separate passes; see the module docstring."""
+    """One contraction in separate passes, its result validated in full
+    and its caches computed afresh; see the module docstring."""
     path = redex.position
 
     def beta(node):
@@ -628,7 +631,7 @@ def contract(g: TermGraph, redex) -> TermGraph:
     if root in g.referenced():
         # the old root is shared; give the rewritten unfolding a new name
         root = fresh_name(root, g.all_names())
-    return derive(g, root, new_body, _scan_body(new_body)).pruned()
+    return TermGraph({**g.defs, root: new_body}, root).pruned()
 
 
 def shallow_size(g: TermGraph) -> int:

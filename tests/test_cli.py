@@ -1,3 +1,4 @@
+import importlib
 import re
 
 import pytest
@@ -396,6 +397,34 @@ def test_examples_exit_with_the_documented_code(name, run_flag):
     else:
         assert r.exit_code == 3, r.output
         assert r.output.startswith(f"error: unknown example {name!r}")
+
+
+def test_split_failures_name_the_kind_in_words():
+    # an application finds the unused strict variable, as a binder would
+    files = {"m.lli": "def m = \\y. y w ; root m ;\n"}
+    r = run(["check", "--env", "z,w", "m.lli"], files)
+    assert r.exit_code == 1
+    assert r.output.startswith("rejected: linear variable 'z' is unused\n")
+    r = run(["check", "--system", "4s", "--env", "!z,w", "m.lli"], files)
+    assert r.exit_code == 1
+    assert r.output.startswith("rejected: ind-one variable 'z' is unused\n")
+
+
+@pytest.mark.parametrize("module,name,args", [
+    ("reduction", "eval_lbl", ["eval", "c.lli"]),
+    ("wellform", "check", ["check", "c.lli"]),
+])
+def test_internal_errors_exit_4_without_a_traceback(monkeypatch, module,
+                                                     name, args):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(importlib.import_module(f"llinf.{module}"), name,
+                        broken)
+    r = run(args, {"c.lli": CYCLIC})
+    assert r.exit_code == 4
+    assert isinstance(r.exception, SystemExit)
+    assert r.output == "internal error: RuntimeError: invariant broken\n"
 
 
 def test_examples_with_an_empty_name_exit_3():

@@ -303,24 +303,39 @@ def _gate_corpus():
             yield f"{system}:{seed}", g, 3, 200
 
 
-def _checked_contract(monkeypatch):
-    """Make every contraction check its result: full validation agrees,
-    and the carried caches equal freshly computed ones."""
-    plain = reduction.contract
+def _assert_valid(g):
+    """``g`` passes full validation, and the caches it carries equal
+    freshly computed ones."""
+    full = TermGraph(g.defs, g.root)
+    if g._fvs is not None:
+        assert g._fvs == full.def_free_vars()
+    for name, refs in (g._refs or {}).items():
+        assert refs == _scan_body(g.defs[name]).refs
+    if g._names is not None:
+        assert full.all_names() <= g._names
+    if g._referenced is not None:       # carried over
+        assert g._referenced == full.referenced()
+    if g._pruned:
+        assert set(g.reachable_defs()) == set(g.defs)
 
-    def checked(g, r):
-        out = plain(g, r)
-        full = TermGraph(out.defs, out.root)
-        assert out._fvs is not None and full.def_free_vars() == out._fvs
-        for name, refs in out._refs.items():
-            assert refs == _scan_body(out.defs[name]).refs
-        assert full.all_names() <= out.all_names()
-        if out._referenced is not None:     # carried over from g
-            assert out._referenced == full.referenced()
-        assert set(out.reachable_defs()) == set(out.defs)
+
+def _checked_contract(monkeypatch):
+    """Make every contraction and every box's contents check their
+    result: full validation agrees, and the carried caches equal freshly
+    computed ones.  Production builds both unchecked."""
+    plain_contract, plain_box = reduction.contract, reduction.box_contents
+
+    def checked(plain, *args):
+        out = plain(*args)
+        assert out._fvs is not None and out._refs is not None
+        assert out._pruned
+        _assert_valid(out)
         return out
 
-    monkeypatch.setattr(reduction, "contract", checked)
+    monkeypatch.setattr(reduction, "contract",
+                        lambda *args: checked(plain_contract, *args))
+    monkeypatch.setattr(reduction, "box_contents",
+                        lambda *args: checked(plain_box, *args))
 
 
 @pytest.mark.parametrize("g,depth,fuel", [
@@ -341,6 +356,8 @@ def test_frontier_matches_whole_graph_loop(monkeypatch, g, depth, fuel):
         g, depth, fuel, budget,
         lambda boxes, *step: seen.append((step[-1], reduction._whole(boxes))))
     gout, tree, stats = eval_lbl(g, depth, fuel, budget)
+    for h in [h for _, h in seen] + [gout]:     # _whole validates nothing
+        _assert_valid(h)
     assert stats.outcome == outcome
     assert stats.steps_per_depth == steps
     assert stats.stuck_position == stuck
@@ -551,8 +568,9 @@ def _assert_contract_matches_oracle(g, r):
     """``contract`` and the oracle agree on ``g`` and ``r``: the same
     graph and caches, or the same ``InvalidPositionError``.  Returns
     the contracted graph or None."""
+    twin = _twin(g)
     try:
-        want = graph_oracles.contract(_twin(g), r)
+        want = graph_oracles.contract(twin, r)
     except InvalidPositionError as exc:
         with pytest.raises(InvalidPositionError) as got:
             contract(_twin(g), r)
@@ -562,16 +580,21 @@ def _assert_contract_matches_oracle(g, r):
     node = reduction._node_at(h, r.position)[0]
     f = h.resolve(node.fn)
     value = node.arg if f.kind == "lin" else h.resolve(node.arg).body
-    body, scan = terms.subst_in_body(h, f.body, f.name, value, r.position)
-    assert body == want.root_body() and scan == _scan_body(body)
+    body, refs, free = terms.subst_in_body(h, f.body, f.name, value,
+                                           r.position)
+    scan = _scan_body(body)
+    assert body == want.root_body() and (refs, free) == (scan.refs, scan.free)
     out = contract(_twin(g), r)
     assert out.root == want.root and out.defs == want.defs
-    assert out._fvs == want._fvs and out._refs == want._refs
-    assert out.all_names() == want.all_names()
-    fresh = frozenset().union(*(_scan_body(b).refs for b in out.defs.values()))
+    # the oracle's caches are computed afresh by full validation; the
+    # names its twin drew are those contract drew, less the new root's
+    assert out._fvs == want._fvs
+    assert out._refs == {name: want.refs_of(name) for name in want.defs}
+    assert out.all_names() == twin.all_names() | {want.root}
+    assert want.all_names() <= out.all_names()
     if out._referenced is not None:         # carried over from g
-        assert out._referenced == fresh
-    assert out.referenced() == want.referenced() == fresh
+        assert out._referenced == want.referenced()
+    assert out.referenced() == want.referenced()
     assert out._pruned and set(out.reachable_defs()) == set(out.defs)
     return out
 

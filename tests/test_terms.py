@@ -9,7 +9,6 @@ from llinf import generate, metrics, terms
 from llinf.lam import DepthFlags, check_labc
 from llinf.errors import (
     BudgetExceededError, CaptureError, DefinitionError, GuardednessError,
-    LLinfError,
 )
 from llinf.terms import (
     App, Box, Cut, CUT, Lam, Ref, TermGraph, Var,
@@ -250,8 +249,59 @@ def _unfold_once(g):
 
 
 def _derive_cases():
-    """(graph, name, body, error class a fresh ``name`` must give or None):
-    generated bodies of both systems, and mutants of them."""
+    """(graph, name, body): the inputs :func:`derive`'s callers make, on
+    generated graphs of both systems.  The name is the root when no
+    definition references it, and a name fresh in the graph; the body
+    is a definition body, a box's contents, or a body applied to a box
+    of the root body."""
+    for system in ("llinf", "4s"):
+        for seed in range(20):
+            _, base = generate.random_term(("derive", seed), system, 26)
+            names = ["fresh_def"]
+            if base.root not in base.referenced():
+                names.append(base.root)
+            bodies = []
+            for body in base.defs.values():
+                bodies += [body, App(body, Box(COIND, base.root_body()))]
+                todo = [body]
+                while todo:
+                    n = todo.pop()
+                    if type(n) is Box:
+                        bodies.append(base.resolve(n.body))
+                    todo += terms.children(n)
+            for name in names:
+                for body in bodies:
+                    yield base, name, body
+
+
+def test_derive_agrees_with_full_validation():
+    """derive checks nothing: on the inputs its callers make, its result
+    passes full validation and carries caches equal to fresh ones."""
+    cases = carried = 0
+    for base, name, body in _derive_cases():
+        g = TermGraph(base.defs, base.root).pruned()    # a name set of its own
+        g.referenced()
+        defs = {**g.defs, name: body}
+        full = TermGraph(defs, name)
+        scan = _scan_body(body)
+        out = derive(g, name, body, scan.refs, scan.free)
+        assert out.root == name and out.defs == defs
+        assert out.def_free_vars() == full.def_free_vars()
+        assert out._refs == {n: full.refs_of(n) for n in defs}
+        assert full.all_names() <= out.all_names()
+        if out._pruned:
+            assert set(out.reachable_defs()) == set(out.defs)
+            assert out._referenced == full.referenced()
+            carried += 1
+        cases += 1
+    assert cases > 500 and carried > 50, (cases, carried)
+
+
+def test_validation_rejects_bodies_no_step_makes():
+    """A new body that references an undefined name, uses a definition
+    name as a variable, is a bare reference, or puts a reference beneath
+    a binder free in it, fails where terms enter, in :class:`TermGraph`.
+    No step makes one, so :func:`derive` does not look for them."""
     for system in ("llinf", "4s"):
         for seed in range(20):
             _, g = generate.random_term(("derive", seed), system, 26)
@@ -259,53 +309,15 @@ def _derive_cases():
             some_def = min(g.defs)
             for body in g.defs.values():
                 cases = [
-                    (body, None),
                     (App(body, Ref("undefined")), DefinitionError),
                     (App(body, Var(some_def)), DefinitionError),
                     (Ref(some_def), GuardednessError),
                 ]
                 cases += [(Lam(LIN, min(fv), App(body, Ref(d))), CaptureError)
                           for d, fv in sorted(fvs.items()) if fv][:2]
-                for name in (g.root, some_def, "fresh_def"):
-                    for b, error in cases:
-                        yield g, name, b, error if name == "fresh_def" else None
-                    # a body that references its own name
-                    yield g, name, App(body, Box(COIND, Ref(name))), None
-
-
-def test_derive_agrees_with_full_validation():
-    """derive validates only the new body; it must accept and reject
-    exactly what full validation does, with the same error, and carry
-    caches equal to fresh ones."""
-    fast = slow = 0
-    for base, name, body, error in _derive_cases():
-        g = TermGraph(base.defs, base.root)     # a name set of its own
-        defs = {**g.defs, name: body}
-        try:
-            full = TermGraph(defs, name)
-            want = None
-        except LLinfError as exc:
-            want = exc
-        if error is not None:
-            assert type(want) is error, (name, body)
-        if want is not None:
-            with pytest.raises(LLinfError) as got:
-                derive(g, name, body, _scan_body(body))
-            assert type(got.value) is type(want)
-            assert str(got.value) == str(want)
-            continue
-        out = derive(g, name, body, _scan_body(body))
-        assert out.root == name and out.defs == defs
-        TermGraph(out.defs, out.root)
-        assert out.def_free_vars() == full.def_free_vars()
-        for n, refs in (out._refs or {}).items():
-            assert refs == full.refs_of(n)
-        assert full.all_names() <= out.all_names()
-        if out._refs is None:
-            slow += 1
-        else:
-            fast += 1
-    assert fast > 100 and slow > 100, (fast, slow)
+                for bad, error in cases:
+                    with pytest.raises(error):
+                        TermGraph({**g.defs, "fresh_def": bad}, "fresh_def")
 
 
 def _subst_reference(g, body, x, replacement):
@@ -369,8 +381,9 @@ def test_subst_in_body_matches_three_pass_reference():
                     for ys in ([names[-1]], names[:2], ["q"]):
                         repl = Var(ys[0]) if len(ys) == 1 else App(*map(Var, ys))
                         h = TermGraph(g.defs, g.root)
-                        got, scan = subst_in_body(h, body, x, repl)
-                        assert scan == _scan_body(got)
+                        got, refs, free = subst_in_body(h, body, x, repl)
+                        want = _scan_body(got)
+                        assert (refs, free) == (want.refs, want.free)
                         outs = [got, _subst_reference(TermGraph(g.defs, g.root),
                                                       body, x, repl)]
                         assert outs[0] == outs[1]
@@ -411,10 +424,11 @@ def test_deep_bodies_need_no_recursion(shape):
         free, repl, free_after = {"y"}, Var("x"), {"x"}
     assert g.def_free_vars()["main"] == free
     assert g.node_free_vars(body) == free
-    assert derive(g, "main2", body,
-                  _scan_body(body)).def_free_vars()["main2"] == free
-    out, scan = subst_in_body(g, body, "y", repl)
-    assert _scan_body(out).free == scan.free == free_after
+    scan = _scan_body(body)
+    assert derive(g, "main2", body, scan.refs,
+                  scan.free).def_free_vars()["main2"] == free
+    out, _, out_free = subst_in_body(g, body, "y", repl)
+    assert _scan_body(out).free == out_free == free_after
 
 
 @pytest.mark.parametrize("shape", ["lambdas", "spine"])
