@@ -19,11 +19,11 @@ children the same way.
 import re
 from dataclasses import dataclass
 
-from .errors import EncodingError
+from .errors import BudgetExceededError, EncodingError
 from .terms import (
     App, Box, Lam, Node, Ref, TermGraph, Tree, Var,
     COIND, IND, LIN,
-    DEFAULT_BUDGET, fresh_name, graph_of, import_defs, rebuild,
+    DEFAULT_BUDGET, box_contents, fresh_name, graph_of, import_defs, rebuild,
 )
 from . import reduction
 
@@ -285,8 +285,9 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
     """Evaluate lazily and read back up to ``bound`` constructors.
 
     Raises :class:`EncodingError` when the depth-0 normal form does not
-    have the case-analysis shape; fuel exhaustion propagates from the
-    evaluator as a budget error.
+    have the case-analysis shape, and :class:`BudgetExceededError` when
+    the evaluation runs out of fuel, as it does when the evaluator runs
+    out of budget.
     """
     boxkind = IND if mode == "algebra" else COIND
     complete = True
@@ -305,10 +306,11 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
             complete = False
             return FiniteTree("..."), None
         if graph is not None:
-            node = reduction.box_contents(graph, node)
+            node = box_contents(graph, node)
         graph, _, stats = reduction.eval_lbl(node, 0, fuel, budget)
         if stats.outcome == "fuel-exhausted":
-            raise EncodingError(f"evaluation fuel exhausted: {stats.detail}")
+            raise BudgetExceededError(
+                f"evaluation fuel exhausted: {stats.detail}")
         if stats.outcome == "stuck":
             raise EncodingError(f"evaluation deadlocked: {stats.detail}")
         node = graph.resolve(graph.root_body())
@@ -488,7 +490,8 @@ def representability_harness(mf: TermGraph, sig: Signature, inputs,
     ``kinds`` assigns ``fin``/``inf`` to each input (finite data encode
     into the free algebra, streams into the free coalgebra), ``out_kind``
     does the same for the result, and ``depth`` is the number of output
-    constructors compared.
+    constructors compared.  A decoding that runs out of fuel or budget
+    raises :class:`BudgetExceededError` instead of giving a verdict.
     """
     if len(inputs) != len(kinds):
         raise ValueError("one kind is needed per input")

@@ -60,11 +60,13 @@ class WeightProfile(NamedTuple):
 _UNBOUND = object()
 
 
-def weight_profile(g: TermGraph, top: int,
-                   budget=DEFAULT_BUDGET) -> WeightProfile:
+def weight_profile(g: TermGraph, top: int, budget=DEFAULT_BUDGET,
+                   start=None) -> WeightProfile:
     """One iterative preorder pass over the depth-``(top+1)`` region of
     the unfolding (the nodes :func:`~llinf.terms.project_depth` at
-    ``top+1`` visits), building no tree.
+    ``top+1`` visits), building no tree.  The unfolding is that of
+    ``start``, a node over ``g``'s definitions, by default ``g``'s root
+    body.
 
     ``nfo`` of an inductive abstraction at depth ``m`` counts the
     occurrences its binder binds at depth ``m`` or ``m+1``: those of the
@@ -78,7 +80,9 @@ def weight_profile(g: TermGraph, top: int,
     # binder name -> its innermost binder in scope: [depth, occurrences]
     # for an inductive abstraction at depth <= top, None for any other
     scope = {}
-    todo = [(g.root_body(), 0, 0)]      # (node, depth, inductive boxes)
+    if start is None:
+        start = g.root_body()
+    todo = [(start, 0, 0)]      # (node, depth, inductive boxes)
     visited = 0
     while todo:
         node, d, k = todo.pop()
@@ -278,10 +282,10 @@ class WeightTrace:
 
 
 
-def _ind_bound(g: TermGraph, path) -> set:
-    """Names whose innermost binder above ``path`` in ``g``'s root body
-    is an inductive abstraction."""
-    node = g.resolve(g.root_body())
+def _ind_bound(g: TermGraph, node, path) -> set:
+    """Names whose innermost binder above ``path`` below ``node``, a
+    node over ``g``'s definitions, is an inductive abstraction."""
+    node = g.resolve(node)
     kinds = {}
     for sel in path:
         match node:
@@ -324,9 +328,9 @@ def _weight_steps(g: TermGraph, depth_bound: int, fuel: int, budget):
     first = vector()
     steps = []
 
-    def profile(graph, top, spent):
+    def profile(node, top, spent):
         try:
-            return weight_profile(graph, top, budget - spent)
+            return weight_profile(g, top, budget - spent, node)
         except BudgetExceededError:
             raise BudgetExceededError(
                 f"depth-{depth_bound + 1} region exceeds {budget} nodes "
@@ -338,19 +342,19 @@ def _weight_steps(g: TermGraph, depth_bound: int, fuel: int, budget):
         for j in frontier:
             if j != i:
                 if j not in profiles:
-                    profiles[j] = profile(boxes[j].graph, top, used)
+                    profiles[j] = profile(boxes[j].node, top, used)
                 used += profiles[j].visited
-        profiles[i] = profile(boxes[i].graph, top, used)
+        profiles[i] = profile(boxes[i].node, top, used)
         ps = [profiles[j] for j in frontier]
         for m in range(n, depth_bound + 1):
             totals.df[m] = max(p.df[m - n] for p in ps)
             totals.h[m] = [sum(c) for c in zip_longest(
                 *(p.h[m - n] for p in ps), fillvalue=0)]
         b = boxes[i]
-        if n and not _ind_bound(boxes[b.parent].graph, b.at).isdisjoint(
-                before.free_vars()):
-            totals.df[n - 1] = weight_profile(reduction._whole(boxes), n - 1,
-                                              budget).df[n - 1]
+        ind = n and _ind_bound(g, boxes[b.parent].node, b.at)
+        if ind and not ind.isdisjoint(g.node_free_vars(before)):
+            totals.df[n - 1] = weight_profile(reduction._whole(g, boxes),
+                                              n - 1, budget).df[n - 1]
         steps.append(WeightStep(n, steps[-1].after if steps else first,
                                 vector()))
 

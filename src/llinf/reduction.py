@@ -25,8 +25,7 @@ from .terms import (
     ARG, BODY, BOXED, FN,
     COIND, IND, LIN,
     DEFAULT_BUDGET,
-    box_contents, children, derive, fresh_name, project_depth, rebuild,
-    subst_in_body,
+    children, derive, fresh_name, project_depth, rebuild, subst_in_body,
 )
 
 DEFAULT_HEIGHT = 64
@@ -67,18 +66,22 @@ class EvalStats:
     detail: str = ""
 
 
-def walk(g: TermGraph, *, max_height=None, max_depth=None,
+def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
          budget=DEFAULT_BUDGET):
     """Preorder traversal of the unfolding, yielding (node, at, level).
 
-    ``at`` is the node's parent link: ``()`` at the root, else the pair
+    The walk starts at ``start``, a node over ``g``'s definitions, by
+    default ``g``'s root body; paths and levels are relative to it.
+    ``at`` is the node's parent link: ``()`` at the start, else the pair
     (parent's link, selector); :func:`path_of` turns it into a path, so
     a walk builds no path it does not need.  ``max_height`` bounds the
     path length; ``max_depth`` stops descent into coinductive boxes
     beyond the bound (the box node itself is still yielded).  References
     are transparent.
     """
-    stack = [(g.resolve(g.root_body()), (), "", 0)]
+    if start is None:
+        start = g.root_body()
+    stack = [(g.resolve(start), (), "", 0)]
     visited = 0
     while stack:
         node, at, level, height = stack.pop()
@@ -150,12 +153,12 @@ def redexes_within_depth(g: TermGraph, max_depth, budget=DEFAULT_BUDGET):
     return _collect_redexes(g, max_depth=max_depth, budget=budget)
 
 
-def _shallow_size(g: TermGraph, budget) -> int:
-    """Nodes of ``g``'s root body above its coinductive boxes, the boxes
+def _shallow_size(node: Node, budget) -> int:
+    """Nodes of the tree ``node`` above its coinductive boxes, the boxes
     included; a reference counts as one node and is not followed.  Once
     the count passes ``budget``, the walk stops and returns what it has."""
     n = 0
-    todo = [g.root_body()]
+    todo = [node]
     while todo and n <= budget:
         node = todo.pop()
         while True:         # down the function sides, arguments stacked
@@ -171,8 +174,9 @@ def _shallow_size(g: TermGraph, budget) -> int:
     return n
 
 
-def _first_redex(g: TermGraph, budget, whole=True):
-    """``redexes_within_depth(g, 0, budget)[0]``, or None when there is
+def _first_redex(g: TermGraph, node: Node, budget, whole=True):
+    """``redexes_within_depth(g, 0, budget)[0]`` for the unfolding of
+    ``node``, a node over ``g``'s definitions, or None when there is
     none, found without collecting or sorting the others.
 
     At depth 0 every level is ``i^k``, so the first redex is one with
@@ -184,12 +188,12 @@ def _first_redex(g: TermGraph, budget, whole=True):
     :func:`_shallow_size` instead, which never counts more than a walk
     visits.  Only the winner's path is built, from parent links.
     """
-    if not whole and _shallow_size(g, budget) > budget:
+    if not whole and _shallow_size(node, budget) > budget:
         raise BudgetExceededError(
             f"traversal exceeded {budget} nodes (ill-formed input?)")
     best = None                 # (parent link, k, kind) of the first redex
     best_k = float("inf")
-    stack = [(g.resolve(g.root_body()), (), 0)]
+    stack = [(g.resolve(node), (), 0)]
     visited = 0
     while stack:
         node, at, k = stack.pop()
@@ -236,10 +240,10 @@ def has_any_redex(g: TermGraph) -> bool:
     return False
 
 
-def _node_at(g: TermGraph, path):
-    """The node at ``path`` of the unfolding, references resolved, and
-    its level."""
-    node = g.resolve(g.root_body())
+def _node_at(g: TermGraph, node: Node, path):
+    """The node at ``path`` below ``node`` in the unfolding, references
+    resolved, and its level."""
+    node = g.resolve(node)
     level = ""
     for i, sel in enumerate(path):
         t = type(node)
@@ -260,12 +264,12 @@ def _node_at(g: TermGraph, path):
 
 def level_at(g: TermGraph, path) -> str:
     """Level of the position reached by ``path`` from the root."""
-    return _node_at(g, path)[1]
+    return _node_at(g, g.root_body(), path)[1]
 
 
-def _rewrite(g: TermGraph, edits) -> Node:
-    """``g``'s root body with the node ``n`` at each position ``p`` of
-    ``edits`` replaced by ``edits[p](n)``.
+def _rewrite(g: TermGraph, node: Node, edits) -> Node:
+    """``node``, a node over ``g``'s definitions, with the node ``n`` at
+    each position ``p`` of ``edits`` below it replaced by ``edits[p](n)``.
 
     One :func:`~llinf.terms.rebuild` over the trie of the paths, which
     copies them top-down; reference crossings along them are inlined
@@ -301,34 +305,42 @@ def _rewrite(g: TermGraph, edits) -> Node:
         return build, [(child, (t[sel], at + (sel,)) if sel in t else None)
                        for child, sel in kids]
 
-    return rebuild(g.root_body(), (trie, ()), visit)
+    return rebuild(node, (trie, ()), visit)
 
 
-def contract(g: TermGraph, redex: Redex) -> TermGraph:
-    """Contract one redex occurrence.
-
-    One pass of :func:`~llinf.terms.subst_in_body` copies the root body
-    down to the redex and substitutes in the abstraction's body, and
-    :func:`~llinf.terms.derive` builds the result from the new body's
-    references and free variables, unchecked.  The result is pruned
-    unless the root keeps its name and references in a pruned ``g``.
-    """
+def _contract_at(g: TermGraph, node: Node, redex: Redex) -> Node:
+    """``node``, a node over ``g``'s definitions, with the redex at
+    ``redex.position`` below it contracted: one
+    :func:`~llinf.terms.subst_in_body` substitutes in the abstraction's
+    body and copies the path down to the redex.  ``g``'s definitions
+    are not written."""
     path = redex.position
-    node, _ = _node_at(g, path)
-    kind = redex_kind_at(g, node)
+    at, _ = _node_at(g, node, path)
+    kind = redex_kind_at(g, at)
     if kind != redex.kind:
         raise InvalidPositionError(
             f"position {'.'.join(path) or '<root>'} holds "
             f"{kind or 'no redex'}, not a {redex.kind} redex")
-    f = g.resolve(node.fn)
-    value = node.arg if f.kind == LIN else g.resolve(node.arg).body
-    body, refs, free = subst_in_body(g, f.body, f.name, value, path)
+    f = g.resolve(at.fn)
+    value = at.arg if f.kind == LIN else g.resolve(at.arg).body
+    return subst_in_body(g, f.body, f.name, value, path, node)
+
+
+def _with_root_body(g: TermGraph, body: Node) -> TermGraph:
+    """``g`` with ``body``, made from ``g``'s bodies by steps, as its
+    root body, pruned; the root is named anew when a definition
+    references the old one."""
     root = g.root
     if root in g.referenced():
-        # the old root is shared; give the rewritten unfolding a new name
         root = fresh_name(root, g.all_names())
-    out = derive(g, root, body, refs, free)
-    return out if out._pruned else out.pruned()
+    return derive(g, root, body).pruned()
+
+
+def contract(g: TermGraph, redex: Redex) -> TermGraph:
+    """Contract one redex occurrence of ``g``'s root body
+    (:func:`_contract_at`).  The result is built unchecked by
+    :func:`~llinf.terms.derive`, and pruned."""
+    return _with_root_body(g, _contract_at(g, g.root_body(), redex))
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +393,18 @@ def step_lbl(g: TermGraph, max_depth=256, budget=DEFAULT_BUDGET):
         if d:
             r = (redexes_within_depth(g, d, budget) or [None])[0]
         else:
-            r = _first_redex(g, budget)
+            r = _first_redex(g, g.root_body(), budget)
         if r is not None:
             return contract(g, r), r
     raise BudgetExceededError(
         f"no redex found at depth <= {max_depth} despite the graph holding one")
 
 
-def find_deadlock(g: TermGraph, *, max_depth=None, max_height=None,
-                  budget=DEFAULT_BUDGET, include_box_heads=False):
-    """First application that can never fire, or None.
+def find_deadlock(g: TermGraph, *, start=None, max_depth=None,
+                  max_height=None, budget=DEFAULT_BUDGET,
+                  include_box_heads=False):
+    """First application that can never fire, or None; the search is a
+    :func:`walk` from ``start``.
 
     Always flagged (the shapes are stable under further reduction and
     substitution): an inductive/coinductive abstraction whose argument
@@ -399,7 +413,7 @@ def find_deadlock(g: TermGraph, *, max_depth=None, max_height=None,
     inert but legitimate (the non-normalising examples carry one at
     every depth), so evaluation must not halt on them.
     """
-    for node, at, level in walk(g, max_depth=max_depth,
+    for node, at, level in walk(g, start=start, max_depth=max_depth,
                                 max_height=max_height, budget=budget):
         if not isinstance(node, App):
             continue
@@ -425,18 +439,19 @@ def find_deadlock(g: TermGraph, *, max_depth=None, max_height=None,
 
 @dataclass
 class _Box:
-    """The contents of one coinductive box, evaluated as a graph of
-    their own.  The whole input is the box at the empty position."""
+    """The contents of one coinductive box, evaluated as a node over the
+    input's definitions.  The whole input is the box at the empty
+    position."""
 
     path: tuple             # position of the contents in the whole unfolding
     level: str              # level of the contents
-    graph: TermGraph
+    node: Node              # the contents, references resolved
     parent: int = -1        # index of the enclosing box
-    at: tuple = ()          # position of the box node in the parent's root body
+    at: tuple = ()          # position of the box node in the parent's contents
     changed: bool = False   # whether a step was taken in the contents
 
 
-def _split(boxes, frontier, used, budget):
+def _split(g, boxes, frontier, used, budget):
     """Open the coinductive boxes at local depth 0 of each frontier box,
     in preorder.
 
@@ -449,13 +464,14 @@ def _split(boxes, frontier, used, budget):
     out = []
     for i in frontier:
         b = boxes[i]
-        for node, at, level in walk(b.graph, max_depth=0, budget=budget):
+        for node, at, level in walk(g, start=b.node, max_depth=0,
+                                    budget=budget):
             used += 1
             if isinstance(node, Box) and node.kind == COIND:
                 path = path_of(at)
                 out.append(len(boxes))
                 boxes.append(_Box(b.path + path + (BOXED,), b.level + level + "c",
-                                  box_contents(b.graph, node), i, path))
+                                  g.resolve(node.body), i, path))
             if used + len(out) > budget:
                 raise BudgetExceededError(
                     f"evaluated region exceeds {budget} nodes "
@@ -468,7 +484,9 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
 
     Depth ``d`` of the whole term is depth 0 of the contents of the
     boxes reached by crossing ``d`` coinductive boxes; completed depths
-    are final, so those contents are normalised each on its own graph.
+    are final, so those contents are normalised each on its own, as a
+    node over ``g``'s definitions, which no step writes: a step
+    rewrites a box's node (:func:`_contract_at`), and no graph is built.
     Steps are taken in the order of :func:`redexes_within_depth` on the
     whole graph: a heap holds each box's first redex
     (:func:`_first_redex`) keyed by its whole level, then by box
@@ -477,16 +495,16 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
     depth-``d`` region.  A box gets what the region above the frontier
     and a node for every other frontier box leave: its whole region is
     walked against that share when the box is queued, and after each
-    step the stepped root body's nodes above its coinductive boxes
+    step the stepped node's nodes above its coinductive boxes
     (:func:`_shallow_size`) are charged against it.  Calls
     ``on_step(boxes, frontier, used, i, before, redex)`` after each
     step: ``frontier`` lists the boxes at the depth being normalised,
     ``used`` counts the nodes of the region above them, ``i`` is the
-    stepped box, ``before`` its graph before the step, and the redex
+    stepped box, ``before`` its node before the step, and the redex
     has its whole-term position.  Returns ``(boxes, stats)``.
     """
     stats = EvalStats(steps_per_depth={})
-    boxes = [_Box((), "", g)]
+    boxes = [_Box((), "", g.root_body())]
     frontier = [0]
     used = 0
     heap = []
@@ -495,13 +513,13 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
         # box i's first redex, keyed as in the whole term: by level, then
         # by box preorder (local preorder decides within the box)
         b = boxes[i]
-        r = _first_redex(b.graph, left, whole)
+        r = _first_redex(g, b.node, left, whole)
         if r is not None:
             heapq.heappush(heap, (level_key(b.level + r.level), i, r))
 
     for d in range(depth + 1):
         if d:
-            frontier, used = _split(boxes, frontier, used, budget)
+            frontier, used = _split(g, boxes, frontier, used, budget)
         left = budget - used - len(frontier) + 1
         stats.steps_per_depth[d] = 0
         for i in frontier:
@@ -513,8 +531,8 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
                 return boxes, stats
             _, i, r = heapq.heappop(heap)
             b = boxes[i]
-            before = b.graph
-            b.graph = contract(before, r)
+            before = b.node
+            b.node = _contract_at(g, before, r)
             b.changed = True
             stats.steps_per_depth[d] += 1
             stats.fuel_consumed += 1
@@ -523,7 +541,8 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
                 on_step(boxes, frontier, used, i, before,
                         Redex(b.path + r.position, b.level + r.level, r.kind))
         for i in frontier:
-            dead = find_deadlock(boxes[i].graph, max_depth=0, budget=left)
+            dead = find_deadlock(g, start=boxes[i].node, max_depth=0,
+                                 budget=left)
             if dead is not None:
                 stats.outcome = "stuck"
                 stats.stuck_position = boxes[i].path + dead[0]
@@ -532,42 +551,26 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
     return boxes, stats
 
 
-def _plug(g, inner):
-    """``g``'s root body and definitions with the box node at each
-    position of ``inner`` holding the given contents instead."""
-    if not inner:
-        return g.root_body(), g.defs
-    defs = dict(g.defs)
-    edits = {}
-    for at, body, sub_defs in inner:
-        defs.update(sub_defs)
-        edits[at] = lambda _, body=body: Box(COIND, body)
-    return _rewrite(g, edits), defs
-
-
-def _whole(boxes):
-    """The whole graph: the contents of each box that a step changed, or
-    that holds such a box, plugged back into its parent.
+def _whole(g, boxes):
+    """The whole graph: ``g`` with the contents of each box that a step
+    changed, or that holds such a box, plugged back into its parent by
+    :func:`_rewrite`.
 
     Other boxes keep their original nodes, so the parts of the input no
-    step touched keep their sharing.  Contents are inlined, not
-    referenced: they may mention variables bound above the box.  Only
-    the result is pruned; like every step, it is not validated."""
-    inner = [[] for _ in boxes]      # (position of the box node, contents, defs)
-    for i in range(len(boxes) - 1, 0, -1):
+    step touched keep their sharing, and ``g`` itself comes back when no
+    step was taken.  Contents are inlined, not referenced: they may
+    mention variables bound above the box.  The result is built by
+    :func:`~llinf.terms.derive`, unvalidated, and pruned."""
+    edits = [{} for _ in boxes]     # position of a box node -> its edit
+    for i in range(len(boxes) - 1, -1, -1):
         b = boxes[i]
-        if b.changed or inner[i]:
-            inner[b.parent].append((b.at, *_plug(b.graph, inner[i])))
-    g = boxes[0].graph
-    if not inner[0]:
-        return g
-    body, defs = _plug(g, inner[0])
-    root = g.root
-    if root in g.referenced():
-        # the unplugged root body stays in use: name the plugged one anew
-        root = fresh_name(root, g.all_names())
-    defs[root] = body
-    return TermGraph(defs, root, _validate=False).pruned()
+        if not (b.changed or edits[i]):
+            continue
+        node = _rewrite(g, b.node, edits[i]) if edits[i] else b.node
+        if not i:
+            return _with_root_body(g, node)
+        edits[b.parent][b.at] = lambda _, node=node: Box(COIND, node)
+    return g
 
 
 def eval_lbl(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
@@ -584,7 +587,7 @@ def eval_lbl(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
     their nodes.
     """
     boxes, stats = _frontier_eval(g, depth, fuel, budget, None)
-    g = _whole(boxes)
+    g = _whole(g, boxes)
     return g, project_depth(g, depth, budget), stats
 
 
@@ -594,7 +597,7 @@ def run_lbl_trace(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
     records = []
     boxes, stats = _frontier_eval(g, depth, fuel, budget,
                                   lambda *step: records.append(step[-1]))
-    g = _whole(boxes)
+    g = _whole(g, boxes)
     return g, project_depth(g, depth, budget), stats, records
 
 

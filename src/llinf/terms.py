@@ -256,8 +256,7 @@ def rebuild(root, ctx, visit):
 class TermGraph:
     """An immutable system of named, guarded equations plus a root name."""
 
-    __slots__ = ("defs", "root", "_fvs", "_refs", "_referenced", "_names",
-                 "_pruned")
+    __slots__ = ("defs", "root", "_fvs", "_refs", "_referenced", "_names")
 
     def __init__(self, defs, root, _validate=True):
         self.defs = dict(defs)
@@ -266,7 +265,6 @@ class TermGraph:
         self._refs = None
         self._referenced = None
         self._names = None
-        self._pruned = False    # known to hold only reachable definitions
         if _validate:
             _validate_graph(self)
 
@@ -316,10 +314,11 @@ class TermGraph:
 
         Cached and shared, never copied: a graph made by :func:`derive`,
         or pruned, uses the set of the graph it came from and adds its
-        new names to it.  The set only grows, so it may hold names of
-        other graphs of the family too, and a name not in it is fresh
-        for every one of them.  Callers add to it the names they reserve
-        and never remove any.
+        new names to it, and the binders a substitution renames are
+        added to the set of the graph it reads.  The set only grows, so
+        it may hold names of other graphs of the family too, and a name
+        not in it is fresh for every one of them.  Callers add to it the
+        names they reserve and never remove any.
         """
         if self._names is None:
             names = set(self.defs)
@@ -350,16 +349,13 @@ class TermGraph:
         return seen
 
     def pruned(self) -> "TermGraph":
-        """Drop definitions unreachable from the root (caches carry over).
-
-        The result is marked pruned, which :func:`derive` carries over."""
+        """Drop definitions unreachable from the root (caches carry over);
+        ``self`` when every definition is reachable."""
         keep = set(self.reachable_defs())
         if len(keep) == len(self.defs):
-            self._pruned = True
             return self
         out = TermGraph({n: b for n, b in self.defs.items() if n in keep},
                         self.root, _validate=False)
-        out._pruned = True
         if self._fvs is not None:
             out._fvs = {n: self._fvs[n] for n in out.defs}
         if self._refs is not None:
@@ -397,118 +393,16 @@ class _Scan(NamedTuple):
 def _scan_body(node) -> _Scan:
     """One iterative preorder pass over a body tree; references are not
     followed."""
-    return _body_pass([node])
-
-
-def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
-               arg_scan=None, avoid=(), used=None):
-    """The loop behind :func:`_scan_body` and :func:`subst_in_body`.
-
-    ``todo`` holds the first item.  A bare node is a subtree only
-    scanned.  ``(node, scope)`` substitutes ``arg`` for the free ``x``
-    in ``node``, renaming the binders in ``avoid`` to names fresh in
-    ``used``; ``scope`` maps each binder name in scope that is renamed,
-    or that shadows ``x`` or a renamed binder, to its new name.  At each
-    occurrence of ``x`` the refs and free variables of ``arg_scan``, the
-    scan of ``arg``, are spliced in.  ``(node, k)`` copies the node at
-    ``path[:k]`` of ``g``'s root body, references resolved; ``start`` is
-    the item below the end of ``path``.  Without a ``start``, returns
-    the tree's :class:`_Scan`.  With one, collects no names and no
-    guards, and returns the substitution's result with the copied path
-    above it (None when nothing is substituted), its refs and free
-    variables.
-    """
-    whole = start is None
     refs = set()
     names = set()       # binder names; the free variables join at the end
     free = set()
     guards = []
     bound = {}          # binder name -> number of its binders above the visit
-    vals = []           # values of the substituted nodes
-    spine = []          # (node, selector) of the copied path, top-down
+    todo = [node]
     while todo:
         n = todo.pop()
         t = type(n)
-        if t is tuple:
-            n, ctx = n
-            t = type(n)
-            tc = type(ctx)
-            if tc is dict:
-                # substitution: visit a node
-                scope = ctx
-                if t is Var:
-                    v = scope.get(n.name)
-                    if v is None and n.name == x:
-                        vals.append(arg)
-                        free.update(arg_scan.free.difference(bound))
-                        refs |= arg_scan.refs
-                        continue
-                    if v is not None and v != n.name:
-                        n = Var(v)
-                    vals.append(n)
-                    if n.name not in bound:
-                        free.add(n.name)
-                elif t is App:
-                    todo.append((n, None))
-                    todo.append((n.arg, scope))
-                    todo.append((n.fn, scope))
-                elif t is Lam:
-                    v = n.name
-                    if v in avoid:
-                        v = fresh_name(v, used)
-                        used.add(v)
-                        scope = {**scope, n.name: v}
-                    elif v == x or v in scope:
-                        scope = {**scope, v: v}
-                    bound[v] = bound.get(v, 0) + 1
-                    todo.append((n, v))     # also leaves the binder's scope
-                    todo.append((n.body, scope))
-                elif t is Box:
-                    todo.append((n, None))
-                    todo.append((n.body, scope))
-                elif t is Ref:
-                    vals.append(n)
-                    refs.add(n.name)
-                else:
-                    raise TypeError(f"unexpected node {n!r}")
-            elif tc is not int:
-                # substitution: rebuild a visited node from its children
-                if t is App:
-                    a = vals.pop()
-                    f = vals.pop()
-                    vals.append(n if f is n.fn and a is n.arg else App(f, a))
-                    continue
-                b = vals.pop()
-                if t is Box:
-                    vals.append(n if b is n.body else Box(n.kind, b))
-                    continue
-                vals.append(n if b is n.body and ctx == n.name
-                            else Lam(n.kind, ctx, b))
-                if bound[ctx] == 1:
-                    del bound[ctx]
-                else:
-                    bound[ctx] -= 1
-            else:
-                # path copying: visit the node at path[:ctx]
-                sel = path[ctx]
-                spine.append((n, sel))
-                if t is App:
-                    if sel == FN:
-                        child = n.fn
-                        todo.append(n.arg)
-                    else:
-                        child = n.arg
-                else:
-                    child = n.body
-                    if t is Lam:
-                        bound[n.name] = bound.get(n.name, 0) + 1
-                        todo.append(n.name)
-                ctx += 1
-                todo.append(start if ctx == len(path)
-                            else (g.resolve(child), ctx))
-                if sel == ARG:
-                    todo.append(n.fn)
-        elif t is App:
+        if t is App:
             todo.append(n.arg)
             todo.append(n.fn)
         elif t is Var:
@@ -516,8 +410,7 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
                 free.add(n.name)
         elif t is Lam:
             v = n.name
-            if whole:
-                names.add(v)
+            names.add(v)
             bound[v] = bound.get(v, 0) + 1
             todo.append(v)          # leaves the binder's scope
             todo.append(n.body)
@@ -530,23 +423,11 @@ def _body_pass(todo, *, g=None, path=(), start=None, x=None, arg=None,
             todo.append(n.body)
         elif t is Ref:
             refs.add(n.name)
-            if whole:
-                guards.append((n.name, frozenset(bound)))
+            guards.append((n.name, frozenset(bound)))
         elif t is not Cut:
             raise TypeError(f"not a node: {n!r}")
-    if whole:           # a bound variable's name is its binder's
-        return _Scan(frozenset(refs), names | free, free, guards)
-    node = vals[0] if vals else None
-    for n, sel in reversed(spine):
-        if sel == FN:
-            node = App(node, n.arg)
-        elif sel == ARG:
-            node = App(n.fn, node)
-        elif type(n) is Lam:
-            node = Lam(n.kind, n.name, node)
-        else:
-            node = Box(n.kind, node)
-    return node, frozenset(refs), free
+    # a bound variable's name is its binder's
+    return _Scan(frozenset(refs), names | free, free, guards)
 
 
 def _scan_fvs(refs, free, fvs) -> frozenset:
@@ -684,40 +565,34 @@ def box_contents(g: TermGraph, box: Box) -> TermGraph:
     graph of their own, made by :func:`derive`.
 
     The new root gets a name ``box<k>`` unused in ``g``'s family, ``k``
-    counting up from the size of its name set (one try as a rule).  No
-    body but the contents is scanned, once.
+    counting up from the size of its name set (one try as a rule).
     """
-    node = g.resolve(box.body)  # definition bodies stay guarded
     names = g.all_names()
     name = next(f"box{k}" for k in count(len(names))
                 if f"box{k}" not in names)
-    scan = _scan_body(node)
-    return derive(g, name, node, scan.refs, scan.free).pruned()
+    # definition bodies stay guarded
+    return derive(g, name, g.resolve(box.body)).pruned()
 
 
-def derive(g: TermGraph, name, body, refs, free) -> TermGraph:
+def derive(g: TermGraph, name, body) -> TermGraph:
     """``g`` with root ``name`` defined as ``body``, built unchecked from
-    ``g``'s caches; ``refs`` and ``free`` are ``body``'s references and
-    its free variables not counting those of references.
+    ``g``'s caches and one scan of ``body``.
 
-    Precondition: ``body`` is made from ``g``'s bodies by a
-    capture-avoiding step, or it is the contents of a box of ``g``;
-    ``name`` is ``g``'s unreferenced root, or a name fresh in its family.  The
-    result is then valid, and the other definitions keep their caches.
-    It shares ``g``'s name set, with ``name`` added, and it is pruned,
-    with ``g``'s referenced names, when ``g`` is and the root keeps its
-    name and references.
+    Precondition: ``body`` is made from ``g``'s bodies by
+    capture-avoiding steps, or it is the contents of a box of ``g``, so
+    that its references lead to ``g``'s definitions, none beneath a
+    binder free in it; ``name`` is ``g``'s unreferenced root, or a name
+    fresh in its family.  The result is then valid, and the other
+    definitions keep their caches.  It shares ``g``'s name set, with
+    ``name`` added.
     """
+    scan = _scan_body(body)
     fvs = g.def_free_vars()
     out = TermGraph({**g.defs, name: body}, name, _validate=False)
-    out._fvs = {**fvs, name: _scan_fvs(refs, free, fvs)}
-    out._refs = {**(g._refs or {}), name: refs}
+    out._fvs = {**fvs, name: _scan_fvs(scan.refs, scan.free, fvs)}
+    out._refs = {**(g._refs or {}), name: scan.refs}
     out._names = g.all_names()
     out._names.add(name)
-    if g._pruned and name == g.root and refs == g.refs_of(name):
-        # the same definitions stay reachable and referenced
-        out._pruned = True
-        out._referenced = g._referenced
     return out
 
 
@@ -890,11 +765,63 @@ def fresh_name(base, used):
                 if name not in used)
 
 
+def _subst(node, x, arg, avoid, used):
+    """``node`` with ``arg`` for the free ``x``, and the binders in
+    ``avoid`` renamed to names fresh in ``used``, in preorder; one
+    iterative pass that shares the subtrees it leaves unchanged."""
+    vals = []           # values of the visited subtrees
+    todo = [(node, {})]
+    while todo:
+        n, ctx = todo.pop()
+        t = type(n)
+        if type(ctx) is dict:
+            # visit n; ctx maps each binder name in scope that is renamed,
+            # or that shadows x or a renamed binder, to its new name
+            if t is Var:
+                v = ctx.get(n.name)
+                if v is None:
+                    vals.append(arg if n.name == x else n)
+                else:
+                    vals.append(n if v == n.name else Var(v))
+            elif t is App:
+                todo.append((n, None))
+                todo.append((n.arg, ctx))
+                todo.append((n.fn, ctx))
+            elif t is Lam:
+                v = n.name
+                if v in avoid:
+                    v = fresh_name(v, used)
+                    used.add(v)
+                    ctx = {**ctx, n.name: v}
+                elif v == x or v in ctx:
+                    ctx = {**ctx, v: v}
+                todo.append((n, v))
+                todo.append((n.body, ctx))
+            elif t is Box:
+                todo.append((n, None))
+                todo.append((n.body, ctx))
+            elif t is Ref:
+                vals.append(n)
+            else:
+                raise TypeError(f"unexpected node {n!r}")
+        elif t is App:
+            # rebuild n from its children's values
+            a = vals.pop()
+            f = vals.pop()
+            vals.append(n if f is n.fn and a is n.arg else App(f, a))
+        else:
+            b = vals.pop()
+            if t is Box:
+                vals.append(n if b is n.body else Box(n.kind, b))
+            else:       # ctx is the binder's new name
+                vals.append(n if b is n.body and ctx == n.name
+                            else Lam(n.kind, ctx, b))
+    return vals[0]
+
+
 def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
-                  path=None):
-    """Capture-avoiding substitution inside one body tree, in one pass
-    that also finds the result's references and its own free variables
-    (what :func:`derive` takes): returns the three.
+                  path=(), top=None) -> Node:
+    """Capture-avoiding substitution inside one body tree.
 
     Binders named like a free variable of ``replacement`` are renamed
     apart, in preorder, to names fresh in ``g``'s name set, which keeps
@@ -902,13 +829,13 @@ def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
     no referenced definition has ``x`` free when the body lies beneath an
     ``x`` binder, so the pass stops at references.  Subtrees it leaves
     unchanged are shared with ``body``, and a result that would be a
-    bare reference is the referenced body instead.  ``replacement`` is
-    scanned once, and its scan is spliced in at each occurrence of ``x``.
+    bare reference is the referenced body instead.
 
     With a ``path``, the result takes the place of the node at ``path``
-    in ``g``'s root body, whose path is copied with the references along
-    it inlined (path copying); the other subtrees beside it are shared,
-    and only scanned.  The path must lead to a node.  Nothing is checked.
+    below ``top`` (by default ``g``'s root body), whose path is copied
+    with the references along it inlined (path copying); the subtrees
+    beside it are shared.  The path must lead to a node.  Nothing is
+    checked.
     """
     if type(body) is Var and body.name == x:
         body = replacement
@@ -916,18 +843,27 @@ def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
     if type(body) is Ref:
         body = g.defs[body.name]
         x = None            # by capture-freedom, x is not free in it
-    arg_scan = used = None
-    avoid = ()
     if x is not None and type(body) is not Var:
-        arg_scan = _scan_body(replacement)
-        avoid = _scan_fvs(arg_scan.refs, arg_scan.free, g.def_free_vars())
+        avoid = g.node_free_vars(replacement)
         used = g.all_names()    # shared: renamed binders stay reserved
         used |= avoid
-    start = (body, {})
-    todo = [start if not path else (g.resolve(g.root_body()), 0)]
-    return _body_pass(todo, g=g, path=path, start=start, x=x,
-                      arg=replacement, arg_scan=arg_scan, avoid=avoid,
-                      used=used)
+        body = _subst(body, x, replacement, avoid, used)
+    spine = []
+    node = g.root_body() if top is None else top
+    for sel in path:
+        node = g.resolve(node)
+        spine.append((node, sel))
+        node = node.fn if sel == FN else node.arg if sel == ARG else node.body
+    for n, sel in reversed(spine):
+        if sel == FN:
+            body = App(body, n.arg)
+        elif sel == ARG:
+            body = App(n.fn, body)
+        elif type(n) is Lam:
+            body = Lam(n.kind, n.name, body)
+        else:
+            body = Box(n.kind, body)
+    return body
 
 
 def import_defs(target_defs: dict, src: TermGraph):
@@ -981,7 +917,7 @@ def substitute(g: TermGraph, x: str, n: TermGraph) -> TermGraph:
     new_defs = {}
     for name, body in defs.items():
         if name in g.defs and x in fvs.get(name, frozenset()):
-            new_defs[name] = subst_in_body(tmp, body, x, replacement)[0]
+            new_defs[name] = subst_in_body(tmp, body, x, replacement)
         else:
             new_defs[name] = body
     return TermGraph(new_defs, g.root).pruned()

@@ -23,10 +23,12 @@
   kept as the oracle of the scanner and parser loop in
   :mod:`llinf.surface` (which also rejects boxes in lambda files).
 * A contraction step in separate passes (the position rewritten by
-  ``reduction._rewrite``, the substitution alone, a full validation of
-  the new graph, and ``pruned()`` every time): the oracle of the one
-  pass and the unchecked :func:`llinf.terms.derive` that
-  :func:`llinf.reduction.contract` makes, with caches computed afresh.
+  ``reduction._rewrite``, the substitution alone, and a full validation
+  of the new graph): the oracle of the path copy and substitution of
+  one :func:`llinf.terms.subst_in_body` that
+  :func:`llinf.reduction.contract` makes on the root body and the
+  frontier evaluator on a box's node, and of the unchecked
+  :func:`llinf.terms.derive` after it, with caches computed afresh.
 * The evaluator's charge for a stepped root body, its nodes above its
   coinductive boxes with references as leaves, by structural recursion:
   the oracle of the walk in :func:`llinf.reduction._shallow_size`.
@@ -624,9 +626,9 @@ def contract(g: TermGraph, redex) -> TermGraph:
         else:
             value = g.resolve(node.arg).body
         # keep definition bodies guarded
-        return g.resolve(subst_in_body(g, f.body, f.name, value)[0])
+        return g.resolve(subst_in_body(g, f.body, f.name, value))
 
-    new_body = reduction._rewrite(g, {path: beta})
+    new_body = reduction._rewrite(g, g.root_body(), {path: beta})
     root = g.root
     if root in g.referenced():
         # the old root is shared; give the rewritten unfolding a new name

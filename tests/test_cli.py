@@ -3,7 +3,7 @@ import re
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from llinf.cli import main
 from llinf.surface import parse_program
@@ -266,12 +266,13 @@ def _check_exit(system, entries, flags, name):
     """3 for a lambda file without valid flags (given, or in the file's
     clause when none are given), and for a term file whose environment
     has an empty entry, a bad name, a name bound twice or a mark with
-    no kind in the system; else None (0 or 1)."""
+    no kind in the system; else None (0 or 1).  Entries that join to
+    blank text are the empty environment."""
     if name.endswith(".lam"):
         if not flags:
             return None if name == "flags.lam" else 3
         return None if re.fullmatch("[01]{3}", flags) else 3
-    if entries is None:
+    if entries is None or not "".join(m + n for m, n in entries).strip():
         return None
     names = [n for _, n in entries]
     ok = (all(re.fullmatch("[A-Za-z_][A-Za-z0-9_']*", n) for n in names)
@@ -284,6 +285,7 @@ def _check_exit(system, entries, flags, name):
 @given(system=st.sampled_from(["llinf", "4s"]),
        env=_ENV_ENTRIES | _ENV_TEXT, flags=_FLAGS,
        name=st.sampled_from(["t.lli", "t.lam", "flags.lam"]))
+@example(system="llinf", env=[("", "")], flags=None, name="t.lli")
 def test_check_options_exit_with_the_documented_code(system, env, flags, name):
     entries = env if isinstance(env, list) else None
     text = env if entries is None else ", ".join(m + n for m, n in entries)
@@ -488,6 +490,17 @@ def test_eval_prints_deep_stream_prefixes(flip_program):
                            "\\!y_0. \\!y_1. \\!y_e. y_0 #(")
     assert outcome == ("outcome: normalized (steps per depth: "
                        + " ".join(f"{d}:9" for d in range(201)) + ")")
+
+
+def test_decode_exits_2_when_the_fuel_runs_out():
+    # fuel exhaustion is exit code 2 in decode, as in eval
+    prog = run(["examples", "omega_ind"]).output
+    for cmd in (["eval", "--depth", "0"],
+                ["decode", "--mode", "coalgebra", "--bound", "4"]):
+        r = run(cmd + ["o.lli"], {"o.lli": prog})
+        assert r.exit_code == 2, r.output
+        assert "fuel exhausted" in r.output and "Traceback" not in r.output
+    assert r.output.startswith("error: evaluation fuel exhausted: ")
 
 
 def test_decode_deep_stream_prefix(flip_program):

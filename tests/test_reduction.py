@@ -313,29 +313,30 @@ def _assert_valid(g):
         assert refs == _scan_body(g.defs[name]).refs
     if g._names is not None:
         assert full.all_names() <= g._names
-    if g._referenced is not None:       # carried over
+    if g._referenced is not None:
         assert g._referenced == full.referenced()
-    if g._pruned:
-        assert set(g.reachable_defs()) == set(g.defs)
+
+
+def _as_graph(g, node):
+    """``node``, a node over ``g``'s definitions, as the root body of a
+    graph of its own, validated in full."""
+    name = terms.fresh_name("box", g.all_names())
+    return TermGraph({**g.defs, name: node}, name)
 
 
 def _checked_contract(monkeypatch):
-    """Make every contraction and every box's contents check their
-    result: full validation agrees, and the carried caches equal freshly
-    computed ones.  Production builds both unchecked."""
-    plain_contract, plain_box = reduction.contract, reduction.box_contents
+    """Make every frontier step check its result: the stepped box's
+    node, made a graph's root body, passes full validation.  Production
+    builds it unchecked (``contract``'s results are checked against the
+    oracle's, validated in full, by ``_assert_contract_matches_oracle``)."""
+    plain = reduction._contract_at
 
-    def checked(plain, *args):
-        out = plain(*args)
-        assert out._fvs is not None and out._refs is not None
-        assert out._pruned
-        _assert_valid(out)
+    def checked(g, node, r):
+        out = plain(g, node, r)
+        _as_graph(g, out)
         return out
 
-    monkeypatch.setattr(reduction, "contract",
-                        lambda *args: checked(plain_contract, *args))
-    monkeypatch.setattr(reduction, "box_contents",
-                        lambda *args: checked(plain_box, *args))
+    monkeypatch.setattr(reduction, "_contract_at", checked)
 
 
 @pytest.mark.parametrize("g,depth,fuel", [
@@ -354,7 +355,8 @@ def test_frontier_matches_whole_graph_loop(monkeypatch, g, depth, fuel):
     seen = []
     reduction._frontier_eval(
         g, depth, fuel, budget,
-        lambda boxes, *step: seen.append((step[-1], reduction._whole(boxes))))
+        lambda boxes, *step: seen.append((step[-1],
+                                          reduction._whole(g, boxes))))
     gout, tree, stats = eval_lbl(g, depth, fuel, budget)
     for h in [h for _, h in seen] + [gout]:     # _whole validates nothing
         _assert_valid(h)
@@ -393,23 +395,52 @@ BRANCHING = "def T = \\f. f" + " (#T)" * 8 + " ; root T"
 def test_frontier_budget_bounds_the_boxes(monkeypatch):
     # the frontier is charged to the budget as a whole: each box stays
     # small, but their number is bounded by the budget, not by 2^depth
-    plain = reduction.box_contents
+    plain = reduction._Box
     opened = [0]
 
-    def counting(g, box):
+    def counting(*args):
+        # _split opens every box but the whole input's
         opened[0] += 1
-        assert opened[0] <= 2_000, "boxes opened past the budget"
-        return plain(g, box)
+        assert opened[0] <= 2_001, "boxes opened past the budget"
+        return plain(*args)
 
-    monkeypatch.setattr(reduction, "box_contents", counting)
+    monkeypatch.setattr(reduction, "_Box", counting)
     g = parse(BRANCHING)
     with pytest.raises(BudgetExceededError):
         _whole_graph_eval(g, 25, 10, 2_000)
     with pytest.raises(BudgetExceededError):
         eval_lbl(g, 25, 10, 2_000)
+    opened[0] = 0
     _, tree, stats = eval_lbl(g, 2, 10, 2_000)
-    assert stats.outcome == "normalized"
+    assert stats.outcome == "normalized" and opened[0] == 1 + 8 + 64
     assert alpha_equal(tree, project_depth(g, 2, 2_000))
+
+
+def test_evaluation_builds_no_graph_per_box_or_step(monkeypatch):
+    """Boxes and steps are nodes over the input's definitions: the only
+    graph an evaluation builds is the result that ``_whole`` plugs
+    together, and its pruned copy."""
+    plain = TermGraph.__init__
+    built = [0]
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        plain(self, *args, **kwargs)
+
+    branching = parse("def T = (#T) (#T) ; root T")
+    flip = flip_applied("", "01")
+    monkeypatch.setattr(TermGraph, "__init__", counting)
+    for depth in (6, 10):       # 2^depth boxes, no step
+        built[0] = 0
+        gout, _, _ = eval_lbl(branching, depth, 10)
+        assert gout is branching and built[0] == 0
+    counts = []
+    for depth in (8, 16):       # a step in every box
+        built[0] = 0
+        _, _, stats = eval_lbl(flip, depth, 1_000)
+        assert stats.outcome == "normalized" and stats.fuel_consumed > depth
+        counts.append(built[0])
+    assert counts[0] == counts[1] <= 2, counts
 
 
 def test_frontier_step_cost_is_linear(monkeypatch):
@@ -455,7 +486,7 @@ def _assert_first_redex_on_fresh(g, budget):
     n = _outcome(_region_nodes, g, budget)
     budgets = {1, 2, budget} | ({n - 1, n} if isinstance(n, int) else set())
     for b in sorted(budgets - {0}):
-        assert (_outcome(_first_redex, g, b)
+        assert (_outcome(_first_redex, g, g.root_body(), b)
                 == _outcome(_first_of_sorted_scan, g, b)), b
 
 
@@ -468,7 +499,7 @@ def test_first_redex_matches_the_sorted_scan(g, depth, fuel):
     stepped = []
 
     def on_step(boxes, frontier, used, i, before, redex):
-        stepped.extend((before, boxes[i].graph))
+        stepped.extend((before, boxes[i].node))
 
     try:
         boxes, _ = reduction._frontier_eval(g, depth, fuel, budget, on_step)
@@ -476,19 +507,22 @@ def test_first_redex_matches_the_sorted_scan(g, depth, fuel):
         boxes = []
     for b in boxes:
         if not b.changed:
-            _assert_first_redex_on_fresh(b.graph, budget)
-    for h in stepped:
+            _assert_first_redex_on_fresh(_as_graph(g, b.node), budget)
+    for node in stepped:
+        # the box's node searched over g's definitions, against the
+        # sorted scan of the node made a graph's root body
+        h = _as_graph(g, node)
         want = _outcome(_first_of_sorted_scan, h, budget)
-        assert _outcome(_first_redex, h, budget) == want
+        assert _outcome(_first_redex, g, node, budget) == want
         if not isinstance(want, str):
-            assert _first_redex(h, budget, whole=False) == want
+            assert _first_redex(g, node, budget, whole=False) == want
         # the charge after a step is the oracle's count: never more than
         # a walk of the region visits, and as many when no reference is met
-        charge = _shallow_size(h, math.inf)
+        charge = _shallow_size(node, math.inf)
         assert charge == graph_oracles.shallow_size(h)
         n = _outcome(_region_nodes, h, budget)
         assert isinstance(n, str) or charge <= n
-        assert _scan_body(h.root_body()).refs or charge == n
+        assert _scan_body(node).refs or charge == n
 
 
 @pytest.mark.parametrize("g,depth,fuel", [
@@ -496,10 +530,10 @@ def test_first_redex_matches_the_sorted_scan(g, depth, fuel):
     for name, g, depth, fuel in _gate_corpus()])
 def test_shallow_size_matches_the_recursive_count(g, depth, fuel):
     want = graph_oracles.shallow_size(g)
-    assert _shallow_size(g, math.inf) == want
+    assert _shallow_size(g.root_body(), math.inf) == want
     # past the budget the walk stops, with a count past it
     for budget in range(want + 2):
-        got = _shallow_size(g, budget)
+        got = _shallow_size(g.root_body(), budget)
         assert got == want if want <= budget else budget < got <= want
 
 
@@ -509,8 +543,7 @@ def test_shallow_size_stops_past_the_budget_on_a_shared_tree():
     node = Var("y")
     for _ in range(40):
         node = App(node, node)
-    g = TermGraph({"m": node}, "m", _validate=False)
-    assert 1_000 < _shallow_size(g, 1_000) <= 1_041
+    assert 1_000 < _shallow_size(node, 1_000) <= 1_041
 
 
 def _old_level_key(level):
@@ -557,7 +590,7 @@ def _twin(g):
     """A copy of ``g`` with its caches and a name set of its own, so that
     two routes given copies draw the same fresh names."""
     h = TermGraph(g.defs, g.root, _validate=False)
-    for slot in ("_fvs", "_referenced", "_pruned"):
+    for slot in ("_fvs", "_referenced"):
         setattr(h, slot, getattr(g, slot))
     h._refs = None if g._refs is None else dict(g._refs)
     h._names = set(g.all_names())
@@ -577,13 +610,11 @@ def _assert_contract_matches_oracle(g, r):
         assert str(got.value) == str(exc)
         return None
     h = _twin(g)
-    node = reduction._node_at(h, r.position)[0]
+    node = reduction._node_at(h, h.root_body(), r.position)[0]
     f = h.resolve(node.fn)
     value = node.arg if f.kind == "lin" else h.resolve(node.arg).body
-    body, refs, free = terms.subst_in_body(h, f.body, f.name, value,
-                                           r.position)
-    scan = _scan_body(body)
-    assert body == want.root_body() and (refs, free) == (scan.refs, scan.free)
+    body = terms.subst_in_body(h, f.body, f.name, value, r.position)
+    assert body == want.root_body()
     out = contract(_twin(g), r)
     assert out.root == want.root and out.defs == want.defs
     # the oracle's caches are computed afresh by full validation; the
@@ -592,10 +623,8 @@ def _assert_contract_matches_oracle(g, r):
     assert out._refs == {name: want.refs_of(name) for name in want.defs}
     assert out.all_names() == twin.all_names() | {want.root}
     assert want.all_names() <= out.all_names()
-    if out._referenced is not None:         # carried over from g
-        assert out._referenced == want.referenced()
     assert out.referenced() == want.referenced()
-    assert out._pruned and set(out.reachable_defs()) == set(out.defs)
+    assert set(out.reachable_defs()) == set(out.defs)
     return out
 
 
@@ -658,23 +687,25 @@ def test_one_pass_contract_matches_the_oracle(name, g):
 
 
 def test_one_pass_contract_matches_the_oracle_on_frontier_boxes():
-    """The steps the frontier evaluator takes on stream programs: pruned
-    box graphs whose caches are all filled."""
+    """The steps the frontier evaluator takes on stream programs, each on
+    a box's node over the input's definitions: made a graph's root body,
+    the node before the step contracts as the oracle says, and to the
+    node after it, up to the names of renamed binders."""
     steps = []
-
-    def on_step(boxes, frontier, used, i, before, redex):
-        b = boxes[i]
-        steps.append((before, Redex(redex.position[len(b.path):],
-                                    redex.level[len(b.level):], redex.kind)))
-
     for prefix, cycle in (("", "01"), ("1", "0"), ("01", "110")):
-        reduction._frontier_eval(flip_applied(prefix, cycle), 6, 500,
-                                 100_000, on_step)
-    kept = 0
-    for before, r in steps:
-        out = _assert_contract_matches_oracle(before, r)
-        kept += out._referenced is not None
-    assert len(steps) > 150 and kept > 100, (len(steps), kept)
+        g = flip_applied(prefix, cycle)
+
+        def on_step(boxes, frontier, used, i, before, redex, g=g):
+            b = boxes[i]
+            steps.append((g, before, b.node,
+                          Redex(redex.position[len(b.path):],
+                                redex.level[len(b.level):], redex.kind)))
+
+        reduction._frontier_eval(g, 6, 500, 100_000, on_step)
+    for g, before, after, r in steps:
+        out = _assert_contract_matches_oracle(_as_graph(g, before), r)
+        assert graph_bisimilar(out, _as_graph(g, after))
+    assert len(steps) > 150, len(steps)
 
 
 def test_contract_error_messages():
@@ -688,33 +719,26 @@ def test_contract_error_messages():
 
 
 def test_one_scan_per_step_on_the_argument(monkeypatch):
-    """On graphs whose caches are filled, a step scans nothing but the
-    redex's argument, at most once, and ``derive`` scans nothing."""
+    """On graphs whose caches are filled, a frontier step scans nothing
+    but the redex's argument, at most once."""
     scanned = []
     plain_scan = terms._scan_body
     monkeypatch.setattr(terms, "_scan_body",
                         lambda node: scanned.append(node) or plain_scan(node))
-    plain_contract, plain_derive = reduction.contract, reduction.derive
+    plain_step = reduction._contract_at
     counts = []
 
-    def counted_contract(g, r):
-        node = reduction._node_at(g, r.position)[0]
-        f = g.resolve(node.fn)
-        value = node.arg if f.kind == "lin" else g.resolve(node.arg).body
+    def counted_step(g, node, r):
+        at = reduction._node_at(g, node, r.position)[0]
+        f = g.resolve(at.fn)
+        value = at.arg if f.kind == "lin" else g.resolve(at.arg).body
         before = len(scanned)
-        out = plain_contract(g, r)
+        out = plain_step(g, node, r)
         assert all(n is value for n in scanned[before:])
         counts.append(len(scanned) - before)
         return out
 
-    def counted_derive(*args):
-        before = len(scanned)
-        out = plain_derive(*args)
-        assert len(scanned) == before
-        return out
-
-    monkeypatch.setattr(reduction, "contract", counted_contract)
-    monkeypatch.setattr(reduction, "derive", counted_derive)
+    monkeypatch.setattr(reduction, "_contract_at", counted_step)
     for g in (flip_applied("01", "110"), parse(CONTRACT_CASES["! copies"]),
               parse(CONTRACT_CASES["argument is a ref"])):
         g.referenced(), g.all_names(), g.def_free_vars()

@@ -277,24 +277,19 @@ def _derive_cases():
 def test_derive_agrees_with_full_validation():
     """derive checks nothing: on the inputs its callers make, its result
     passes full validation and carries caches equal to fresh ones."""
-    cases = carried = 0
+    cases = 0
     for base, name, body in _derive_cases():
         g = TermGraph(base.defs, base.root).pruned()    # a name set of its own
         g.referenced()
         defs = {**g.defs, name: body}
         full = TermGraph(defs, name)
-        scan = _scan_body(body)
-        out = derive(g, name, body, scan.refs, scan.free)
+        out = derive(g, name, body)
         assert out.root == name and out.defs == defs
         assert out.def_free_vars() == full.def_free_vars()
         assert out._refs == {n: full.refs_of(n) for n in defs}
         assert full.all_names() <= out.all_names()
-        if out._pruned:
-            assert set(out.reachable_defs()) == set(out.defs)
-            assert out._referenced == full.referenced()
-            carried += 1
         cases += 1
-    assert cases > 500 and carried > 50, (cases, carried)
+    assert cases > 500, cases
 
 
 def test_validation_rejects_bodies_no_step_makes():
@@ -381,11 +376,9 @@ def test_subst_in_body_matches_three_pass_reference():
                     for ys in ([names[-1]], names[:2], ["q"]):
                         repl = Var(ys[0]) if len(ys) == 1 else App(*map(Var, ys))
                         h = TermGraph(g.defs, g.root)
-                        got, refs, free = subst_in_body(h, body, x, repl)
-                        want = _scan_body(got)
-                        assert (refs, free) == (want.refs, want.free)
-                        outs = [got, _subst_reference(TermGraph(g.defs, g.root),
-                                                      body, x, repl)]
+                        outs = [subst_in_body(h, body, x, repl),
+                                _subst_reference(TermGraph(g.defs, g.root),
+                                                 body, x, repl)]
                         assert outs[0] == outs[1]
                         renamed += not _scan_body(outs[0]).names <= {*names, *ys}
     assert renamed > 50
@@ -424,11 +417,9 @@ def test_deep_bodies_need_no_recursion(shape):
         free, repl, free_after = {"y"}, Var("x"), {"x"}
     assert g.def_free_vars()["main"] == free
     assert g.node_free_vars(body) == free
-    scan = _scan_body(body)
-    assert derive(g, "main2", body, scan.refs,
-                  scan.free).def_free_vars()["main2"] == free
-    out, _, out_free = subst_in_body(g, body, "y", repl)
-    assert _scan_body(out).free == out_free == free_after
+    assert derive(g, "main2", body).def_free_vars()["main2"] == free
+    out = subst_in_body(g, body, "y", repl)
+    assert _scan_body(out).free == free_after
 
 
 @pytest.mark.parametrize("shape", ["lambdas", "spine"])

@@ -106,7 +106,7 @@ def weight_steps(g: TermGraph, depth_bound: int, fuel: int = 10_000,
     cur = [vector(g)]
 
     def on_step(boxes, *step):
-        after = vector(reduction._whole(boxes))
+        after = vector(reduction._whole(g, boxes))
         steps.append(WeightStep(step[-1].depth, cur[0], after))
         cur[0] = after
 
