@@ -312,8 +312,9 @@ def _contract_at(g: TermGraph, node: Node, redex: Redex) -> Node:
     """``node``, a node over ``g``'s definitions, with the redex at
     ``redex.position`` below it contracted: one
     :func:`~llinf.terms.subst_in_body` substitutes in the abstraction's
-    body and copies the path down to the redex.  ``g``'s definitions
-    are not written."""
+    body, and the path down to the redex is copied with the references
+    along it inlined (path copying); the subtrees beside it are shared.
+    ``g``'s definitions are not written."""
     path = redex.position
     at, _ = _node_at(g, node, path)
     kind = redex_kind_at(g, at)
@@ -323,7 +324,22 @@ def _contract_at(g: TermGraph, node: Node, redex: Redex) -> Node:
             f"{kind or 'no redex'}, not a {redex.kind} redex")
     f = g.resolve(at.fn)
     value = at.arg if f.kind == LIN else g.resolve(at.arg).body
-    return subst_in_body(g, f.body, f.name, value, path, node)
+    out = subst_in_body(g, f.body, f.name, value)
+    spine = []
+    for sel in path:
+        node = g.resolve(node)
+        spine.append((node, sel))
+        node = node.fn if sel == FN else node.arg if sel == ARG else node.body
+    for n, sel in reversed(spine):
+        if sel == FN:
+            out = App(out, n.arg)
+        elif sel == ARG:
+            out = App(n.fn, out)
+        elif type(n) is Lam:
+            out = Lam(n.kind, n.name, out)
+        else:
+            out = Box(n.kind, out)
+    return out
 
 
 def _with_root_body(g: TermGraph, body: Node) -> TermGraph:

@@ -819,8 +819,7 @@ def _subst(node, x, arg, avoid, used):
     return vals[0]
 
 
-def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
-                  path=(), top=None) -> Node:
+def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node) -> Node:
     """Capture-avoiding substitution inside one body tree.
 
     Binders named like a free variable of ``replacement`` are renamed
@@ -829,13 +828,7 @@ def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
     no referenced definition has ``x`` free when the body lies beneath an
     ``x`` binder, so the pass stops at references.  Subtrees it leaves
     unchanged are shared with ``body``, and a result that would be a
-    bare reference is the referenced body instead.
-
-    With a ``path``, the result takes the place of the node at ``path``
-    below ``top`` (by default ``g``'s root body), whose path is copied
-    with the references along it inlined (path copying); the subtrees
-    beside it are shared.  The path must lead to a node.  Nothing is
-    checked.
+    bare reference is the referenced body instead.  Nothing is checked.
     """
     if type(body) is Var and body.name == x:
         body = replacement
@@ -848,21 +841,6 @@ def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
         used = g.all_names()    # shared: renamed binders stay reserved
         used |= avoid
         body = _subst(body, x, replacement, avoid, used)
-    spine = []
-    node = g.root_body() if top is None else top
-    for sel in path:
-        node = g.resolve(node)
-        spine.append((node, sel))
-        node = node.fn if sel == FN else node.arg if sel == ARG else node.body
-    for n, sel in reversed(spine):
-        if sel == FN:
-            body = App(body, n.arg)
-        elif sel == ARG:
-            body = App(n.fn, body)
-        elif type(n) is Lam:
-            body = Lam(n.kind, n.name, body)
-        else:
-            body = Box(n.kind, body)
     return body
 
 

@@ -24,10 +24,10 @@
   :mod:`llinf.surface` (which also rejects boxes in lambda files).
 * A contraction step in separate passes (the position rewritten by
   ``reduction._rewrite``, the substitution alone, and a full validation
-  of the new graph): the oracle of the path copy and substitution of
-  one :func:`llinf.terms.subst_in_body` that
-  :func:`llinf.reduction.contract` makes on the root body and the
-  frontier evaluator on a box's node, and of the unchecked
+  of the new graph): the oracle of the substitution and path copy of
+  ``reduction._contract_at``, which :func:`llinf.reduction.contract`
+  makes on the root body and the frontier evaluator on a box's node,
+  and of the unchecked
   :func:`llinf.terms.derive` after it, with caches computed afresh.
 * The evaluator's charge for a stepped root body, its nodes above its
   coinductive boxes with references as leaves, by structural recursion:

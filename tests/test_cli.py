@@ -267,12 +267,13 @@ def _check_exit(system, entries, flags, name):
     clause when none are given), and for a term file whose environment
     has an empty entry, a bad name, a name bound twice or a mark with
     no kind in the system; else None (0 or 1).  Entries that join to
-    blank text are the empty environment."""
+    blank text (as the command gets them, joined by ", ") are the empty
+    environment."""
     if name.endswith(".lam"):
         if not flags:
             return None if name == "flags.lam" else 3
         return None if re.fullmatch("[01]{3}", flags) else 3
-    if entries is None or not "".join(m + n for m, n in entries).strip():
+    if entries is None or not ", ".join(m + n for m, n in entries).strip():
         return None
     names = [n for _, n in entries]
     ok = (all(re.fullmatch("[A-Za-z_][A-Za-z0-9_']*", n) for n in names)
@@ -286,6 +287,7 @@ def _check_exit(system, entries, flags, name):
        env=_ENV_ENTRIES | _ENV_TEXT, flags=_FLAGS,
        name=st.sampled_from(["t.lli", "t.lam", "flags.lam"]))
 @example(system="llinf", env=[("", "")], flags=None, name="t.lli")
+@example(system="llinf", env=[("", ""), ("", "")], flags=None, name="t.lli")
 def test_check_options_exit_with_the_documented_code(system, env, flags, name):
     entries = env if isinstance(env, list) else None
     text = env if entries is None else ", ".join(m + n for m, n in entries)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from llinf import reduction, wellform
+from llinf.errors import BudgetExceededError
 from llinf.encodings import (
     BINARY, EPSILON, EncodingError, FIN, INFTY, FiniteTree,
     Signature, bit_flip, fixpoint,
@@ -293,6 +294,13 @@ def test_finite_head_function():
     v = representability_harness(
         mf, BINARY, [word_tree("1")], word_tree("1"), [FIN], FIN, depth=8)
     assert v.ok, (v.got, v.want)
+
+
+def test_harness_lets_fuel_exhaustion_propagate(ex):
+    # omega_ind never reaches a constructor: no verdict, a budget error
+    with pytest.raises(BudgetExceededError, match="fuel exhausted"):
+        representability_harness(ex["omega_ind"], BINARY, [], word_tree("0"),
+                                 [], INFTY, depth=4, fuel=50)
 
 
 def test_harness_mismatch_reported():

@@ -610,11 +610,7 @@ def _assert_contract_matches_oracle(g, r):
         assert str(got.value) == str(exc)
         return None
     h = _twin(g)
-    node = reduction._node_at(h, h.root_body(), r.position)[0]
-    f = h.resolve(node.fn)
-    value = node.arg if f.kind == "lin" else h.resolve(node.arg).body
-    body = terms.subst_in_body(h, f.body, f.name, value, r.position)
-    assert body == want.root_body()
+    assert reduction._contract_at(h, h.root_body(), r) == want.root_body()
     out = contract(_twin(g), r)
     assert out.root == want.root and out.defs == want.defs
     # the oracle's caches are computed afresh by full validation; the
