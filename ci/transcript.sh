@@ -2,8 +2,10 @@
 # Prints what the installed `llinf` writes, stdout and stderr, with each
 # exit code, for a fixed set of runs: `examples --run`, a seeded `bench`,
 # `eval` and `trace` at depth 3 and `weight --depths 0..3` on every
-# bundled example, three streams encoded and decoded again, and a decode
-# that runs out of fuel (`omega_ind`, exit 2).  The output
+# bundled example, three streams encoded and decoded again, a decode
+# that runs out of fuel (`omega_ind`, exit 2), and a finite word encoded
+# in the free algebra and decoded in full, cut off, under a signature
+# of another shape and in the wrong mode (both exit 1).  The output
 # must be the same in any process, so two runs under different hash
 # seeds must print the same bytes:
 #
@@ -33,3 +35,9 @@ for spec in '01(10)' '1(0)' '(110)'; do
     run decode --mode coalgebra --bound 24 stream.lli
 done
 run decode --bound 4 omega_ind.lli
+llinf encode --mode algebra 0110 > word.lli
+run encode --mode algebra 0110
+run decode --mode algebra --bound 8 word.lli
+run decode --mode algebra --bound 2 word.lli
+run decode --sig 'sig t { node/2, leaf/0 }' word.lli
+run decode --mode coalgebra word.lli

@@ -13,7 +13,8 @@ are encoded as cyclic graphs, one definition per distinct subtree.
 
 Decoding is lazy and constructor-by-constructor: normalise depth 0 of
 the candidate, match the case-analysis shape, and decode the boxed
-children the same way.
+children the same way.  Each constructor is evaluated as a node over the
+input's definitions, so decoding builds no graph.
 """
 
 import re
@@ -23,7 +24,7 @@ from .errors import BudgetExceededError, EncodingError
 from .terms import (
     App, Box, Lam, Node, Ref, TermGraph, Tree, Var,
     COIND, IND, LIN,
-    DEFAULT_BUDGET, box_contents, fresh_name, graph_of, import_defs, rebuild,
+    DEFAULT_BUDGET, fresh_name, graph_of, import_defs, rebuild,
 )
 from . import reduction
 
@@ -284,40 +285,44 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
                  fuel: int = 2_000, budget=DEFAULT_BUDGET) -> DecodeResult:
     """Evaluate lazily and read back up to ``bound`` constructors.
 
-    Raises :class:`EncodingError` when the depth-0 normal form does not
-    have the case-analysis shape, and :class:`BudgetExceededError` when
-    the evaluation runs out of fuel, as it does when the evaluator runs
-    out of budget.
+    Each constructor is evaluated to its depth-0 normal form as a node
+    over ``g``'s definitions: first the root body, then the contents of
+    the box of each child read back.  Raises :class:`EncodingError` when
+    a normal form does not have the case-analysis shape or the
+    evaluation deadlocks, and :class:`BudgetExceededError` when the
+    evaluation runs out of fuel, as it does when the evaluator runs out
+    of budget.
     """
     boxkind = IND if mode == "algebra" else COIND
+    # one set for every constructor: a child can hold binders that the
+    # steps of an earlier constructor renamed
+    names = set(g.all_names())
     complete = True
 
-    def peel(node, ctx):
-        # node is the whole input, or a child of a constructor of graph
+    def peel(node, remaining):
+        # node is a child of a decoded constructor, or the root body in
+        # a box of the kind a child has
         nonlocal complete
-        graph, remaining = ctx
-        if graph is not None:
-            node = graph.resolve(node)
-            if not isinstance(node, Box) or node.kind != boxkind:
-                raise EncodingError(
-                    "shape mismatch: child is not wrapped in the "
-                    f"{'inductive' if boxkind == IND else 'coinductive'} box")
+        node = g.resolve(node)
+        if not isinstance(node, Box) or node.kind != boxkind:
+            raise EncodingError(
+                "shape mismatch: child is not wrapped in the "
+                f"{'inductive' if boxkind == IND else 'coinductive'} box")
         if remaining < 1:
             complete = False
             return FiniteTree("..."), None
-        if graph is not None:
-            node = box_contents(graph, node)
-        graph, _, stats = reduction.eval_lbl(node, 0, fuel, budget)
+        boxes, stats = reduction._frontier_eval(g, g.resolve(node.body), 0,
+                                                fuel, budget, names)
         if stats.outcome == "fuel-exhausted":
             raise BudgetExceededError(
                 f"evaluation fuel exhausted: {stats.detail}")
         if stats.outcome == "stuck":
             raise EncodingError(f"evaluation deadlocked: {stats.detail}")
-        node = graph.resolve(graph.root_body())
+        node = g.resolve(boxes[0].node)
         binders = []
         while isinstance(node, Lam) and node.kind == IND:
             binders.append(node.name)
-            node = graph.resolve(node.body)
+            node = g.resolve(node.body)
         if len(binders) != len(sig.symbols):
             raise EncodingError(
                 f"shape mismatch: expected {len(sig.symbols)} case binders, "
@@ -325,7 +330,7 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
         args = []
         while isinstance(node, App):
             args.append(node.arg)
-            node = graph.resolve(node.fn)
+            node = g.resolve(node.fn)
         args.reverse()
         if not isinstance(node, Var) or node.name not in binders:
             raise EncodingError("shape mismatch: head is not a case binder")
@@ -335,9 +340,9 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
                 f"shape mismatch: {sym!r} applied to {len(args)} children, "
                 f"arity is {sig.arity(sym)}")
         return ((lambda *kids: FiniteTree(sym, kids)),
-                [(arg, (graph, remaining - 1)) for arg in args])
+                [(arg, remaining - 1) for arg in args])
 
-    tree = rebuild(g, (None, bound), peel)
+    tree = rebuild(Box(boxkind, g.root_body()), bound, peel)
     return DecodeResult(tree, complete)
 
 

@@ -327,6 +327,7 @@ def _weight_steps(g: TermGraph, depth_bound: int, fuel: int, budget):
 
     first = vector()
     steps = []
+    names = set(g.all_names())      # reserved by the steps and _whole
 
     def profile(node, top, spent):
         try:
@@ -353,12 +354,13 @@ def _weight_steps(g: TermGraph, depth_bound: int, fuel: int, budget):
         b = boxes[i]
         ind = n and _ind_bound(g, boxes[b.parent].node, b.at)
         if ind and not ind.isdisjoint(g.node_free_vars(before)):
-            totals.df[n - 1] = weight_profile(reduction._whole(g, boxes),
-                                              n - 1, budget).df[n - 1]
+            after = reduction._whole(g, boxes, names)
+            totals.df[n - 1] = weight_profile(after, n - 1, budget).df[n - 1]
         steps.append(WeightStep(n, steps[-1].after if steps else first,
                                 vector()))
 
-    _, stats = reduction._frontier_eval(g, depth_bound, fuel, budget, on_step)
+    _, stats = reduction._frontier_eval(g, g.root_body(), depth_bound, fuel,
+                                        budget, names, on_step)
     return steps, stats
 
 

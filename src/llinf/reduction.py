@@ -308,13 +308,14 @@ def _rewrite(g: TermGraph, node: Node, edits) -> Node:
     return rebuild(node, (trie, ()), visit)
 
 
-def _contract_at(g: TermGraph, node: Node, redex: Redex) -> Node:
+def _contract_at(g: TermGraph, node: Node, redex: Redex, names: set) -> Node:
     """``node``, a node over ``g``'s definitions, with the redex at
     ``redex.position`` below it contracted: one
     :func:`~llinf.terms.subst_in_body` substitutes in the abstraction's
-    body, and the path down to the redex is copied with the references
-    along it inlined (path copying); the subtrees beside it are shared.
-    ``g``'s definitions are not written."""
+    body, renaming binders apart from ``names``, and the path down to
+    the redex is copied with the references along it inlined (path
+    copying); the subtrees beside it are shared.  ``g``'s definitions
+    are not written."""
     path = redex.position
     at, _ = _node_at(g, node, path)
     kind = redex_kind_at(g, at)
@@ -324,7 +325,7 @@ def _contract_at(g: TermGraph, node: Node, redex: Redex) -> Node:
             f"{kind or 'no redex'}, not a {redex.kind} redex")
     f = g.resolve(at.fn)
     value = at.arg if f.kind == LIN else g.resolve(at.arg).body
-    out = subst_in_body(g, f.body, f.name, value)
+    out = subst_in_body(g, f.body, f.name, value, names)
     spine = []
     for sel in path:
         node = g.resolve(node)
@@ -342,21 +343,26 @@ def _contract_at(g: TermGraph, node: Node, redex: Redex) -> Node:
     return out
 
 
-def _with_root_body(g: TermGraph, body: Node) -> TermGraph:
+def _with_root_body(g: TermGraph, body: Node, names: set) -> TermGraph:
     """``g`` with ``body``, made from ``g``'s bodies by steps, as its
-    root body, pruned; the root is named anew when a definition
-    references the old one."""
+    root body, pruned; the root is named anew, with a name not in
+    ``names``, which keeps it, when a definition references the old
+    one."""
     root = g.root
     if root in g.referenced():
-        root = fresh_name(root, g.all_names())
+        root = fresh_name(root, names)
+        names.add(root)
     return derive(g, root, body).pruned()
 
 
 def contract(g: TermGraph, redex: Redex) -> TermGraph:
     """Contract one redex occurrence of ``g``'s root body
-    (:func:`_contract_at`).  The result is built unchecked by
-    :func:`~llinf.terms.derive`, and pruned."""
-    return _with_root_body(g, _contract_at(g, g.root_body(), redex))
+    (:func:`_contract_at`), with fresh names drawn apart from ``g``'s.
+    The result is built unchecked by :func:`~llinf.terms.derive`, and
+    pruned."""
+    names = set(g.all_names())
+    return _with_root_body(g, _contract_at(g, g.root_body(), redex, names),
+                           names)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +462,8 @@ def find_deadlock(g: TermGraph, *, start=None, max_depth=None,
 @dataclass
 class _Box:
     """The contents of one coinductive box, evaluated as a node over the
-    input's definitions.  The whole input is the box at the empty
-    position."""
+    input's definitions.  The node evaluation starts from is the box at
+    the empty position."""
 
     path: tuple             # position of the contents in the whole unfolding
     level: str              # level of the contents
@@ -495,24 +501,25 @@ def _split(g, boxes, frontier, used, budget):
     return out, used
 
 
-def _frontier_eval(g, depth, fuel, budget, on_step):
-    """Level-by-level evaluation, one box at a time.
+def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
+    """Level-by-level evaluation of ``node``, a node over ``g``'s
+    definitions and the box at the empty position, one box at a time.
 
-    Depth ``d`` of the whole term is depth 0 of the contents of the
-    boxes reached by crossing ``d`` coinductive boxes; completed depths
-    are final, so those contents are normalised each on its own, as a
-    node over ``g``'s definitions, which no step writes: a step
-    rewrites a box's node (:func:`_contract_at`), and no graph is built.
-    Steps are taken in the order of :func:`redexes_within_depth` on the
-    whole graph: a heap holds each box's first redex
-    (:func:`_first_redex`) keyed by its whole level, then by box
-    preorder, and after a step only the stepped box is searched again,
-    up to its first redex.  The budget bounds every state of the
-    depth-``d`` region.  A box gets what the region above the frontier
-    and a node for every other frontier box leave: its whole region is
-    walked against that share when the box is queued, and after each
-    step the stepped node's nodes above its coinductive boxes
-    (:func:`_shallow_size`) are charged against it.  Calls
+    Depth ``d`` of its unfolding is depth 0 of the contents of the boxes
+    reached by crossing ``d`` coinductive boxes; completed depths are
+    final, so those contents are normalised each on its own, as a node
+    over ``g``'s definitions, which no step writes: a step rewrites a
+    box's node (:func:`_contract_at`), renaming binders apart from
+    ``names``, and no graph is built.  Steps are taken in the order of
+    :func:`redexes_within_depth` on the whole unfolding: a heap holds
+    each box's first redex (:func:`_first_redex`) keyed by its whole
+    level, then by box preorder, and after a step only the stepped box
+    is searched again, up to its first redex.  The budget bounds every
+    state of the depth-``d`` region.  A box gets what the region above
+    the frontier and a node for every other frontier box leave: its
+    whole region is walked against that share when the box is queued,
+    and after each step the stepped node's nodes above its coinductive
+    boxes (:func:`_shallow_size`) are charged against it.  Calls
     ``on_step(boxes, frontier, used, i, before, redex)`` after each
     step: ``frontier`` lists the boxes at the depth being normalised,
     ``used`` counts the nodes of the region above them, ``i`` is the
@@ -520,7 +527,7 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
     has its whole-term position.  Returns ``(boxes, stats)``.
     """
     stats = EvalStats(steps_per_depth={})
-    boxes = [_Box((), "", g.root_body())]
+    boxes = [_Box((), "", node)]
     frontier = [0]
     used = 0
     heap = []
@@ -548,7 +555,7 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
             _, i, r = heapq.heappop(heap)
             b = boxes[i]
             before = b.node
-            b.node = _contract_at(g, before, r)
+            b.node = _contract_at(g, before, r, names)
             b.changed = True
             stats.steps_per_depth[d] += 1
             stats.fuel_consumed += 1
@@ -567,16 +574,18 @@ def _frontier_eval(g, depth, fuel, budget, on_step):
     return boxes, stats
 
 
-def _whole(g, boxes):
-    """The whole graph: ``g`` with the contents of each box that a step
-    changed, or that holds such a box, plugged back into its parent by
+def _whole(g, boxes, names):
+    """The whole graph after :func:`_frontier_eval` from ``g``'s root
+    body: ``g`` with the contents of each box that a step changed, or
+    that holds such a box, plugged back into its parent by
     :func:`_rewrite`.
 
     Other boxes keep their original nodes, so the parts of the input no
     step touched keep their sharing, and ``g`` itself comes back when no
     step was taken.  Contents are inlined, not referenced: they may
     mention variables bound above the box.  The result is built by
-    :func:`~llinf.terms.derive`, unvalidated, and pruned."""
+    :func:`_with_root_body`, which draws a new root name apart from
+    ``names``, unvalidated, and pruned."""
     edits = [{} for _ in boxes]     # position of a box node -> its edit
     for i in range(len(boxes) - 1, -1, -1):
         b = boxes[i]
@@ -584,7 +593,7 @@ def _whole(g, boxes):
             continue
         node = _rewrite(g, b.node, edits[i]) if edits[i] else b.node
         if not i:
-            return _with_root_body(g, node)
+            return _with_root_body(g, node, names)
         edits[b.parent][b.at] = lambda _, node=node: Box(COIND, node)
     return g
 
@@ -602,8 +611,9 @@ def eval_lbl(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
     ``g`` itself when no step was taken, and boxes no step changed keep
     their nodes.
     """
-    boxes, stats = _frontier_eval(g, depth, fuel, budget, None)
-    g = _whole(g, boxes)
+    names = set(g.all_names())
+    boxes, stats = _frontier_eval(g, g.root_body(), depth, fuel, budget, names)
+    g = _whole(g, boxes, names)
     return g, project_depth(g, depth, budget), stats
 
 
@@ -611,9 +621,10 @@ def run_lbl_trace(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
     """Evaluate and return the list of contracted redexes alongside the
     result."""
     records = []
-    boxes, stats = _frontier_eval(g, depth, fuel, budget,
+    names = set(g.all_names())
+    boxes, stats = _frontier_eval(g, g.root_body(), depth, fuel, budget, names,
                                   lambda *step: records.append(step[-1]))
-    g = _whole(g, boxes)
+    g = _whole(g, boxes, names)
     return g, project_depth(g, depth, budget), stats, records
 
 

@@ -309,22 +309,15 @@ class TermGraph:
             self._referenced = frozenset().union(*map(self.refs_of, self.defs))
         return self._referenced
 
-    def all_names(self) -> set:
-        """Every identifier in use: definition names plus variable names.
-
-        Cached and shared, never copied: a graph made by :func:`derive`,
-        or pruned, uses the set of the graph it came from and adds its
-        new names to it, and the binders a substitution renames are
-        added to the set of the graph it reads.  The set only grows, so
-        it may hold names of other graphs of the family too, and a name
-        not in it is fresh for every one of them.  Callers add to it the
-        names they reserve and never remove any.
-        """
+    def all_names(self) -> frozenset:
+        """Every identifier in use: definition names plus variable names
+        (cached).  A call that names binders or definitions anew reserves
+        them in a set of its own, made from this one."""
         if self._names is None:
             names = set(self.defs)
             for body in self.defs.values():
                 names |= _scan_body(body).names
-            self._names = names
+            self._names = frozenset(names)
         return self._names
 
     def reachable_defs(self):
@@ -349,8 +342,9 @@ class TermGraph:
         return seen
 
     def pruned(self) -> "TermGraph":
-        """Drop definitions unreachable from the root (caches carry over);
-        ``self`` when every definition is reachable."""
+        """Drop definitions unreachable from the root (the caches of the
+        definitions carry over); ``self`` when every definition is
+        reachable."""
         keep = set(self.reachable_defs())
         if len(keep) == len(self.defs):
             return self
@@ -360,7 +354,6 @@ class TermGraph:
             out._fvs = {n: self._fvs[n] for n in out.defs}
         if self._refs is not None:
             out._refs = {n: r for n, r in self._refs.items() if n in keep}
-        out._names = self._names
         return out
 
     def __repr__(self):
@@ -560,39 +553,21 @@ def _validate_graph(g):
                     binder=binder, ref=ref)
 
 
-def box_contents(g: TermGraph, box: Box) -> TermGraph:
-    """The contents of ``box``, a box of ``g``'s unfolding, as a pruned
-    graph of their own, made by :func:`derive`.
-
-    The new root gets a name ``box<k>`` unused in ``g``'s family, ``k``
-    counting up from the size of its name set (one try as a rule).
-    """
-    names = g.all_names()
-    name = next(f"box{k}" for k in count(len(names))
-                if f"box{k}" not in names)
-    # definition bodies stay guarded
-    return derive(g, name, g.resolve(box.body)).pruned()
-
-
 def derive(g: TermGraph, name, body) -> TermGraph:
     """``g`` with root ``name`` defined as ``body``, built unchecked from
     ``g``'s caches and one scan of ``body``.
 
     Precondition: ``body`` is made from ``g``'s bodies by
-    capture-avoiding steps, or it is the contents of a box of ``g``, so
-    that its references lead to ``g``'s definitions, none beneath a
-    binder free in it; ``name`` is ``g``'s unreferenced root, or a name
-    fresh in its family.  The result is then valid, and the other
-    definitions keep their caches.  It shares ``g``'s name set, with
-    ``name`` added.
+    capture-avoiding steps, so that its references lead to ``g``'s
+    definitions, none beneath a binder free in it; ``name`` is ``g``'s
+    unreferenced root, or a name fresh in ``g``.  The result is then
+    valid, and the other definitions keep their caches.
     """
     scan = _scan_body(body)
     fvs = g.def_free_vars()
     out = TermGraph({**g.defs, name: body}, name, _validate=False)
     out._fvs = {**fvs, name: _scan_fvs(scan.refs, scan.free, fvs)}
     out._refs = {**(g._refs or {}), name: scan.refs}
-    out._names = g.all_names()
-    out._names.add(name)
     return out
 
 
@@ -819,16 +794,19 @@ def _subst(node, x, arg, avoid, used):
     return vals[0]
 
 
-def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node) -> Node:
+def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node,
+                  names: set) -> Node:
     """Capture-avoiding substitution inside one body tree.
 
     Binders named like a free variable of ``replacement`` are renamed
-    apart, in preorder, to names fresh in ``g``'s name set, which keeps
-    them.  ``replacement`` may reference definitions; by capture-freedom
-    no referenced definition has ``x`` free when the body lies beneath an
-    ``x`` binder, so the pass stops at references.  Subtrees it leaves
-    unchanged are shared with ``body``, and a result that would be a
-    bare reference is the referenced body instead.  Nothing is checked.
+    apart, in preorder, to names not in ``names``, the names the caller
+    reserves; the new names and the free variables of ``replacement``
+    are added to it.  ``replacement`` may reference definitions; by
+    capture-freedom no referenced definition has ``x`` free when the
+    body lies beneath an ``x`` binder, so the pass stops at references.
+    Subtrees it leaves unchanged are shared with ``body``, and a result
+    that would be a bare reference is the referenced body instead.
+    Nothing is checked.
     """
     if type(body) is Var and body.name == x:
         body = replacement
@@ -838,9 +816,8 @@ def subst_in_body(g: TermGraph, body: Node, x: str, replacement: Node) -> Node:
         x = None            # by capture-freedom, x is not free in it
     if x is not None and type(body) is not Var:
         avoid = g.node_free_vars(replacement)
-        used = g.all_names()    # shared: renamed binders stay reserved
-        used |= avoid
-        body = _subst(body, x, replacement, avoid, used)
+        names |= avoid
+        body = _subst(body, x, replacement, avoid, names)
     return body
 
 
@@ -892,10 +869,11 @@ def substitute(g: TermGraph, x: str, n: TermGraph) -> TermGraph:
     replacement = defs[n_root]
 
     tmp = TermGraph(defs, g.root, _validate=False)
+    names = set(tmp.all_names())
     new_defs = {}
     for name, body in defs.items():
         if name in g.defs and x in fvs.get(name, frozenset()):
-            new_defs[name] = subst_in_body(tmp, body, x, replacement)
+            new_defs[name] = subst_in_body(tmp, body, x, replacement, names)
         else:
             new_defs[name] = body
     return TermGraph(new_defs, g.root).pruned()

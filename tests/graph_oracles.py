@@ -613,6 +613,7 @@ def contract(g: TermGraph, redex) -> TermGraph:
     """One contraction in separate passes, its result validated in full
     and its caches computed afresh; see the module docstring."""
     path = redex.position
+    names = set(g.all_names())
 
     def beta(node):
         kind = reduction.redex_kind_at(g, node)
@@ -626,13 +627,13 @@ def contract(g: TermGraph, redex) -> TermGraph:
         else:
             value = g.resolve(node.arg).body
         # keep definition bodies guarded
-        return g.resolve(subst_in_body(g, f.body, f.name, value))
+        return g.resolve(subst_in_body(g, f.body, f.name, value, names))
 
     new_body = reduction._rewrite(g, g.root_body(), {path: beta})
     root = g.root
     if root in g.referenced():
         # the old root is shared; give the rewritten unfolding a new name
-        root = fresh_name(root, g.all_names())
+        root = fresh_name(root, names)
     return TermGraph({**g.defs, root: new_body}, root).pruned()
 
 

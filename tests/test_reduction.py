@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graph_oracles
-from llinf import encodings, generate, properties, reduction, terms
-from llinf.errors import BudgetExceededError, InvalidPositionError
+from llinf import encodings, generate, metrics, properties, reduction, terms
+from llinf.errors import BudgetExceededError, InvalidPositionError, LLinfError
 from llinf.reduction import (
     Redex, classify, contract, eval_lbl, find_deadlock, find_redexes,
     format_step, has_any_redex, level_at, redexes_within_depth,
@@ -18,6 +18,7 @@ from llinf.terms import (
     alpha_equal, equal_at_depth, graph_bisimilar,
     project_depth, _scan_body,
 )
+from llinf.surface import format_graph, format_node
 from conftest import flip_applied, parse
 
 
@@ -312,7 +313,7 @@ def _assert_valid(g):
     for name, refs in (g._refs or {}).items():
         assert refs == _scan_body(g.defs[name]).refs
     if g._names is not None:
-        assert full.all_names() <= g._names
+        assert g._names == full.all_names()
     if g._referenced is not None:
         assert g._referenced == full.referenced()
 
@@ -331,8 +332,8 @@ def _checked_contract(monkeypatch):
     oracle's, validated in full, by ``_assert_contract_matches_oracle``)."""
     plain = reduction._contract_at
 
-    def checked(g, node, r):
-        out = plain(g, node, r)
+    def checked(g, node, r, names):
+        out = plain(g, node, r, names)
         _as_graph(g, out)
         return out
 
@@ -353,10 +354,11 @@ def test_frontier_matches_whole_graph_loop(monkeypatch, g, depth, fuel):
         return
     outcome, steps, stuck, trace, gwant = want
     seen = []
+    names = set(g.all_names())
     reduction._frontier_eval(
-        g, depth, fuel, budget,
+        g, g.root_body(), depth, fuel, budget, names,
         lambda boxes, *step: seen.append((step[-1],
-                                          reduction._whole(g, boxes))))
+                                          reduction._whole(g, boxes, names))))
     gout, tree, stats = eval_lbl(g, depth, fuel, budget)
     for h in [h for _, h in seen] + [gout]:     # _whole validates nothing
         _assert_valid(h)
@@ -443,6 +445,30 @@ def test_evaluation_builds_no_graph_per_box_or_step(monkeypatch):
     assert counts[0] == counts[1] <= 2, counts
 
 
+def test_decode_builds_no_graph_per_constructor(monkeypatch):
+    """Decoding evaluates each constructor as a node over the input's
+    definitions: it builds no graph, prunes none and projects none."""
+    calls = {}
+
+    def counting(owner, name):
+        plain = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    flip = flip_applied("", "01")
+    for owner, name in ((TermGraph, "__init__"), (TermGraph, "pruned"),
+                        (terms, "project_depth"), (reduction, "project_depth")):
+        counting(owner, name)
+    for bound in (16, 48):
+        res = encodings.scott_decode(flip, encodings.BINARY, "coalgebra", bound)
+        assert res.word() == "10" * (bound // 2)
+    assert calls == {}, calls
+
+
 def test_frontier_step_cost_is_linear(monkeypatch):
     # nodes visited by every traversal grow with the output, not with its
     # square: the whole-graph loop visits 3.2x as many at depth 32 as at 16
@@ -502,7 +528,9 @@ def test_first_redex_matches_the_sorted_scan(g, depth, fuel):
         stepped.extend((before, boxes[i].node))
 
     try:
-        boxes, _ = reduction._frontier_eval(g, depth, fuel, budget, on_step)
+        boxes, _ = reduction._frontier_eval(g, g.root_body(), depth, fuel,
+                                            budget, set(g.all_names()),
+                                            on_step)
     except BudgetExceededError:
         boxes = []
     for b in boxes:
@@ -587,13 +615,12 @@ def test_doubling_body_exceeds_the_budget():
 # ----- one pass per contraction against the separate-pass oracle -------------
 
 def _twin(g):
-    """A copy of ``g`` with its caches and a name set of its own, so that
-    two routes given copies draw the same fresh names."""
+    """A copy of ``g`` with its caches, so that two routes given copies
+    start from the same caches."""
     h = TermGraph(g.defs, g.root, _validate=False)
     for slot in ("_fvs", "_referenced"):
         setattr(h, slot, getattr(g, slot))
     h._refs = None if g._refs is None else dict(g._refs)
-    h._names = set(g.all_names())
     return h
 
 
@@ -601,24 +628,22 @@ def _assert_contract_matches_oracle(g, r):
     """``contract`` and the oracle agree on ``g`` and ``r``: the same
     graph and caches, or the same ``InvalidPositionError``.  Returns
     the contracted graph or None."""
-    twin = _twin(g)
     try:
-        want = graph_oracles.contract(twin, r)
+        want = graph_oracles.contract(_twin(g), r)
     except InvalidPositionError as exc:
         with pytest.raises(InvalidPositionError) as got:
             contract(_twin(g), r)
         assert str(got.value) == str(exc)
         return None
     h = _twin(g)
-    assert reduction._contract_at(h, h.root_body(), r) == want.root_body()
+    assert (reduction._contract_at(h, h.root_body(), r, set(h.all_names()))
+            == want.root_body())
     out = contract(_twin(g), r)
     assert out.root == want.root and out.defs == want.defs
-    # the oracle's caches are computed afresh by full validation; the
-    # names its twin drew are those contract drew, less the new root's
+    # the oracle's caches are computed afresh by full validation
     assert out._fvs == want._fvs
     assert out._refs == {name: want.refs_of(name) for name in want.defs}
-    assert out.all_names() == twin.all_names() | {want.root}
-    assert want.all_names() <= out.all_names()
+    assert out.all_names() == want.all_names()
     assert out.referenced() == want.referenced()
     assert set(out.reachable_defs()) == set(out.defs)
     return out
@@ -697,7 +722,8 @@ def test_one_pass_contract_matches_the_oracle_on_frontier_boxes():
                           Redex(redex.position[len(b.path):],
                                 redex.level[len(b.level):], redex.kind)))
 
-        reduction._frontier_eval(g, 6, 500, 100_000, on_step)
+        reduction._frontier_eval(g, g.root_body(), 6, 500, 100_000,
+                                 set(g.all_names()), on_step)
     for g, before, after, r in steps:
         out = _assert_contract_matches_oracle(_as_graph(g, before), r)
         assert graph_bisimilar(out, _as_graph(g, after))
@@ -724,12 +750,12 @@ def test_one_scan_per_step_on_the_argument(monkeypatch):
     plain_step = reduction._contract_at
     counts = []
 
-    def counted_step(g, node, r):
+    def counted_step(g, node, r, names):
         at = reduction._node_at(g, node, r.position)[0]
         f = g.resolve(at.fn)
         value = at.arg if f.kind == "lin" else g.resolve(at.arg).body
         before = len(scanned)
-        out = plain_step(g, node, r)
+        out = plain_step(g, node, r, names)
         assert all(n is value for n in scanned[before:])
         counts.append(len(scanned) - before)
         return out
@@ -776,10 +802,67 @@ def test_step_lbl_on_a_graph_without_redexes_needs_no_budget(rho):
     assert step_lbl(rho, budget=10) is None
 
 
+# a step at every depth renames a binder, under a root that a definition
+# references, so evaluation names the result's root anew
+RENAMING = "def m = (\\x. \\y. y x) y ; def n = c m (#n) ; root n"
+
+
+def _renaming_calls():
+    """Each entry point that draws fresh names, as a function from a
+    graph to what a command would print from its result."""
+    def printed(fn):
+        try:
+            return fn()
+        except LLinfError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def first(g):
+        return format_graph(contract(g, redexes_within_depth(g, 1)[0]))
+
+    def lbl(g):
+        out = step_lbl(g)
+        return out and (format_graph(out[0]), out[1])
+
+    def levelset(g):
+        out = step_at_levelset(g, "any")
+        return out and format_graph(out)
+
+    def evaluated(g):
+        out, tree, stats = eval_lbl(g, 2, 50)
+        return out.root, format_node(tree), stats
+
+    def traced(g):
+        _, tree, stats, records = run_lbl_trace(g, 2, 50)
+        return format_node(tree), stats, [format_step(i, r)
+                                          for i, r in enumerate(records)]
+
+    def decoded(g):
+        res = encodings.scott_decode(g, encodings.BINARY, "coalgebra", 4)
+        return str(res.tree), res.complete
+
+    def substituted(g):
+        return format_graph(terms.substitute(g, "y", terms.graph_of(Var("x"))))
+
+    calls = [first, lbl, levelset, evaluated, traced,
+             lambda g: metrics.weight_trace(g, 1), decoded, substituted]
+    return [lambda g, fn=fn: printed(lambda: fn(g)) for fn in calls]
+
+
 def test_fresh_names_do_not_depend_on_earlier_calls():
-    """The name a renamed binder gets is a function of the graph alone:
-    the same evaluation prints the same term however often it runs."""
-    from llinf.surface import format_node, parse_term
-    for _ in range(3):
-        _, tree, _ = eval_lbl(parse_term("(\\y. \\x. y x) x"), 0, 10)
-        assert format_node(tree) == "\\x1. x x1"
+    """The names a call draws are a function of its input alone: every
+    entry point that renames prints the same result however often, and
+    after whichever other calls, it runs on one parsed graph."""
+    calls = _renaming_calls()
+    cases = [
+        # evaluation: the new root's name and the tree
+        (RENAMING, 3, ("n1", "c (\\y1. y1 y) #(c (\\y2. y2 y) "
+                             "#(c (\\y3. y3 y) #<cut>))")),
+        (format_graph(flip_applied("1", "0")), 6, ("0(1(1(1(...))))", False)),
+    ]
+    for text, call, want in cases:
+        fresh = [fn(parse(text)) for fn in calls]
+        assert fresh[call][:2] == want
+        g = parse(text)
+        order = list(range(len(calls)))
+        for i in order + order + order[::-1]:
+            assert calls[i](g) == fresh[i], i

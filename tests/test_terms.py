@@ -279,7 +279,7 @@ def test_derive_agrees_with_full_validation():
     passes full validation and carries caches equal to fresh ones."""
     cases = 0
     for base, name, body in _derive_cases():
-        g = TermGraph(base.defs, base.root).pruned()    # a name set of its own
+        g = TermGraph(base.defs, base.root).pruned()    # caches of its own
         g.referenced()
         defs = {**g.defs, name: body}
         full = TermGraph(defs, name)
@@ -287,7 +287,7 @@ def test_derive_agrees_with_full_validation():
         assert out.root == name and out.defs == defs
         assert out.def_free_vars() == full.def_free_vars()
         assert out._refs == {n: full.refs_of(n) for n in defs}
-        assert full.all_names() <= out.all_names()
+        assert out.all_names() == full.all_names()
         cases += 1
     assert cases > 500, cases
 
@@ -320,8 +320,7 @@ def _subst_reference(g, body, x, replacement):
     replacement, renaming binders apart, substituting), as it was before
     one pass did all three: the oracle for :func:`subst_in_body`."""
     avoid = g.node_free_vars(replacement)
-    used = g.all_names()
-    used |= avoid
+    used = set(g.all_names()) | avoid
 
     def rename_free(node, old, new):
         match node:
@@ -376,7 +375,8 @@ def test_subst_in_body_matches_three_pass_reference():
                     for ys in ([names[-1]], names[:2], ["q"]):
                         repl = Var(ys[0]) if len(ys) == 1 else App(*map(Var, ys))
                         h = TermGraph(g.defs, g.root)
-                        outs = [subst_in_body(h, body, x, repl),
+                        outs = [subst_in_body(h, body, x, repl,
+                                              set(h.all_names())),
                                 _subst_reference(TermGraph(g.defs, g.root),
                                                  body, x, repl)]
                         assert outs[0] == outs[1]
@@ -418,7 +418,7 @@ def test_deep_bodies_need_no_recursion(shape):
     assert g.def_free_vars()["main"] == free
     assert g.node_free_vars(body) == free
     assert derive(g, "main2", body).def_free_vars()["main2"] == free
-    out = subst_in_body(g, body, "y", repl)
+    out = subst_in_body(g, body, "y", repl, set(g.all_names()))
     assert _scan_body(out).free == free_after
 
 

@@ -104,13 +104,15 @@ def weight_steps(g: TermGraph, depth_bound: int, fuel: int = 10_000,
 
     steps = []
     cur = [vector(g)]
+    names = set(g.all_names())
 
     def on_step(boxes, *step):
-        after = vector(reduction._whole(g, boxes))
+        after = vector(reduction._whole(g, boxes, names))
         steps.append(WeightStep(step[-1].depth, cur[0], after))
         cur[0] = after
 
-    _, stats = reduction._frontier_eval(g, depth_bound, fuel, budget, on_step)
+    _, stats = reduction._frontier_eval(g, g.root_body(), depth_bound, fuel,
+                                        budget, names, on_step)
     return steps, stats
 
 
