@@ -7,11 +7,14 @@
 # in the free algebra and decoded in full, cut off, under a signature
 # of another shape and in the wrong mode (both exit 1).  The output
 # must be the same in any process, so two runs under different hash
-# seeds must print the same bytes:
+# seeds must print the same bytes, and those bytes are pinned by their
+# SHA-256 in ci/transcript.sha256 (a change that means to alter the
+# output updates the hash):
 #
-#   PYTHONHASHSEED=0 ci/transcript.sh > a.txt
-#   PYTHONHASHSEED=1 ci/transcript.sh > b.txt
-#   cmp a.txt b.txt
+#   PYTHONHASHSEED=0 ci/transcript.sh > transcript-0.txt
+#   PYTHONHASHSEED=1 ci/transcript.sh > transcript-1.txt
+#   cmp transcript-0.txt transcript-1.txt
+#   sha256sum -c ci/transcript.sha256
 set -u
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT

@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .errors import BudgetExceededError, MetricsUndefinedError
 from .terms import (
     App, Box, Lam, Ref, TermGraph, Var,
-    FN, IND,
+    IND,
     DEFAULT_BUDGET,
 )
 from . import reduction, wellform
@@ -285,18 +285,8 @@ class WeightTrace:
 def _ind_bound(g: TermGraph, node, path) -> set:
     """Names whose innermost binder above ``path`` below ``node``, a
     node over ``g``'s definitions, is an inductive abstraction."""
-    node = g.resolve(node)
-    kinds = {}
-    for sel in path:
-        match node:
-            case App(f, a):
-                node = f if sel == FN else a
-            case Lam(kind, x, b):
-                kinds[x] = kind
-                node = b
-            case Box(_, b):
-                node = b
-        node = g.resolve(node)
+    spine, _ = reduction._descend(g, node, path)
+    kinds = {n.name: n.kind for n, _ in spine if type(n) is Lam}
     return {x for x, kind in kinds.items() if kind == IND}
 
 

@@ -17,7 +17,6 @@ their output depth by depth.
 
 import heapq
 from dataclasses import dataclass, field
-from functools import partial
 
 from .errors import BudgetExceededError, InvalidPositionError
 from .terms import (
@@ -25,7 +24,7 @@ from .terms import (
     ARG, BODY, BOXED, FN,
     COIND, IND, LIN,
     DEFAULT_BUDGET,
-    children, derive, fresh_name, project_depth, rebuild, subst_in_body,
+    children, derive, fresh_name, project_depth, subst_in_body,
 )
 
 DEFAULT_HEIGHT = 64
@@ -240,84 +239,61 @@ def has_any_redex(g: TermGraph) -> bool:
     return False
 
 
-def _node_at(g: TermGraph, node: Node, path):
-    """The node at ``path`` below ``node`` in the unfolding, references
-    resolved, and its level."""
+def _descend(g: TermGraph, node: Node, path):
+    """The spine of ``path`` below ``node``, a node over ``g``'s
+    definitions, and the node the path reaches.  The spine lists the
+    ``(node, selector)`` pairs along the path; its nodes and the node
+    reached have their references resolved.  :func:`_plug` copies a
+    spine back over a new node."""
+    spine = []
     node = g.resolve(node)
-    level = ""
-    for i, sel in enumerate(path):
+    for sel in path:
         t = type(node)
         if t is App and (sel == FN or sel == ARG):
-            node = node.fn if sel == FN else node.arg
-        elif t is Lam and sel == BODY:
-            node = node.body
-        elif t is Box and sel == BOXED:
-            level += "i" if node.kind == IND else "c"
-            node = node.body
+            child = node.fn if sel == FN else node.arg
+        elif (t is Lam and sel == BODY) or (t is Box and sel == BOXED):
+            child = node.body
         else:
             raise InvalidPositionError(
                 f"selector {sel!r} does not apply at "
-                f"{'.'.join(path[:i]) or '<root>'}")
-        node = g.resolve(node)
-    return node, level
+                f"{'.'.join(path[:len(spine)]) or '<root>'}")
+        spine.append((node, sel))
+        node = g.resolve(child)
+    return spine, node
+
+
+def _plug(spine, node: Node) -> Node:
+    """The top of ``spine`` (:func:`_descend`) with ``node`` at its
+    bottom: the nodes along it are copied, references along it inlined,
+    and the subtrees beside it are shared (path copying)."""
+    for n, sel in reversed(spine):
+        if sel == FN:
+            node = App(node, n.arg)
+        elif sel == ARG:
+            node = App(n.fn, node)
+        elif type(n) is Lam:
+            node = Lam(n.kind, n.name, node)
+        else:
+            node = Box(n.kind, node)
+    return node
 
 
 def level_at(g: TermGraph, path) -> str:
     """Level of the position reached by ``path`` from the root."""
-    return _node_at(g, g.root_body(), path)[1]
-
-
-def _rewrite(g: TermGraph, node: Node, edits) -> Node:
-    """``node``, a node over ``g``'s definitions, with the node ``n`` at
-    each position ``p`` of ``edits`` below it replaced by ``edits[p](n)``.
-
-    One :func:`~llinf.terms.rebuild` over the trie of the paths, which
-    copies them top-down; reference crossings along them are inlined
-    first, so other occurrences of shared definitions are untouched
-    (path copying).  The function side's edits run first.
-    """
-    trie = {}
-    for path, edit in edits.items():
-        t = trie
-        for sel in path:
-            t = t.setdefault(sel, {})
-        t[None] = edit
-
-    def visit(node, ctx):
-        if ctx is None:
-            return node, None       # off every path: shared
-        t, at = ctx
-        node = g.resolve(node)
-        if None in t:
-            return t[None](node), None
-        kind = type(node)
-        if kind is App and t.keys() <= {FN, ARG}:
-            build, kids = App, ((node.fn, FN), (node.arg, ARG))
-        elif kind is Lam and t.keys() == {BODY}:
-            build = partial(Lam, node.kind, node.name)
-            kids = ((node.body, BODY),)
-        elif kind is Box and t.keys() == {BOXED}:
-            build, kids = partial(Box, node.kind), ((node.body, BOXED),)
-        else:
-            raise InvalidPositionError(
-                f"selector {min(t)!r} does not apply at "
-                f"{'.'.join(at) or '<root>'}")
-        return build, [(child, (t[sel], at + (sel,)) if sel in t else None)
-                       for child, sel in kids]
-
-    return rebuild(node, (trie, ()), visit)
+    spine, _ = _descend(g, g.root_body(), path)
+    return "".join("i" if n.kind == IND else "c"
+                   for n, sel in spine if sel == BOXED)
 
 
 def _contract_at(g: TermGraph, node: Node, redex: Redex, names: set) -> Node:
     """``node``, a node over ``g``'s definitions, with the redex at
     ``redex.position`` below it contracted: one
     :func:`~llinf.terms.subst_in_body` substitutes in the abstraction's
-    body, renaming binders apart from ``names``, and the path down to
-    the redex is copied with the references along it inlined (path
-    copying); the subtrees beside it are shared.  ``g``'s definitions
-    are not written."""
+    body, renaming binders apart from ``names``, and :func:`_plug` copies
+    the spine down to the redex back over the result.  ``g``'s
+    definitions are not written."""
     path = redex.position
-    at, _ = _node_at(g, node, path)
+    spine, at = _descend(g, node, path)
     kind = redex_kind_at(g, at)
     if kind != redex.kind:
         raise InvalidPositionError(
@@ -325,22 +301,7 @@ def _contract_at(g: TermGraph, node: Node, redex: Redex, names: set) -> Node:
             f"{kind or 'no redex'}, not a {redex.kind} redex")
     f = g.resolve(at.fn)
     value = at.arg if f.kind == LIN else g.resolve(at.arg).body
-    out = subst_in_body(g, f.body, f.name, value, names)
-    spine = []
-    for sel in path:
-        node = g.resolve(node)
-        spine.append((node, sel))
-        node = node.fn if sel == FN else node.arg if sel == ARG else node.body
-    for n, sel in reversed(spine):
-        if sel == FN:
-            out = App(out, n.arg)
-        elif sel == ARG:
-            out = App(n.fn, out)
-        elif type(n) is Lam:
-            out = Lam(n.kind, n.name, out)
-        else:
-            out = Box(n.kind, out)
-    return out
+    return _plug(spine, subst_in_body(g, f.body, f.name, value, names))
 
 
 def _with_root_body(g: TermGraph, body: Node, names: set) -> TermGraph:
@@ -577,8 +538,8 @@ def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
 def _whole(g, boxes, names):
     """The whole graph after :func:`_frontier_eval` from ``g``'s root
     body: ``g`` with the contents of each box that a step changed, or
-    that holds such a box, plugged back into its parent by
-    :func:`_rewrite`.
+    that holds such a box, plugged back into a copy of its parent's node
+    (:func:`_plug`), children before parents; ``boxes`` is not written.
 
     Other boxes keep their original nodes, so the parts of the input no
     step touched keep their sharing, and ``g`` itself comes back when no
@@ -586,15 +547,20 @@ def _whole(g, boxes, names):
     mention variables bound above the box.  The result is built by
     :func:`_with_root_body`, which draws a new root name apart from
     ``names``, unvalidated, and pruned."""
-    edits = [{} for _ in boxes]     # position of a box node -> its edit
+    plugged = {}        # box index -> its contents with changed boxes plugged
     for i in range(len(boxes) - 1, -1, -1):
         b = boxes[i]
-        if not (b.changed or edits[i]):
+        if i in plugged:
+            node = plugged.pop(i)
+        elif b.changed:
+            node = b.node
+        else:
             continue
-        node = _rewrite(g, b.node, edits[i]) if edits[i] else b.node
         if not i:
             return _with_root_body(g, node, names)
-        edits[b.parent][b.at] = lambda _, node=node: Box(COIND, node)
+        spine, _ = _descend(g, plugged.get(b.parent, boxes[b.parent].node),
+                            b.at)
+        plugged[b.parent] = _plug(spine, Box(COIND, node))
     return g
 
 

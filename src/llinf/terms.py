@@ -295,7 +295,8 @@ class TermGraph:
         return _scan_fvs(scan.refs, scan.free, self.def_free_vars())
 
     def refs_of(self, name) -> frozenset:
-        """Names referenced by the body of definition ``name`` (cached)."""
+        """Names referenced by the body of definition ``name`` (cached;
+        validation fills the cache)."""
         if self._refs is None:
             self._refs = {}
         got = self._refs.get(name)
@@ -311,8 +312,9 @@ class TermGraph:
 
     def all_names(self) -> frozenset:
         """Every identifier in use: definition names plus variable names
-        (cached).  A call that names binders or definitions anew reserves
-        them in a set of its own, made from this one."""
+        (cached; validation fills the cache).  A call that names binders
+        or definitions anew reserves them in a set of its own, made from
+        this one."""
         if self._names is None:
             names = set(self.defs)
             for body in self.defs.values():
@@ -321,11 +323,8 @@ class TermGraph:
         return self._names
 
     def reachable_defs(self):
-        """Names of definitions reachable from the root, in discovery order.
-
-        Uses the reference sets cached by :meth:`refs_of`, but starts no
-        cache: graphs that are never contracted keep none."""
-        refs = self._refs or {}
+        """Names of definitions reachable from the root, in discovery
+        order, from the reference sets of :meth:`refs_of`."""
         seen = []
         seen_set = set()
         todo = [self.root]
@@ -335,10 +334,7 @@ class TermGraph:
                 continue
             seen_set.add(name)
             seen.append(name)
-            got = refs.get(name)
-            if got is None:
-                got = _scan_body(self.defs[name]).refs
-            todo.extend(sorted(got, reverse=True))
+            todo.extend(sorted(self.refs_of(name), reverse=True))
         return seen
 
     def pruned(self) -> "TermGraph":
@@ -542,6 +538,8 @@ def _validate_graph(g):
                 f"variable {sorted(clash)[0]!r} in definition {name!r} "
                 "collides with a definition name")
     g._fvs = fvs = _solve_fvs(scans)
+    g._refs = {name: scan.refs for name, scan in scans.items()}
+    g._names = frozenset(g.defs).union(*[scan.names for scan in scans.values()])
     for name, scan in scans.items():
         for ref, bound in scan.guards:
             bad = bound & fvs[ref]

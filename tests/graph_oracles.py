@@ -23,11 +23,11 @@
   kept as the oracle of the scanner and parser loop in
   :mod:`llinf.surface` (which also rejects boxes in lambda files).
 * A contraction step in separate passes (the position rewritten by
-  ``reduction._rewrite``, the substitution alone, and a full validation
-  of the new graph): the oracle of the substitution and path copy of
-  ``reduction._contract_at``, which :func:`llinf.reduction.contract`
-  makes on the root body and the frontier evaluator on a box's node,
-  and of the unchecked
+  structural recursion along its path, the substitution alone, and a
+  full validation of the new graph): the oracle of the substitution,
+  descent and path copy of ``reduction._contract_at``, which
+  :func:`llinf.reduction.contract` makes on the root body and the
+  frontier evaluator on a box's node, and of the unchecked
   :func:`llinf.terms.derive` after it, with caches computed afresh.
 * The evaluator's charge for a stepped root body, its nodes above its
   coinductive boxes with references as leaves, by structural recursion:
@@ -47,6 +47,7 @@ from llinf.errors import (
 )
 from llinf.terms import (
     App, Box, Cut, CUT, Lam, Node, Ref, TermGraph, Var, IND, LIN, COIND,
+    ARG, BODY, BOXED, FN,
     children, fresh_name, rebuild, remake, subst_in_body, _scan_body,
 )
 from llinf.wellform import (
@@ -609,6 +610,31 @@ def check(system: str, env: dict, g: TermGraph):
                        loops=tuple(loops)), out_edges
 
 
+def _rewrite_at(g: TermGraph, node, path, edit, done=()):
+    """``node`` with the node ``n`` at ``path`` below it replaced by
+    ``edit(n)``, references along the path inlined, by structural
+    recursion; ``done`` is the part of the path already descended."""
+    node = g.resolve(node)
+    if len(done) == len(path):
+        return edit(node)
+    sel = path[len(done)]
+
+    def down(child):
+        return _rewrite_at(g, child, path, edit, done + (sel,))
+
+    match node:
+        case App(f, a) if sel == FN:
+            return App(down(f), a)
+        case App(f, a) if sel == ARG:
+            return App(f, down(a))
+        case Lam(kind, x, b) if sel == BODY:
+            return Lam(kind, x, down(b))
+        case Box(kind, b) if sel == BOXED:
+            return Box(kind, down(b))
+    raise InvalidPositionError(f"selector {sel!r} does not apply at "
+                               f"{'.'.join(done) or '<root>'}")
+
+
 def contract(g: TermGraph, redex) -> TermGraph:
     """One contraction in separate passes, its result validated in full
     and its caches computed afresh; see the module docstring."""
@@ -629,7 +655,7 @@ def contract(g: TermGraph, redex) -> TermGraph:
         # keep definition bodies guarded
         return g.resolve(subst_in_body(g, f.body, f.name, value, names))
 
-    new_body = reduction._rewrite(g, g.root_body(), {path: beta})
+    new_body = _rewrite_at(g, g.root_body(), path, beta)
     root = g.root
     if root in g.referenced():
         # the old root is shared; give the rewritten unfolding a new name

@@ -286,6 +286,9 @@ FRONTIER_CASES = {
     "box made by a step":
         "def T = (#((\\#x. #((\\q. q) x)) #((\\y. y) b))) (#((\\z. z) c)) ; root T",
     "shared contents": "def S = (\\x. x) a ; def T = (#S) (!(#S)) ; root T",
+    # evaluation stops at the depth-0 deadlock; step_lbl fires the redex below
+    "deadlock above a redex":
+        "def T = c ((\\!x. x) (#y)) (#((\\z. z) w)) ; root T",
 }
 
 
@@ -751,7 +754,7 @@ def test_one_scan_per_step_on_the_argument(monkeypatch):
     counts = []
 
     def counted_step(g, node, r, names):
-        at = reduction._node_at(g, node, r.position)[0]
+        at = reduction._descend(g, node, r.position)[1]
         f = g.resolve(at.fn)
         value = at.arg if f.kind == "lin" else g.resolve(at.arg).body
         before = len(scanned)
@@ -776,7 +779,9 @@ def test_step_lbl_takes_depth_0_from_the_first_redex_search(monkeypatch, ex):
     monkeypatch.setattr(reduction, "redexes_within_depth",
                         lambda g, d, budget=100_000:
                         depths.append(d) or plain(g, d, budget))
-    graphs = [parse("def T = y (#((\\x. x) z)) ; root T")]
+    graphs = [parse("def T = y (#((\\x. x) z)) ; root T"),
+              parse(FRONTIER_CASES["deadlock above a redex"])]
+    assert step_lbl(graphs[1])[1] == Redex(("arg", "box"), "c", "linear")
     graphs += [g for _, g in sorted(ex.items())]
     graphs += [generate.random_term(("step_lbl", seed), system, 26)[1]
                for system in ("llinf", "4s") for seed in range(20)]

@@ -114,6 +114,21 @@ def test_free_vars(cyclic_term, identity):
     assert parse("def A = \\#x. x z ; root A").free_vars() == {"z"}
 
 
+def test_validation_fills_the_caches_of_its_scans(monkeypatch):
+    """A validated graph answers its reference and name queries without
+    scanning a body again, with what an unvalidated copy computes."""
+    g = parse("def F = \\b. b (#G) ; def G = \\y. F (#G) y ; def T = F c ; "
+              "root T")
+    lazy = TermGraph(g.defs, g.root, _validate=False)
+    want = (lazy.all_names(), lazy.referenced(), lazy.reachable_defs(),
+            {n: lazy.refs_of(n) for n in g.defs}, lazy.def_free_vars())
+    scanned = []
+    monkeypatch.setattr(terms, "_scan_body", scanned.append)
+    assert (g.all_names(), g.referenced(), g.reachable_defs(),
+            {n: g.refs_of(n) for n in g.defs}, g.def_free_vars()) == want
+    assert not scanned
+
+
 def _forward_only(succ):
     return all(v < w for v, row in enumerate(succ) for w in row)
 
