@@ -3,9 +3,12 @@
 # exit code, for a fixed set of runs: `examples --run`, a seeded `bench`,
 # `eval` and `trace` at depth 3 and `weight --depths 0..3` on every
 # bundled example, three streams encoded and decoded again, a decode
-# that runs out of fuel (`omega_ind`, exit 2), and a finite word encoded
+# that runs out of fuel (`omega_ind`, exit 2), a finite word encoded
 # in the free algebra and decoded in full, cut off, under a signature
-# of another shape and in the wrong mode (both exit 1).  The output
+# of another shape and in the wrong mode (both exit 1), `bit_flip`
+# applied to the stream 01(110) and decoded to bounds 0, 1 and 400,
+# and a tree whose decode reads one contents twice and then deadlocks
+# (exit 1).  The output
 # must be the same in any process, so two runs under different hash
 # seeds must print the same bytes, and those bytes are pinned by their
 # SHA-256 in ci/transcript.sha256 (a change that means to alter the
@@ -44,3 +47,19 @@ run decode --mode algebra --bound 8 word.lli
 run decode --mode algebra --bound 2 word.lli
 run decode --sig 'sig t { node/2, leaf/0 }' word.lli
 run decode --mode coalgebra word.lli
+{ llinf examples bit_flip; llinf encode --mode coalgebra '01(110)'; } |
+    grep '^def' > flip.lli
+printf 'def main = flip enc_s0 ;\nroot main ;\n' >> flip.lli
+for bound in 0 1 400; do
+    run decode --mode coalgebra --bound $bound flip.lli
+done
+cat > tree.lli <<'END'
+def t = \!n. \!l. n #leaf #u ;
+def leaf = \!n. \!l. l ;
+def u = \!n. \!l. n #leaf #w ;
+def w = \!n. \!l. n #d #d ;
+def d = (\!x. x) #leaf ;
+root t ;
+END
+run decode --sig 'sig t { node/2, leaf/0 }' --mode coalgebra --bound 3 tree.lli
+run decode --sig 'sig t { node/2, leaf/0 }' --mode coalgebra tree.lli

@@ -14,7 +14,8 @@ are encoded as cyclic graphs, one definition per distinct subtree.
 Decoding is lazy and constructor-by-constructor: normalise depth 0 of
 the candidate, match the case-analysis shape, and decode the boxed
 children the same way.  Each constructor is evaluated as a node over the
-input's definitions, so decoding builds no graph.
+input's definitions, so decoding builds no graph, and each distinct box
+contents once, so a regular stream costs one evaluation per state.
 """
 
 import re
@@ -24,7 +25,8 @@ from .errors import BudgetExceededError, EncodingError
 from .terms import (
     App, Box, Lam, Node, Ref, TermGraph, Tree, Var,
     COIND, IND, LIN,
-    DEFAULT_BUDGET, fresh_name, graph_of, import_defs, rebuild,
+    DEFAULT_BUDGET, canonical_string, fresh_name, graph_of, import_defs,
+    rebuild,
 )
 from . import reduction
 
@@ -287,16 +289,21 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
 
     Each constructor is evaluated to its depth-0 normal form as a node
     over ``g``'s definitions: first the root body, then the contents of
-    the box of each child read back.  Raises :class:`EncodingError` when
+    the box of each child read back.  Each distinct contents is
+    evaluated once per call: what it reads back is kept under its
+    :func:`~llinf.terms.canonical_string`, the same for contents that
+    differ only in the names of their binders, as the evaluation and
+    the constructor read off it do.  Raises :class:`EncodingError` when
     a normal form does not have the case-analysis shape or the
     evaluation deadlocks, and :class:`BudgetExceededError` when the
     evaluation runs out of fuel, as it does when the evaluator runs out
-    of budget.
+    of budget; a failed evaluation is not kept.
     """
     boxkind = IND if mode == "algebra" else COIND
     # one set for every constructor: a child can hold binders that the
     # steps of an earlier constructor renamed
     names = set(g.all_names())
+    read = {}       # canonical string of a contents -> (symbol, children)
     complete = True
 
     def peel(node, remaining):
@@ -311,8 +318,14 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
         if remaining < 1:
             complete = False
             return FiniteTree("..."), None
-        boxes, stats = reduction._frontier_eval(g, g.resolve(node.body), 0,
-                                                fuel, budget, names)
+        contents = g.resolve(node.body)
+        key = canonical_string(contents)
+        if key in read:
+            sym, args = read[key]
+            return ((lambda *kids: FiniteTree(sym, kids)),
+                    [(arg, remaining - 1) for arg in args])
+        boxes, stats = reduction._frontier_eval(g, contents, 0, fuel, budget,
+                                                names)
         if stats.outcome == "fuel-exhausted":
             raise BudgetExceededError(
                 f"evaluation fuel exhausted: {stats.detail}")
@@ -339,6 +352,7 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
             raise EncodingError(
                 f"shape mismatch: {sym!r} applied to {len(args)} children, "
                 f"arity is {sig.arity(sym)}")
+        read[key] = sym, args
         return ((lambda *kids: FiniteTree(sym, kids)),
                 [(arg, remaining - 1) for arg in args])
 

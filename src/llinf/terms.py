@@ -611,7 +611,8 @@ def project_depth(g: TermGraph, depth: int, budget: int = DEFAULT_BUDGET) -> Nod
 def canonical_string(tree: Node) -> str:
     """Canonical (alpha-invariant) rendering of a finite tree, in prefix
     form: a bound variable is named by the number of binders above its
-    own."""
+    own, and a reference by its name, not followed, so a node over a
+    graph's definitions is rendered up to its references."""
     parts = []
     bound = {}      # binder name -> levels of its binders above the visit
     level = 0       # binders above the visit
@@ -638,6 +639,8 @@ def canonical_string(tree: Node) -> str:
         elif t is Box:
             parts.append(f"{n.kind[0]}#")
             todo.append(n.body)
+        elif t is Ref:
+            parts.append(f"r:{n.name}")
         elif t is Cut:
             parts.append("?")
         else:

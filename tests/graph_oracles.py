@@ -32,6 +32,10 @@
 * The evaluator's charge for a stepped root body, its nodes above its
   coinductive boxes with references as leaves, by structural recursion:
   the oracle of the walk in :func:`llinf.reduction._shallow_size`.
+* Scott decoding that evaluates the contents of every box it reads
+  back, repeats included: the earlier production route, kept as the
+  oracle of :func:`llinf.encodings.scott_decode`, which evaluates each
+  distinct contents once.
 * Height-bounded unfolding and truncation, for coherence checks.
 * Random systems of several definitions that reference each other under
   boxes and binders, cycles included, for the passes over the reference
@@ -42,12 +46,14 @@ import re
 from functools import partial
 
 from llinf import reduction
+from llinf.encodings import DecodeResult, FiniteTree
 from llinf.errors import (
-    CaptureError, DefinitionError, InvalidPositionError, SurfaceSyntaxError,
+    BudgetExceededError, CaptureError, DefinitionError, EncodingError,
+    InvalidPositionError, SurfaceSyntaxError,
 )
 from llinf.terms import (
     App, Box, Cut, CUT, Lam, Node, Ref, TermGraph, Var, IND, LIN, COIND,
-    ARG, BODY, BOXED, FN,
+    ARG, BODY, BOXED, FN, DEFAULT_BUDGET,
     children, fresh_name, rebuild, remake, subst_in_body, _scan_body,
 )
 from llinf.wellform import (
@@ -675,6 +681,59 @@ def shallow_size(g: TermGraph) -> int:
         return 1
 
     return count(g.root_body())
+
+
+def scott_decode(g: TermGraph, sig, mode: str, bound: int, fuel: int = 2_000,
+                 budget=DEFAULT_BUDGET) -> DecodeResult:
+    """Read back up to ``bound`` constructors, evaluating the contents of
+    each box read, with the errors of the production decoder."""
+    boxkind = IND if mode == "algebra" else COIND
+    names = set(g.all_names())
+    complete = True
+
+    def peel(node, remaining):
+        nonlocal complete
+        node = g.resolve(node)
+        if not isinstance(node, Box) or node.kind != boxkind:
+            raise EncodingError(
+                "shape mismatch: child is not wrapped in the "
+                f"{'inductive' if boxkind == IND else 'coinductive'} box")
+        if remaining < 1:
+            complete = False
+            return FiniteTree("..."), None
+        boxes, stats = reduction._frontier_eval(g, g.resolve(node.body), 0,
+                                                fuel, budget, names)
+        if stats.outcome == "fuel-exhausted":
+            raise BudgetExceededError(
+                f"evaluation fuel exhausted: {stats.detail}")
+        if stats.outcome == "stuck":
+            raise EncodingError(f"evaluation deadlocked: {stats.detail}")
+        node = g.resolve(boxes[0].node)
+        binders = []
+        while isinstance(node, Lam) and node.kind == IND:
+            binders.append(node.name)
+            node = g.resolve(node.body)
+        if len(binders) != len(sig.symbols):
+            raise EncodingError(
+                f"shape mismatch: expected {len(sig.symbols)} case binders, "
+                f"found {len(binders)}")
+        args = []
+        while isinstance(node, App):
+            args.append(node.arg)
+            node = g.resolve(node.fn)
+        args.reverse()
+        if not isinstance(node, Var) or node.name not in binders:
+            raise EncodingError("shape mismatch: head is not a case binder")
+        sym = sig.names()[len(binders) - 1 - binders[::-1].index(node.name)]
+        if len(args) != sig.arity(sym):
+            raise EncodingError(
+                f"shape mismatch: {sym!r} applied to {len(args)} children, "
+                f"arity is {sig.arity(sym)}")
+        return ((lambda *kids: FiniteTree(sym, kids)),
+                [(arg, remaining - 1) for arg in args])
+
+    tree = rebuild(Box(boxkind, g.root_body()), bound, peel)
+    return DecodeResult(tree, complete)
 
 
 def _height_visit(resolve):

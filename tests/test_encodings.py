@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
+import graph_oracles
 from llinf import reduction, wellform
+from llinf.cli import _example_expectations
 from llinf.errors import BudgetExceededError
 from llinf.encodings import (
     BINARY, EPSILON, EncodingError, FIN, INFTY, FiniteTree,
-    Signature, bit_flip, fixpoint,
-    guarded_fixpoint, parse_stream_spec, representability_harness,
+    Signature, bit_flip, fixpoint, guarded_fixpoint,
+    parse_signature_spec, parse_stream_spec, representability_harness,
     scott_decode, scott_encode, selector, spec_word, stream_identity,
     stream_tree, tuple_term, word_tree,
 )
@@ -15,7 +17,7 @@ from llinf.terms import (
     App, Box, Lam, Ref, TermGraph, Var, COIND, IND,
     equal_at_depth, graph_bisimilar, import_defs,
 )
-from conftest import parse
+from conftest import flip_applied, parse
 
 
 def test_signature_validation():
@@ -33,7 +35,6 @@ def test_parse_stream_spec():
 
 
 def test_parse_signature_spec():
-    from llinf.encodings import parse_signature_spec
     sig = parse_signature_spec("sig tree { node/2, leaf/0 }")
     assert sig == Signature((("node", 2), ("leaf", 0)))
     with pytest.raises(EncodingError):
@@ -309,3 +310,120 @@ def test_harness_mismatch_reported():
         flip, BINARY, [stream_tree("", "0")], stream_tree("", "0"),
         [INFTY], INFTY, depth=4)
     assert not v.ok
+
+
+# ----- decoding evaluates each distinct contents once ----------------------------
+
+TREE_SIG = parse_signature_spec("sig t { node/2, leaf/0 }")
+
+
+def _decoded(decode, g, sig, mode, bound, fuel=2_000):
+    try:
+        res = decode(g, sig, mode, bound, fuel)
+    except (EncodingError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+    return res.word(), str(res.tree), res.complete
+
+
+def _assert_decodes_as_oracle(g, sig, mode, bounds, fuel=2_000):
+    for bound in bounds:
+        got = _decoded(scott_decode, g, sig, mode, bound, fuel)
+        assert got == _decoded(graph_oracles.scott_decode, g, sig, mode,
+                               bound, fuel), (mode, bound)
+
+
+def _bits(most):
+    return ["".join(b) for n in range(most + 1)
+            for b in itertools.product("01", repeat=n)]
+
+
+@pytest.mark.parametrize("prefix", _bits(2))
+def test_stream_decode_matches_the_oracle(prefix):
+    for cycle in _bits(3)[1:]:
+        enc = scott_encode(BINARY, stream_tree(prefix, cycle), "coalgebra")
+        for g in (enc, flip_applied(prefix, cycle)):
+            _assert_decodes_as_oracle(g, BINARY, "coalgebra", (0, 1, 7, 40))
+
+
+def test_algebra_and_tree_decode_match_the_oracle():
+    for w in _bits(3):
+        enc = scott_encode(BINARY, word_tree(w), "algebra")
+        _assert_decodes_as_oracle(enc, BINARY, "algebra", (0, 2, 32))
+        _assert_decodes_as_oracle(enc, TREE_SIG, "algebra", (8,))
+        _assert_decodes_as_oracle(enc, BINARY, "coalgebra", (8,))
+    leaf = FiniteTree("leaf")
+    t = FiniteTree("node", (leaf, FiniteTree("node", (leaf, leaf))))
+    enc = scott_encode(TREE_SIG, t, "algebra")
+    _assert_decodes_as_oracle(enc, TREE_SIG, "algebra", (0, 1, 2, 16))
+
+
+@pytest.mark.parametrize("name", sorted(_example_expectations()))
+def test_examples_decode_as_the_oracle(name):
+    # fixpoint_ind's term grows with each step, and at the default fuel a
+    # decode of it takes seconds
+    g, _ = _example_expectations()[name]
+    for mode in ("algebra", "coalgebra"):
+        _assert_decodes_as_oracle(g, BINARY, mode, (4,), fuel=200)
+
+
+def test_fuel_exhaustion_decodes_as_the_oracle(ex):
+    got = _decoded(scott_decode, ex["omega_ind"], BINARY, "algebra", 4)
+    assert got[0] is BudgetExceededError
+    _assert_decodes_as_oracle(ex["omega_ind"], BINARY, "algebra", (4,))
+
+
+# node(leaf, node(leaf, node(D, D))): the contents of `leaf` is read
+# twice, and D applies an inductive abstraction to a coinductive box
+REPEAT_THEN_DEADLOCK = r"""
+def t = \!n. \!l. n #leaf #u ;
+def leaf = \!n. \!l. l ;
+def u = \!n. \!l. n #leaf #w ;
+def w = \!n. \!l. n #d #d ;
+def d = (\!x. x) #leaf ;
+root t ;
+"""
+
+
+def test_a_repeated_contents_then_a_deadlock(monkeypatch):
+    g = parse(REPEAT_THEN_DEADLOCK)
+    evaluated = []
+    frontier_eval = reduction._frontier_eval
+
+    def counted(graph, node, *args):
+        evaluated.append(node)
+        return frontier_eval(graph, node, *args)
+
+    monkeypatch.setattr(reduction, "_frontier_eval", counted)
+    assert str(scott_decode(g, TREE_SIG, "coalgebra", 3).tree) == (
+        "node(leaf,node(leaf,node(...,...)))")
+    assert evaluated == [g.defs[name] for name in ("t", "leaf", "u", "w")]
+    with pytest.raises(EncodingError, match="evaluation deadlocked: "
+                       "inductive abstraction applied to a coinductive box"):
+        scott_decode(g, TREE_SIG, "coalgebra", 4)
+    monkeypatch.undo()
+    _assert_decodes_as_oracle(g, TREE_SIG, "coalgebra", (3, 4, 40))
+
+
+def test_a_regular_stream_is_evaluated_once_per_state(monkeypatch):
+    # bit_flip on 01(110): the root and at most one contents per state of
+    # the input, however many constructors are read
+    evals = steps = 0
+    frontier_eval = reduction._frontier_eval
+
+    def counted(*args):
+        nonlocal evals, steps
+        boxes, stats = frontier_eval(*args)
+        evals += 1
+        steps += stats.fuel_consumed
+        return boxes, stats
+
+    monkeypatch.setattr(reduction, "_frontier_eval", counted)
+    seen = []
+    for bound in (16, 48):
+        evals = steps = 0
+        word = scott_decode(flip_applied("01", "110"), BINARY, "coalgebra",
+                            bound).word()
+        assert word == spec_word(stream_tree("10", "001"), bound)
+        seen.append((evals, steps))
+    assert seen[0] == seen[1]
+    assert seen[0][0] <= 1 + len("01") + len("110")

@@ -13,7 +13,8 @@ from llinf.errors import (
 from llinf.terms import (
     App, Box, Cut, CUT, Lam, Ref, TermGraph, Var,
     COIND, IND, LIN,
-    alpha_equal, derive, equal_at_depth, graph_bisimilar, project_depth,
+    alpha_equal, canonical_string, derive, equal_at_depth, graph_bisimilar,
+    project_depth,
     subst_in_body, substitute, _scan_body,
 )
 from conftest import parse
@@ -87,6 +88,26 @@ def test_equal_at_depth_alpha(identity):
 def test_equal_at_depth_discriminates(ex):
     assert equal_at_depth(ex["nonconf_L"], ex["nonconf_P"], 0)
     assert not equal_at_depth(ex["nonconf_L"], ex["nonconf_P"], 1)
+
+
+def test_canonical_string_renders_references_by_name():
+    def node(kind=IND, x="x", box=COIND, leaf=Ref("D"), free="u"):
+        return Lam(kind, x, App(App(Var(x), Box(box, leaf)), Var(free)))
+
+    key = canonical_string(node())
+    assert key == r"\ind @ @ b0 c# r:D f:u"
+    assert canonical_string(node(x="y")) == key
+    for other in (node(leaf=Ref("E")), node(free="v"), node(box=IND),
+                  node(kind=COIND), node(leaf=Var("D"))):
+        assert canonical_string(other) != key
+    # trees without references render as before, and so alpha_equal and
+    # equal_at_depth decide as before
+    tree = Lam(LIN, "x", Lam(IND, "y", App(
+        App(Var("x"), Box(COIND, Var("y"))),
+        Lam(COIND, "x", Box(IND, App(Var("x"), Var("z")))))))
+    assert canonical_string(tree) == (
+        r"\lin \ind @ @ b0 c# b1 \coind i# @ b2 f:z")
+    assert canonical_string(Box(COIND, CUT)) == "c# ?"
 
 
 def test_bisimilar_unfolding(cyclic_term):
