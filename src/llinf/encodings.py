@@ -558,15 +558,10 @@ def bit_flip() -> TermGraph:
     head, and re-applies the recursor to the tail under the coinductive
     box.
     """
-    def cons(bit, tail):
-        ys = _branch_names(BINARY)
-        body = App(Var(ys[bit]), Box(COIND, tail))
-        for y in reversed(ys):
-            body = Lam(IND, y, body)
-        return body
-
-    branch0 = Lam(COIND, "t", cons(1, App(Var("r"), Var("t"))))
-    branch1 = Lam(COIND, "t", cons(0, App(Var("r"), Var("t"))))
+    branch0 = Lam(COIND, "t", _case_body(
+        BINARY, "1", [App(Var("r"), Var("t"))], COIND))
+    branch1 = Lam(COIND, "t", _case_body(
+        BINARY, "0", [App(Var("r"), Var("t"))], COIND))
     branch_end = _case_body(BINARY, EPSILON, [], COIND)
     functional = Lam(COIND, "r", Lam(LIN, "s", App(
         App(App(Var("s"), Box(IND, branch0)), Box(IND, branch1)),

@@ -21,12 +21,11 @@ weight-carrying symbols under ``k`` inductive boxes of depth ``m``;
 ``wei_{n,m}`` is then a polynomial in ``n``.  An independent
 implementation computes the same equations directly on the cyclic graph
 with (node, index) memoisation and serves as a cross-check oracle.
-Weight traces run on the frontier evaluator and re-profile only the box
-a step changed.
+Weight traces run on the frontier evaluator and profile the whole term
+after each step.
 """
 
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, MetricsUndefinedError
@@ -280,77 +279,28 @@ class WeightTrace:
         return self.verdict == "pass"
 
 
-
-
-def _ind_bound(g: TermGraph, node, path) -> set:
-    """Names whose innermost binder above ``path`` below ``node``, a
-    node over ``g``'s definitions, is an inductive abstraction."""
-    spine, _ = reduction._descend(g, node, path)
-    kinds = {n.name: n.kind for n, _ in spine if type(n) is Lam}
-    return {x for x, kind in kinds.items() if kind == IND}
-
-
 def _weight_steps(g: TermGraph, depth_bound: int, fuel: int, budget):
     """Level-by-level evaluation to the depth bound with the total-weight
     vector around every step.  Returns the :class:`WeightStep` list and
     the evaluation's stats.
 
-    One profile is kept per box of the frontier being evaluated, and a
-    depth-``n`` step profiles only the stepped box again.  Components
-    ``m >= n`` combine its profile with the other frontier boxes'.  A
-    depth-``(m+1)`` projection cannot reach a depth-``n`` box for
-    ``m <= n-2``, so those components carry over.  Component ``n-1``
-    sees the box only through the occurrences an inductive binder at
-    depth ``n-1`` counts: it is recomputed from the whole graph when an
-    inductive binder above the box in its parent binds one of the box's
-    free variables, and carries over otherwise.  The budget bounds the
-    depth-``(depth_bound+1)`` region as a whole (the region above the
-    frontier plus every frontier box), so it runs out exactly when a
-    projection of the graph after some step would.
+    After each step the term it reached (:func:`reduction._whole`) is
+    profiled once, to the depth bound, so the budget bounds the
+    depth-``(depth_bound+1)`` region of every term along the evaluation.
     """
-    whole = weight_profile(g, depth_bound, budget)
-    totals = whole._replace(df=list(whole.df), h=list(whole.h))
-    profiles = {0: whole}           # frontier box -> profile of its contents
-
-    def vector():
-        return tuple(map(totals.twei, range(depth_bound + 1)))
+    def vector(root=None):
+        profile = weight_profile(g, depth_bound, budget, root)
+        return tuple(map(profile.twei, range(depth_bound + 1)))
 
     first = vector()
     steps = []
-    names = set(g.all_names())      # reserved by the steps and _whole
 
-    def profile(node, top, spent):
-        try:
-            return weight_profile(g, top, budget - spent, node)
-        except BudgetExceededError:
-            raise BudgetExceededError(
-                f"depth-{depth_bound + 1} region exceeds {budget} nodes "
-                "(preterm is not well-formed)") from None
-
-    def on_step(boxes, frontier, used, i, before, r):
-        n = r.depth
-        top = depth_bound - n
-        for j in frontier:
-            if j != i:
-                if j not in profiles:
-                    profiles[j] = profile(boxes[j].node, top, used)
-                used += profiles[j].visited
-        profiles[i] = profile(boxes[i].node, top, used)
-        ps = [profiles[j] for j in frontier]
-        for m in range(n, depth_bound + 1):
-            totals.df[m] = max(p.df[m - n] for p in ps)
-            totals.h[m] = [sum(c) for c in zip_longest(
-                *(p.h[m - n] for p in ps), fillvalue=0)]
-        b = boxes[i]
-        ind = n and _ind_bound(g, boxes[b.parent].node, b.at)
-        if ind and not ind.isdisjoint(g.node_free_vars(before)):
-            after = reduction._whole(g, boxes, names)
-            totals.df[n - 1] = weight_profile(after, n - 1, budget).df[n - 1]
-        steps.append(WeightStep(n, steps[-1].after if steps else first,
-                                vector()))
+    def on_step(boxes, r):
+        steps.append(WeightStep(r.depth, steps[-1].after if steps else first,
+                                vector(reduction._whole(g, boxes))))
 
     _, stats = reduction._frontier_eval(g, g.root_body(), depth_bound, fuel,
-                                        budget, names, on_step)
+                                        budget, set(g.all_names()), on_step)
     return steps, stats
 
 

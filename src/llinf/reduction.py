@@ -308,7 +308,9 @@ def _with_root_body(g: TermGraph, body: Node, names: set) -> TermGraph:
     """``g`` with ``body``, made from ``g``'s bodies by steps, as its
     root body, pruned; the root is named anew, with a name not in
     ``names``, which keeps it, when a definition references the old
-    one."""
+    one.  ``g`` itself comes back when ``body`` is its root body."""
+    if body is g.root_body():
+        return g
     root = g.root
     if root in g.referenced():
         root = fresh_name(root, names)
@@ -481,11 +483,9 @@ def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
     whole region is walked against that share when the box is queued,
     and after each step the stepped node's nodes above its coinductive
     boxes (:func:`_shallow_size`) are charged against it.  Calls
-    ``on_step(boxes, frontier, used, i, before, redex)`` after each
-    step: ``frontier`` lists the boxes at the depth being normalised,
-    ``used`` counts the nodes of the region above them, ``i`` is the
-    stepped box, ``before`` its node before the step, and the redex
-    has its whole-term position.  Returns ``(boxes, stats)``.
+    ``on_step(boxes, redex)`` after each step, with the redex at its
+    whole-term position and level; :func:`_whole` plugs ``boxes`` into
+    the term the step reached.  Returns ``(boxes, stats)``.
     """
     stats = EvalStats(steps_per_depth={})
     boxes = [_Box((), "", node)]
@@ -515,15 +515,14 @@ def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
                 return boxes, stats
             _, i, r = heapq.heappop(heap)
             b = boxes[i]
-            before = b.node
-            b.node = _contract_at(g, before, r, names)
+            b.node = _contract_at(g, b.node, r, names)
             b.changed = True
             stats.steps_per_depth[d] += 1
             stats.fuel_consumed += 1
             push(i, False)
             if on_step is not None:
-                on_step(boxes, frontier, used, i, before,
-                        Redex(b.path + r.position, b.level + r.level, r.kind))
+                on_step(boxes, Redex(b.path + r.position, b.level + r.level,
+                                     r.kind))
         for i in frontier:
             dead = find_deadlock(g, start=boxes[i].node, max_depth=0,
                                  budget=left)
@@ -535,20 +534,19 @@ def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
     return boxes, stats
 
 
-def _whole(g, boxes, names):
-    """The whole graph after :func:`_frontier_eval` from ``g``'s root
-    body: ``g`` with the contents of each box that a step changed, or
-    that holds such a box, plugged back into a copy of its parent's node
-    (:func:`_plug`), children before parents; ``boxes`` is not written.
+def _whole(g, boxes):
+    """The root node after :func:`_frontier_eval` from ``g``'s root
+    body, over ``g``'s definitions: the contents of each box that a step
+    changed, or that holds such a box, plugged back into a copy of its
+    parent's node (:func:`_plug`), children before parents; ``boxes`` is
+    not written.
 
     Other boxes keep their original nodes, so the parts of the input no
-    step touched keep their sharing, and ``g`` itself comes back when no
-    step was taken.  Contents are inlined, not referenced: they may
-    mention variables bound above the box.  The result is built by
-    :func:`_with_root_body`, which draws a new root name apart from
-    ``names``, unvalidated, and pruned."""
+    step touched keep their sharing, and ``g``'s root body itself comes
+    back when no step was taken.  Contents are inlined, not referenced:
+    they may mention variables bound above the box."""
     plugged = {}        # box index -> its contents with changed boxes plugged
-    for i in range(len(boxes) - 1, -1, -1):
+    for i in range(len(boxes) - 1, 0, -1):
         b = boxes[i]
         if i in plugged:
             node = plugged.pop(i)
@@ -556,12 +554,10 @@ def _whole(g, boxes, names):
             node = b.node
         else:
             continue
-        if not i:
-            return _with_root_body(g, node, names)
         spine, _ = _descend(g, plugged.get(b.parent, boxes[b.parent].node),
                             b.at)
         plugged[b.parent] = _plug(spine, Box(COIND, node))
-    return g
+    return plugged.get(0, boxes[0].node)
 
 
 def eval_lbl(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
@@ -579,7 +575,7 @@ def eval_lbl(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
     """
     names = set(g.all_names())
     boxes, stats = _frontier_eval(g, g.root_body(), depth, fuel, budget, names)
-    g = _whole(g, boxes, names)
+    g = _with_root_body(g, _whole(g, boxes), names)
     return g, project_depth(g, depth, budget), stats
 
 
@@ -589,8 +585,8 @@ def run_lbl_trace(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
     records = []
     names = set(g.all_names())
     boxes, stats = _frontier_eval(g, g.root_body(), depth, fuel, budget, names,
-                                  lambda *step: records.append(step[-1]))
-    g = _whole(g, boxes, names)
+                                  lambda boxes, r: records.append(r))
+    g = _with_root_body(g, _whole(g, boxes), names)
     return g, project_depth(g, depth, budget), stats, records
 
 

@@ -3,12 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 import tree_metrics
 from llinf import encodings, generate, properties, reduction
-from llinf.errors import MetricsUndefinedError
+from llinf.errors import BudgetExceededError, MetricsUndefinedError
 from llinf.metrics import (
     df, df_oracle, size_at, size_at_oracle, twei, twei_oracle, wei,
-    wei_oracle, weight_trace, _weight_steps,
+    wei_oracle, weight_profile, weight_trace, _weight_steps,
 )
-from llinf.terms import App, Box, Ref, TermGraph, COIND, import_defs
+from llinf.terms import (
+    App, Box, Ref, TermGraph, COIND, DEFAULT_BUDGET, import_defs,
+)
 from conftest import flip_applied, parse
 
 
@@ -223,15 +225,20 @@ def _fixpoint_run():
     return TermGraph(defs, "run").pruned()
 
 
+def _trace_4s(seed):
+    return generate.random_term(("trace", seed), "4s", 16 + seed % 25,
+                                require_redex=True)[1]
+
+
 def _trace_corpus():
     for prefix, cycle in (("", "01"), ("1", "0"), ("01", "110"), ("", "1")):
-        for bound in range(4):
+        deep = (6,) if cycle in ("01", "110") else ()
+        for bound in (*range(4), *deep):
             g = flip_applied(prefix, cycle)
             yield f"flip {prefix}({cycle}) {bound}", g, bound
     for seed in range(40):
-        _, g = generate.random_term(("trace", seed), "4s", 16 + seed % 25,
-                                    require_redex=True)
-        for bound in (1, 2):
+        g = _trace_4s(seed)
+        for bound in (1, 2, 3):
             yield f"4s:{seed} {bound}", g, bound
     yield "guarded fixpoint run", _fixpoint_run(), 2
     for name, g in sorted(encodings.counterexamples().items()):
@@ -241,12 +248,53 @@ def _trace_corpus():
 @pytest.mark.parametrize("g,bound", [
     pytest.param(g, bound, id=name) for name, g, bound in _trace_corpus()])
 def test_weight_trace_matches_whole_graph_route(g, bound):
-    """Profiling only the stepped box gives the vectors, verdict and
-    detail of measuring the whole graph after every step."""
+    """Profiling the evaluated term, over the input's definitions, after
+    every step gives the vectors, verdict and detail of projecting the
+    whole graph rebuilt after every step."""
     got = weight_trace(g, bound)
     want = tree_metrics.weight_trace(g, bound)
     assert got.steps == want.steps
     assert (got.verdict, got.detail) == (want.verdict, want.detail)
+
+
+def _largest_region(g, bound):
+    """The most nodes of a depth-``(bound+1)`` region over ``g`` and the
+    graphs its evaluation reaches, each rebuilt after its step."""
+    names = set(g.all_names())
+    sizes = [weight_profile(g, bound).visited]
+
+    def on_step(boxes, redex):
+        h = reduction._with_root_body(g, reduction._whole(g, boxes), names)
+        sizes.append(weight_profile(h, bound).visited)
+
+    reduction._frontier_eval(g, g.root_body(), bound, 10_000, DEFAULT_BUDGET,
+                             names, on_step)
+    return max(sizes)
+
+
+def _budget_edge_corpus():
+    for prefix, cycle in (("", "01"), ("01", "110")):
+        for bound in range(4):
+            g = flip_applied(prefix, cycle)
+            yield f"flip {prefix}({cycle}) {bound}", g, bound
+    for seed in range(12):
+        for bound in (1, 2):
+            yield f"4s:{seed} {bound}", _trace_4s(seed), bound
+
+
+@pytest.mark.parametrize("g,bound", [
+    pytest.param(g, bound, id=name)
+    for name, g, bound in _budget_edge_corpus()])
+def test_weight_trace_budget_bounds_every_graph_along_the_run(g, bound):
+    """A trace runs out of budget exactly where the largest depth-
+    ``(bound+1)`` region, of the input or of a graph a step reaches,
+    passes it."""
+    n = _largest_region(g, bound)
+    assert weight_trace(g, bound, budget=n).verdict == "pass"
+    with pytest.raises(BudgetExceededError, match=(
+            rf"^depth-{bound + 1} region exceeds {n - 1} nodes "
+            r"\(preterm is not well-formed\)$")):
+        weight_trace(g, bound, budget=n - 1)
 
 
 def test_weight_steps_recompute_the_component_below():

@@ -360,10 +360,10 @@ def test_frontier_matches_whole_graph_loop(monkeypatch, g, depth, fuel):
     names = set(g.all_names())
     reduction._frontier_eval(
         g, g.root_body(), depth, fuel, budget, names,
-        lambda boxes, *step: seen.append((step[-1],
-                                          reduction._whole(g, boxes, names))))
+        lambda boxes, redex: seen.append((redex, reduction._with_root_body(
+            g, reduction._whole(g, boxes), names))))
     gout, tree, stats = eval_lbl(g, depth, fuel, budget)
-    for h in [h for _, h in seen] + [gout]:     # _whole validates nothing
+    for h in [h for _, h in seen] + [gout]:     # derive validates nothing
         _assert_valid(h)
     assert stats.outcome == outcome
     assert stats.steps_per_depth == steps
@@ -522,18 +522,21 @@ def _assert_first_redex_on_fresh(g, budget):
 @pytest.mark.parametrize("g,depth,fuel", [
     pytest.param(g, depth, fuel, id=name.replace(" ", "_"))
     for name, g, depth, fuel in _gate_corpus()])
-def test_first_redex_matches_the_sorted_scan(g, depth, fuel):
+def test_first_redex_matches_the_sorted_scan(monkeypatch, g, depth, fuel):
     budget = 3_000
     _assert_first_redex_on_fresh(g, budget)
     stepped = []
+    plain_step = reduction._contract_at
 
-    def on_step(boxes, frontier, used, i, before, redex):
-        stepped.extend((before, boxes[i].node))
+    def recorded_step(g, node, r, names):
+        out = plain_step(g, node, r, names)
+        stepped.extend((node, out))
+        return out
 
+    monkeypatch.setattr(reduction, "_contract_at", recorded_step)
     try:
         boxes, _ = reduction._frontier_eval(g, g.root_body(), depth, fuel,
-                                            budget, set(g.all_names()),
-                                            on_step)
+                                            budget, set(g.all_names()))
     except BudgetExceededError:
         boxes = []
     for b in boxes:
@@ -710,23 +713,26 @@ def test_one_pass_contract_matches_the_oracle(name, g):
         g = _assert_contract_matches_oracle(g, redexes[0])
 
 
-def test_one_pass_contract_matches_the_oracle_on_frontier_boxes():
+def test_one_pass_contract_matches_the_oracle_on_frontier_boxes(
+        monkeypatch):
     """The steps the frontier evaluator takes on stream programs, each on
     a box's node over the input's definitions: made a graph's root body,
     the node before the step contracts as the oracle says, and to the
     node after it, up to the names of renamed binders."""
     steps = []
+    plain_step = reduction._contract_at
+
+    def recorded_step(g, node, r, names):
+        out = plain_step(g, node, r, names)
+        steps.append((g, node, out, r))
+        return out
+
+    monkeypatch.setattr(reduction, "_contract_at", recorded_step)
     for prefix, cycle in (("", "01"), ("1", "0"), ("01", "110")):
         g = flip_applied(prefix, cycle)
-
-        def on_step(boxes, frontier, used, i, before, redex, g=g):
-            b = boxes[i]
-            steps.append((g, before, b.node,
-                          Redex(redex.position[len(b.path):],
-                                redex.level[len(b.level):], redex.kind)))
-
         reduction._frontier_eval(g, g.root_body(), 6, 500, 100_000,
-                                 set(g.all_names()), on_step)
+                                 set(g.all_names()))
+    monkeypatch.undo()      # the oracle check contracts too
     for g, before, after, r in steps:
         out = _assert_contract_matches_oracle(_as_graph(g, before), r)
         assert graph_bisimilar(out, _as_graph(g, after))

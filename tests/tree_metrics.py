@@ -106,9 +106,10 @@ def weight_steps(g: TermGraph, depth_bound: int, fuel: int = 10_000,
     cur = [vector(g)]
     names = set(g.all_names())
 
-    def on_step(boxes, *step):
-        after = vector(reduction._whole(g, boxes, names))
-        steps.append(WeightStep(step[-1].depth, cur[0], after))
+    def on_step(boxes, redex):
+        after = vector(reduction._with_root_body(
+            g, reduction._whole(g, boxes), names))
+        steps.append(WeightStep(redex.depth, cur[0], after))
         cur[0] = after
 
     _, stats = reduction._frontier_eval(g, g.root_body(), depth_bound, fuel,
