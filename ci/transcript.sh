@@ -7,12 +7,15 @@
 # in the free algebra and decoded in full, cut off, under a signature
 # of another shape and in the wrong mode (both exit 1), `bit_flip`
 # applied to the stream 01(110) and decoded to bounds 0, 1 and 400,
-# and a tree whose decode reads one contents twice and then deadlocks
-# (exit 1).  The output
-# must be the same in any process, so two runs under different hash
-# seeds must print the same bytes, and those bytes are pinned by their
-# SHA-256 in ci/transcript.sha256 (a change that means to alter the
-# output updates the hash):
+# a tree whose decode reads one contents twice and then deadlocks
+# (exit 1), that `bit_flip` program evaluated to depth 40 and at a
+# budget whose share at depth 40 is below what its box's contents
+# charged at earlier depths (exit 2), and a program whose boxes repeat
+# evaluated at a fuel that runs out among repeated boxes (exit 2).
+# The output must be the same in any process, so two runs under
+# different hash seeds must print the same bytes, and those bytes are
+# pinned by their SHA-256 in ci/transcript.sha256 (a change that means
+# to alter the output updates the hash):
 #
 #   PYTHONHASHSEED=0 ci/transcript.sh > transcript-0.txt
 #   PYTHONHASHSEED=1 ci/transcript.sh > transcript-1.txt
@@ -63,3 +66,10 @@ root t ;
 END
 run decode --sig 'sig t { node/2, leaf/0 }' --mode coalgebra --bound 3 tree.lli
 run decode --sig 'sig t { node/2, leaf/0 }' --mode coalgebra tree.lli
+run eval --depth 40 flip.lli
+run eval --depth 40 --budget 284 flip.lli
+cat > ordered.lli <<'END'
+def T = c #(!((\x. x) T)) #((\x. x) T) ;
+root T ;
+END
+run eval --depth 2 --fuel 3 ordered.lli

@@ -173,21 +173,55 @@ def _shallow_size(node: Node, budget) -> int:
     return n
 
 
+def _shallow_key(node: Node) -> str:
+    """A key that ``==`` trees share when their coinductive boxes at
+    depth 0 hold the same objects: the nodes :func:`_shallow_size`
+    counts, in prefix form with their names, and each such box's
+    contents by identity.  It costs those nodes, however deep the boxes'
+    contents are; a key kept past the tree must keep the tree alive, so
+    that no other object takes an identity it names."""
+    parts = []
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        t = type(n)
+        if t is App:
+            parts.append("@")
+            todo += n.arg, n.fn
+        elif t is Lam:
+            parts.append(f"\\{n.kind}:{n.name}")
+            todo.append(n.body)
+        elif t is Box:
+            if n.kind == IND:
+                parts.append("!")
+                todo.append(n.body)
+            else:
+                parts.append(f"#{id(n.body)}")
+        else:
+            parts.append(f"{t.__name__}:{n.name}")
+    return " ".join(parts)
+
+
 def _first_redex(g: TermGraph, node: Node, budget, whole=True):
     """``redexes_within_depth(g, 0, budget)[0]`` for the unfolding of
     ``node``, a node over ``g``'s definitions, or None when there is
-    none, found without collecting or sorting the others.
+    none, found without collecting or sorting the others, and the nodes
+    charged against ``budget``.
 
     At depth 0 every level is ``i^k``, so the first redex is one with
     the least ``k``, and preorder breaks ties.  With ``whole`` the search
     visits the depth-0 region as :func:`walk` does and raises
-    :class:`BudgetExceededError` where it would.  Otherwise it skips
-    every subtree at or below the best ``k`` found so far and stops at a
-    redex with ``k = 0``; the region is then charged by
-    :func:`_shallow_size` instead, which never counts more than a walk
-    visits.  Only the winner's path is built, from parent links.
+    :class:`BudgetExceededError` where it would; the charge is the nodes
+    it visited.  Otherwise it skips every subtree at or below the best
+    ``k`` found so far and stops at a redex with ``k = 0``; the region
+    is then charged by :func:`_shallow_size` instead, which never counts
+    more than a walk visits, and the charge is the larger of that count
+    and the nodes the search visited.  Either way the call raises
+    exactly when its charge passes ``budget``.  Only the winner's path
+    is built, from parent links.
     """
-    if not whole and _shallow_size(node, budget) > budget:
+    charge = 0 if whole else _shallow_size(node, budget)
+    if charge > budget:
         raise BudgetExceededError(
             f"traversal exceeded {budget} nodes (ill-formed input?)")
     best = None                 # (parent link, k, kind) of the first redex
@@ -217,10 +251,11 @@ def _first_redex(g: TermGraph, node: Node, budget, whole=True):
             stack.append((g.resolve(node.body), (at, BODY), k))
         elif t is Box and node.kind == IND:
             stack.append((g.resolve(node.body), (at, BOXED), k + 1))
+    charge = max(charge, visited)
     if best is None:
-        return None
+        return None, charge
     at, k, kind = best
-    return Redex(path_of(at), "i" * k, kind)
+    return Redex(path_of(at), "i" * k, kind), charge
 
 
 def has_any_redex(g: TermGraph) -> bool:
@@ -378,7 +413,7 @@ def step_lbl(g: TermGraph, max_depth=256, budget=DEFAULT_BUDGET):
         if d:
             r = (redexes_within_depth(g, d, budget) or [None])[0]
         else:
-            r = _first_redex(g, g.root_body(), budget)
+            r, _ = _first_redex(g, g.root_body(), budget)
         if r is not None:
             return contract(g, r), r
     raise BudgetExceededError(
@@ -434,6 +469,11 @@ class _Box:
     parent: int = -1        # index of the enclosing box
     at: tuple = ()          # position of the box node in the parent's contents
     changed: bool = False   # whether a step was taken in the contents
+    # while the memo of _frontier_eval normalises the contents:
+    queued: tuple = None    # (_shallow_key, contents) as it was queued
+    steps: int = 0          # steps taken in the contents
+    peak: int = 0           # the most any search charged against the budget
+    drew: bool = False      # whether a step drew a fresh name
 
 
 def _split(g, boxes, frontier, used, budget):
@@ -486,7 +526,39 @@ def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
     ``on_step(boxes, redex)`` after each step, with the redex at its
     whole-term position and level; :func:`_whole` plugs ``boxes`` into
     the term the step reached.  Returns ``(boxes, stats)``.
+
+    Without ``on_step``, each distinct contents is normalised once per
+    call (Michie's memo functions).  When a box normalises and its steps
+    drew no fresh name, its normal form, its step count and the largest
+    charge it made are kept under the :func:`_shallow_key` of its
+    contents as queued; the key reads the nodes above the contents'
+    coinductive boxes, not those boxes' contents at every later depth,
+    which would make a nest of ``n`` boxes cost ``n**2``.  A box queued
+    later whose contents are ``==`` to kept contents takes the kept
+    normal form and counts its steps instead of taking them, provided
+    they fit the fuel left at its depth and the charge fits its share:
+    those steps would draw no name either, so they would reach the same
+    tree, and the other boxes' steps keep their order.  Where the fuel
+    runs out, the partial state depends on how the heap interleaves
+    every box's steps, so an evaluation that runs out of fuel at a depth
+    where a box took a kept normal form is done again with every step
+    taken.  Evaluating depth 0 alone opens one box and keeps nothing.
     """
+    if on_step is None and depth:
+        start = frozenset(names)
+        out = _levels(g, node, depth, fuel, budget, names, None, {})
+        if out is not None:
+            return out
+        names.intersection_update(start)
+    return _levels(g, node, depth, fuel, budget, names, on_step, None)
+
+
+def _levels(g, node, depth, fuel, budget, names, on_step, kept):
+    """The evaluation of :func:`_frontier_eval`.  ``kept`` is None for
+    no memo, or a dict from the :func:`_shallow_key` of a contents to
+    ``(contents, normal form, steps, largest charge)``; holding the
+    contents keeps alive the objects the key names.  Returns None when
+    the fuel runs out at a depth where a box took a kept normal form."""
     stats = EvalStats(steps_per_depth={})
     boxes = [_Box((), "", node)]
     frontier = [0]
@@ -497,26 +569,50 @@ def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
         # box i's first redex, keyed as in the whole term: by level, then
         # by box preorder (local preorder decides within the box)
         b = boxes[i]
-        r = _first_redex(g, b.node, left, whole)
+        r, charge = _first_redex(g, b.node, left, whole)
         if r is not None:
             heapq.heappush(heap, (level_key(b.level + r.level), i, r))
+        if b.queued is not None:
+            b.peak = max(b.peak, charge)
+            if r is None and b.steps and not b.drew:
+                key, contents = b.queued
+                kept[key] = contents, b.node, b.steps, b.peak
 
     for d in range(depth + 1):
         if d:
             frontier, used = _split(g, boxes, frontier, used, budget)
         left = budget - used - len(frontier) + 1
         stats.steps_per_depth[d] = 0
+        reused = False
         for i in frontier:
+            b = boxes[i]
+            if kept is not None:
+                key = _shallow_key(b.node)
+                hit = kept.get(key)
+                if (hit is not None and hit[0] == b.node and hit[3] <= left
+                        and stats.steps_per_depth[d] + hit[2] <= fuel):
+                    # take the kept normal form, counting its steps
+                    b.node, b.changed = hit[1], True
+                    stats.steps_per_depth[d] += hit[2]
+                    stats.fuel_consumed += hit[2]
+                    reused = True
+                    continue
+                b.queued = key, b.node
             push(i, True)
         while heap:
             if stats.steps_per_depth[d] >= fuel:
+                if reused:
+                    return None
                 stats.outcome = "fuel-exhausted"
                 stats.detail = f"fuel exhausted while normalising depth {d}"
                 return boxes, stats
             _, i, r = heapq.heappop(heap)
             b = boxes[i]
+            drawn = len(names)
             b.node = _contract_at(g, b.node, r, names)
             b.changed = True
+            b.steps += 1
+            b.drew = b.drew or len(names) != drawn
             stats.steps_per_depth[d] += 1
             stats.fuel_consumed += 1
             push(i, False)
@@ -567,7 +663,11 @@ def eval_lbl(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
     the returned tree is the depth projection of every continuation of
     the reduction: completed depths can never reacquire a redex, so
     they are never revisited and a step costs what its box costs, not
-    what the output printed so far costs.  Raises
+    what the output printed so far costs.  Contents that recur are
+    normalised once (the memo of :func:`_frontier_eval`); the steps a
+    recurring contents would take are counted as taken, so the tree,
+    its names, the stats and any budget error are those that taking
+    every step gives, as :func:`run_lbl_trace` does.  Raises
     :class:`BudgetExceededError` once the depth-bounded region passes
     ``budget`` nodes.  Returns ``(graph, tree, stats)``; the graph is
     ``g`` itself when no step was taken, and boxes no step changed keep
