@@ -10,8 +10,11 @@
 # a tree whose decode reads one contents twice and then deadlocks
 # (exit 1), that `bit_flip` program evaluated to depth 40 and at a
 # budget whose share at depth 40 is below what its box's contents
-# charged at earlier depths (exit 2), and a program whose boxes repeat
-# evaluated at a fuel that runs out among repeated boxes (exit 2).
+# charged at earlier depths (exit 2), a program whose boxes repeat
+# evaluated at a fuel that runs out among repeated boxes (exit 2), and
+# `check` on six files that do not parse (exit 3): a bad character after
+# a comment, an unclosed `(`, a missing root after a trailing `// c`,
+# `flags` in a term file, a duplicate definition and a `\x` with no `.`.
 # The output must be the same in any process, so two runs under
 # different hash seeds must print the same bytes, and those bytes are
 # pinned by their SHA-256 in ci/transcript.sha256 (a change that means
@@ -73,3 +76,16 @@ def T = c #(!((\x. x) T)) #((\x. x) T) ;
 root T ;
 END
 run eval --depth 2 --fuel 3 ordered.lli
+cat > bad-char.lli <<'END'
+def M = x ; // a comment may hold $
+def N = ) ;
+root M ; $
+END
+printf 'def M = (x y ;\nroot M ;\n' > unclosed.lli
+printf 'def M = x ;\n// c' > trailing-comment.lli
+printf 'def M = x ;\nroot M ;\nflags 101 ;\n' > flags.lli
+printf 'def M = x ;\ndef M = y ;\nroot M ;\n' > duplicate.lli
+printf 'def M = \\x x ;\nroot M ;\n' > no-dot.lli
+for name in bad-char unclosed trailing-comment flags duplicate no-dot; do
+    run check "$name.lli"
+done

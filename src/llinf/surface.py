@@ -13,9 +13,10 @@ files (pure lambda calculus) use the same shape plus an optional
 ``flags abc ;`` clause, with no boxes and only plain ``\\VAR.``
 abstractions.
 
-The front end is one scanner pass and one parser loop over an explicit
-stack, and the printer emits chunks from an explicit stack, so nesting
-depth is bounded by memory only.
+The front end is one ``findall`` of the token texts and one parser loop
+over an explicit stack.  Only error messages need token offsets, so a
+syntax error scans the text again with them.  The printer emits chunks
+from an explicit stack, so nesting depth is bounded by memory only.
 
 Environments for the command line are comma-separated patterns:
 ``x`` linear, ``!x`` inductive (ind-one in the 4S system), ``#x``
@@ -30,15 +31,14 @@ from .terms import (
     COIND, IND, LIN,
 )
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|//[^\n]*)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<digits>[0-9]+)
-      | (?P<punct>[\\!#.();=])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# the tokens; blanks and ``//`` comments between them are skipped
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_TOKEN = rf"{_IDENT_RE.pattern}|[0-9]+|[\\!#.();=]"
+_SKIP = r"\s+|//[^\n]*"
+_TOKEN_RE = re.compile(f"{_SKIP}|(?P<token>{_TOKEN})|(?P<bad>.)")
+# the same alternation with any other character as a one-character
+# token; only the token is a group, so skipped text reads as ""
+_TOKEN_TEXT_RE = re.compile(rf"{_SKIP}|({_TOKEN}|\S)")
 
 _KEYWORDS = {"def", "root", "flags"}
 _MARKS = {"!": IND, "#": COIND}
@@ -51,33 +51,36 @@ def _syntax_error(text, offset, message):
 
 
 def _tokenize(text):
-    """``(kind, text, offset)`` for each token of ``text``, then ``eof``."""
+    """``(token, offset)`` for each token of ``text``, then ``("", len(text))``;
+    run on a syntax error only, to raise the first bad character or to
+    place the error."""
     toks = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
+        if m.lastgroup == "token":
+            toks.append((m.group(), m.start()))
+        elif m.lastgroup == "bad":
             raise _syntax_error(text, m.start(), f"unexpected character {m.group()!r}")
-        toks.append((kind, m.group(), m.start()))
-    toks.append(("eof", "", len(text)))
+    toks.append(("", len(text)))
     return toks
 
 
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.toks = _tokenize(text)
+        # the token texts, then "" for the end of input; a character no
+        # token starts with is a token, which no rule of the grammar takes
+        self.toks = toks = [*filter(None, _TOKEN_TEXT_RE.findall(text)), ""]
         self.i = 0
+        self.idents = set(filter(_IDENT_RE.match, set(toks))) - _KEYWORDS
         # the identifier after each ``def`` names a definition, and every
         # occurrence of it parses as a reference
-        self.refs = {b[1] for a, b in zip(self.toks, self.toks[1:])
-                     if a[1] == "def" and b[0] == "ident"}
+        self.refs = {b for a, b in zip(toks, toks[1:])
+                     if a == "def" and b in self.idents}
         self.clash = None  # the first binder named like a definition
 
     def err(self, message, at=None):
         at = self.i if at is None else at
-        raise _syntax_error(self.text, self.toks[at][2], message)
+        raise _syntax_error(self.text, _tokenize(self.text)[at][1], message)
 
     def next(self):
         t = self.toks[self.i]
@@ -85,14 +88,14 @@ class _Parser:
         return t
 
     def expect(self, text):
-        found = self.next()[1]
+        found = self.next()
         if found != text:
             self.err(f"expected {text!r}, found {found or 'end of input'!r}",
                      self.i - 1)
 
     def expect_ident(self, what):
-        kind, text, _ = self.next()
-        if kind != "ident" or text in _KEYWORDS:
+        text = self.next()
+        if text not in self.idents:
             self.err(f"expected {what}, found {text or 'end of input'!r}",
                      self.i - 1)
         return text
@@ -107,13 +110,13 @@ class _Parser:
         ``")"`` or the lambda's ``(kind, name)``.  A finished atom is
         boxed by the pending mark and applied to the frame's application.
         """
-        toks, refs = self.toks, self.refs
+        toks, idents, refs = self.toks, self.idents, self.refs
         i = self.i
         stack = []
         frame = [None, None, None]
         while True:
-            kind, text, _ = toks[i]
-            if kind == "ident" and text not in _KEYWORDS:
+            text = toks[i]
+            if text in idents:
                 node = Ref(text) if text in refs else Var(text)
                 i += 1
             elif text == "(":
@@ -123,16 +126,20 @@ class _Parser:
                 continue
             elif frame[2] is None and text == "\\":
                 lam = LIN
-                mark = toks[i + 1][1]
+                mark = toks[i + 1]
                 if mark in _MARKS:
                     if not marks:
                         self.err("only plain abstractions are allowed here", i + 1)
                     lam = _MARKS[mark]
                     i += 1
-                self.i = i + 1
-                name = self.expect_ident("bound variable")
-                self.expect(".")
-                i = self.i
+                name = toks[i + 1]
+                if name not in idents:
+                    self.err("expected bound variable, found "
+                             f"{name or 'end of input'!r}", i + 1)
+                if toks[i + 2] != ".":
+                    self.err(f"expected '.', found {toks[i + 2] or 'end of input'!r}",
+                             i + 2)
+                i += 3
                 if name in refs and self.clash is None:
                     self.clash = name
                 stack.append(frame)
@@ -152,8 +159,8 @@ class _Parser:
                     self.i = i
                     return node
                 if closer == ")":
-                    self.i = i
-                    self.expect(")")
+                    if text != ")":
+                        self.err(f"expected ')', found {text or 'end of input'!r}", i)
                     i += 1
                 else:
                     node = Lam(*closer, node)
@@ -167,9 +174,9 @@ class _Parser:
         marks = {} if lambdas_only else _MARKS
         defs = {}
         root = flags = None
-        while self.toks[self.i][0] != "eof":
+        while self.toks[self.i]:
             at = self.i
-            text = self.next()[1]
+            text = self.next()
             if text == "def":
                 name = self.expect_ident("definition name")
                 if name in defs:
@@ -179,14 +186,14 @@ class _Parser:
                 self.expect(";")
             elif text == "root":
                 root = self.expect_ident("root name")
-                if self.toks[self.i][1] == ";":
+                if self.toks[self.i] == ";":
                     self.i += 1
             elif text == "flags":
-                kind, digits, _ = self.next()
-                if kind != "digits" or not re.fullmatch(r"[01]{3}", digits):
+                digits = self.next()
+                if not re.fullmatch(r"[01]{3}", digits):
                     self.err("flags must be three binary digits", self.i - 1)
                 flags = tuple(int(ch) for ch in digits)
-                if self.toks[self.i][1] == ";":
+                if self.toks[self.i] == ";":
                     self.i += 1
             else:
                 self.err(f"expected 'def' or 'root', found {text!r}", at)
@@ -212,7 +219,7 @@ def parse_term(text: str) -> TermGraph:
     """Parse a bare closed-form term (no definitions) into a graph."""
     p = _Parser(text)
     term = p.term(_MARKS)
-    if p.toks[p.i][0] != "eof":
+    if p.toks[p.i]:
         p.err("trailing input after term")
     return TermGraph({"main": term}, "main")
 
@@ -327,7 +334,7 @@ def parse_environment(text: str, system: str) -> dict:
         if item[0] in "!#^*":
             mark = item[0]
             item = item[1:].strip()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", item):
+        if not _IDENT_RE.fullmatch(item):
             raise SurfaceSyntaxError(f"bad environment variable {item!r}")
         if item in env:
             raise SurfaceSyntaxError(f"variable {item!r} bound twice in environment")

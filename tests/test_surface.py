@@ -167,10 +167,31 @@ def _soups(n=4_000):
         yield soup
 
 
+# texts at the edges of the scanner: blanks and comments at the end of
+# the input, characters no token starts with, Unicode blanks, line ends
+# and non-ASCII letters and digits, empty and comment-only inputs, and
+# an error placed after 5 000 definitions
+_EDGES = [
+    "def M = \\x. x ;\nroot M ;\nflags 101\t",
+    "def M = x ;\nroot M ; // c",
+    "def M = x ; // c",
+    "// é\ndef M = x ; root M ;",
+    "'", "/", "x/y", "def M = x/y ; root M ;", "def M = x' ; root M ; /",
+    "def\u00a0M = x\u2028y ;\r\nroot M ;\r\n",
+    "def M = \\x.\u00a0x\u2028;\u2028root M\u00a0;",
+    "λx", "1x", "def M = λx ; root M ;", "def M = 1x ; root M ;",
+    "def M = \\x. x ; root M ; flags ٠٠١ ;",
+    "def M = \\x. x ; root M ; flags ²01 ;",
+    "", "// a\n// b", "// only a comment",
+    "".join(f"def D{k} = \\x. x D{k + 1} ;\n" for k in range(5_000))
+    + "def D5000 = y ;\nroot D0 ;\ndef E = (y ;\n",
+]
+
+
 def _parity_texts():
     """Printed programs (the bundled examples, generated terms of both
-    systems, lambda programs), each with two one-word mutations, then
-    the token soups."""
+    systems, lambda programs), each with two one-word mutations, the
+    token soups, then the edge texts."""
     from llinf import encodings
     from llinf.surface import format_lambda_graph
     printed = [format_graph(g) for g in encodings.counterexamples().values()]
@@ -190,6 +211,22 @@ def _parity_texts():
             list(_SOUP), list(_SOUP.values()))[0]
         yield " ".join(words)
     yield from _soups()
+    yield from _EDGES
+
+
+def test_token_texts_match_the_offset_scan():
+    """The parser's token texts are those of ``_tokenize``, which places
+    errors, on every parity text it accepts."""
+    from llinf.surface import _Parser, _tokenize
+    n = 0
+    for text in _parity_texts():
+        try:
+            toks = _tokenize(text)
+        except SurfaceSyntaxError:
+            continue
+        assert _Parser(text).toks == [t for t, _ in toks], text
+        n += 1
+    assert n > 5_000
 
 
 def _outcome(entry, text):
