@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Prints what the installed `llinf` writes, stdout and stderr, with each
 # exit code, for a fixed set of runs: `examples --run`, a seeded `bench`,
-# `eval` and `trace` at depth 3 and `weight --depths 0..3` on every
-# bundled example, three streams encoded and decoded again, a decode
+# `eval` and `trace` at depth 3, `weight --depths 0..3`, and under both
+# systems `check --infer` and `check` with the empty environment on
+# every bundled example, three streams encoded and decoded again, a decode
 # that runs out of fuel (`omega_ind`, exit 2), a finite word encoded
 # in the free algebra and decoded in full, cut off, under a signature
 # of another shape and in the wrong mode (both exit 1), `bit_flip`
@@ -40,6 +41,10 @@ for name in $(llinf examples | cut -f1); do
     run eval --depth 3 "$name.lli"
     run trace --depth 3 "$name.lli"
     run weight --depths 0..3 "$name.lli"
+    for system in llinf 4s; do
+        run check --system $system --infer "$name.lli"
+        run check --system $system "$name.lli"
+    done
 done
 for spec in '01(10)' '1(0)' '(110)'; do
     llinf encode --mode coalgebra "$spec" > stream.lli

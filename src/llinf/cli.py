@@ -32,7 +32,8 @@ def _fail(code, message):
 
 def _load_graph(path):
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         _fail(EXIT_USAGE, str(exc))
     try:

@@ -189,6 +189,8 @@ class _Parser:
                 if self.toks[self.i] == ";":
                     self.i += 1
             elif text == "flags":
+                if not lambdas_only:
+                    self.err("'flags' is only meaningful in lambda files", at)
                 digits = self.next()
                 if not re.fullmatch(r"[01]{3}", digits):
                     self.err("flags must be three binary digits", self.i - 1)
@@ -209,9 +211,7 @@ class _Parser:
 
 def parse_program(text: str) -> TermGraph:
     """Parse a full program into a validated term graph."""
-    defs, root, flags = _Parser(text).program()
-    if flags is not None:
-        raise SurfaceSyntaxError("'flags' is only meaningful in lambda files")
+    defs, root, _ = _Parser(text).program()
     return TermGraph(defs, root)
 
 

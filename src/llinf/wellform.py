@@ -13,15 +13,16 @@ pairs.  Acceptance then reduces to two checks over that state graph:
 * every cycle crosses a coinductive-box edge, i.e. the subgraph of
   non-coinductive edges is acyclic.
 
-Occurrences are counted by two shared passes.  Inference makes one
-root sweep (``_root_sweep``) for every variable at once, over the
-definitions each entered at a box class: by capture-freedom a
-definition's counts are its own body's plus those of the definitions it
-references (Courcelle, "Fundamental properties of infinite trees",
-1983).  The check makes one pass over each definition body
-(``body_pass``), which gives the free variables of every node, to split
-an application's environment, and the counts of each binder's own name
-in its body, to pick the 4S inductive-binder rule.
+Occurrences are counted by one pass over the bodies (``body_pass``),
+the only walk of definition bodies here.  It gives the free variables of
+every node, to split an application's environment; the counts of each
+binder's own name in its body, to pick the 4S inductive-binder rule; and
+a summary of each definition's free occurrences and references, by the
+boxes above them.  Inference sums the summaries over the definitions
+each entered at a box class (``_root_sweep``), for every variable at
+once: by capture-freedom a definition's counts are its own body's plus
+those of the definitions it references (Courcelle, "Fundamental
+properties of infinite trees", 1983).
 
 Every cycle and order question here goes through one routine,
 ``terms._sccs``, which emits strongly connected components sinks first
@@ -112,92 +113,72 @@ class OccSummary:
 
 
 _CLS_LIN, _CLS_IND1, _CLS_IND2, _CLS_COIND = range(4)
-
-
-def _shift(cls, boxkind):
-    if boxkind == COIND:
-        return _CLS_COIND
-    if cls == _CLS_LIN:
-        return _CLS_IND1
-    if cls == _CLS_IND1:
-        return _CLS_IND2
-    return cls
+# [class of entry][class within the body] -> class from the entry: a
+# coinductive box on either side wins, inductive boxes add up to two
+_ENTER = ((0, 1, 2, 3), (1, 2, 2, 3), (2, 2, 2, 3), (3, 3, 3, 3))
 
 
 def occurrences(g: TermGraph, x: str, node: Node = None) -> OccSummary:
     """Classified free-occurrence counts of ``x`` at the root of ``g``,
     or in the body of a binder of ``x``.
 
-    ``node`` is ``None`` or the root body for the root, where the counts
-    come from :func:`_root_sweep`, summed over the definitions entered
-    at each box class; otherwise it must be the ``body`` of an
-    abstraction of ``x`` in a definition of ``g``, where they come from
-    :func:`body_pass`, one walk of that body.  Any other node raises
-    ``ValueError``: the counts of a free variable of an arbitrary
-    subterm are not computed.
+    Both come from one :func:`body_pass`.  ``node`` is ``None`` or the
+    root body for the root, where :func:`_root_sweep` sums the counts
+    over the definitions entered at each box class; otherwise it must be
+    the ``body`` of an abstraction of ``x`` in a definition of ``g``.
+    Any other node raises ``ValueError``: the counts of a free variable
+    of an arbitrary subterm are not computed.
     """
+    bodies = body_pass(g)
     if node is None or g.resolve(node) is g.root_body():
-        counts = _root_sweep(g).get(x, (0, 0, 0, 0))
+        counts = _root_sweep(g, bodies).get(x, (0, 0, 0, 0))
     else:
-        counts = body_pass(g).own.get((id(node), x))
+        counts = bodies.own.get((id(node), x))
         if counts is None:
             raise ValueError(
                 f"node is neither the root nor the body of a binder of {x!r}")
     return OccSummary(*counts)
 
 
-def _root_sweep(g: TermGraph) -> dict:
+def _root_sweep(g: TermGraph, bodies) -> dict:
     """Map from each free variable of the root to its 4-class counts.
 
     A state is a definition entered at a box class, starting from the
-    root at ``lin``.  One walk of its body counts the free occurrences of
-    each variable by the boxes above them and lists the states its
-    references enter, once per reference.  By capture-freedom no name
-    bound above a reference is free in the referenced definition, so a
-    state's counts are its own plus the sum of its successors', taken
-    sinks first over the components.  A cyclic component makes each
-    nonzero class infinite.  Maps are dropped after their last reader,
-    and copied before they change, since states may share one.
+    root at ``lin``: its own counts and its references are the
+    definition's summary in ``bodies``, each class shifted by the class
+    of entry.  By capture-freedom no name bound above a reference is free
+    in the referenced definition, so a state's counts are its own plus
+    the sum of its successors', taken sinks first over the components.
+    A cyclic component makes each nonzero class infinite.  Maps are
+    dropped after their last reader, and copied before they change,
+    since states may share one and a state at ``lin`` reads its summary's.
     """
+    summary = bodies.summary
     states = [(g.root, _CLS_LIN)]   # grows while it is read
     index = {states[0]: 0}
     readers = [1]   # state -> reads of its map to come, the caller's included
     maps = []       # state -> its own counts, then its sum
     succ = []
     for name, cls in states:
-        counts = {}
+        counts, refs = summary[name]
+        enter = _ENTER[cls]
         row = []
-        bound = {}      # binder name -> number of its binders above the visit
-        todo = [(g.defs[name], cls)]
-        while todo:
-            n, c = todo.pop()
-            t = type(n)
-            if t is App:
-                todo.append((n.arg, c))
-                todo.append((n.fn, c))
-            elif t is Var:
-                if n.name not in bound:
-                    counts.setdefault(n.name, [0, 0, 0, 0])[c] += 1
-            elif t is Lam:
-                bound[n.name] = bound.get(n.name, 0) + 1
-                todo.append((n.name, c))    # leaves the binder's scope
-                todo.append((n.body, c))
-            elif t is Box:
-                todo.append((n.body, _shift(c, n.kind)))
-            elif t is Ref:
-                key = (n.name, c)
-                j = index.get(key)
-                if j is None:
-                    j = index[key] = len(states)
-                    states.append(key)
-                    readers.append(0)
-                readers[j] += 1
-                row.append(j)
-            elif bound[n] == 1:
-                del bound[n]
-            else:
-                bound[n] -= 1
-        maps.append({v: tuple(k) for v, k in counts.items()})
+        for ref, c in refs:
+            key = (ref, enter[c])
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(states)
+                states.append(key)
+                readers.append(0)
+            readers[j] += 1
+            row.append(j)
+        if cls == _CLS_IND1:
+            counts = {v: (0, l, i + d, c) for v, (l, i, d, c) in counts.items()}
+        elif cls == _CLS_IND2:
+            counts = {v: (0, 0, l + i + d, c) for v, (l, i, d, c) in counts.items()}
+        elif cls == _CLS_COIND:
+            counts = {v: (0, 0, 0, sum(k)) for v, k in counts.items()}
+        maps.append(counts)
         succ.append(row)
 
     def take(j):
@@ -222,8 +203,8 @@ def _root_sweep(g: TermGraph) -> dict:
                 maps[i] = pumped
             continue
         i = comp[0]
-        m = maps[i]     # the state's own counts: changed in place
-        mine = True
+        m = maps[i]     # the state's own counts: changed in place if not shared
+        mine = states[i][1] != _CLS_LIN
         for j in succ[i]:
             other = take(j)
             if len(other) > len(m):
@@ -248,9 +229,12 @@ def _merge(m, other):
 class BodyPass(NamedTuple):
     """What :func:`body_pass` finds in the definition bodies of a graph."""
 
-    free: dict   # id(node) -> free variables of the node's unfolding
-    own: dict    # (id(binder's body), binder's name) -> the name's 4-class
-                 # counts in that body
+    free: dict      # id(node) -> free variables of the node's unfolding
+    own: dict       # (id(binder's body), binder's name) -> the name's 4-class
+                    # counts in that body
+    summary: dict   # definition name -> (free name -> its 4-class counts,
+                    # [(referenced name, class)]), classed as if entered
+                    # at ``lin``, in preorder, function side first
 
 
 def body_pass(g: TermGraph) -> BodyPass:
@@ -261,14 +245,19 @@ def body_pass(g: TermGraph) -> BodyPass:
     the occurrences of its own name in its body tree, classified by the
     boxes between: by capture-freedom no definition referenced beneath
     the binder has the name free, so these are all its occurrences in
-    the unfolding, and they are finitely many.
+    the unfolding, and they are finitely many.  A definition's summary
+    classes its free occurrences and its references alike, by the boxes
+    above them.
     """
     def_fvs = g.def_free_vars()
     free = {}
     own = {}
+    summary = {}
     scope = {}      # name -> [c_lin, c_ind1, c_ind2, c_coind, ind, coind]
                     # per binder of the name in scope, innermost last
-    for body in g.defs.values():
+    for name, body in g.defs.items():
+        counts = {}
+        refs = []
         todo = [(body, 0, 0)]   # (node, inductive boxes, coinductive boxes)
         while todo:
             n, ind, co = todo.pop()
@@ -299,8 +288,12 @@ def body_pass(g: TermGraph) -> BodyPass:
                         rec[_CLS_COIND] += 1
                     else:
                         rec[min(ind - rec[4], _CLS_IND2)] += 1
+                else:
+                    counts.setdefault(n.name, [0, 0, 0, 0])[
+                        _CLS_COIND if co else min(ind, _CLS_IND2)] += 1
                 free[id(n)] = frozenset((n.name,))
             elif t is Ref:
+                refs.append((n.name, _CLS_COIND if co else min(ind, _CLS_IND2)))
                 free[id(n)] = def_fvs[n.name]
             elif t is App:
                 todo.append((n, -1, 0))
@@ -318,7 +311,8 @@ def body_pass(g: TermGraph) -> BodyPass:
                     todo.append((n.body, ind + 1, co))
             else:
                 raise TypeError(f"not a node: {n!r}")
-    return BodyPass(free, own)
+        summary[name] = ({v: tuple(k) for v, k in counts.items()}, refs)
+    return BodyPass(free, own, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +557,15 @@ def _expand_ll4s(bodies, envs, node, e):
 
 def check(system: str, env: dict, g: TermGraph) -> CheckReport:
     """Decide the well-formation judgment ``env |- g`` for one system."""
+    return _check(system, env, g, body_pass(g))
+
+
+def _check(system, env, g, bodies):
+    """:func:`check`, reading ``bodies``, the :func:`body_pass` of ``g``."""
     bad = set(env.values()) - KINDS[system]
     if bad:
         raise ValueError(f"pattern kinds {sorted(bad)} are not valid for {system}")
     expand = _expand_llinf if system == LLINF else _expand_ll4s
-    bodies = body_pass(g)
     envs = _Envs(_STRICT[system])
     content = envs.content
     defs = g.defs
@@ -697,9 +695,10 @@ def infer_env(system: str, g: TermGraph):
 
     Kinds are picked per variable from its occurrence summary (linear
     preferred, then the most specific 4S kind), then verified by a full
-    check.
+    check.  One :func:`body_pass` serves the sweep and the check.
     """
-    counts = _root_sweep(g)
+    bodies = body_pass(g)
+    counts = _root_sweep(g, bodies)
     env = {}
     for x in sorted(g.free_vars()):
         occ = OccSummary(*counts[x])
@@ -715,7 +714,7 @@ def infer_env(system: str, g: TermGraph):
             env[x] = "coind"
         else:
             env[x] = "any"
-    return env if check(system, env, g) else None
+    return env if _check(system, env, g, bodies) else None
 
 
 def env_precedes(gamma: dict, delta: dict) -> bool:

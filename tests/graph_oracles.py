@@ -14,7 +14,8 @@
   variables of the definitions as a round-robin fixpoint over their
   reference sets: the earlier production routes, kept as the oracles of
   the per-definition passes over the reference graph in
-  :func:`llinf.wellform._root_sweep` and :func:`llinf.terms._solve_fvs`.
+  :func:`llinf.wellform._root_sweep` and :func:`llinf.terms._solve_fvs`,
+  and environment inference from that sweep and the check above.
 * Alpha-equivalence and printing by structural recursion: the earlier
   production route, kept as the oracle of the iterative passes in
   :mod:`llinf.terms` and :mod:`llinf.surface`.
@@ -58,10 +59,18 @@ from llinf.terms import (
 )
 from llinf.wellform import (
     CheckReport, INF, KINDS, LLINF, _CLS_LIN, _Fail, _describe, _merge,
-    _shift, body_pass,
+    body_pass,
 )
 
 _UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _shift(cls, boxkind):
+    """The class of a position under one more box of ``boxkind``: no box,
+    one inductive box, two or more, or any coinductive one."""
+    if boxkind == COIND:
+        return 3
+    return min(cls + 1, 2) if cls < 3 else 3
 
 
 def occurrences(g: TermGraph, x: str, node: Node = None) -> tuple:
@@ -614,6 +623,27 @@ def check(system: str, env: dict, g: TermGraph):
                       "coinductive_crossing": _describe(*info[v])})
     return CheckReport(True, system, states=len(info),
                        loops=tuple(loops)), out_edges
+
+
+def infer_env(system: str, g: TermGraph):
+    """``wellform.infer_env`` with the kinds picked from the counts of
+    :func:`root_sweep` and the verdict of :func:`check`."""
+    env = {}
+    for x, counts in sorted(root_sweep(g).items()):
+        lin, ind1, ind2, co = counts
+        if counts == (1, 0, 0, 0):
+            env[x] = "lin"
+        elif system == LLINF:
+            env[x] = "ind"
+        elif ind1 == ind2 == co == 0:
+            env[x] = "dup"
+        elif counts == (0, 1, 0, 0):
+            env[x] = "ind1"
+        elif lin == ind1 == ind2 == 0:
+            env[x] = "coind"
+        else:
+            env[x] = "any"
+    return env if check(system, env, g)[0].accepted else None
 
 
 def _rewrite_at(g: TermGraph, node, path, edit, done=()):

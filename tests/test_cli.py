@@ -1,10 +1,14 @@
 import importlib
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import llinf
 from llinf.cli import main
 from llinf.surface import parse_program
 
@@ -52,6 +56,18 @@ def test_check_lambda_flags():
     assert r.exit_code == 0
     r = run(["check", "--flags", "001", "lam.lam"], {"lam.lam": LAM})
     assert r.exit_code == 1
+
+
+def test_a_command_that_reads_a_file_warns_of_nothing(tmp_path):
+    """Under ``python -X dev`` (resource warnings shown) ``check --infer``
+    writes nothing to stderr: the file it reads is closed."""
+    path = tmp_path / "m.lli"
+    path.write_text(CYCLIC)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(llinf.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "llinf.cli", "check", "--infer", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "accepted with !y\n", "")
 
 
 def test_parse_error_exit_code():

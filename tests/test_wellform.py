@@ -213,16 +213,24 @@ def test_occurrences_match_the_multipass_oracle():
 
 
 def _counting_root_sweeps(monkeypatch):
-    """Calls to the root sweep, whatever the caller."""
-    calls = []
-    real = wellform._root_sweep
+    """Calls to the root sweep and to the body pass, whatever the caller:
+    the sweep's arguments, and each body pass's graph and result."""
+    sweeps = []
+    passes = []
+    real_sweep = wellform._root_sweep
+    real_pass = wellform.body_pass
 
-    def spy(g):
-        calls.append(g)
-        return real(g)
+    def sweep(g, bodies):
+        sweeps.append((g, bodies))
+        return real_sweep(g, bodies)
 
-    monkeypatch.setattr(wellform, "_root_sweep", spy)
-    return calls
+    def body_pass(g):
+        passes.append((g, real_pass(g)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(wellform, "_root_sweep", sweep)
+    monkeypatch.setattr(wellform, "body_pass", body_pass)
+    return sweeps, passes
 
 
 def _spine(n):
@@ -233,20 +241,24 @@ def _spine(n):
 
 @pytest.mark.parametrize("n", [10, 200])
 def test_infer_env_sweeps_the_root_once(monkeypatch, n):
-    calls = _counting_root_sweeps(monkeypatch)
-    assert infer_env("llinf", _spine(n)) == \
+    """One body pass, read by the sweep and by the check."""
+    sweeps, passes = _counting_root_sweeps(monkeypatch)
+    g = _spine(n)
+    assert infer_env("llinf", g) == \
         {**{f"a{i}": "lin" for i in range(n)}, "u": "lin"}
-    assert len(calls) == 1
+    assert len(sweeps) == 1 and len(passes) == 1
+    assert sweeps[0][0] is g and sweeps[0][1] is passes[0][1]
 
 
 def test_check_makes_no_root_sweep(monkeypatch):
     graphs = _occurrence_corpus()[::10]
     envs = [(system, infer_env(system, g), g)
             for g in graphs for system in ("llinf", "4s")]
-    calls = _counting_root_sweeps(monkeypatch)
+    sweeps, passes = _counting_root_sweeps(monkeypatch)
     for system, env, g in envs:
         check(system, env or {}, g)
-    assert calls == []
+    assert sweeps == []
+    assert [g for g, _ in passes] == [g for _, _, g in envs]
     assert sum(env is not None for _, env, _ in envs) >= 10
 
 
@@ -291,11 +303,11 @@ def test_occurrences_only_at_the_root_or_a_binders_body():
 
 def test_infer_env_on_a_deep_spine(monkeypatch):
     """2 000 arguments, every one of them linear, in one root sweep."""
-    calls = _counting_root_sweeps(monkeypatch)
+    sweeps, passes = _counting_root_sweeps(monkeypatch)
     n = 2_000
     assert infer_env("4s", _spine(n)) == \
         {**{f"a{i}": "lin" for i in range(n)}, "u": "lin"}
-    assert len(calls) == 1
+    assert len(sweeps) == len(passes) == 1
 
 
 def test_infer_env_rejects_a_deep_binder_chain():
@@ -493,6 +505,10 @@ def test_verdict_is_the_same_on_binders_renamed_apart(system):
     assert cases >= 100 and shadowed >= 10, (cases, shadowed)
 
 
+def _sweep(g):
+    return wellform._root_sweep(g, wellform.body_pass(g))
+
+
 def test_root_sweep_matches_the_tarjan_oracle():
     """The root sweep against the product-graph oracle, and the free
     variables of the definitions against the round-robin fixpoint."""
@@ -500,7 +516,7 @@ def test_root_sweep_matches_the_tarjan_oracle():
     for _, _, g in _check_corpus():
         if id(g) not in seen:
             seen.add(id(g))
-            assert wellform._root_sweep(g) == graph_oracles.root_sweep(g)
+            assert _sweep(g) == graph_oracles.root_sweep(g)
             assert g.def_free_vars() == graph_oracles.def_free_vars(g)
     assert len(seen) >= 800
 
@@ -515,13 +531,71 @@ def test_random_definition_systems_match_both_oracles():
         g = graph_oracles.random_defs(rng)
         if g is None:
             continue
-        counts = wellform._root_sweep(g)
+        counts = _sweep(g)
         assert counts == graph_oracles.root_sweep(g)
         assert counts.keys() == g.free_vars()
         assert g.def_free_vars() == graph_oracles.def_free_vars(g)
         seen += 1
         cyclic += any(INF in c for c in counts.values())
     assert seen >= 2_000 and cyclic >= 300
+
+
+def _with_unreached(g):
+    """``g`` with two definitions its root does not reach, each with free
+    variables and references of its own: ``U0 = x !U1 R`` and
+    ``U1 = \\y. y #(q U0)``, with ``R`` the root, ``x`` a free variable
+    of the root if it has one, and ``q`` new."""
+    used = set(g.all_names())
+    u0, u1, q, y = (fresh_name(base, used) for base in ("U", "Unr", "q", "y"))
+    x = min(g.free_vars(), default=q)
+    return TermGraph({
+        **g.defs,
+        u0: App(App(Var(x), Box(IND, Ref(u1))), Ref(g.root)),
+        u1: Lam("lin", y, App(Var(y), Box(COIND, App(Var(q), Ref(u0))))),
+    }, g.root)
+
+
+class _Reads(dict):
+    """A dict that records the keys it is subscripted with."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.keys_read = set()
+
+    def __getitem__(self, key):
+        self.keys_read.add(key)
+        return super().__getitem__(key)
+
+
+def test_unreachable_definitions_are_summarised_but_not_swept():
+    """The body pass summarises every definition, the sweep reads the
+    summaries of the reachable ones only and changes none, and the root
+    sweep, the occurrence counts and inference match their oracles."""
+    rng = random.Random("unreached")
+    graphs = _occurrence_corpus()[::4] + [graph_oracles.random_defs(rng)
+                                          for _ in range(300)]
+    inferred = 0
+    for g in filter(None, graphs):
+        g = _with_unreached(g)
+        bodies = wellform.body_pass(g)
+        assert bodies.summary.keys() == g.defs.keys()
+        before = {name: (dict(counts), list(refs))
+                  for name, (counts, refs) in bodies.summary.items()}
+        read = _Reads(bodies.summary)
+        counts = wellform._root_sweep(g, bodies._replace(summary=read))
+        assert read.keys_read == set(g.reachable_defs()) < g.defs.keys()
+        assert bodies.summary == before
+        assert counts == graph_oracles.root_sweep(g)
+        queries = [(x, None) for x in sorted(g.all_names() - g.defs.keys())]
+        queries += [(lam.name, lam.body) for lam in _binders(g)]
+        for x, node in queries:
+            assert astuple(occurrences(g, x, node)) == \
+                graph_oracles.occurrences(g, x, node), (x, node)
+        for system in ("llinf", "4s"):
+            env = infer_env(system, g)
+            assert env == graph_oracles.infer_env(system, g)
+            inferred += env is not None
+    assert inferred >= 100
 
 
 def _sweep_graphs(monkeypatch):
@@ -541,7 +615,7 @@ def test_a_root_sweep_state_is_a_definition_at_a_class(monkeypatch):
     graphs = _occurrence_corpus()
     swept = _sweep_graphs(monkeypatch)
     for g in graphs:
-        wellform._root_sweep(g)
+        _sweep(g)
         assert len(swept[-1]) <= 4 * len(g.defs)
     assert len(swept) == len(graphs)
 
@@ -549,7 +623,7 @@ def test_a_root_sweep_state_is_a_definition_at_a_class(monkeypatch):
 def test_one_definition_entered_at_every_class(monkeypatch):
     g = parse("def R = D !D !(!(!D)) #(!D) ; def D = x (\\x. x) !x #x ; root R ;")
     swept = _sweep_graphs(monkeypatch)
-    counts = wellform._root_sweep(g)
+    counts = _sweep(g)
     assert [len(succ) for succ in swept] == [5]   # R, and D at each class
     assert counts == {"x": (1, 2, 3, 6)} == graph_oracles.root_sweep(g)
 
@@ -572,7 +646,7 @@ def test_chains_and_cycles_of_definitions(monkeypatch, cycle, leaf_first):
     n = 300
     g = _chain(n, cycle, leaf_first)
     swept = _sweep_graphs(monkeypatch)
-    counts = wellform._root_sweep(g)
+    counts = _sweep(g)
     assert counts == graph_oracles.root_sweep(g)
     (succ,) = swept
     assert len(succ) == (n + 2 if cycle else n + 1)     # D0 twice on the cycle
