@@ -96,6 +96,8 @@ def main():
 @click.argument("path")
 def check(system, env_text, flags_text, infer, path):
     """Decide well-formation of the program in PATH."""
+    if infer and env_text:
+        _fail(EXIT_USAGE, "--env and --infer exclude each other")
     g, file_flags = _load_graph(path)
     if path.endswith(".lam"):
         try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, InvalidPositionError
 from .terms import (
-    App, Box, Lam, Node, TermGraph,
+    App, Box, Lam, Node, Ref, TermGraph,
     ARG, BODY, BOXED, FN,
     COIND, IND, LIN,
     DEFAULT_BUDGET,
@@ -78,9 +78,11 @@ def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
     beyond the bound (the box node itself is still yielded).  References
     are transparent.
     """
-    if start is None:
-        start = g.root_body()
-    stack = [(g.resolve(start), (), "", 0)]
+    defs = g.defs
+    node = g.root_body() if start is None else start
+    while type(node) is Ref:
+        node = defs[node.name]
+    stack = [(node, (), "", 0)]
     visited = 0
     while stack:
         node, at, level, height = stack.pop()
@@ -92,18 +94,30 @@ def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
         if max_height is not None and height >= max_height:
             continue
         height += 1
-        match node:
-            case App(f, a):
-                stack.append((g.resolve(a), (at, ARG), level, height))
-                stack.append((g.resolve(f), (at, FN), level, height))
-            case Lam(_, _, b):
-                stack.append((g.resolve(b), (at, BODY), level, height))
-            case Box("ind", b):
-                stack.append((g.resolve(b), (at, BOXED), level + "i", height))
-            case Box("coind", b):
-                if max_depth is None or level_depth(level) < max_depth:
-                    stack.append((g.resolve(b), (at, BOXED), level + "c",
-                                  height))
+        t = type(node)
+        if t is App:
+            a = node.arg
+            while type(a) is Ref:
+                a = defs[a.name]
+            f = node.fn
+            while type(f) is Ref:
+                f = defs[f.name]
+            stack.append((a, (at, ARG), level, height))
+            stack.append((f, (at, FN), level, height))
+        elif t is Lam or t is Box:
+            if t is Lam:
+                sel = BODY
+            elif node.kind == IND:
+                sel, level = BOXED, level + "i"
+            elif node.kind == COIND and (max_depth is None
+                                         or level.count("c") < max_depth):
+                sel, level = BOXED, level + "c"
+            else:
+                continue
+            b = node.body
+            while type(b) is Ref:
+                b = defs[b.name]
+            stack.append((b, (at, sel), level, height))
 
 
 def path_of(at) -> tuple:
@@ -117,15 +131,19 @@ def path_of(at) -> tuple:
 
 def redex_kind_at(g: TermGraph, node: Node):
     """The basic-reduction kind this application matches, or None."""
-    if not isinstance(node, App):
+    if type(node) is not App:
         return None
-    f = g.resolve(node.fn)
-    if not isinstance(f, Lam):
+    return _redex_kind(g.resolve(node.fn), g.resolve(node.arg))
+
+
+def _redex_kind(f: Node, a: Node):
+    """The basic-reduction kind of ``f`` applied to ``a``, both with
+    their references resolved, or None."""
+    if type(f) is not Lam:
         return None
     if f.kind == LIN:
         return LINEAR
-    a = g.resolve(node.arg)
-    if isinstance(a, Box) and a.kind == f.kind:
+    if type(a) is Box and a.kind == f.kind:
         return INDUCTIVE if f.kind == IND else COINDUCTIVE
     return None
 
@@ -226,7 +244,10 @@ def _first_redex(g: TermGraph, node: Node, budget, whole=True):
             f"traversal exceeded {budget} nodes (ill-formed input?)")
     best = None                 # (parent link, k, kind) of the first redex
     best_k = float("inf")
-    stack = [(g.resolve(node), (), 0)]
+    defs = g.defs
+    while type(node) is Ref:
+        node = defs[node.name]
+    stack = [(node, (), 0)]
     visited = 0
     while stack:
         node, at, k = stack.pop()
@@ -238,19 +259,29 @@ def _first_redex(g: TermGraph, node: Node, budget, whole=True):
                 f"traversal exceeded {budget} nodes (ill-formed input?)")
         t = type(node)
         if t is App:
-            if k < best_k:
-                kind = redex_kind_at(g, node)
+            f = node.fn
+            while type(f) is Ref:
+                f = defs[f.name]
+            a = node.arg
+            while type(a) is Ref:
+                a = defs[a.name]
+            if k < best_k and type(f) is Lam:
+                kind = _redex_kind(f, a)
                 if kind:
                     best = at, k, kind
                     best_k = k
                     if not k and not whole:
                         break
-            stack.append((g.resolve(node.arg), (at, ARG), k))
-            stack.append((g.resolve(node.fn), (at, FN), k))
-        elif t is Lam:
-            stack.append((g.resolve(node.body), (at, BODY), k))
-        elif t is Box and node.kind == IND:
-            stack.append((g.resolve(node.body), (at, BOXED), k + 1))
+            stack.append((a, (at, ARG), k))
+            stack.append((f, (at, FN), k))
+        elif t is Lam or (t is Box and node.kind == IND):
+            b = node.body
+            while type(b) is Ref:
+                b = defs[b.name]
+            if t is Lam:
+                stack.append((b, (at, BODY), k))
+            else:
+                stack.append((b, (at, BOXED), k + 1))
     charge = max(charge, visited)
     if best is None:
         return None, charge
@@ -433,22 +464,27 @@ def find_deadlock(g: TermGraph, *, start=None, max_depth=None,
     inert but legitimate (the non-normalising examples carry one at
     every depth), so evaluation must not halt on them.
     """
+    defs = g.defs
     for node, at, level in walk(g, start=start, max_depth=max_depth,
                                 max_height=max_height, budget=budget):
-        if not isinstance(node, App):
+        if type(node) is not App:
             continue
-        f = g.resolve(node.fn)
-        if isinstance(f, Box):
+        f = node.fn
+        while type(f) is Ref:
+            f = defs[f.name]
+        if type(f) is Box:
             if include_box_heads and not g.node_free_vars(node):
                 return path_of(at), "application head is a box"
             continue
-        if isinstance(f, Lam) and f.kind != LIN:
-            a = g.resolve(node.arg)
-            if isinstance(a, Box) and a.kind != f.kind:
+        if type(f) is Lam and f.kind != LIN:
+            a = node.arg
+            while type(a) is Ref:
+                a = defs[a.name]
+            if type(a) is Box and a.kind != f.kind:
                 want = "inductive" if f.kind == IND else "coinductive"
                 got = "inductive" if a.kind == IND else "coinductive"
                 return path_of(at), f"{want} abstraction applied to a {got} box"
-            if isinstance(a, Lam):
+            if type(a) is Lam:
                 return path_of(at), ("boxed argument expected but the "
                                      "argument is an abstraction")
     return None
@@ -492,7 +528,7 @@ def _split(g, boxes, frontier, used, budget):
         for node, at, level in walk(g, start=b.node, max_depth=0,
                                     budget=budget):
             used += 1
-            if isinstance(node, Box) and node.kind == COIND:
+            if type(node) is Box and node.kind == COIND:
                 path = path_of(at)
                 out.append(len(boxes))
                 boxes.append(_Box(b.path + path + (BOXED,), b.level + level + "c",

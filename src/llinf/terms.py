@@ -155,12 +155,19 @@ class Var(Node):
     __slots__ = ("name",)
     name: str
 
+    def __init__(self, name):
+        _var_name(self, name)
+
 
 @_node
 class App(Node):
     __slots__ = ("fn", "arg")
     fn: Node
     arg: Node
+
+    def __init__(self, fn, arg):
+        _app_fn(self, fn)
+        _app_arg(self, arg)
 
 
 @_node
@@ -172,6 +179,11 @@ class Lam(Node):
     name: str
     body: Node
 
+    def __init__(self, kind, name, body):
+        _lam_kind(self, kind)
+        _lam_name(self, name)
+        _lam_body(self, body)
+
 
 @_node
 class Box(Node):
@@ -181,11 +193,32 @@ class Box(Node):
     kind: str
     body: Node
 
+    def __init__(self, kind, body):
+        _box_kind(self, kind)
+        _box_body(self, body)
+
 
 @_node
 class Ref(Node):
     __slots__ = ("name",)
     name: str
+
+    def __init__(self, name):
+        _ref_name(self, name)
+
+
+# The constructors above write each slot through its member descriptor,
+# where the generated ones call object.__setattr__, which looks the
+# field up by name; assignment still raises FrozenInstanceError.
+_var_name = Var.name.__set__
+_app_fn = App.fn.__set__
+_app_arg = App.arg.__set__
+_lam_kind = Lam.kind.__set__
+_lam_name = Lam.name.__set__
+_lam_body = Lam.body.__set__
+_box_kind = Box.kind.__set__
+_box_body = Box.body.__set__
+_ref_name = Ref.name.__set__
 
 
 @_node
@@ -579,30 +612,59 @@ def project_depth(g: TermGraph, depth: int, budget: int = DEFAULT_BUDGET) -> Nod
     by ``Cut``.  Terminates whenever the bounded region is finite; raises
     :class:`BudgetExceededError` after visiting ``budget`` nodes otherwise.
     Iterative: the region of an ill-formed preterm can be an arbitrarily
-    deep spine.
+    deep spine.  Subtrees it leaves unchanged are shared with the graph's
+    bodies, as :func:`remake` shares them.
     """
+    defs = g.defs
+    vals = []           # values of the visited subtrees
+    todo = [(g.root_body(), depth)]
     visited = 0
-
-    def visit(node, rd):
-        nonlocal visited
+    while todo:
+        n, rd = todo.pop()
+        if rd is None:
+            # rebuild n from its children's values
+            if type(n) is App:
+                a = vals.pop()
+                f = vals.pop()
+                vals.append(n if f is n.fn and a is n.arg else App(f, a))
+            else:
+                b = vals.pop()
+                if b is n.body:
+                    vals.append(n)
+                elif type(n) is Lam:
+                    vals.append(Lam(n.kind, n.name, b))
+                else:
+                    vals.append(Box(n.kind, b))
+            continue
+        # visit n; rd is the depth left below it
         visited += 1
         if visited > budget:
             raise BudgetExceededError(
                 f"depth-{depth} region exceeds {budget} nodes "
                 "(preterm is not well-formed)")
-        node = g.resolve(node)
-        t = type(node)
-        if t is Var:
-            return node, None
-        if t is Box and node.kind == COIND:
-            if rd == 0:
-                return Box(COIND, CUT), None
-            rd -= 1
+        while type(n) is Ref:
+            n = defs[n.name]
+        t = type(n)
+        if t is App:
+            todo.append((n, None))
+            todo.append((n.arg, rd))
+            todo.append((n.fn, rd))
+        elif t is Lam:
+            todo.append((n, None))
+            todo.append((n.body, rd))
+        elif t is Box:
+            if n.kind == COIND:
+                if not rd:
+                    vals.append(Box(COIND, CUT))
+                    continue
+                rd -= 1
+            todo.append((n, None))
+            todo.append((n.body, rd))
         elif t is Cut:
-            raise TypeError(f"unexpected node {node!r}")
-        return partial(remake, node), [(child, rd) for child in children(node)]
-
-    return rebuild(g.root_body(), depth, visit)
+            raise TypeError(f"unexpected node {n!r}")
+        else:
+            vals.append(n)
+    return vals[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,11 @@
   :func:`llinf.reduction.contract` makes on the root body and the
   frontier evaluator on a box's node, and of the unchecked
   :func:`llinf.terms.derive` after it, with caches computed afresh.
+* The preorder walk of the unfolding by class patterns and
+  ``g.resolve`` per child, and the depth projection through
+  :func:`llinf.terms.rebuild` with a ``remake`` per node: the earlier
+  production routes, kept as the oracles of the type-dispatched loops of
+  :func:`llinf.reduction.walk` and :func:`llinf.terms.project_depth`.
 * The evaluator's charge for a stepped root body, its nodes above its
   coinductive boxes with references as leaves, by structural recursion:
   the oracle of the walk in :func:`llinf.reduction._shallow_size`.
@@ -47,6 +52,7 @@ import re
 from functools import partial
 
 from llinf import reduction
+from llinf.reduction import level_depth
 from llinf.encodings import DecodeResult, FiniteTree
 from llinf.errors import (
     BudgetExceededError, CaptureError, DefinitionError, EncodingError,
@@ -697,6 +703,80 @@ def contract(g: TermGraph, redex) -> TermGraph:
         # the old root is shared; give the rewritten unfolding a new name
         root = fresh_name(root, names)
     return TermGraph({**g.defs, root: new_body}, root).pruned()
+
+
+def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
+         budget=DEFAULT_BUDGET):
+    """Preorder traversal of the unfolding, yielding (node, at, level).
+
+    The walk starts at ``start``, a node over ``g``'s definitions, by
+    default ``g``'s root body; paths and levels are relative to it.
+    ``at`` is the node's parent link: ``()`` at the start, else the pair
+    (parent's link, selector); :func:`path_of` turns it into a path, so
+    a walk builds no path it does not need.  ``max_height`` bounds the
+    path length; ``max_depth`` stops descent into coinductive boxes
+    beyond the bound (the box node itself is still yielded).  References
+    are transparent.
+    """
+    if start is None:
+        start = g.root_body()
+    stack = [(g.resolve(start), (), "", 0)]
+    visited = 0
+    while stack:
+        node, at, level, height = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise BudgetExceededError(
+                f"traversal exceeded {budget} nodes (ill-formed input?)")
+        yield node, at, level
+        if max_height is not None and height >= max_height:
+            continue
+        height += 1
+        match node:
+            case App(f, a):
+                stack.append((g.resolve(a), (at, ARG), level, height))
+                stack.append((g.resolve(f), (at, FN), level, height))
+            case Lam(_, _, b):
+                stack.append((g.resolve(b), (at, BODY), level, height))
+            case Box("ind", b):
+                stack.append((g.resolve(b), (at, BOXED), level + "i", height))
+            case Box("coind", b):
+                if max_depth is None or level_depth(level) < max_depth:
+                    stack.append((g.resolve(b), (at, BOXED), level + "c",
+                                  height))
+
+
+def project_depth(g: TermGraph, depth: int, budget: int = DEFAULT_BUDGET) -> Node:
+    """The sub-tree of the unfolding holding every node at depth <= depth.
+
+    Contents of coinductive boxes sitting at the depth bound are replaced
+    by ``Cut``.  Terminates whenever the bounded region is finite; raises
+    :class:`BudgetExceededError` after visiting ``budget`` nodes otherwise.
+    Iterative: the region of an ill-formed preterm can be an arbitrarily
+    deep spine.
+    """
+    visited = 0
+
+    def visit(node, rd):
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise BudgetExceededError(
+                f"depth-{depth} region exceeds {budget} nodes "
+                "(preterm is not well-formed)")
+        node = g.resolve(node)
+        t = type(node)
+        if t is Var:
+            return node, None
+        if t is Box and node.kind == COIND:
+            if rd == 0:
+                return Box(COIND, CUT), None
+            rd -= 1
+        elif t is Cut:
+            raise TypeError(f"unexpected node {node!r}")
+        return partial(remake, node), [(child, rd) for child in children(node)]
+
+    return rebuild(g.root_body(), depth, visit)
 
 
 def shallow_size(g: TermGraph) -> int:

@@ -51,6 +51,17 @@ def test_check_infer():
     assert "!y" in r.output
 
 
+def test_check_infer_with_an_env_is_a_usage_error():
+    # the inferred environment would replace the one given, silently
+    r = run(["check", "--infer", "--env", "x", "cyc.lli"], {"cyc.lli": CYCLIC})
+    assert r.exit_code == 3
+    assert r.output == "error: --env and --infer exclude each other\n"
+    # an empty --env gives no environment
+    r = run(["check", "--infer", "--env", "", "cyc.lli"], {"cyc.lli": CYCLIC})
+    assert r.exit_code == 0
+    assert "!y" in r.output
+
+
 def test_check_lambda_flags():
     r = run(["check", "lam.lam"], {"lam.lam": LAM})
     assert r.exit_code == 0
@@ -487,7 +498,8 @@ def test_bench_metrics_file():
                                  "--system", "4s", "--size", "18",
                                  "--metrics-out", "m.tsv"])
         assert r.exit_code == 0, r.output
-        table = open("m.tsv").read().splitlines()
+        with open("m.tsv") as fh:
+            table = fh.read().splitlines()
         assert table[0] == "index\tdepth\tsize\tdf\ttwei"
         assert len(table) == 1 + 4 * 3
 

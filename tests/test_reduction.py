@@ -887,3 +887,117 @@ def test_fresh_names_do_not_depend_on_earlier_calls():
         order = list(range(len(calls)))
         for i in order + order + order[::-1]:
             assert calls[i](g) == fresh[i], i
+
+
+# ---------------------------------------------------------------------------
+# the type-dispatched walk and depth projection against their oracles
+
+def _traversal_corpus():
+    """The bundled examples, the graphs of the two reduction corpora
+    above (generated terms of both systems among them), and the graphs
+    two depths of evaluation reach from the first."""
+    from llinf.cli import _example_expectations
+    for name, (g, _) in sorted(_example_expectations().items()):
+        yield f"example {name}", g
+    for name, g, _, _ in _gate_corpus():
+        yield f"gate {name}", g
+        out = _outcome(eval_lbl, g, 2, 40, 3_000)
+        if not isinstance(out, str) and out[0] is not g:
+            yield f"gate {name} evaluated", out[0]
+    for name, g in _oracle_corpus():
+        yield f"oracle {name}", g
+
+
+TRAVERSAL_CORPUS = [pytest.param(g, id=name.replace(" ", "_"))
+                    for name, g in _traversal_corpus()]
+# (max_height, max_depth) of the walks compared
+WALK_BOUNDS = [(None, None), (None, 0), (None, 1), (None, 2), (0, None),
+               (1, None), (3, 1), (8, None)]
+
+
+def _walk_run(walk, g, budget, **bounds):
+    """The yields of ``walk`` as (node identity, link, level), and the
+    message of the BudgetExceededError that ends it, or None."""
+    got = []
+    try:
+        for node, at, level in walk(g, budget=budget, **bounds):
+            got.append((id(node), at, level))
+    except BudgetExceededError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def _starts(g):
+    """Where the walks start: the default root body, a reference to each
+    definition, and a few nodes inside the root's unfolding."""
+    inner = [node for node, _, _ in itertools.islice(
+        graph_oracles.walk(g, max_height=6), 1, 30, 7)]
+    return [None] + [Ref(name) for name in sorted(g.defs)] + inner
+
+
+@pytest.mark.parametrize("g", TRAVERSAL_CORPUS)
+def test_walk_matches_the_pattern_matching_oracle(g):
+    for start in _starts(g):
+        for max_height, max_depth in WALK_BOUNDS:
+            bounds = dict(start=start, max_height=max_height,
+                          max_depth=max_depth)
+            want = _walk_run(graph_oracles.walk, g, 400, **bounds)
+            assert _walk_run(reduction.walk, g, 400, **bounds) == want
+            if want[1] is not None:
+                continue
+            # the budget runs out at the same node, with the same message
+            n = len(want[0])
+            for budget in {max(n - 1, 1), n}:
+                got = _walk_run(reduction.walk, g, budget, **bounds)
+                assert got == _walk_run(graph_oracles.walk, g, budget,
+                                        **bounds)
+                assert (got[1] is None) == (budget == n)
+
+
+def _positions(tree):
+    """Positions of a finite tree, its ``Cut`` leaves left out: the
+    nodes a depth projection visits to build it."""
+    n = 0
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if type(node) is not terms.Cut:
+            n += 1
+            todo += terms.children(node)
+    return n
+
+
+def _assert_same_sharing(g, got, want):
+    """``got`` and ``want`` share the same subtrees of ``g``'s bodies,
+    position by position, and build every other node anew."""
+    ours = set()
+    todo = list(g.defs.values())
+    while todo:
+        node = todo.pop()
+        ours.add(id(node))
+        todo += terms.children(node)
+    todo = [(got, want)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        assert id(a) not in ours and id(b) not in ours
+        todo += zip(terms.children(a), terms.children(b))
+
+
+@pytest.mark.parametrize("g", TRAVERSAL_CORPUS)
+def test_project_depth_matches_the_rebuild_oracle(g):
+    for depth in range(4):
+        want = _outcome(graph_oracles.project_depth, g, depth, 2_000)
+        got = _outcome(project_depth, g, depth, 2_000)
+        assert got == want
+        if isinstance(want, str):
+            continue
+        _assert_same_sharing(g, got, want)
+        # the budget runs out at the same node, with the same message
+        n = _positions(want)
+        for budget in {max(n - 1, 1), n}:
+            got = _outcome(project_depth, g, depth, budget)
+            assert got == _outcome(graph_oracles.project_depth, g, depth,
+                                   budget)
+            assert isinstance(got, str) == (budget < n)

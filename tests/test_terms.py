@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from collections import Counter
 from functools import partial
@@ -570,3 +571,41 @@ def test_alpha_equal_matches_the_recursive_oracle():
         assert alpha_equal(u, t) == got
         verdicts[got] += 1
     assert sum(verdicts.values()) > 2_000 and min(verdicts.values()) > 500, verdicts
+
+
+# the node classes: frozen, with their dataclass fields, whatever
+# constructor writes their slots
+NODES = [
+    (Var("x"), {"name": "x"}),
+    (App(Var("f"), Var("a")), {"fn": Var("f"), "arg": Var("a")}),
+    (Lam(LIN, "x", Var("x")), {"kind": LIN, "name": "x", "body": Var("x")}),
+    (Box(COIND, Ref("M")), {"kind": COIND, "body": Ref("M")}),
+    (Ref("M"), {"name": "M"}),
+]
+
+
+@pytest.mark.parametrize("node,values", NODES,
+                         ids=[type(node).__name__ for node, _ in NODES])
+def test_nodes_stay_immutable(node, values):
+    cls = type(node)
+    names = tuple(values)
+    assert cls.__match_args__ == names
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, Var("z"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.extra = 1
+    assert {name: getattr(node, name) for name in names} == values
+    # keyword construction, and the dataclass helper that uses it
+    assert cls(**values) == node
+    assert dataclasses.replace(node, **values) == node
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+    with pytest.raises(TypeError):
+        cls()
+    assert hash(cls(**values)) == hash(node)
+    assert repr(node) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in values.items()) + ")"
