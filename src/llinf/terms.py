@@ -649,11 +649,8 @@ def project_depth(g: TermGraph, depth: int, budget: int = DEFAULT_BUDGET) -> Nod
             todo.append((n, None))
             todo.append((n.arg, rd))
             todo.append((n.fn, rd))
-        elif t is Lam:
-            todo.append((n, None))
-            todo.append((n.body, rd))
-        elif t is Box:
-            if n.kind == COIND:
+        elif t is Lam or t is Box:
+            if t is Box and n.kind == COIND:
                 if not rd:
                     vals.append(Box(COIND, CUT))
                     continue
