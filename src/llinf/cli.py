@@ -12,6 +12,7 @@ import contextlib
 import sys
 
 import click
+from click.core import ParameterSource
 
 from .errors import BudgetExceededError, LLinfError, SurfaceSyntaxError
 from . import (
@@ -98,8 +99,19 @@ def check(system, env_text, flags_text, infer, path):
     """Decide well-formation of the program in PATH."""
     if infer and env_text:
         _fail(EXIT_USAGE, "--env and --infer exclude each other")
+    # an option the file's kind does not read is refused, not dropped
+    lambdas = path.endswith(".lam")
+    if flags_text is not None and not lambdas:
+        _fail(EXIT_USAGE, "--flags applies to lambda files only")
+    if lambdas:
+        source = click.get_current_context().get_parameter_source("system")
+        for option, given in (("--env", env_text), ("--infer", infer),
+                              ("--system",
+                               source is ParameterSource.COMMANDLINE)):
+            if given:
+                _fail(EXIT_USAGE, f"{option} applies to term files only")
     g, file_flags = _load_graph(path)
-    if path.endswith(".lam"):
+    if lambdas:
         try:
             flags = lam.DepthFlags.parse(flags_text) if flags_text else None
         except ValueError as exc:

@@ -451,42 +451,46 @@ def step_lbl(g: TermGraph, max_depth=256, budget=DEFAULT_BUDGET):
         f"no redex found at depth <= {max_depth} despite the graph holding one")
 
 
-def find_deadlock(g: TermGraph, *, start=None, max_depth=None,
-                  max_height=None, budget=DEFAULT_BUDGET,
-                  include_box_heads=False):
-    """First application that can never fire, or None; the search is a
-    :func:`walk` from ``start``.
+def _never_fires(g: TermGraph, node: App, box_heads=False):
+    """Why the application ``node`` can never fire, or None.
 
     Always flagged (the shapes are stable under further reduction and
     substitution): an inductive/coinductive abstraction whose argument
     is an abstraction or a box of the other kind.  A closed application
-    whose head is a box is reported only on request: such subterms are
-    inert but legitimate (the non-normalising examples carry one at
-    every depth), so evaluation must not halt on them.
+    whose head is a box is reported only with ``box_heads``: such
+    subterms are inert but legitimate (the non-normalising examples
+    carry one at every depth), so evaluation must not halt on them.
     """
     defs = g.defs
-    for node, at, level in walk(g, start=start, max_depth=max_depth,
-                                max_height=max_height, budget=budget):
-        if type(node) is not App:
-            continue
-        f = node.fn
-        while type(f) is Ref:
-            f = defs[f.name]
-        if type(f) is Box:
-            if include_box_heads and not g.node_free_vars(node):
-                return path_of(at), "application head is a box"
-            continue
-        if type(f) is Lam and f.kind != LIN:
-            a = node.arg
-            while type(a) is Ref:
-                a = defs[a.name]
-            if type(a) is Box and a.kind != f.kind:
-                want = "inductive" if f.kind == IND else "coinductive"
-                got = "inductive" if a.kind == IND else "coinductive"
-                return path_of(at), f"{want} abstraction applied to a {got} box"
-            if type(a) is Lam:
-                return path_of(at), ("boxed argument expected but the "
-                                     "argument is an abstraction")
+    f = node.fn
+    while type(f) is Ref:
+        f = defs[f.name]
+    if type(f) is Box:
+        if box_heads and not g.node_free_vars(node):
+            return "application head is a box"
+    elif type(f) is Lam and f.kind != LIN:
+        a = node.arg
+        while type(a) is Ref:
+            a = defs[a.name]
+        if type(a) is Box and a.kind != f.kind:
+            want = "inductive" if f.kind == IND else "coinductive"
+            got = "inductive" if a.kind == IND else "coinductive"
+            return f"{want} abstraction applied to a {got} box"
+        if type(a) is Lam:
+            return "boxed argument expected but the argument is an abstraction"
+    return None
+
+
+def find_deadlock(g: TermGraph, *, max_depth=None, max_height=None,
+                  budget=DEFAULT_BUDGET, include_box_heads=False):
+    """The path of the first application in a :func:`walk` of ``g``
+    that can never fire (:func:`_never_fires`, box heads on request) and
+    the reason, or None."""
+    for node, at, level in walk(g, max_depth=max_depth, max_height=max_height,
+                                budget=budget):
+        if type(node) is App and (
+                why := _never_fires(g, node, include_box_heads)):
+            return path_of(at), why
     return None
 
 
@@ -512,34 +516,6 @@ class _Box:
     drew: bool = False      # whether a step drew a fresh name
 
 
-def _split(g, boxes, frontier, used, budget):
-    """Open the coinductive boxes at local depth 0 of each frontier box,
-    in preorder.
-
-    ``used`` counts the nodes of the region above the frontier boxes;
-    their nodes and a node for each box opened are added to it, and
-    :class:`BudgetExceededError` is raised once it passes ``budget``, as
-    a walk of the whole region would.  Returns the indices of the new
-    boxes in ``boxes`` and the nodes of the region above them.
-    """
-    out = []
-    for i in frontier:
-        b = boxes[i]
-        for node, at, level in walk(g, start=b.node, max_depth=0,
-                                    budget=budget):
-            used += 1
-            if type(node) is Box and node.kind == COIND:
-                path = path_of(at)
-                out.append(len(boxes))
-                boxes.append(_Box(b.path + path + (BOXED,), b.level + level + "c",
-                                  g.resolve(node.body), i, path))
-            if used + len(out) > budget:
-                raise BudgetExceededError(
-                    f"evaluated region exceeds {budget} nodes "
-                    "(ill-formed input?)")
-    return out, used
-
-
 def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
     """Level-by-level evaluation of ``node``, a node over ``g``'s
     definitions and the box at the empty position, one box at a time.
@@ -553,7 +529,10 @@ def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
     :func:`redexes_within_depth` on the whole unfolding: a heap holds
     each box's first redex (:func:`_first_redex`) keyed by its whole
     level, then by box preorder, and after a step only the stepped box
-    is searched again, up to its first redex.  The budget bounds every
+    is searched again, up to its first redex.  Once depth ``d`` is
+    normal, one walk of each box reports the first application that can
+    never fire and, below the last depth, opens the boxes of depth
+    ``d+1``.  The budget bounds every
     state of the depth-``d`` region.  A box gets what the region above
     the frontier and a node for every other frontier box leave: its
     whole region is walked against that share when the box is queued,
@@ -594,7 +573,12 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
     no memo, or a dict from the :func:`_shallow_key` of a contents to
     ``(contents, normal form, steps, largest charge)``; holding the
     contents keeps alive the objects the key names.  Returns None when
-    the fuel runs out at a depth where a box took a kept normal form."""
+    the fuel runs out at a depth where a box took a kept normal form.
+
+    The end-of-depth walk charges the region above the next frontier a
+    node per node visited and a node per box opened; past ``budget`` it
+    opens no more, but searches on, so an application that can never
+    fire wins over the :class:`BudgetExceededError` raised at the end."""
     stats = EvalStats(steps_per_depth={})
     boxes = [_Box((), "", node)]
     frontier = [0]
@@ -615,8 +599,6 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
                 kept[key] = contents, b.node, b.steps, b.peak
 
     for d in range(depth + 1):
-        if d:
-            frontier, used = _split(g, boxes, frontier, used, budget)
         left = budget - used - len(frontier) + 1
         stats.steps_per_depth[d] = 0
         reused = False
@@ -655,14 +637,30 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
             if on_step is not None:
                 on_step(boxes, Redex(b.path + r.position, b.level + r.level,
                                      r.kind))
+        opened, over = [], False
         for i in frontier:
-            dead = find_deadlock(g, start=boxes[i].node, max_depth=0,
-                                 budget=left)
-            if dead is not None:
-                stats.outcome = "stuck"
-                stats.stuck_position = boxes[i].path + dead[0]
-                stats.detail = dead[1]
-                return boxes, stats
+            b = boxes[i]
+            for node, at, level in walk(g, start=b.node, max_depth=0,
+                                        budget=left):
+                t = type(node)
+                if t is App and (why := _never_fires(g, node)):
+                    stats.outcome = "stuck"
+                    stats.stuck_position = b.path + path_of(at)
+                    stats.detail = why
+                    return boxes, stats
+                if d < depth and not over:
+                    used += 1
+                    if t is Box and node.kind == COIND:
+                        path = path_of(at)
+                        opened.append(len(boxes))
+                        boxes.append(_Box(b.path + path + (BOXED,),
+                                          b.level + level + "c",
+                                          g.resolve(node.body), i, path))
+                    over = used + len(opened) > budget
+        if over:
+            raise BudgetExceededError(
+                f"evaluated region exceeds {budget} nodes (ill-formed input?)")
+        frontier = opened
     return boxes, stats
 
 

@@ -15,7 +15,7 @@ abstractions.
 
 The front end is one ``findall`` of the token texts and one parser loop
 over an explicit stack.  Only error messages need token offsets, so a
-syntax error scans the text again with them.  The printer emits chunks
+syntax error scans the text again with the same expression, for them.  The printer emits chunks
 from an explicit stack, so nesting depth is bounded by memory only.
 
 Environments for the command line are comma-separated patterns:
@@ -35,9 +35,8 @@ from .terms import (
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _TOKEN = rf"{_IDENT_RE.pattern}|[0-9]+|[\\!#.();=]"
 _SKIP = r"\s+|//[^\n]*"
-_TOKEN_RE = re.compile(f"{_SKIP}|(?P<token>{_TOKEN})|(?P<bad>.)")
-# the same alternation with any other character as a one-character
-# token; only the token is a group, so skipped text reads as ""
+# any other character is a one-character token; only the token is a
+# group, so skipped text reads as ""
 _TOKEN_TEXT_RE = re.compile(rf"{_SKIP}|({_TOKEN}|\S)")
 
 _KEYWORDS = {"def", "root", "flags"}
@@ -48,20 +47,6 @@ def _syntax_error(text, offset, message):
     """The error at ``offset`` of ``text``, with its 1-based line and column."""
     line = text.count("\n", 0, offset) + 1
     return SurfaceSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
-
-
-def _tokenize(text):
-    """``(token, offset)`` for each token of ``text``, then ``("", len(text))``;
-    run on a syntax error only, to raise the first bad character or to
-    place the error."""
-    toks = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "token":
-            toks.append((m.group(), m.start()))
-        elif m.lastgroup == "bad":
-            raise _syntax_error(text, m.start(), f"unexpected character {m.group()!r}")
-    toks.append(("", len(text)))
-    return toks
 
 
 class _Parser:
@@ -79,8 +64,21 @@ class _Parser:
         self.clash = None  # the first binder named like a definition
 
     def err(self, message, at=None):
-        at = self.i if at is None else at
-        raise _syntax_error(self.text, _tokenize(self.text)[at][1], message)
+        """Raise ``message`` at token ``at``, the current one by default,
+        or ``unexpected character`` at the first token of the text that
+        is no token of the grammar."""
+        offsets = []
+        for m in _TOKEN_TEXT_RE.finditer(self.text):
+            token = m[1]
+            if not token:
+                continue
+            if not re.fullmatch(_TOKEN, token):
+                raise _syntax_error(self.text, m.start(),
+                                    f"unexpected character {token!r}")
+            offsets.append(m.start())
+        offsets.append(len(self.text))
+        raise _syntax_error(self.text, offsets[self.i if at is None else at],
+                            message)
 
     def next(self):
         t = self.toks[self.i]

@@ -62,6 +62,28 @@ def test_check_infer_with_an_env_is_a_usage_error():
     assert "!y" in r.output
 
 
+def test_check_options_of_the_other_file_kind_are_usage_errors():
+    # each was dropped, and the check ran without it
+    for args, name, text, error in [
+            (["--flags", "001", "--env", "!y"], "c.lli", CYCLIC,
+             "--flags applies to lambda files only"),
+            (["--flags", "100", "--env", "!y"], "t.lam", LAM,
+             "--env applies to term files only"),
+            (["--infer"], "t.lam", LAM, "--infer applies to term files only"),
+            (["--system", "4s"], "t.lam", LAM,
+             "--system applies to term files only"),
+            (["--system", "llinf"], "t.lam", LAM,
+             "--system applies to term files only")]:
+        r = run(["check", *args, name], {name: text})
+        assert (r.exit_code, r.output) == (3, f"error: {error}\n"), args
+    # before the file is read
+    r = run(["check", "--flags", "001", "missing.lli"])
+    assert r.output == "error: --flags applies to lambda files only\n"
+    # an empty --env gives no environment
+    r = run(["check", "--env", "", "t.lam"], {"t.lam": LAM})
+    assert r.exit_code == 0
+
+
 def test_check_lambda_flags():
     r = run(["check", "lam.lam"], {"lam.lam": LAM})
     assert r.exit_code == 0
@@ -289,18 +311,23 @@ _FLAGS = st.none() | st.text("01x ", max_size=4)
 _MARKS = {"llinf": "!#", "4s": "!#^*"}
 
 
-def _check_exit(system, entries, flags, name):
-    """3 for a lambda file without valid flags (given, or in the file's
-    clause when none are given), and for a term file whose environment
+def _check_exit(system, entries, text, flags, name):
+    """3 for a lambda file given a non-empty ``--env`` or without valid
+    flags (given, or in the file's clause when none are given), for a
+    term file given ``--flags``, and for a term file whose environment
     has an empty entry, a bad name, a name bound twice or a mark with
-    no kind in the system; else None (0 or 1).  Entries that join to
-    blank text (as the command gets them, joined by ", ") are the empty
-    environment."""
+    no kind in the system; else None (0 or 1).  ``text`` is the
+    ``--env`` value, the entries joined by ", "; blank text is the
+    empty environment."""
     if name.endswith(".lam"):
+        if text:
+            return 3
         if not flags:
             return None if name == "flags.lam" else 3
         return None if re.fullmatch("[01]{3}", flags) else 3
-    if entries is None or not ", ".join(m + n for m, n in entries).strip():
+    if flags is not None:
+        return 3
+    if entries is None or not text.strip():
         return None
     names = [n for _, n in entries]
     ok = (all(re.fullmatch("[A-Za-z_][A-Za-z0-9_']*", n) for n in names)
@@ -318,14 +345,15 @@ def _check_exit(system, entries, flags, name):
 def test_check_options_exit_with_the_documented_code(system, env, flags, name):
     entries = env if isinstance(env, list) else None
     text = env if entries is None else ", ".join(m + n for m, n in entries)
-    args = ["check", "--system", system, f"--env={text}"]
+    args = ["check", f"--env={text}"]
+    args += [f"--system={system}"] if name.endswith(".lli") else []
     args += [] if flags is None else [f"--flags={flags}"]
     r = run(args + [name], {"t.lli": CYCLIC, "t.lam": "def T = \\x. T ;\nroot T ;\n",
                             "flags.lam": LAM})
     assert "Traceback" not in r.output
     assert r.exception is None or isinstance(r.exception, SystemExit), (
         repr(r.exception))
-    want = _check_exit(system, entries, flags, name)
+    want = _check_exit(system, entries, text, flags, name)
     if want is None:
         assert r.exit_code in ((0, 1, 3) if entries is None and name == "t.lli"
                                else (0, 1)), r.output

@@ -404,7 +404,7 @@ def test_frontier_budget_bounds_the_boxes(monkeypatch):
     opened = [0]
 
     def counting(*args):
-        # _split opens every box but the whole input's
+        # the end-of-depth walk opens every box but the whole input's
         opened[0] += 1
         assert opened[0] <= 2_001, "boxes opened past the budget"
         return plain(*args)
@@ -419,6 +419,37 @@ def test_frontier_budget_bounds_the_boxes(monkeypatch):
     _, tree, stats = eval_lbl(g, 2, 10, 2_000)
     assert stats.outcome == "normalized" and opened[0] == 1 + 8 + 64
     assert alpha_equal(tree, project_depth(g, 2, 2_000))
+
+
+def test_a_deadlock_wins_over_the_boxes_opened_past_the_budget():
+    # at the end of depth 1, the eight boxes A opens for depth 2 pass
+    # budgets 23-29 before B's deadlock is reached: the walk still
+    # searches B, so evaluation stops stuck, and the depth-3 projection
+    # raises, not the evaluator
+    g = parse("def M = x #A #B ; def A = y #u #u #u #u #u #u #u #u ; "
+              "def B = (\\!z. z) #w ; root M ;")
+    want = {}
+    for budget in range(1, 41):
+        if budget <= 4:
+            want[budget] = f"traversal exceeded {budget} nodes"
+        elif budget <= 6:
+            want[budget] = f"evaluated region exceeds {budget} nodes"
+        elif budget <= 22:
+            want[budget] = f"traversal exceeded {budget - 6} nodes"
+        elif budget <= 34:
+            want[budget] = f"depth-3 region exceeds {budget} nodes"
+        else:
+            want[budget] = ("stuck", ("arg", "box"),
+                            "inductive abstraction applied to a coinductive box")
+    got = {}
+    for budget in want:
+        try:
+            _, _, stats = eval_lbl(g, 3, 100, budget)
+        except BudgetExceededError as exc:
+            got[budget] = str(exc).split(" (")[0]
+        else:
+            got[budget] = stats.outcome, stats.stuck_position, stats.detail
+    assert got == want
 
 
 def test_evaluation_builds_no_graph_per_box_or_step(monkeypatch):

@@ -227,21 +227,6 @@ def _parity_texts():
     yield from _EDGES
 
 
-def test_token_texts_match_the_offset_scan():
-    """The parser's token texts are those of ``_tokenize``, which places
-    errors, on every parity text it accepts."""
-    from llinf.surface import _Parser, _tokenize
-    n = 0
-    for text in _parity_texts():
-        try:
-            toks = _tokenize(text)
-        except SurfaceSyntaxError:
-            continue
-        assert _Parser(text).toks == [t for t, _ in toks], text
-        n += 1
-    assert n > 5_000
-
-
 def _outcome(entry, text):
     """The ``repr`` of defs, root and flags, or the error's class, message,
     line and column."""
