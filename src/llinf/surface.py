@@ -15,7 +15,7 @@ abstractions.
 
 The front end is one ``findall`` of the token texts and one parser loop
 over an explicit stack.  Only error messages need token offsets, so a
-syntax error scans the text again with the same expression, for them.  The printer emits chunks
+syntax error scans the text again with them.  The printer emits chunks
 from an explicit stack, so nesting depth is bounded by memory only.
 
 Environments for the command line are comma-separated patterns:
