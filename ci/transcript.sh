@@ -12,7 +12,9 @@
 # (exit 1), that `bit_flip` program evaluated to depth 40 and at a
 # budget whose share at depth 40 is below what its box's contents
 # charged at earlier depths (exit 2), a program whose boxes repeat
-# evaluated at a fuel that runs out among repeated boxes (exit 2), and
+# evaluated at a fuel that runs out among repeated boxes (exit 2), the
+# word 0^1000 encoded as a literal nest of boxes and decoded in full, a
+# program whose budget a box's share passes at depth 1 (exit 2), and
 # `check` on six files that do not parse (exit 3): a bad character after
 # a comment, an unclosed `(`, a missing root after a trailing `// c`,
 # `flags` in a term file, a duplicate definition and a `\x` with no `.`.
@@ -81,6 +83,15 @@ def T = c #(!((\x. x) T)) #((\x. x) T) ;
 root T ;
 END
 run eval --depth 2 --fuel 3 ordered.lli
+llinf encode --mode coalgebra "$(printf '0%.0s' $(seq 1000))" > nest.lli
+run decode --mode coalgebra --bound 5000 nest.lli
+cat > share.lli <<'END'
+def M = x #A #B ;
+def A = y #u #u #u #u #u #u #u #u ;
+def B = (\!z. z) #w ;
+root M ;
+END
+run eval --depth 3 --budget 10 share.lli
 cat > bad-char.lli <<'END'
 def M = x ; // a comment may hold $
 def N = ) ;

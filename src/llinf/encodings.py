@@ -25,8 +25,7 @@ from .errors import BudgetExceededError, EncodingError
 from .terms import (
     App, Box, Lam, Node, Ref, TermGraph, Tree, Var,
     COIND, IND, LIN,
-    DEFAULT_BUDGET, canonical_string, fresh_name, graph_of, import_defs,
-    rebuild,
+    DEFAULT_BUDGET, fresh_name, graph_of, import_defs, rebuild,
 )
 from . import reduction
 
@@ -290,10 +289,8 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
     Each constructor is evaluated to its depth-0 normal form as a node
     over ``g``'s definitions: first the root body, then the contents of
     the box of each child read back.  Each distinct contents is
-    evaluated once per call: what it reads back is kept under its
-    :func:`~llinf.terms.canonical_string`, the same for contents that
-    differ only in the names of their binders, as the evaluation and
-    the constructor read off it do.  Raises :class:`EncodingError` when
+    evaluated once per call: what it reads back is kept under the
+    evaluator's contents key.  Raises :class:`EncodingError` when
     a normal form does not have the case-analysis shape or the
     evaluation deadlocks, and :class:`BudgetExceededError` when the
     evaluation runs out of fuel, as it does when the evaluator runs out
@@ -303,7 +300,9 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
     # one set for every constructor: a child can hold binders that the
     # steps of an earlier constructor renamed
     names = set(g.all_names())
-    read = {}       # canonical string of a contents -> (symbol, children)
+    # contents key -> (symbol, children); a contents is the root body, a
+    # definition or the body of a box in the children here: it stays alive
+    read = {}
     complete = True
 
     def peel(node, remaining):
@@ -319,7 +318,7 @@ def scott_decode(g: TermGraph, sig: Signature, mode: str, bound: int,
             complete = False
             return FiniteTree("..."), None
         contents = g.resolve(node.body)
-        key = canonical_string(contents)
+        key = reduction._shallow_key(contents)
         if key in read:
             sym, args = read[key]
             return ((lambda *kids: FiniteTree(sym, kids)),

@@ -65,6 +65,11 @@ class EvalStats:
     detail: str = ""
 
 
+def _exceeded(budget) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"traversal exceeded {budget} nodes (ill-formed input?)")
+
+
 def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
          budget=DEFAULT_BUDGET):
     """Preorder traversal of the unfolding, yielding (node, at, level).
@@ -88,8 +93,7 @@ def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
         node, at, level, height = stack.pop()
         visited += 1
         if visited > budget:
-            raise BudgetExceededError(
-                f"traversal exceeded {budget} nodes (ill-formed input?)")
+            raise _exceeded(budget)
         yield node, at, level
         if max_height is not None and height >= max_height:
             continue
@@ -195,9 +199,10 @@ def _shallow_key(node: Node) -> str:
     """A key that ``==`` trees share when their coinductive boxes at
     depth 0 hold the same objects: the nodes :func:`_shallow_size`
     counts, in prefix form with their names, and each such box's
-    contents by identity.  It costs those nodes, however deep the boxes'
-    contents are; a key kept past the tree must keep the tree alive, so
-    that no other object takes an identity it names."""
+    contents by its reference's name, or by identity.  It costs those
+    nodes, however deep the boxes' contents are.  Equal keys mean ``==``
+    trees while the objects the keys name are alive, so a key kept past
+    the tree must keep the tree alive."""
     parts = []
     todo = [node]
     while todo:
@@ -213,6 +218,8 @@ def _shallow_key(node: Node) -> str:
             if n.kind == IND:
                 parts.append("!")
                 todo.append(n.body)
+            elif type(n.body) is Ref:
+                parts.append(f"#r:{n.body.name}")
             else:
                 parts.append(f"#{id(n.body)}")
         else:
@@ -240,8 +247,7 @@ def _first_redex(g: TermGraph, node: Node, budget, whole=True):
     """
     charge = 0 if whole else _shallow_size(node, budget)
     if charge > budget:
-        raise BudgetExceededError(
-            f"traversal exceeded {budget} nodes (ill-formed input?)")
+        raise _exceeded(budget)
     best = None                 # (parent link, k, kind) of the first redex
     best_k = float("inf")
     defs = g.defs
@@ -255,8 +261,7 @@ def _first_redex(g: TermGraph, node: Node, budget, whole=True):
             continue
         visited += 1
         if visited > budget:
-            raise BudgetExceededError(
-                f"traversal exceeded {budget} nodes (ill-formed input?)")
+            raise _exceeded(budget)
         t = type(node)
         if t is App:
             f = node.fn
@@ -546,18 +551,16 @@ def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
     call (Michie's memo functions).  When a box normalises and its steps
     drew no fresh name, its normal form, its step count and the largest
     charge it made are kept under the :func:`_shallow_key` of its
-    contents as queued; the key reads the nodes above the contents'
-    coinductive boxes, not those boxes' contents at every later depth,
-    which would make a nest of ``n`` boxes cost ``n**2``.  A box queued
-    later whose contents are ``==`` to kept contents takes the kept
-    normal form and counts its steps instead of taking them, provided
-    they fit the fuel left at its depth and the charge fits its share:
-    those steps would draw no name either, so they would reach the same
-    tree, and the other boxes' steps keep their order.  Where the fuel
-    runs out, the partial state depends on how the heap interleaves
-    every box's steps, so an evaluation that runs out of fuel at a depth
-    where a box took a kept normal form is done again with every step
-    taken.  Evaluating depth 0 alone opens one box and keeps nothing.
+    contents as queued.  A box queued later under the same key takes the
+    kept normal form and counts its steps instead of taking them,
+    provided they fit the fuel left at its depth and the charge fits its
+    share: its contents are ``==``, and the steps would draw no name
+    either, so they would reach the same tree, and the other boxes'
+    steps keep their order.  Where the fuel runs out, the partial state
+    depends on how the heap interleaves every box's steps, so an
+    evaluation that runs out of fuel at a depth where a box took a kept
+    normal form is done again with every step taken.  Evaluating depth 0
+    alone opens one box and keeps nothing.
     """
     if on_step is None and depth:
         start = frozenset(names)
@@ -571,9 +574,9 @@ def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
 def _levels(g, node, depth, fuel, budget, names, on_step, kept):
     """The evaluation of :func:`_frontier_eval`.  ``kept`` is None for
     no memo, or a dict from the :func:`_shallow_key` of a contents to
-    ``(contents, normal form, steps, largest charge)``; holding the
-    contents keeps alive the objects the key names.  Returns None when
-    the fuel runs out at a depth where a box took a kept normal form.
+    ``(normal form, steps, largest charge)``; each box's ``queued``
+    keeps the objects its key names alive for the call.  Returns None
+    when the fuel runs out at a depth where a box took a kept normal form.
 
     The end-of-depth walk charges the region above the next frontier a
     node per node visited and a node per box opened; past ``budget`` it
@@ -589,14 +592,16 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
         # box i's first redex, keyed as in the whole term: by level, then
         # by box preorder (local preorder decides within the box)
         b = boxes[i]
-        r, charge = _first_redex(g, b.node, left, whole)
+        try:
+            r, charge = _first_redex(g, b.node, left, whole)
+        except BudgetExceededError:
+            raise _exceeded(budget) from None
         if r is not None:
             heapq.heappush(heap, (level_key(b.level + r.level), i, r))
         if b.queued is not None:
             b.peak = max(b.peak, charge)
             if r is None and b.steps and not b.drew:
-                key, contents = b.queued
-                kept[key] = contents, b.node, b.steps, b.peak
+                kept[b.queued[0]] = b.node, b.steps, b.peak
 
     for d in range(depth + 1):
         left = budget - used - len(frontier) + 1
@@ -607,12 +612,12 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
             if kept is not None:
                 key = _shallow_key(b.node)
                 hit = kept.get(key)
-                if (hit is not None and hit[0] == b.node and hit[3] <= left
-                        and stats.steps_per_depth[d] + hit[2] <= fuel):
+                if (hit is not None and hit[2] <= left
+                        and stats.steps_per_depth[d] + hit[1] <= fuel):
                     # take the kept normal form, counting its steps
-                    b.node, b.changed = hit[1], True
-                    stats.steps_per_depth[d] += hit[2]
-                    stats.fuel_consumed += hit[2]
+                    b.node, b.changed = hit[0], True
+                    stats.steps_per_depth[d] += hit[1]
+                    stats.fuel_consumed += hit[1]
                     reused = True
                     continue
                 b.queued = key, b.node
@@ -638,25 +643,28 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
                 on_step(boxes, Redex(b.path + r.position, b.level + r.level,
                                      r.kind))
         opened, over = [], False
-        for i in frontier:
-            b = boxes[i]
-            for node, at, level in walk(g, start=b.node, max_depth=0,
-                                        budget=left):
-                t = type(node)
-                if t is App and (why := _never_fires(g, node)):
-                    stats.outcome = "stuck"
-                    stats.stuck_position = b.path + path_of(at)
-                    stats.detail = why
-                    return boxes, stats
-                if d < depth and not over:
-                    used += 1
-                    if t is Box and node.kind == COIND:
-                        path = path_of(at)
-                        opened.append(len(boxes))
-                        boxes.append(_Box(b.path + path + (BOXED,),
-                                          b.level + level + "c",
-                                          g.resolve(node.body), i, path))
-                    over = used + len(opened) > budget
+        try:
+            for i in frontier:
+                b = boxes[i]
+                for node, at, level in walk(g, start=b.node, max_depth=0,
+                                            budget=left):
+                    t = type(node)
+                    if t is App and (why := _never_fires(g, node)):
+                        stats.outcome = "stuck"
+                        stats.stuck_position = b.path + path_of(at)
+                        stats.detail = why
+                        return boxes, stats
+                    if d < depth and not over:
+                        used += 1
+                        if t is Box and node.kind == COIND:
+                            path = path_of(at)
+                            opened.append(len(boxes))
+                            boxes.append(_Box(b.path + path + (BOXED,),
+                                              b.level + level + "c",
+                                              g.resolve(node.body), i, path))
+                        over = used + len(opened) > budget
+        except BudgetExceededError:
+            raise _exceeded(budget) from None
         if over:
             raise BudgetExceededError(
                 f"evaluated region exceeds {budget} nodes (ill-formed input?)")

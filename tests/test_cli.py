@@ -186,6 +186,16 @@ def test_doubling_body_budget_exit():
     assert "error: traversal exceeded 20000 nodes" in r.output
 
 
+def test_a_budget_error_past_depth_0_names_the_budget_given():
+    # at depth 1 A's 17 nodes pass its share of the budget, 4 nodes
+    r = run(["eval", "--depth", "3", "--budget", "10", "t.lli"],
+            {"t.lli": "def M = x #A #B ; def A = y #u #u #u #u #u #u #u #u ; "
+                      "def B = (\\!z. z) #w ; root M ;"})
+    assert r.exit_code == 2
+    assert r.output == ("error: traversal exceeded 10 nodes "
+                        "(ill-formed input?)\n")
+
+
 def test_weight_table():
     r = run(["weight", "--depths", "0..2", "id.lli"],
             {"id.lli": "def I = \\x. x ;\nroot I ;\n"})

@@ -3,14 +3,20 @@
 What it returns must be what taking every step returns.  The oracle is
 ``run_lbl_trace``: a step hook turns the memo off, so it takes every
 step.  Both are compared on what a command prints from them.
+``scott_decode`` reads each distinct contents once per call, under the
+same key.
 """
 
 import itertools
 
 import pytest
 
-from llinf import cli, generate, reduction
-from llinf.errors import BudgetExceededError
+import graph_oracles
+from llinf import cli, encodings, generate, reduction, terms
+from llinf.encodings import (
+    BINARY, scott_decode, scott_encode, stream_tree, word_tree,
+)
+from llinf.errors import BudgetExceededError, EncodingError
 from llinf.reduction import eval_lbl, run_lbl_trace
 from llinf.surface import format_graph, format_node
 from conftest import flip_applied, parse
@@ -174,9 +180,10 @@ def test_a_contents_whose_steps_rename_is_never_reused(monkeypatch):
 def test_a_kept_charge_past_a_later_share_is_stepped_again(monkeypatch):
     # each state of 01(110) charges 45 nodes; the share of a box shrinks
     # by 6 a depth, and at budget 284 depth 40 leaves it 44, so the box
-    # is stepped again and runs out of budget as taking every step does
+    # is stepped again and runs out of budget as taking every step does;
+    # the error names the budget given, not the share
     g = flip_applied("01", "110")
-    want = "traversal exceeded 44 nodes (ill-formed input?)"
+    want = "traversal exceeded 284 nodes (ill-formed input?)"
     assert _evaluation(run_lbl_trace, g, 40, 1_000, 284) == want
     count = _counting_steps(monkeypatch)
     assert _evaluation(eval_lbl, g, 40, 1_000, 284) == want
@@ -184,3 +191,80 @@ def test_a_kept_charge_past_a_later_share_is_stepped_again(monkeypatch):
     count[0] = 0
     assert eval_lbl(g, 40, 1_000, 285)[2].outcome == "normalized"
     assert count[0] == 45
+
+
+# ----- one contents key: no evaluation path compares or renders whole trees
+
+# each constructor doubles the tree under one shared node
+SHARED = (r"def G = \#a. \!y_0. \!y_1. \!y_e. y_0 #(G #(a a)) ; "
+          r"def main = G #z ; root main ;")
+
+
+def _nest(n):
+    """The word ``0^n`` as a literal nest of ``n`` coinductive boxes."""
+    return scott_encode(BINARY, word_tree("0" * n), "coalgebra")
+
+
+def _decoded(decode, g, bound):
+    try:
+        res = decode(g, BINARY, "coalgebra", bound, 100)
+    except (EncodingError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+    return res.word(), str(res.tree), res.complete
+
+
+def _key_corpus():
+    for prefix in ("", "0", "1", "00", "01", "10", "11"):
+        for cycle in ("0", "1", "01", "10", "11", "011", "110", "100"):
+            stream = stream_tree(prefix, cycle)
+            yield scott_encode(BINARY, stream, "coalgebra"), 6, 40
+            yield flip_applied(prefix, cycle), 6, 40
+    yield _nest(200), 200, 201
+    yield parse(SHARED), 12, 12
+
+
+def test_eval_and_decode_neither_compare_nor_render_whole_trees(monkeypatch):
+    corpus = list(_key_corpus())
+    want = [(_evaluation(run_lbl_trace, g, depth, 100, 3_000),
+             _decoded(graph_oracles.scott_decode, g, bound))
+            for g, depth, bound in corpus]
+
+    def forbidden(*args):
+        raise AssertionError("a whole tree was compared or rendered")
+
+    monkeypatch.setattr(terms.Tree, "__eq__", forbidden)
+    for module in (terms, encodings):
+        monkeypatch.setattr(module, "canonical_string", forbidden,
+                            raising=False)
+    got = [(_evaluation(eval_lbl, g, depth, 100, 3_000),
+            _decoded(scott_decode, g, bound))
+           for g, depth, bound in corpus]
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_a_deep_literal_nest_decodes_in_full():
+    res = scott_decode(_nest(4_000), BINARY, "coalgebra", 5_000)
+    assert res.complete and res.word() == "0" * 4_000 + "e"
+
+
+def test_decode_keys_read_nodes_linear_in_the_nest(monkeypatch):
+    # one key per contents, each rendering the contents' six nodes above
+    # its box (the end marker's four), however deep the nest below it
+    plain = reduction._shallow_key
+    calls = nodes = 0
+
+    def counted(node):
+        nonlocal calls, nodes
+        key = plain(node)
+        calls += 1
+        nodes += len(key.split(" "))
+        return key
+
+    monkeypatch.setattr(reduction, "_shallow_key", counted)
+    read = {}
+    for n in (1_000, 2_000, 4_000):
+        calls = nodes = 0
+        scott_decode(_nest(n), BINARY, "coalgebra", n + 1)
+        read[n] = calls, nodes
+    assert read == {n: (n + 1, 6 * n + 4) for n in read}
