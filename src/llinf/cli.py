@@ -151,7 +151,8 @@ def eval_cmd(depth, fuel, budget, path):
         _, tree, stats = reduction.eval_lbl(g, depth, fuel, budget)
     except BudgetExceededError as exc:
         _fail(EXIT_EXHAUSTED, str(exc))
-    click.echo(surface.format_node(tree))
+    if tree is not None:    # None: stuck, with a projection past the budget
+        click.echo(surface.format_node(tree))
     steps = " ".join(f"{d}:{n}" for d, n in sorted(stats.steps_per_depth.items()))
     click.echo(f"outcome: {stats.outcome} (steps per depth: {steps})")
     if stats.outcome == "normalized":

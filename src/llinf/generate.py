@@ -281,9 +281,9 @@ class TermGen:
         return plain_env, g
 
 
-def random_term(seed, system, size=30, require_redex=False, max_tries=50):
+def random_term(seed, system, size=30, require_redex=False):
     """One random well-formed term with its environment."""
-    for attempt in range(max_tries):
+    for attempt in range(50):
         gen = TermGen((seed, attempt), system)
         env, g = gen.term(size)
         if not require_redex or has_any_redex(g):

@@ -11,8 +11,11 @@ weight parameter with the duplicability factor:
     twei_n(M) = wei_{df_n(M), n}(M)
 
 and is the termination measure of the 4S system: a depth-``n`` step
-strictly decreases ``twei_n`` and leaves ``twei_m`` (m < n) unchanged,
-while ``df_m`` never increases.
+strictly decreases ``twei_n`` and leaves ``twei_m`` (m < n) unchanged.
+That ``df_m`` never increases is an open law: the bench suites still
+check it, and on one admissible depth-1 step of a generated 4S term
+(``weight_laws:4s:35`` at seed 5) ``df_3`` rises from 1 to 2, by this
+pass and by the oracle alike.
 
 Production computes every metric from one iterative pass over the
 unfolding down to depth ``D+1`` (:func:`weight_profile`), which gives,

@@ -12,10 +12,14 @@ import random
 from .terms import TermGraph, canonical_string, equal_at_depth, project_depth
 from . import generate, metrics, reduction, wellform
 
+LAW_DEPTH = 3           # depths the weight laws and the oracles are checked to
+STRATEGY_DEPTH = 2      # depths the strategies are compared to
+JOIN_DEPTH = 3          # depths the join search fires redexes at and compares
 
-def random_single_step(g, rng, height=32):
-    """Contract one uniformly chosen redex within the height bound."""
-    redexes = reduction.find_redexes(g, height_bound=height)
+
+def random_single_step(g, rng):
+    """Contract one uniformly chosen redex within height 32."""
+    redexes = reduction.find_redexes(g, height_bound=32)
     if not redexes:
         return None, None
     r = rng.choice(redexes)
@@ -34,34 +38,32 @@ def subject_reduction_case(system, env, g, rng):
                for d in wellform.preceding_variants(env))
 
 
-def weight_laws_case(g, rng, max_depth=3):
+def weight_laws_case(g, rng):
     """One random step obeys the decrease laws: twei strictly drops at
     the step depth, is untouched below it, and df never increases."""
-    redexes = [r for r in reduction.redexes_within_depth(g, max_depth)
-               if r.depth <= max_depth]
+    redexes = reduction.redexes_within_depth(g, LAW_DEPTH)
     if not redexes:
         return None
     r = rng.choice(redexes)
     n = r.depth
-    before = metrics.weight_profile(g, max_depth)
-    after = metrics.weight_profile(reduction.contract(g, r), max_depth)
-    before_t = [before.twei(m) for m in range(max_depth + 1)]
-    after_t = [after.twei(m) for m in range(max_depth + 1)]
-    before_d, after_d = before.df, after.df
+    before = metrics.weight_profile(g, LAW_DEPTH)
+    after = metrics.weight_profile(reduction.contract(g, r), LAW_DEPTH)
+    before_t = [before.twei(m) for m in range(LAW_DEPTH + 1)]
+    after_t = [after.twei(m) for m in range(LAW_DEPTH + 1)]
     if not after_t[n] < before_t[n]:
         return False
     if after_t[:n] != before_t[:n]:
         return False
-    if any(a > b for a, b in zip(after_d, before_d)):
+    if any(a > b for a, b in zip(after.df, before.df)):
         return False
     return True
 
 
-def oracle_agreement_case(g, max_depth=3):
+def oracle_agreement_case(g):
     """The weight profile agrees exactly with the graph-fixpoint
     oracle."""
-    p = metrics.weight_profile(g, max_depth)
-    for m in range(max_depth + 1):
+    p = metrics.weight_profile(g, LAW_DEPTH)
+    for m in range(LAW_DEPTH + 1):
         if p.size[m] != metrics.size_at_oracle(g, m):
             return False
         if p.df[m] != metrics.df_oracle(g, m):
@@ -75,13 +77,13 @@ def oracle_agreement_case(g, max_depth=3):
 
 
 def _admissible_at(g, depth):
-    redexes = reduction.redexes_within_depth(g, depth)
-    return [r for r in reduction._admissible(redexes) if r.depth <= depth]
+    return reduction._admissible(reduction.redexes_within_depth(g, depth))
 
 
-def lbl_diamond_case(g, rng, depth=2):
+def lbl_diamond_case(g, rng):
     """Two distinct admissible redexes join in at most one further
     admissible step on each side."""
+    depth = STRATEGY_DEPTH
     adm = _admissible_at(g, depth)
     if len(adm) < 2:
         return None
@@ -96,7 +98,7 @@ def lbl_diamond_case(g, rng, depth=2):
     return bool(keys1 & keys2)
 
 
-def randomized_normalize(g, depth, rng, fuel=5000):
+def randomized_normalize(g, depth, rng):
     """Normalise depths 0..depth firing uniformly random admissible
     redexes; any such strategy is admissible level-by-level."""
     for d in range(depth + 1):
@@ -109,63 +111,61 @@ def randomized_normalize(g, depth, rng, fuel=5000):
             r = rng.choice(adm)
             g = reduction.contract(g, r)
             spent += 1
-            if spent > fuel:
+            if spent > 5000:
                 raise RuntimeError("randomized strategy exceeded its fuel")
     return g
 
 
-def joinability_case(g, rng, depth=2):
+def joinability_case(g, rng):
     """Two independent randomized admissible strategies agree on the
     depth projection (strong confluence at desk scale)."""
     r1 = random.Random(rng.random())
     r2 = random.Random(rng.random())
-    h1 = randomized_normalize(g, depth, r1)
-    h2 = randomized_normalize(g, depth, r2)
-    return equal_at_depth(h1, h2, depth)
+    h1 = randomized_normalize(g, STRATEGY_DEPTH, r1)
+    h2 = randomized_normalize(g, STRATEGY_DEPTH, r2)
+    return equal_at_depth(h1, h2, STRATEGY_DEPTH)
 
 
-def bounded_join_search(g1: TermGraph, g2: TermGraph, steps=6, cmp_depth=3,
-                        cap=4000):
+def bounded_join_search(g1: TermGraph, g2: TermGraph):
     """Breadth-first search for a common reduct.
 
-    Only redexes at depth <= cmp_depth are fired (deeper steps cannot
-    change the compared projection).  Returns True when some reduct of
-    each side agrees at the comparison depth.
+    Only redexes at depth <= ``JOIN_DEPTH`` are fired (deeper steps
+    cannot change the compared projection).  Returns True when some
+    reduct of each side agrees at that depth.
     """
-    def close(g, budget):
+    def close(g):
         seen = {}
         frontier = [g]
-        key0 = canonical_string(project_depth(g, cmp_depth + 2))
+        key0 = canonical_string(project_depth(g, JOIN_DEPTH + 2))
         seen[key0] = g
-        for _ in range(budget):
+        for _ in range(6):
             nxt = []
             for h in frontier:
-                for r in reduction.redexes_within_depth(h, cmp_depth):
+                for r in reduction.redexes_within_depth(h, JOIN_DEPTH):
                     h2 = reduction.contract(h, r)
-                    key = canonical_string(project_depth(h2, cmp_depth + 2))
+                    key = canonical_string(project_depth(h2, JOIN_DEPTH + 2))
                     if key not in seen:
                         seen[key] = h2
                         nxt.append(h2)
-                if len(seen) > cap:
+                if len(seen) > 4000:
                     return seen
             frontier = nxt
             if not frontier:
                 break
         return seen
 
-    side1 = close(g1, steps)
-    side2 = close(g2, steps)
-    obs1 = {canonical_string(project_depth(h, cmp_depth)) for h in side1.values()}
-    obs2 = {canonical_string(project_depth(h, cmp_depth)) for h in side2.values()}
+    side1 = close(g1)
+    side2 = close(g2)
+    obs1 = {canonical_string(project_depth(h, JOIN_DEPTH)) for h in side1.values()}
+    obs2 = {canonical_string(project_depth(h, JOIN_DEPTH)) for h in side2.values()}
     return bool(obs1 & obs2)
 
 
-def nonconf_joinability_expected_failure(steps=6, cmp_depth=3):
+def nonconf_joinability_expected_failure():
     """The bounded join search on the non-confluence targets must fail."""
     from . import encodings
     ex = encodings.counterexamples()
-    joined = bounded_join_search(ex["nonconf_L"], ex["nonconf_P"],
-                                 steps=steps, cmp_depth=cmp_depth)
+    joined = bounded_join_search(ex["nonconf_L"], ex["nonconf_P"])
     return "unexpected-join" if joined else "expected-failure"
 
 

@@ -513,10 +513,9 @@ class _Box:
     node: Node              # the contents, references resolved
     parent: int = -1        # index of the enclosing box
     at: tuple = ()          # position of the box node in the parent's contents
-    changed: bool = False   # whether a step was taken in the contents
+    steps: int = 0          # steps taken in the contents, or counted as taken
     # while the memo of _frontier_eval normalises the contents:
     queued: tuple = None    # (_shallow_key, contents) as it was queued
-    steps: int = 0          # steps taken in the contents
     peak: int = 0           # the most any search charged against the budget
     drew: bool = False      # whether a step drew a fresh name
 
@@ -581,7 +580,13 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
     The end-of-depth walk charges the region above the next frontier a
     node per node visited and a node per box opened; past ``budget`` it
     opens no more, but searches on, so an application that can never
-    fire wins over the :class:`BudgetExceededError` raised at the end."""
+    fire wins over the :class:`BudgetExceededError` raised at the end.
+    Its walk of each box never passes the box's share ``left``: a
+    search under the same share has already visited the same region,
+    the whole search made when an unstepped box was queued, or the last
+    search of a stepped box, which found no redex and so pruned
+    nothing; and a kept normal form is taken only when its largest
+    charge fits the share."""
     stats = EvalStats(steps_per_depth={})
     boxes = [_Box((), "", node)]
     frontier = [0]
@@ -615,7 +620,7 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
                 if (hit is not None and hit[2] <= left
                         and stats.steps_per_depth[d] + hit[1] <= fuel):
                     # take the kept normal form, counting its steps
-                    b.node, b.changed = hit[0], True
+                    b.node, b.steps = hit[0], hit[1]
                     stats.steps_per_depth[d] += hit[1]
                     stats.fuel_consumed += hit[1]
                     reused = True
@@ -633,7 +638,6 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
             b = boxes[i]
             drawn = len(names)
             b.node = _contract_at(g, b.node, r, names)
-            b.changed = True
             b.steps += 1
             b.drew = b.drew or len(names) != drawn
             stats.steps_per_depth[d] += 1
@@ -643,28 +647,25 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
                 on_step(boxes, Redex(b.path + r.position, b.level + r.level,
                                      r.kind))
         opened, over = [], False
-        try:
-            for i in frontier:
-                b = boxes[i]
-                for node, at, level in walk(g, start=b.node, max_depth=0,
-                                            budget=left):
-                    t = type(node)
-                    if t is App and (why := _never_fires(g, node)):
-                        stats.outcome = "stuck"
-                        stats.stuck_position = b.path + path_of(at)
-                        stats.detail = why
-                        return boxes, stats
-                    if d < depth and not over:
-                        used += 1
-                        if t is Box and node.kind == COIND:
-                            path = path_of(at)
-                            opened.append(len(boxes))
-                            boxes.append(_Box(b.path + path + (BOXED,),
-                                              b.level + level + "c",
-                                              g.resolve(node.body), i, path))
-                        over = used + len(opened) > budget
-        except BudgetExceededError:
-            raise _exceeded(budget) from None
+        for i in frontier:
+            b = boxes[i]
+            for node, at, level in walk(g, start=b.node, max_depth=0,
+                                        budget=left):
+                t = type(node)
+                if t is App and (why := _never_fires(g, node)):
+                    stats.outcome = "stuck"
+                    stats.stuck_position = b.path + path_of(at)
+                    stats.detail = why
+                    return boxes, stats
+                if d < depth and not over:
+                    used += 1
+                    if t is Box and node.kind == COIND:
+                        path = path_of(at)
+                        opened.append(len(boxes))
+                        boxes.append(_Box(b.path + path + (BOXED,),
+                                          b.level + level + "c",
+                                          g.resolve(node.body), i, path))
+                    over = used + len(opened) > budget
         if over:
             raise BudgetExceededError(
                 f"evaluated region exceeds {budget} nodes (ill-formed input?)")
@@ -688,7 +689,7 @@ def _whole(g, boxes):
         b = boxes[i]
         if i in plugged:
             node = plugged.pop(i)
-        elif b.changed:
+        elif b.steps:
             node = b.node
         else:
             continue
@@ -711,25 +712,34 @@ def eval_lbl(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
     its names, the stats and any budget error are those that taking
     every step gives, as :func:`run_lbl_trace` does.  Raises
     :class:`BudgetExceededError` once the depth-bounded region passes
-    ``budget`` nodes.  Returns ``(graph, tree, stats)``; the graph is
-    ``g`` itself when no step was taken, and boxes no step changed keep
-    their nodes.
+    ``budget`` nodes, unless evaluation stopped stuck: a deadlock wins
+    over the projection's budget error, and the tree is then None.
+    Returns ``(graph, tree, stats)``; the graph is ``g`` itself when no
+    step was taken, and boxes no step changed keep their nodes.
     """
-    names = set(g.all_names())
-    boxes, stats = _frontier_eval(g, g.root_body(), depth, fuel, budget, names)
-    g = _with_root_body(g, _whole(g, boxes), names)
-    return g, project_depth(g, depth, budget), stats
+    return _evaluate(g, depth, fuel, budget, None)
 
 
 def run_lbl_trace(g: TermGraph, depth: int, fuel: int, budget=DEFAULT_BUDGET):
-    """Evaluate and return the list of contracted redexes alongside the
-    result."""
+    """Evaluate as :func:`eval_lbl` does, taking every step, and return
+    the list of contracted redexes alongside the result."""
     records = []
+    return (*_evaluate(g, depth, fuel, budget,
+                       lambda boxes, r: records.append(r)), records)
+
+
+def _evaluate(g, depth, fuel, budget, on_step):
+    """:func:`eval_lbl`, calling ``on_step`` as :func:`_frontier_eval` does."""
     names = set(g.all_names())
     boxes, stats = _frontier_eval(g, g.root_body(), depth, fuel, budget, names,
-                                  lambda boxes, r: records.append(r))
+                                  on_step)
     g = _with_root_body(g, _whole(g, boxes), names)
-    return g, project_depth(g, depth, budget), stats, records
+    try:
+        return g, project_depth(g, depth, budget), stats
+    except BudgetExceededError:
+        if stats.outcome != "stuck":
+            raise
+        return g, None, stats
 
 
 def classify(g: TermGraph, height_bound=DEFAULT_HEIGHT,

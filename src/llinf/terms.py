@@ -289,14 +289,13 @@ def rebuild(root, ctx, visit):
 class TermGraph:
     """An immutable system of named, guarded equations plus a root name."""
 
-    __slots__ = ("defs", "root", "_fvs", "_refs", "_referenced", "_names")
+    __slots__ = ("defs", "root", "_fvs", "_refs", "_names")
 
     def __init__(self, defs, root, _validate=True):
         self.defs = dict(defs)
         self.root = root
         self._fvs = None
         self._refs = None
-        self._referenced = None
         self._names = None
         if _validate:
             _validate_graph(self)
@@ -338,10 +337,8 @@ class TermGraph:
         return got
 
     def referenced(self) -> frozenset:
-        """Names referenced by the body of some definition (cached)."""
-        if self._referenced is None:
-            self._referenced = frozenset().union(*map(self.refs_of, self.defs))
-        return self._referenced
+        """Names referenced by the body of some definition."""
+        return frozenset().union(*map(self.refs_of, self.defs))
 
     def all_names(self) -> frozenset:
         """Every identifier in use: definition names plus variable names

@@ -41,9 +41,9 @@ calculi.
 
 The check's environments are interned (hash-consing: Filliâtre and
 Conchon, "Type-safe modular hash-consing", 2006): a state is a node and
-the id of its environment's contents, the rules derive environments
-through memoised operations, and an application whose environment
-holds no variable of a strict kind passes it to both sides as it is.
+the id of its environment's contents, and an application whose
+environment holds no variable of a strict kind passes it to both sides
+as it is.
 
 Pattern kinds:
 
@@ -375,12 +375,10 @@ _BOX_RENAME = {IND: {"ind1": "lin"}, COIND: {"coind": "any"}}
 class _Envs:
     """The environments of one check, interned.
 
-    An environment is an index into ``dicts``.  Extending one,
-    restricting one under a 4S box and dropping its strict variables
-    (those of a kind used exactly once: ``lin``, and ``ind1`` in 4S) are
-    memoised per environment, so a rule that repeats one of them
-    allocates nothing.  An application passes its environment on as it
-    is to both sides when it holds no strict variable, and to the side
+    An environment is an index into ``dicts``; each rule that derives
+    one adds a dict.  An application passes its environment on as it is
+    to both sides when it holds no strict variable (a variable of a kind
+    used exactly once: ``lin``, and ``ind1`` in 4S), and to the side
     that takes all of them otherwise.  ``content`` ids key the
     derivation states: equal environments share one, whatever route
     built them.  A state still reads the dict it was found with, whose
@@ -394,9 +392,6 @@ class _Envs:
         self.content = []
         self.strict = []        # index -> whether a variable has a strict kind
         self._contents = {}     # frozenset of items -> content id
-        self._extended = {}     # (index, name, kind) -> index
-        self._restricted = {}   # (index, box kind) -> index
-        self._unstrict = {}     # index -> index without its strict variables
 
     def add(self, d):
         self.dicts.append(d)
@@ -413,31 +408,21 @@ class _Envs:
         return [(v, k) for v, k in self.dicts[e].items() if k in kinds]
 
     def extend(self, e, name, kind):
-        key = (e, name, kind)
-        got = self._extended.get(key)
-        if got is None:
-            d = self.dicts[e]
-            if d.get(name) == kind:
-                got = e
-            else:
-                d = dict(d)
-                d[name] = kind
-                got = self.add(d)
-            self._extended[key] = got
-        return got
+        d = self.dicts[e]
+        if d.get(name) == kind:
+            return e
+        d = dict(d)
+        d[name] = kind
+        return self.add(d)
 
     def restrict(self, e, box_kind):
         """``e`` under a 4S box: duplicable variables dropped, ``ind1``
         made linear under an inductive box and ``coind`` made ``any``
         under a coinductive one.  The caller checks the strict kinds."""
-        key = (e, box_kind)
-        got = self._restricted.get(key)
-        if got is None:
-            rename = _BOX_RENAME[box_kind]
-            d = self.dicts[e]
-            kept = {v: rename.get(k, k) for v, k in d.items() if k != "dup"}
-            got = self._restricted[key] = e if kept == d else self.add(kept)
-        return got
+        rename = _BOX_RENAME[box_kind]
+        d = self.dicts[e]
+        kept = {v: rename.get(k, k) for v, k in d.items() if k != "dup"}
+        return e if kept == d else self.add(kept)
 
     def split(self, e, free_f, free_a):
         """The environments of an application's function and argument:
@@ -459,18 +444,8 @@ class _Envs:
                 (env_f if in_f else env_a)[v] = k
             else:
                 env_f[v] = env_a[v] = k
-        if len(env_f) == len(d):
-            return e, self._without_strict(e, env_a)
-        if len(env_a) == len(d):
-            return self._without_strict(e, env_f), e
-        return self.add(env_f), self.add(env_a)
-
-    def _without_strict(self, e, rest):
-        """``e`` without its strict variables, which are ``rest``."""
-        got = self._unstrict.get(e)
-        if got is None:
-            got = self._unstrict[e] = self.add(rest)
-        return got
+        return (e if len(env_f) == len(d) else self.add(env_f),
+                e if len(env_a) == len(d) else self.add(env_a))
 
 
 def _app_premises(bodies, envs, node, e):

@@ -163,7 +163,7 @@ def test_criterion_6_non_confluence():
     assert reaches("even", L)
     assert reaches("odd", P)
     assert not equal_at_depth(L, P, 1)
-    assert not properties.bounded_join_search(L, P, steps=6, cmp_depth=3)
+    assert not properties.bounded_join_search(L, P)
     _report(6, "even/odd strategies reach the two targets within 8 steps; "
                "targets differ at depth 1; 6-step join search fails")
 

@@ -17,6 +17,10 @@ RHO = "def N = N (\\x. x) ;\nroot N ;\n"
 DEAD = "def D = (\\!x. x) (#(\\y. y)) ;\nroot D ;\n"
 LAM = "def T = \\x. T ;\nroot T ;\nflags 100 ;\n"
 OMEGA = "def O = (\\!x. x !x) (!(\\!x. x !x)) ;\nroot O ;\n"
+# A holds eight boxes, and B applies an inductive abstraction to a
+# coinductive box, which can never fire
+SHARE = ("def M = x #A #B ; def A = y #u #u #u #u #u #u #u #u ; "
+         "def B = (\\!z. z) #w ; root M ;")
 DOUBLING = ("def R = (\\!g. \\!a. g !g !(a a)) !(\\!g. \\!a. g !g !(a a)) "
             "!(\\z. z) ;\nroot R ;\n")
 
@@ -49,6 +53,20 @@ def test_check_infer():
             {"cyc.lli": CYCLIC})
     assert r.exit_code == 0
     assert "!y" in r.output
+
+
+def test_check_infer_rejects_a_term_no_environment_accepts():
+    r = run(["check", "--infer", "rho.lli"], {"rho.lli": RHO})
+    assert r.exit_code == 1
+    assert r.output == "rejected: no environment accepts this term\n"
+
+
+def test_check_4s_rejects_an_ind_one_variable_outside_its_box():
+    r = run(["check", "--system", "4s", "--env", "!x", "x.lli"],
+            {"x.lli": "def M = x ; root M ;"})
+    assert r.exit_code == 1
+    assert r.output == ("rejected: ind-one variable 'x' occurs outside its "
+                        "inductive box\n  at !x |- x\n")
 
 
 def test_check_infer_with_an_env_is_a_usage_error():
@@ -189,11 +207,27 @@ def test_doubling_body_budget_exit():
 def test_a_budget_error_past_depth_0_names_the_budget_given():
     # at depth 1 A's 17 nodes pass its share of the budget, 4 nodes
     r = run(["eval", "--depth", "3", "--budget", "10", "t.lli"],
-            {"t.lli": "def M = x #A #B ; def A = y #u #u #u #u #u #u #u #u ; "
-                      "def B = (\\!z. z) #w ; root M ;"})
+            {"t.lli": SHARE})
     assert r.exit_code == 2
     assert r.output == ("error: traversal exceeded 10 nodes "
                         "(ill-formed input?)\n")
+
+
+@pytest.mark.parametrize("budget", range(23, 36))
+def test_a_deadlock_wins_over_the_projections_budget_error(budget):
+    # evaluation stops stuck at depth 1, below the depth asked for; the
+    # depth-3 region is 35 nodes, so below budget 35 no tree is printed
+    args = ["--depth", "3", "--budget", str(budget), "t.lli"]
+    r = run(["eval"] + args, {"t.lli": SHARE})
+    tree = "x #(y #u #u #u #u #u #u #u #u) #((\\!z. z) #w)\n"
+    assert r.exit_code == 1
+    assert r.output == ((tree if budget >= 35 else "")
+                        + "outcome: stuck (steps per depth: 0:0 1:0)\n"
+                        "deadlocked at arg.box: inductive abstraction "
+                        "applied to a coinductive box\n")
+    r = run(["trace"] + args, {"t.lli": SHARE})
+    assert r.exit_code == 1
+    assert r.output == "outcome: stuck\n"
 
 
 def test_weight_table():
@@ -377,6 +411,19 @@ def test_embed_output_parses():
             {"d.lam": "def D = \\x. x x ;\nroot D ;\n"})
     assert r.exit_code == 0
     assert "\\!x. x !x" in r.output
+
+
+def test_decode_under_a_signature_prints_a_tree():
+    tree = ("def t = \\!n. \\!l. n #leaf #u ; def leaf = \\!n. \\!l. l ; "
+            "def u = \\!n. \\!l. n #leaf #w ; def w = \\!n. \\!l. n #d #d ; "
+            "def d = (\\!x. x) #leaf ; root t ;")
+    args = ["decode", "--mode", "coalgebra", "--bound", "3", "t.lli"]
+    r = run(args + ["--sig", "sig t { node/2, leaf/0 }"], {"t.lli": tree})
+    assert r.exit_code == 0
+    assert r.output == "node(leaf,node(leaf,node(...,...)))\n"
+    r = run(args + ["--sig", "sig t { node/2"], {"t.lli": tree})
+    assert r.exit_code == 3
+    assert r.output == "error: bad signature spec 'sig t { node/2'\n"
 
 
 def test_encode_decode_round_trip():

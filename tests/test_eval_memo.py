@@ -24,15 +24,16 @@ from conftest import flip_applied, parse
 
 def _evaluation(evaluate, g, depth, fuel, budget):
     """What a command prints from an evaluation: the result graph and
-    tree, the steps per depth, the fuel consumed, the outcome, the stuck
-    position and the detail; or the message of its budget error."""
+    tree (None past the budget, after a deadlock), the steps per depth,
+    the fuel consumed, the outcome, the stuck position and the detail;
+    or the message of its budget error."""
     try:
         out, tree, stats = evaluate(g, depth, fuel, budget)[:3]
     except BudgetExceededError as exc:
         return str(exc)
-    return (format_graph(out), format_node(tree), stats.steps_per_depth,
-            stats.fuel_consumed, stats.outcome, stats.stuck_position,
-            stats.detail)
+    return (format_graph(out), None if tree is None else format_node(tree),
+            stats.steps_per_depth, stats.fuel_consumed, stats.outcome,
+            stats.stuck_position, stats.detail)
 
 
 def _least_budget(g, depth, fuel, budget):

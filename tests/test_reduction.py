@@ -317,8 +317,6 @@ def _assert_valid(g):
         assert refs == _scan_body(g.defs[name]).refs
     if g._names is not None:
         assert g._names == full.all_names()
-    if g._referenced is not None:
-        assert g._referenced == full.referenced()
 
 
 def _as_graph(g, node):
@@ -424,8 +422,8 @@ def test_frontier_budget_bounds_the_boxes(monkeypatch):
 def test_a_deadlock_wins_over_the_boxes_opened_past_the_budget():
     # at the end of depth 1, the eight boxes A opens for depth 2 pass
     # budgets 23-29 before B's deadlock is reached: the walk still
-    # searches B, so evaluation stops stuck, and the depth-3 projection
-    # raises, not the evaluator
+    # searches B, so evaluation stops stuck at depth 1; from budget 23 the
+    # deadlock wins over the depth-3 projection's budget error
     g = parse("def M = x #A #B ; def A = y #u #u #u #u #u #u #u #u ; "
               "def B = (\\!z. z) #w ; root M ;")
     want = {}
@@ -437,20 +435,21 @@ def test_a_deadlock_wins_over_the_boxes_opened_past_the_budget():
         elif budget <= 22:
             # A's 17 nodes pass its share, budget - 6, as it is queued
             want[budget] = f"traversal exceeded {budget} nodes"
-        elif budget <= 34:
-            want[budget] = f"depth-3 region exceeds {budget} nodes"
         else:
             want[budget] = ("stuck", ("arg", "box"),
                             "inductive abstraction applied to a coinductive box")
-    got = {}
-    for budget in want:
-        try:
-            _, _, stats = eval_lbl(g, 3, 100, budget)
-        except BudgetExceededError as exc:
-            got[budget] = str(exc).split(" (")[0]
-        else:
-            got[budget] = stats.outcome, stats.stuck_position, stats.detail
-    assert got == want
+    for evaluate in (eval_lbl, run_lbl_trace):
+        got = {}
+        for budget in want:
+            try:
+                _, tree, stats = evaluate(g, 3, 100, budget)[:3]
+            except BudgetExceededError as exc:
+                got[budget] = str(exc).split(" (")[0]
+            else:
+                # the depth-3 region is 35 nodes
+                assert (tree is None) == (budget < 35), budget
+                got[budget] = stats.outcome, stats.stuck_position, stats.detail
+        assert got == want, evaluate.__name__
 
 
 def test_evaluation_builds_no_graph_per_box_or_step(monkeypatch):
@@ -576,7 +575,7 @@ def test_first_redex_matches_the_sorted_scan(monkeypatch, g, depth, fuel):
     except BudgetExceededError:
         boxes = []
     for b in boxes:
-        if not b.changed:
+        if not b.steps:
             _assert_first_redex_on_fresh(_as_graph(g, b.node), budget)
     for node in stepped:
         # the box's node searched over g's definitions, against the
@@ -665,8 +664,7 @@ def _twin(g):
     """A copy of ``g`` with its caches, so that two routes given copies
     start from the same caches."""
     h = TermGraph(g.defs, g.root, _validate=False)
-    for slot in ("_fvs", "_referenced"):
-        setattr(h, slot, getattr(g, slot))
+    h._fvs = g._fvs
     h._refs = None if g._refs is None else dict(g._refs)
     return h
 
