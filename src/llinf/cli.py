@@ -155,6 +155,12 @@ def eval_cmd(depth, fuel, budget, path):
         click.echo(surface.format_node(tree))
     steps = " ".join(f"{d}:{n}" for d, n in sorted(stats.steps_per_depth.items()))
     click.echo(f"outcome: {stats.outcome} (steps per depth: {steps})")
+    _stopped(stats)
+
+
+def _stopped(stats):
+    """Print why an evaluation that did not normalise stopped, and exit
+    with the code of its outcome."""
     if stats.outcome == "normalized":
         sys.exit(EXIT_OK)
     if stats.outcome == "stuck":
@@ -182,8 +188,7 @@ def trace(depth, fuel, budget, human, path):
     for i, rec in enumerate(records):
         click.echo(reduction.format_step(i, rec, human))
     click.echo(f"outcome: {stats.outcome}")
-    sys.exit(EXIT_OK if stats.outcome == "normalized" else
-             EXIT_NEGATIVE if stats.outcome == "stuck" else EXIT_EXHAUSTED)
+    _stopped(stats)
 
 
 @main.command()

@@ -59,10 +59,13 @@ class Redex:
 @dataclass
 class EvalStats:
     steps_per_depth: dict = field(default_factory=dict)
-    fuel_consumed: int = 0
     outcome: str = "normalized"          # | "fuel-exhausted" | "stuck"
     stuck_position: tuple = None
     detail: str = ""
+
+    @property
+    def fuel_consumed(self) -> int:
+        return sum(self.steps_per_depth.values())
 
 
 def _exceeded(budget) -> BudgetExceededError:
@@ -622,7 +625,6 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
                     # take the kept normal form, counting its steps
                     b.node, b.steps = hit[0], hit[1]
                     stats.steps_per_depth[d] += hit[1]
-                    stats.fuel_consumed += hit[1]
                     reused = True
                     continue
                 b.queued = key, b.node
@@ -641,7 +643,6 @@ def _levels(g, node, depth, fuel, budget, names, on_step, kept):
             b.steps += 1
             b.drew = b.drew or len(names) != drawn
             stats.steps_per_depth[d] += 1
-            stats.fuel_consumed += 1
             push(i, False)
             if on_step is not None:
                 on_step(boxes, Redex(b.path + r.position, b.level + r.level,

@@ -18,11 +18,12 @@ the only walk of definition bodies here.  It gives the free variables of
 every node, to split an application's environment; the counts of each
 binder's own name in its body, to pick the 4S inductive-binder rule; and
 a summary of each definition's free occurrences and references, by the
-boxes above them.  Inference sums the summaries over the definitions
-each entered at a box class (``_root_sweep``), for every variable at
-once: by capture-freedom a definition's counts are its own body's plus
-those of the definitions it references (Courcelle, "Fundamental
-properties of infinite trees", 1983).
+boxes above them.  Inference counts every variable at once
+(``_root_sweep``): by capture-freedom a definition's own counts do not
+depend on where it is entered (Courcelle, "Fundamental properties of
+infinite trees", 1983), so the root's counts are each definition's own,
+entered at a box class, times the number of reference paths from the
+root that enter it there.
 
 Every cycle and order question here goes through one routine,
 ``terms._sccs``, which emits strongly connected components sinks first
@@ -30,13 +31,13 @@ and which also solves the free variables of the definitions.  The
 graphs number their states in the order they are found, so a graph
 whose every edge leads to a higher number is acyclic; ``_sccs`` then
 returns the states highest first and makes no search, and only other
-graphs get an iterative Tarjan pass.  The root sweep sums its
-(definition, class) states over the components.  The check takes the
-components of its state graph once: an inductive loop lies inside a
-cyclic component, so it is looked for there only, and the same
-components give the per-loop witnesses; the exact loop a rejection
-reports comes from a separate search over the non-coinductive edges,
-made only then, which ``lam.check_labc`` also uses for the pure
+graphs get an iterative Tarjan pass.  The root sweep counts the paths
+to its (definition, class) states over the components, sources first.
+The check takes the components of its state graph once: an inductive
+loop lies inside a cyclic component, so it is looked for there only,
+and the same components give the per-loop witnesses; the exact loop a
+rejection reports comes from a separate search over the non-coinductive
+edges, made only then, which ``lam.check_labc`` also uses for the pure
 calculi.
 
 The check's environments are interned (hash-consing: Filliâtre and
@@ -144,86 +145,52 @@ def _root_sweep(g: TermGraph, bodies) -> dict:
     """Map from each free variable of the root to its 4-class counts.
 
     A state is a definition entered at a box class, starting from the
-    root at ``lin``: its own counts and its references are the
-    definition's summary in ``bodies``, each class shifted by the class
-    of entry.  By capture-freedom no name bound above a reference is free
-    in the referenced definition, so a state's counts are its own plus
-    the sum of its successors', taken sinks first over the components.
-    A cyclic component makes each nonzero class infinite.  Maps are
-    dropped after their last reader, and copied before they change,
-    since states may share one and a state at ``lin`` reads its summary's.
+    root at ``lin``; its successors are the definition's references in
+    ``bodies``, each entered at the class its boxes compose with the
+    state's.  By capture-freedom no name bound above a reference is free
+    in the referenced definition, so a definition counts the same
+    wherever it is entered: the root's counts are each state's own
+    counts, moved to the classes they compose to, times the number of
+    reference paths from the root to the state.  The components are
+    taken sources first, and a cyclic one gives its states, and so every
+    state below, infinitely many paths.
     """
     summary = bodies.summary
     states = [(g.root, _CLS_LIN)]   # grows while it is read
     index = {states[0]: 0}
-    readers = [1]   # state -> reads of its map to come, the caller's included
-    maps = []       # state -> its own counts, then its sum
     succ = []
     for name, cls in states:
-        counts, refs = summary[name]
         enter = _ENTER[cls]
         row = []
-        for ref, c in refs:
+        for ref, c in summary[name][1]:
             key = (ref, enter[c])
             j = index.get(key)
             if j is None:
                 j = index[key] = len(states)
                 states.append(key)
-                readers.append(0)
-            readers[j] += 1
             row.append(j)
-        if cls == _CLS_IND1:
-            counts = {v: (0, l, i + d, c) for v, (l, i, d, c) in counts.items()}
-        elif cls == _CLS_IND2:
-            counts = {v: (0, 0, l + i + d, c) for v, (l, i, d, c) in counts.items()}
-        elif cls == _CLS_COIND:
-            counts = {v: (0, 0, 0, sum(k)) for v, k in counts.items()}
-        maps.append(counts)
         succ.append(row)
-
-    def take(j):
-        m = maps[j]
-        readers[j] -= 1
-        if not readers[j]:
-            maps[j] = None
-        return m
-
-    for comp in _sccs(succ):
+    paths = [0] * len(states)
+    paths[0] = 1
+    for comp in reversed(_sccs(succ)):
         if _cyclic(comp, succ):
-            members = set(comp)
-            total = {}
             for i in comp:
-                _merge(total, maps[i])
-                for j in succ[i]:
-                    if j not in members:
-                        _merge(total, take(j))
-            pumped = {v: tuple(INF if k else 0 for k in c)
-                      for v, c in total.items()}
-            for i in comp:
-                maps[i] = pumped
-            continue
-        i = comp[0]
-        m = maps[i]     # the state's own counts: changed in place if not shared
-        mine = states[i][1] != _CLS_LIN
-        for j in succ[i]:
-            other = take(j)
-            if len(other) > len(m):
-                m, other, mine = other, m, False
-            if other:
-                if not mine:
-                    m, mine = dict(m), True
-                _merge(m, other)
-        maps[i] = m
-    return maps[0]
-
-
-def _merge(m, other):
-    """Add the class counts of ``other`` into ``m``; returns ``m``."""
-    for v, c in other.items():
-        got = m.get(v)
-        m[v] = c if got is None else (got[0] + c[0], got[1] + c[1],
-                                      got[2] + c[2], got[3] + c[3])
-    return m
+                paths[i] = INF
+        for i in comp:
+            p = paths[i]
+            for j in succ[i]:
+                paths[j] += p
+    total = {}
+    for (name, cls), p in zip(states, paths):
+        enter = _ENTER[cls]
+        for v, counts in summary[name][0].items():
+            got = total.get(v)
+            if got is None:
+                got = total[v] = [0, 0, 0, 0]
+            for c, k in enumerate(counts):
+                if k:       # a zero stays zero: never INF * 0
+                    got[enter[c]] += k * p
+    return {v: tuple(k) for v, k in total.items()}
 
 
 class BodyPass(NamedTuple):

@@ -13,9 +13,10 @@
   classes, with a Tarjan pass over every product graph, and the free
   variables of the definitions as a round-robin fixpoint over their
   reference sets: the earlier production routes, kept as the oracles of
-  the per-definition passes over the reference graph in
-  :func:`llinf.wellform._root_sweep` and :func:`llinf.terms._solve_fvs`,
-  and environment inference from that sweep and the check above.
+  the path count over (definition, class) states in
+  :func:`llinf.wellform._root_sweep`, of the per-definition pass over
+  the reference graph in :func:`llinf.terms._solve_fvs`, and of
+  environment inference from that sweep and the check above.
 * Alpha-equivalence and printing by structural recursion: the earlier
   production route, kept as the oracle of the iterative passes in
   :mod:`llinf.terms` and :mod:`llinf.surface`.
@@ -64,8 +65,7 @@ from llinf.terms import (
     children, fresh_name, rebuild, remake, subst_in_body, _scan_body,
 )
 from llinf.wellform import (
-    CheckReport, INF, KINDS, LLINF, _CLS_LIN, _Fail, _describe, _merge,
-    body_pass,
+    CheckReport, INF, KINDS, LLINF, _CLS_LIN, _Fail, _describe, body_pass,
 )
 
 _UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -293,6 +293,15 @@ def tarjan(succ):
 
 def _cyclic(comp, succ):
     return len(comp) > 1 or comp[0] in succ[comp[0]]
+
+
+def _merge(m, other):
+    """Add the class counts of ``other`` into ``m``; returns ``m``."""
+    for v, c in other.items():
+        got = m.get(v)
+        m[v] = c if got is None else (got[0] + c[0], got[1] + c[1],
+                                      got[2] + c[2], got[3] + c[3])
+    return m
 
 
 def root_sweep(g: TermGraph) -> dict:

@@ -227,7 +227,24 @@ def test_a_deadlock_wins_over_the_projections_budget_error(budget):
                         "applied to a coinductive box\n")
     r = run(["trace"] + args, {"t.lli": SHARE})
     assert r.exit_code == 1
-    assert r.output == "outcome: stuck\n"
+    assert r.output == ("outcome: stuck\n"
+                        "deadlocked at arg.box: inductive abstraction "
+                        "applied to a coinductive box\n")
+
+
+@pytest.mark.parametrize("name, code, reason", [
+    ("deadlock", 1, "deadlocked at ε: inductive abstraction applied to a "
+                    "coinductive box"),
+    ("omega_ind", 2, "fuel exhausted while normalising depth 0"),
+], ids=["deadlock", "omega_ind"])
+def test_trace_and_eval_say_why_evaluation_stopped(name, code, reason):
+    program = run(["examples", name]).output
+    for cmd in ("eval", "trace"):
+        r = run([cmd, "--depth", "3", "t.lli"], {"t.lli": program})
+        assert r.exit_code == code
+        *_, outcome, last = r.output.splitlines()
+        assert outcome.startswith("outcome: ")
+        assert last == reason
 
 
 def test_weight_table():

@@ -660,6 +660,21 @@ def test_chains_and_cycles_of_definitions(monkeypatch, cycle, leaf_first):
     assert counts == want
 
 
+def test_a_diamond_of_definitions_counts_every_reference_path():
+    """``D{i}`` references ``D{i+1}`` twice, so ``D{i}`` is reached by
+    2^i paths: the counts are exact integers past 2^53, and a class no
+    state counts stays 0 however many paths reach the state."""
+    n = 64
+    g = parse("\n".join([f"def D{i} = x #D{i + 1} #D{i + 1} ;" for i in range(n)]
+                        + [f"def D{n} = y ;", "root D0 ;"]))
+    counts = _sweep(g)
+    assert counts == {"x": (1, 0, 0, 2**n - 2), "y": (0, 0, 0, 2**n)}
+    assert all(type(k) is int for c in counts.values() for k in c)
+    assert counts == graph_oracles.root_sweep(g)
+    assert infer_env("llinf", g) == {"x": "ind", "y": "ind"}
+    assert infer_env("4s", g) == {"x": "any", "y": "coind"}
+
+
 def test_a_deep_binder_chain_keeps_its_pinned_summary():
     """The 2 001-state rejection of ``\\x0. ... \\x1999. x0`` prints
     12.4 MB, pinned by its SHA-256."""
