@@ -232,8 +232,12 @@ def wei_oracle(g: TermGraph, n: int, m: int) -> int:
     return _graph_metric(g, m, combine)
 
 
-def df_oracle(g: TermGraph, m: int) -> int:
-    own = wellform.body_pass(g).own
+def df_oracle(g: TermGraph, m: int, own=None) -> int:
+    """``df_m`` on the graph.  ``own`` is the :func:`~llinf.wellform.body_pass`
+    table of ``g``'s occurrence counts per (binder body, name); it is
+    computed when not given."""
+    if own is None:
+        own = wellform.body_pass(g).own
 
     def combine(node, i, go):
         match node:

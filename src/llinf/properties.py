@@ -4,7 +4,8 @@ Each suite draws seeded random terms from the per-system generators and
 checks one dynamic law: preservation of well-formation under single
 steps, the weight/duplicability laws of the 4S fragment, the diamond
 property of level-by-level reduction, and joinability of independent
-admissible strategies.
+admissible strategies.  One more 4S suite compares the weight profile
+with the graph-fixpoint oracles.
 """
 
 import random
@@ -61,17 +62,20 @@ def weight_laws_case(g, rng):
 
 def oracle_agreement_case(g):
     """The weight profile agrees exactly with the graph-fixpoint
-    oracle."""
+    oracle on size, df and twei at every depth to ``LAW_DEPTH``.
+
+    Each oracle value is computed once: one body pass serves every
+    depth's df, and twei is compared as ``wei_{n,m}`` at the oracle's
+    ``n = df_m``.  Once the df comparison has passed, that is also the
+    profile's df, so this one ``wei`` comparison is the twei comparison.
+    """
     p = metrics.weight_profile(g, LAW_DEPTH)
+    own = wellform.body_pass(g).own
     for m in range(LAW_DEPTH + 1):
         if p.size[m] != metrics.size_at_oracle(g, m):
             return False
-        if p.df[m] != metrics.df_oracle(g, m):
-            return False
-        if p.twei(m) != metrics.twei_oracle(g, m):
-            return False
-        n = p.df[m]
-        if p.wei(n, m) != metrics.wei_oracle(g, n, m):
+        n = metrics.df_oracle(g, m, own)
+        if p.df[m] != n or p.twei(m) != metrics.wei_oracle(g, n, m):
             return False
     return True
 

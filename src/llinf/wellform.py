@@ -497,16 +497,15 @@ def _expand_ll4s(bodies, envs, node, e):
     raise TypeError(f"unexpected node {node!r}")
 
 
-def check(system: str, env: dict, g: TermGraph) -> CheckReport:
-    """Decide the well-formation judgment ``env |- g`` for one system."""
-    return _check(system, env, g, body_pass(g))
-
-
-def _check(system, env, g, bodies):
-    """:func:`check`, reading ``bodies``, the :func:`body_pass` of ``g``."""
+def check(system: str, env: dict, g: TermGraph, bodies=None) -> CheckReport:
+    """Decide the well-formation judgment ``env |- g`` for one system.
+    ``bodies`` is the :func:`body_pass` of ``g``, made here when not
+    given."""
     bad = set(env.values()) - KINDS[system]
     if bad:
         raise ValueError(f"pattern kinds {sorted(bad)} are not valid for {system}")
+    if bodies is None:
+        bodies = body_pass(g)
     expand = _expand_llinf if system == LLINF else _expand_ll4s
     envs = _Envs(_STRICT[system])
     content = envs.content
@@ -656,7 +655,7 @@ def infer_env(system: str, g: TermGraph):
             env[x] = "coind"
         else:
             env[x] = "any"
-    return env if _check(system, env, g, bodies) else None
+    return env if check(system, env, g, bodies) else None
 
 
 def env_precedes(gamma: dict, delta: dict) -> bool:

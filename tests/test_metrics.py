@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tree_metrics
-from llinf import encodings, generate, properties, reduction
+from llinf import encodings, generate, metrics, properties, reduction, wellform
 from llinf.errors import BudgetExceededError, MetricsUndefinedError
 from llinf.metrics import (
     df, df_oracle, size_at, size_at_oracle, twei, twei_oracle, wei,
@@ -83,6 +85,105 @@ def test_oracle_rejects_unguarded(rho):
 def test_oracle_agreement_random(seed):
     _, g = generate.random_term(seed, "4s", 26)
     assert properties.oracle_agreement_case(g)
+
+
+def _four_comparison_agreement(g):
+    """The reference form of the oracle suite: at each depth it compares
+    size, df, twei and ``wei`` at the profile's df, each through its own
+    oracle call, so df and the body pass are recomputed per call."""
+    p = metrics.weight_profile(g, properties.LAW_DEPTH)
+    for m in range(properties.LAW_DEPTH + 1):
+        if p.size[m] != metrics.size_at_oracle(g, m):
+            return False
+        if p.df[m] != metrics.df_oracle(g, m):
+            return False
+        if p.twei(m) != metrics.twei_oracle(g, m):
+            return False
+        n = p.df[m]
+        if p.wei(n, m) != metrics.wei_oracle(g, n, m):
+            return False
+    return True
+
+
+def _suites_oracle_draws(seed):
+    """The terms the benchmark's ``suites`` workload gives the oracle
+    suite at ``seed``: 80 generated 4S terms, sizes spread over
+    16..40."""
+    count, lo, hi = 80, 16, 40
+    sizes = [lo + round((hi - lo) * (k + 0.5) / count) for k in range(count)]
+    sizes[-1] = hi
+    return [generate.random_term((seed, "suites", "oracle_agreement", "4s", i),
+                                 "4s", size, require_redex=True)[1]
+            for i, size in enumerate(sizes)]
+
+
+# every depth has weight-carrying symbols, and df differs between depths
+_MUTATION_TERMS = [
+    "def M = \\!x. u x x #(!(v w) #M) ; root M",
+    "def M = (\\!x. u x x) (!(\\y. y)) #M ; root M",
+]
+
+
+def _off_by_one(profile, field, m):
+    """``profile`` with one entry at depth ``m`` raised by one: ``size``,
+    ``df``, or the constant coefficient of ``h`` (which moves only
+    twei)."""
+    size, df_, h = list(profile.size), list(profile.df), [list(r) for r in profile.h]
+    if field == "size":
+        size[m] += 1
+    elif field == "df":
+        df_[m] += 1
+    else:
+        h[m][0] += 1
+    return profile._replace(size=size, df=df_, h=h)
+
+
+@pytest.mark.parametrize("text", _MUTATION_TERMS)
+@pytest.mark.parametrize("field", ["size", "df", "h"])
+@pytest.mark.parametrize("m", range(properties.LAW_DEPTH + 1))
+def test_oracle_suite_catches_each_entry_off_by_one(monkeypatch, text, field, m):
+    g = parse(text)
+    real = weight_profile(g, properties.LAW_DEPTH)
+    assert properties.oracle_agreement_case(g) is True
+    assert _four_comparison_agreement(g) is True
+    wrong = _off_by_one(real, field, m)
+    if field == "h":
+        assert (wrong.size, wrong.df) == (real.size, real.df)
+        assert wrong.twei(m) != real.twei(m)
+    monkeypatch.setattr(metrics, "weight_profile", lambda g, top: wrong)
+    assert properties.oracle_agreement_case(g) is False
+    assert _four_comparison_agreement(g) is False
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_oracle_suite_matches_the_four_comparison_reference(seed):
+    verdicts = [(properties.oracle_agreement_case(g), _four_comparison_agreement(g))
+                for g in _suites_oracle_draws(seed)]
+    assert len(verdicts) == 80
+    assert all(new == old for new, old in verdicts)
+
+
+def test_oracle_suite_computes_each_oracle_value_once(monkeypatch):
+    """One body pass per case, and per depth one call each of the size,
+    df and weight oracles."""
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(wellform, "body_pass")
+    for name in ("size_at_oracle", "df_oracle", "wei_oracle", "twei_oracle"):
+        spy(metrics, name)
+    g = parse(_MUTATION_TERMS[0])
+    assert properties.oracle_agreement_case(g) is True
+    assert calls == {"body_pass": 1, "size_at_oracle": 4, "df_oracle": 4,
+                     "wei_oracle": 4}
 
 
 @settings(max_examples=30, deadline=None)
