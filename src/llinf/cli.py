@@ -212,11 +212,11 @@ def weight(depths, budget, path):
         _fail(EXIT_USAGE, f"--depths {depths!r} ends below its start")
     click.echo("depth\tsize\tdf\ttwei")
     try:
-        for m in span:
-            p = metrics.weight_profile(g, m, budget)
-            click.echo(f"{m}\t{p.size[m]}\t{p.df[m]}\t{p.twei(m)}")
+        p = metrics.weight_profile(g, span[-1], budget)
     except BudgetExceededError as exc:
         _fail(EXIT_EXHAUSTED, str(exc))
+    for m in span:
+        click.echo(f"{m}\t{p.size[m]}\t{p.df[m]}\t{p.twei(m)}")
     sys.exit(EXIT_OK)
 
 

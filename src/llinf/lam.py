@@ -27,7 +27,9 @@ from .terms import (
     COIND, IND, LIN,
     DEFAULT_BUDGET, children, fresh_name, graph_bisimilar, rebuild,
 )
-from .reduction import Redex, contract, find_redexes, level_at, path_of
+from .reduction import (
+    Redex, contract, find_redexes, has_any_redex, level_at, path_of,
+)
 from .wellform import CheckReport, _inductive_cycle
 from . import surface
 
@@ -269,6 +271,9 @@ def cbv_image_paths(path):
 # ---------------------------------------------------------------------------
 # simulation checking
 
+_WINDOW = 24    # height of simulate_girard's completeness check
+
+
 @dataclass
 class SimReport:
     ok: bool
@@ -279,38 +284,43 @@ class SimReport:
         return self.ok
 
 
-def _leftmost_source_redex(g, flags, max_depth=64):
-    for d in range(max_depth + 1):
-        rs = find_beta_redexes(g, flags, d)
-        if rs:
-            return rs[0], d
-    return None, None
+def _leftmost_source_redex(g, flags):
+    """The leftmost beta redex at the least flag depth that holds one,
+    with that depth, or ``(None, None)`` when ``g``, a pure lambda graph,
+    is normal.  On such a graph :func:`~llinf.reduction.has_any_redex`
+    is exactly "has a beta redex", which lies at a finite flag depth,
+    where the search by depth ends."""
+    if not has_any_redex(g):
+        return None, None
+    d = 0
+    while not (rs := find_beta_redexes(g, flags, d)):
+        d += 1
+    return rs[0], d
 
 
-def simulate_girard(g: TermGraph, a: int, steps: int,
-                    check_completeness=True, height=24) -> SimReport:
+def simulate_girard(g: TermGraph, a: int, steps: int) -> SimReport:
     """Run paired steps and verify the perfect-simulation properties.
 
     Each source step at depth ``n`` must map to one target step at depth
     ``n`` landing on the embedding of the source reduct; conversely every
-    redex of the embedded term must be the image of a source redex.
+    redex of the embedded term must be the image of a source redex
+    (checked within height ``_WINDOW`` of the source term).
     """
     flags = DepthFlags(0, 0, a)
     kind = "coinductive" if a else "inductive"
     done = 0
     for _ in range(steps):
         target = embed_girard(g, a)
-        if check_completeness:
-            src_paths = {r.position for r in find_redexes(g, height_bound=height)}
-            for tr in find_redexes(target, height_bound=2 * height):
-                back = girard_source_path(tr.position)
-                if back is None:
-                    return SimReport(False, done,
-                                     f"target redex at {tr.position} is not an image")
-                if len(back) <= height and back not in src_paths:
-                    return SimReport(False, done,
-                                     f"target redex maps back to {back}, "
-                                     "which is not a source redex")
+        src_paths = {r.position for r in find_redexes(g, _WINDOW)}
+        for tr in find_redexes(target, 2 * _WINDOW):
+            back = girard_source_path(tr.position)
+            if back is None:
+                return SimReport(False, done,
+                                 f"target redex at {tr.position} is not an image")
+            if len(back) <= _WINDOW and back not in src_paths:
+                return SimReport(False, done,
+                                 f"target redex maps back to {back}, "
+                                 "which is not a source redex")
         src, depth = _leftmost_source_redex(g, flags)
         if src is None:
             return SimReport(True, done, "source term is normal")
@@ -333,6 +343,7 @@ def simulate_girard(g: TermGraph, a: int, steps: int,
 
 def simulate_cbv(g: TermGraph, a: int, b: int, steps: int) -> SimReport:
     """Run paired steps for the two-step (imperfect) simulation."""
+    require_pure_lambda(g)      # steps keep it pure
     flags = DepthFlags(a, 0, b)
     done = 0
     for _ in range(steps):

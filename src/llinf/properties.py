@@ -173,17 +173,34 @@ def nonconf_joinability_expected_failure():
     return "unexpected-join" if joined else "expected-failure"
 
 
+# name, draw tag, needs a redex, 4S only, case(system, env, graph, rng)
+_SUITES = (
+    ("subject-reduction", "sr", True, False, subject_reduction_case),
+    ("weight-decrease", "wl", True, True,
+     lambda system, env, g, rng: weight_laws_case(g, rng)),
+    ("metrics-oracle", "or", False, True,
+     lambda system, env, g, rng: oracle_agreement_case(g)),
+    ("joinability", "join", True, True,
+     lambda system, env, g, rng: joinability_case(g, rng)),
+    ("lbl-diamond", "dia", True, False,
+     lambda system, env, g, rng: lbl_diamond_case(g, rng)),
+)
+
+
 def run_suites(seed=1, count=50, system="4s", size=26):
     """Run every applicable suite; returns name -> (passed, failed, notes)."""
     results = {}
-
-    def suite(name, fn, n=count):
+    for name, tag, needs_redex, only_4s, case in _SUITES:
+        if only_4s and system != "4s":
+            continue
         passed = failed = 0
         notes = []
-        for i in range(n):
+        for i in range(count):
             rng = random.Random(str((seed, name, i)))
             try:
-                ok = fn(i, rng)
+                env, g = generate.random_term((seed, tag, i), system, size,
+                                              require_redex=needs_redex)
+                ok = case(system, env, g, rng)
             except Exception as exc:  # a crash is a failure with a note
                 ok = False
                 notes.append(f"case {i} raised {type(exc).__name__}: {exc}")
@@ -196,40 +213,4 @@ def run_suites(seed=1, count=50, system="4s", size=26):
                 if len(notes) < 5:
                     notes.append(f"case {i} failed (seed {seed})")
         results[name] = (passed, failed, notes)
-
-    def sr_case(i, rng):
-        env, g = generate.random_term((seed, "sr", i), system, size,
-                                      require_redex=True)
-        return subject_reduction_case(system, env, g, rng)
-
-    suite("subject-reduction", sr_case)
-
-    if system == "4s":
-        def wl_case(i, rng):
-            env, g = generate.random_term((seed, "wl", i), system, size,
-                                          require_redex=True)
-            return weight_laws_case(g, rng)
-
-        suite("weight-decrease", wl_case)
-
-        def or_case(i, rng):
-            _, g = generate.random_term((seed, "or", i), system, size)
-            return oracle_agreement_case(g)
-
-        suite("metrics-oracle", or_case)
-
-        def join_case(i, rng):
-            _, g = generate.random_term((seed, "join", i), system, size,
-                                        require_redex=True)
-            return joinability_case(g, rng)
-
-        suite("joinability", join_case)
-
-    def dia_case(i, rng):
-        _, g = generate.random_term((seed, "dia", i), system, size,
-                                    require_redex=True)
-        return lbl_diamond_case(g, rng)
-
-    suite("lbl-diamond", dia_case)
-
     return results

@@ -297,9 +297,9 @@ def _first_redex(g: TermGraph, node: Node, budget, whole=True):
     return Redex(path_of(at), "i" * k, kind), charge
 
 
-def has_any_redex(g: TermGraph) -> bool:
-    """Whether the unfolding contains a redex anywhere, decided on the
-    graph (every unfolding occurrence is a reachable graph node)."""
+def _graph_nodes(g: TermGraph):
+    """Each node of ``g``'s reachable definitions, once: references
+    aside, exactly the nodes that occur in the unfolding."""
     seen = set()
     todo = [g.defs[name] for name in g.reachable_defs()]
     while todo:
@@ -307,10 +307,14 @@ def has_any_redex(g: TermGraph) -> bool:
         if id(n) in seen:
             continue
         seen.add(id(n))
-        if redex_kind_at(g, n):
-            return True
+        yield n
         todo.extend(children(n))
-    return False
+
+
+def has_any_redex(g: TermGraph) -> bool:
+    """Whether the unfolding contains a redex anywhere, decided on the
+    graph (:func:`_graph_nodes`)."""
+    return any(redex_kind_at(g, n) for n in _graph_nodes(g))
 
 
 def _descend(g: TermGraph, node: Node, path):
@@ -440,23 +444,22 @@ def _admissible(redexes):
             if not any(r.level[:k] in levels for k in range(len(r.level)))]
 
 
-def step_lbl(g: TermGraph, max_depth=256, budget=DEFAULT_BUDGET):
+def step_lbl(g: TermGraph, budget=DEFAULT_BUDGET):
     """One level-by-level step: the leftmost admissible redex at the
     outermost non-normal level.  Returns (graph, redex) or None.
 
     The first redex in :func:`level_key` order is admissible: every
-    proper prefix of its level sorts before it."""
+    proper prefix of its level sorts before it.  A redex of the graph
+    (:func:`has_any_redex`) lies at a finite depth, where the search by
+    depth ends."""
     if not has_any_redex(g):
         return None
-    for d in range(max_depth + 1):
-        if d:
-            r = (redexes_within_depth(g, d, budget) or [None])[0]
-        else:
-            r, _ = _first_redex(g, g.root_body(), budget)
-        if r is not None:
-            return contract(g, r), r
-    raise BudgetExceededError(
-        f"no redex found at depth <= {max_depth} despite the graph holding one")
+    r, _ = _first_redex(g, g.root_body(), budget)
+    d = 0
+    while r is None:
+        d += 1
+        r = (redexes_within_depth(g, d, budget) or [None])[0]
+    return contract(g, r), r
 
 
 def _never_fires(g: TermGraph, node: App, box_heads=False):
@@ -489,13 +492,14 @@ def _never_fires(g: TermGraph, node: App, box_heads=False):
     return None
 
 
-def find_deadlock(g: TermGraph, *, max_depth=None, max_height=None,
-                  budget=DEFAULT_BUDGET, include_box_heads=False):
+def find_deadlock(g: TermGraph, *, max_depth=None, budget=DEFAULT_BUDGET,
+                  include_box_heads=False):
     """The path of the first application in a :func:`walk` of ``g``
     that can never fire (:func:`_never_fires`, box heads on request) and
-    the reason, or None."""
-    for node, at, level in walk(g, max_depth=max_depth, max_height=max_height,
-                                budget=budget):
+    the reason, or None.  No caller in the package is left: it stays as
+    the tests' oracle of the evaluator's deadlock walk and as a span of
+    the benchmark's tracer."""
+    for node, at, level in walk(g, max_depth=max_depth, budget=budget):
         if type(node) is App and (
                 why := _never_fires(g, node, include_box_heads)):
             return path_of(at), why
@@ -743,20 +747,21 @@ def _evaluate(g, depth, fuel, budget, on_step):
         return g, None, stats
 
 
-def classify(g: TermGraph, height_bound=DEFAULT_HEIGHT,
-             budget=DEFAULT_BUDGET) -> str:
-    """'normal', 'reducible', or 'deadlocked' within the height bound.
+def classify(g: TermGraph) -> str:
+    """'normal', 'reducible', or 'deadlocked', decided on the graph in
+    one pass over the nodes of its reachable definitions
+    (:func:`_graph_nodes`), with no bound on height or depth.
 
     Redexes take priority: a term that still reduces is reducible even
-    if an unusable application is already visible.
-    """
-    if find_redexes(g, height_bound, budget):
-        return "reducible"
-    dead = find_deadlock(g, max_height=height_bound, budget=budget,
-                         include_box_heads=True)
-    if dead is not None:
-        return "deadlocked"
-    return "normal"
+    if an unusable application (:func:`_never_fires`, box heads
+    included) is already visible."""
+    dead = False
+    for n in _graph_nodes(g):
+        if type(n) is App:
+            if redex_kind_at(g, n):
+                return "reducible"
+            dead = dead or _never_fires(g, n, True) is not None
+    return "deadlocked" if dead else "normal"
 
 
 def format_step(index: int, r: Redex, human=False) -> str:

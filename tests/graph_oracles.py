@@ -43,6 +43,10 @@
   back, repeats included: the earlier production route, kept as the
   oracle of :func:`llinf.encodings.scott_decode`, which evaluates each
   distinct contents once.
+* The classification of a term by walks of its unfolding to height
+  64, first for a redex and then for an application that can never
+  fire: the earlier production route, kept as the oracle of
+  :func:`llinf.reduction.classify`, which decides on the graph.
 * Height-bounded unfolding and truncation, for coherence checks.
 * Random systems of several definitions that reference each other under
   boxes and binders, cycles included, for the passes over the reference
@@ -753,6 +757,18 @@ def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
                 if max_depth is None or level_depth(level) < max_depth:
                     stack.append((g.resolve(b), (at, BOXED), level + "c",
                                   height))
+
+
+def classify(g: TermGraph, height=64) -> str:
+    """'normal', 'reducible', or 'deadlocked' within the height; a redex
+    wins over an application that can never fire."""
+    nodes = [node for node, _, _ in walk(g, max_height=height)]
+    if any(reduction.redex_kind_at(g, node) for node in nodes):
+        return "reducible"
+    if any(type(node) is App and reduction._never_fires(g, node, True)
+           for node in nodes):
+        return "deadlocked"
+    return "normal"
 
 
 def project_depth(g: TermGraph, depth: int, budget: int = DEFAULT_BUDGET) -> Node:

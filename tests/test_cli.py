@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import llinf
+from llinf import metrics
 from llinf.cli import main
 from llinf.surface import parse_program
 
@@ -262,7 +263,20 @@ def test_weight_budget_exit():
     assert r.exit_code == 2
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
-    assert "error: depth-1 region exceeds 2 nodes" in r.output
+    assert "error: depth-3 region exceeds 2 nodes" in r.output
+
+
+def test_weight_makes_one_profile_per_run(monkeypatch):
+    calls = []
+    plain = metrics.weight_profile
+    monkeypatch.setattr(metrics, "weight_profile",
+                        lambda g, top, *rest: calls.append(top)
+                        or plain(g, top, *rest))
+    r = run(["weight", "--depths", "0..2", "cyc.lli"], {"cyc.lli": CYCLIC})
+    assert r.exit_code == 0, r.output
+    assert r.output.splitlines()[1:] == ["0\t2\t1\t1", "1\t2\t1\t1",
+                                         "2\t2\t1\t1"]
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("depths", ["x..2", "1.5", "2..", "-1..1", "-1", "3..1"])

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from llinf import generate
 from llinf.errors import LLinfError
 from llinf.lam import (
-    DepthFlags, check_labc, embed_cbv, embed_girard, find_beta_redexes,
-    lbeta_step, simulate_cbv, simulate_girard,
+    DepthFlags, SimReport, check_labc, embed_cbv, embed_girard,
+    find_beta_redexes, lbeta_step, simulate_cbv, simulate_girard,
 )
 from llinf.surface import parse_lambda_program, parse_program
 from llinf.terms import graph_bisimilar, substitute
@@ -156,6 +156,22 @@ def test_simulate_girard_examples():
     assert simulate_girard(om, 0, 5).ok
     cyc = lparse("def M = x ((\\y. y) M) ; root M")
     assert simulate_girard(cyc, 1, 3).ok
+
+
+def test_simulations_take_a_step_at_flag_depth_70():
+    # the redex sits under 70 arguments, at flag depth 70 in lambda-001
+    g = lparse("def M = " + "f (" * 70 + "(\\x. x) y" + ")" * 70
+               + " ; root M ; flags 001")
+    assert lbeta_step(g, DepthFlags(0, 0, 1), 70) is not None
+    for rep in (simulate_girard(g, 1, 3), simulate_cbv(g, 0, 1, 3)):
+        assert rep == SimReport(True, 1, "source term is normal")
+
+
+def test_simulate_cbv_rejects_a_term_that_is_not_pure_lambda():
+    # the redex under the box is one no flag-depth search reaches
+    g = parse_program("def M = y #((\\x. x) z) ; root M")
+    with pytest.raises(LLinfError, match="contains a box"):
+        simulate_cbv(g, 0, 1, 3)
 
 
 def test_simulate_cbv_all_flag_pairs():

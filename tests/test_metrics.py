@@ -318,6 +318,20 @@ def test_profile_matches_tree_metrics(budget):
     assert raised  # rho's region is infinite at any budget
 
 
+def test_a_profiles_rows_are_those_of_the_smaller_profiles():
+    """``llinf weight`` prints every row of a range from the profile of
+    its top depth: each row equals the one a profile to that depth
+    gives."""
+    for name, g in _metric_corpus():
+        big = _outcome(weight_profile, g, 5)
+        if not isinstance(big, metrics.WeightProfile):
+            continue        # rho: its depth-0 region is infinite
+        for m in range(6):
+            p = weight_profile(g, m)
+            assert (big.size[m], big.df[m], big.h[m], big.twei(m)) == (
+                p.size[m], p.df[m], p.h[m], p.twei(m)), (name, m)
+
+
 def _fixpoint_run():
     defs = {}
     x = import_defs(defs, encodings.guarded_fixpoint())

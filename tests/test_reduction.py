@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graph_oracles
-from llinf import encodings, generate, metrics, properties, reduction, terms
+from llinf import (
+    cli, encodings, generate, metrics, properties, reduction, terms,
+)
 from llinf.errors import BudgetExceededError, InvalidPositionError, LLinfError
 from llinf.reduction import (
     Redex, classify, contract, eval_lbl, find_deadlock, find_redexes,
@@ -205,6 +207,35 @@ def test_classify_open_mismatch_is_not_deadlock():
     # a free-variable argument might be anything: normal, not deadlocked
     g2 = parse("def A = (\\!x. x) y ; root A")
     assert classify(g2) == "normal"
+
+
+def _nested(k, redex):
+    """``f (f (... redex))`` with ``k`` applications of ``f``."""
+    return parse("def M = " + "f (" * k + redex + ")" * k + " ; root M")
+
+
+def test_classify_decides_on_the_graph():
+    # the applications put each redex at height 70, past the oracle's 64
+    assert classify(_nested(70, "(\\x. x) y")) == "reducible"
+    assert classify(_nested(70, "(\\!x. x) #y")) == "deadlocked"
+    assert graph_oracles.classify(_nested(70, "(\\x. x) y")) == "normal"
+
+
+def test_classify_agrees_with_the_height_capped_oracle():
+    """Every bundled example and generated term lies within the
+    oracle's height 64, where the two classifications agree."""
+    graphs = [g for _, (g, _) in sorted(cli._example_expectations().items())]
+    graphs += [_nested(k, redex) for k in (0, 1, 60) for redex in (
+        "(\\x. x) y", "(\\!x. x) #y", "(#(\\z. z)) (\\w. w)")]
+    graphs += [generate.random_term(("classify", seed), system, size)[1]
+               for system in ("llinf", "4s") for seed in range(40)
+               for size in (12, 30)]
+    verdicts = set()
+    for g in graphs:
+        want = graph_oracles.classify(g)
+        assert classify(g) == want, format_graph(g)
+        verdicts.add(want)
+    assert verdicts == {"normal", "reducible", "deadlocked"}
 
 
 def test_find_deadlock_kind_mismatch_only_for_eval(ex):
@@ -846,6 +877,13 @@ def test_step_lbl_takes_depth_0_from_the_first_redex_search(monkeypatch, ex):
         got = _outcome(lambda: (step_lbl(g, budget=3_000) or (None, None))[1])
         assert got == _outcome(by_depth, g)
     assert 0 not in depths and 1 in depths
+
+
+def test_step_lbl_finds_a_redex_under_300_boxes():
+    g = parse("def M = " + "#(" * 300 + "(\\x. x) y" + ")" * 300 + " ; root M")
+    _, r = step_lbl(g)
+    assert r == Redex(("box",) * 300, "c" * 300, "linear")
+    assert r.depth == 300
 
 
 def test_step_lbl_on_a_graph_without_redexes_needs_no_budget(rho):
