@@ -19,16 +19,17 @@ argument boxed with kind ``b``) which needs exactly two.
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 
 from .errors import BudgetExceededError, LLinfError
 from .terms import (
     App, Box, Lam, Ref, TermGraph, Var,
     ARG, BODY, BOXED, FN,
     COIND, IND, LIN,
-    DEFAULT_BUDGET, children, fresh_name, graph_bisimilar, rebuild,
+    DEFAULT_BUDGET, children, graph_bisimilar, rebuild,
 )
 from .reduction import (
-    Redex, contract, find_redexes, has_any_redex, level_at, path_of,
+    Redex, _graph_nodes, contract, level_at, path_of, redex_kind_at,
 )
 from .wellform import CheckReport, _inductive_cycle
 from . import surface
@@ -55,10 +56,14 @@ def _box_kind(bit):
 
 
 def require_pure_lambda(g: TermGraph):
+    seen = set()        # each node once, however many paths reach it
     for name, body in g.defs.items():
         todo = [body]
         while todo:
             n = todo.pop()
+            if id(n) in seen:
+                continue
+            seen.add(id(n))
             if type(n) is Box:
                 raise LLinfError(
                     f"definition {name!r} contains a box; not a pure lambda term")
@@ -202,14 +207,15 @@ def embed_cbv(g: TermGraph, a: int, b: int) -> TermGraph:
     alam = COIND if a else IND
     blam = COIND if b else IND
     used = set(g.all_names())
+    # the names fresh_name("w", ...) would draw, one after another
+    fresh = (w for w in map("w{}".format, count(1)) if w not in used)
 
     def visit(node, ctx):
         match node:
             case Var(_) | Ref(_):
                 return node, None
             case App(f, x):
-                w = fresh_name("w", used)
-                used.add(w)
+                w = next(fresh)
                 return (lambda fn, arg: App(Lam(alam, w, Var(w)),
                                             App(fn, Box(bkind, arg))),
                         [(f, ctx), (x, ctx)])
@@ -221,58 +227,24 @@ def embed_cbv(g: TermGraph, a: int, b: int) -> TermGraph:
 
 
 def girard_image_path(path):
-    out = []
-    for sel in path:
-        if sel == FN:
-            out.append(FN)
-        elif sel == ARG:
-            out.extend((ARG, BOXED))
-        else:
-            out.append(BODY)
-    return tuple(out)
+    """The target position of a source position: an argument side also
+    crosses the box around the argument."""
+    return tuple(s for sel in path
+                 for s in ((ARG, BOXED) if sel == ARG else (sel,)))
 
 
-def girard_source_path(path):
-    """Inverse of the Girard position map; None when not an image."""
-    out = []
-    i = 0
-    while i < len(path):
-        sel = path[i]
-        if sel == FN:
-            out.append(FN)
-            i += 1
-        elif sel == ARG:
-            if i + 1 >= len(path) or path[i + 1] != BOXED:
-                return None
-            out.append(ARG)
-            i += 2
-        elif sel == BODY:
-            out.append(BODY)
-            i += 1
-        else:
-            return None
-    return tuple(out)
+_CBV_IMAGE = {FN: (ARG, FN), ARG: (ARG, ARG, BOXED), BODY: (BODY, BOXED)}
 
 
 def cbv_image_paths(path):
     """Positions of the two target redexes simulating a source step:
     the application image (inner redex) and its identity wrapper."""
-    wrapper = []
-    for sel in path:
-        if sel == FN:
-            wrapper.extend((ARG, FN))
-        elif sel == ARG:
-            wrapper.extend((ARG, ARG, BOXED))
-        else:
-            wrapper.extend((BODY, BOXED))
-    return tuple(wrapper) + (ARG,), tuple(wrapper)
+    wrapper = tuple(s for sel in path for s in _CBV_IMAGE[sel])
+    return wrapper + (ARG,), wrapper
 
 
 # ---------------------------------------------------------------------------
 # simulation checking
-
-_WINDOW = 24    # height of simulate_girard's completeness check
-
 
 @dataclass
 class SimReport:
@@ -287,15 +259,44 @@ class SimReport:
 def _leftmost_source_redex(g, flags):
     """The leftmost beta redex at the least flag depth that holds one,
     with that depth, or ``(None, None)`` when ``g``, a pure lambda graph,
-    is normal.  On such a graph :func:`~llinf.reduction.has_any_redex`
-    is exactly "has a beta redex", which lies at a finite flag depth,
-    where the search by depth ends."""
-    if not has_any_redex(g):
-        return None, None
-    d = 0
-    while not (rs := find_beta_redexes(g, flags, d)):
-        d += 1
-    return rs[0], d
+    is normal.  That depth is the least flag depth of a redex node of the
+    graph (:func:`~llinf.reduction._graph_nodes` with the flags' rule),
+    so one search at it finds the redex."""
+    def deeper(node):
+        return (flags.b, flags.c) if type(node) is App else (flags.a,)
+
+    for node, d in _graph_nodes(g, deeper):
+        if redex_kind_at(g, node):
+            return find_beta_redexes(g, flags, d)[0], d
+    return None, None
+
+
+def _girard_mismatch(g: TermGraph, target: TermGraph):
+    """Why ``target`` fails as the Girard image of ``g``, or None.  One
+    pass over each definition body of ``g`` beside its image finds a
+    node that is not the image of the source node beside it, or a target
+    redex whose source node is not a redex, at any position."""
+    seen = set()
+    todo = [(body, target.defs[name]) for name, body in g.defs.items()]
+    while todo:
+        s, t = todo.pop()
+        if (id(s), id(t)) in seen:
+            continue
+        seen.add((id(s), id(t)))
+        match s, t:
+            case App(f, x), App(tf, Box(_, tx)):
+                if redex_kind_at(target, t) and not redex_kind_at(g, s):
+                    return (f"target redex {surface.format_prefix(t, 48)} "
+                            "is the image of no source redex")
+                todo += (f, tf), (x, tx)
+            case Lam(_, _, b), Lam(_, _, tb):
+                todo.append((b, tb))
+            case (Var(v), Var(w)) | (Ref(v), Ref(w)) if v == w:
+                pass
+            case _:
+                return (f"target node {surface.format_prefix(t, 48)} "
+                        f"is not the image of {surface.format_prefix(s, 48)}")
+    return None
 
 
 def simulate_girard(g: TermGraph, a: int, steps: int) -> SimReport:
@@ -303,24 +304,16 @@ def simulate_girard(g: TermGraph, a: int, steps: int) -> SimReport:
 
     Each source step at depth ``n`` must map to one target step at depth
     ``n`` landing on the embedding of the source reduct; conversely every
-    redex of the embedded term must be the image of a source redex
-    (checked within height ``_WINDOW`` of the source term).
+    redex of the embedded term must be the image of a source redex, at
+    every position (:func:`_girard_mismatch`).
     """
     flags = DepthFlags(0, 0, a)
     kind = "coinductive" if a else "inductive"
     done = 0
     for _ in range(steps):
         target = embed_girard(g, a)
-        src_paths = {r.position for r in find_redexes(g, _WINDOW)}
-        for tr in find_redexes(target, 2 * _WINDOW):
-            back = girard_source_path(tr.position)
-            if back is None:
-                return SimReport(False, done,
-                                 f"target redex at {tr.position} is not an image")
-            if len(back) <= _WINDOW and back not in src_paths:
-                return SimReport(False, done,
-                                 f"target redex maps back to {back}, "
-                                 "which is not a source redex")
+        if why := _girard_mismatch(g, target):
+            return SimReport(False, done, why)
         src, depth = _leftmost_source_redex(g, flags)
         if src is None:
             return SimReport(True, done, "source term is normal")

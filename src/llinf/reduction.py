@@ -297,24 +297,31 @@ def _first_redex(g: TermGraph, node: Node, budget, whole=True):
     return Redex(path_of(at), "i" * k, kind), charge
 
 
-def _graph_nodes(g: TermGraph):
-    """Each node of ``g``'s reachable definitions, once: references
-    aside, exactly the nodes that occur in the unfolding."""
+def _graph_nodes(g: TermGraph,
+                 deeper=lambda n: (type(n) is Box and n.kind == COIND,) * 2):
+    """Each node of the unfolding of ``g``'s root body once (references
+    resolved: the nodes of the reachable definitions) with its least
+    depth, shallower depths first.  ``deeper(node)`` says, for each child
+    (:func:`~llinf.terms.children`; ``zip`` cuts the answer to them),
+    whether it lies one depth down: by default, a coinductive box's
+    contents.  Each depth is drained before the next."""
     seen = set()
-    todo = [g.defs[name] for name in g.reachable_defs()]
+    depth, todo, below = 0, [g.root_body()], []
     while todo:
-        n = todo.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        yield n
-        todo.extend(children(n))
+        n = g.resolve(todo.pop())
+        if id(n) not in seen:
+            seen.add(id(n))
+            yield n, depth
+            for child, down in zip(children(n), deeper(n)):
+                (below if down else todo).append(child)
+        if not todo:
+            depth, todo, below = depth + 1, below, []
 
 
 def has_any_redex(g: TermGraph) -> bool:
     """Whether the unfolding contains a redex anywhere, decided on the
     graph (:func:`_graph_nodes`)."""
-    return any(redex_kind_at(g, n) for n in _graph_nodes(g))
+    return any(redex_kind_at(g, n) for n, _ in _graph_nodes(g))
 
 
 def _descend(g: TermGraph, node: Node, path):
@@ -449,16 +456,15 @@ def step_lbl(g: TermGraph, budget=DEFAULT_BUDGET):
     outermost non-normal level.  Returns (graph, redex) or None.
 
     The first redex in :func:`level_key` order is admissible: every
-    proper prefix of its level sorts before it.  A redex of the graph
-    (:func:`has_any_redex`) lies at a finite depth, where the search by
-    depth ends."""
-    if not has_any_redex(g):
+    proper prefix of its level sorts before it.  Its depth is the least
+    depth of a redex node (:func:`_graph_nodes`), so one search of that
+    depth's region finds it.  Regions nest, so that search exceeds
+    ``budget`` exactly when a search of some region up to it would."""
+    d = next((d for n, d in _graph_nodes(g) if redex_kind_at(g, n)), None)
+    if d is None:
         return None
-    r, _ = _first_redex(g, g.root_body(), budget)
-    d = 0
-    while r is None:
-        d += 1
-        r = (redexes_within_depth(g, d, budget) or [None])[0]
+    r = (redexes_within_depth(g, d, budget)[0] if d
+         else _first_redex(g, g.root_body(), budget)[0])
     return contract(g, r), r
 
 
@@ -756,7 +762,7 @@ def classify(g: TermGraph) -> str:
     if an unusable application (:func:`_never_fires`, box heads
     included) is already visible."""
     dead = False
-    for n in _graph_nodes(g):
+    for n, _ in _graph_nodes(g):
         if type(n) is App:
             if redex_kind_at(g, n):
                 return "reducible"

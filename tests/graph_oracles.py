@@ -47,6 +47,10 @@
   64, first for a redex and then for an application that can never
   fire: the earlier production route, kept as the oracle of
   :func:`llinf.reduction.classify`, which decides on the graph.
+* The call-by-value embedding drawing each application's ``w`` name
+  with its own ``fresh_name`` probe from ``w1``: the earlier production
+  route, kept as the oracle of :func:`llinf.lam.embed_cbv`, which draws
+  them from one running counter.
 * Height-bounded unfolding and truncation, for coherence checks.
 * Random systems of several definitions that reference each other under
   boxes and binders, cycles included, for the passes over the reference
@@ -56,12 +60,12 @@
 import re
 from functools import partial
 
-from llinf import reduction
+from llinf import lam, reduction
 from llinf.reduction import level_depth
 from llinf.encodings import DecodeResult, FiniteTree
 from llinf.errors import (
     BudgetExceededError, CaptureError, DefinitionError, EncodingError,
-    InvalidPositionError, SurfaceSyntaxError,
+    InvalidPositionError, LLinfError, SurfaceSyntaxError,
 )
 from llinf.terms import (
     App, Box, Cut, CUT, Lam, Node, Ref, TermGraph, Var, IND, LIN, COIND,
@@ -769,6 +773,33 @@ def classify(g: TermGraph, height=64) -> str:
            for node in nodes):
         return "deadlocked"
     return "normal"
+
+
+def embed_cbv(g: TermGraph, a: int, b: int) -> TermGraph:
+    """The ``a0b`` call-by-value embedding, one ``fresh_name`` per
+    application."""
+    rep = lam.check_labc(g, lam.DepthFlags(a, 0, b))
+    if not rep:
+        raise LLinfError(f"input is not well-formed in lambda-{a}0{b}: {rep.reason}")
+    akind, bkind = (COIND if a else IND), (COIND if b else IND)
+    used = set(g.all_names())
+
+    def visit(node, ctx):
+        match node:
+            case Var(_) | Ref(_):
+                return node, None
+            case App(f, x):
+                w = fresh_name("w", used)
+                used.add(w)
+                return (lambda fn, arg: App(Lam(akind, w, Var(w)),
+                                            App(fn, Box(bkind, arg))),
+                        [(f, ctx), (x, ctx)])
+            case Lam(_, v, body):
+                return (lambda bd: Lam(bkind, v, Box(akind, bd))), [(body, ctx)]
+        raise TypeError(f"unexpected node {node!r}")
+
+    return TermGraph({name: rebuild(body, None, visit)
+                      for name, body in g.defs.items()}, g.root)
 
 
 def project_depth(g: TermGraph, depth: int, budget: int = DEFAULT_BUDGET) -> Node:

@@ -1,14 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llinf import generate
+import graph_oracles
+from llinf import generate, lam
 from llinf.errors import LLinfError
 from llinf.lam import (
     DepthFlags, SimReport, check_labc, embed_cbv, embed_girard,
     find_beta_redexes, lbeta_step, simulate_cbv, simulate_girard,
 )
-from llinf.surface import parse_lambda_program, parse_program
-from llinf.terms import graph_bisimilar, substitute
+from llinf.surface import format_graph, parse_lambda_program, parse_program
+from llinf.terms import (
+    App, Box, IND, LIN, Lam, TermGraph, Var, graph_bisimilar, substitute,
+)
 from llinf.wellform import check_llinf
 
 
@@ -204,3 +207,75 @@ def test_simulate_girard_regular():
         assert check_labc(g, DepthFlags(0, 0, 1)).accepted
         rep = simulate_girard(g, 1, 4)
         assert rep.ok, rep.detail
+
+
+# a redex under 2 000 arguments, at flag depth 2 000 in lambda-001, whose
+# contractum is a second redex at the same depth: two source steps
+DEEP_001 = ("def M = " + "f (" * 2000 + "(\\x. x) ((\\x. x) y)" + ")" * 2000
+            + " ; root M ; flags 001")
+
+
+def test_simulations_search_once_per_step_at_flag_depth_2000(monkeypatch):
+    plain = lam.find_beta_redexes
+    depths = []
+    monkeypatch.setattr(lam, "find_beta_redexes",
+                        lambda g, flags, d: depths.append(d) or plain(g, flags, d))
+    g = lparse(DEEP_001)
+    for simulate in (lambda: simulate_girard(g, 1, 5),
+                     lambda: simulate_cbv(g, 0, 1, 5)):
+        depths.clear()
+        assert simulate() == SimReport(True, 2, "source term is normal")
+        assert depths == [2000, 2000]
+
+
+def test_simulate_girard_checks_completeness_below_height_48(monkeypatch):
+    # the image of `x y` under 60 abstractions becomes a redex whose
+    # source is no redex; a check to height 48 would not see it
+    binders = "".join(f"\\x{i}. " for i in range(60))
+    g = lparse(f"def M = {binders}x0 y ; root M")
+    assert simulate_girard(g, 0, 3) == SimReport(True, 0, "source term is normal")
+    planted = parse_program(
+        "def M = " + binders.replace("\\", "\\!") + "(\\!z. z) !y ; root M")
+    monkeypatch.setattr(lam, "embed_girard", lambda g, a: planted)
+    rep = simulate_girard(g, 0, 3)
+    assert not rep.ok and rep.steps == 0
+    assert "is the image of no source redex" in rep.detail
+
+
+def test_require_pure_lambda_visits_each_node_once(monkeypatch):
+    b = Var("x")
+    for _ in range(16):
+        b = App(b, b)
+    g = TermGraph({"M": b}, "M")
+    plain = lam.children
+    visits = []
+    monkeypatch.setattr(lam, "children", lambda n: visits.append(n) or plain(n))
+    lam.require_pure_lambda(g)
+    assert len(visits) == 17
+
+
+def test_require_pure_lambda_names_the_first_definition():
+    # B reaches the plain abstraction A already walked, and the box on
+    # its argument side before the inductive abstraction
+    ident = Lam(LIN, "x", Var("x"))
+    bad = App(App(ident, Lam(IND, "x", Var("x"))), Box(IND, Var("z")))
+    g = TermGraph({"A": App(Var("y"), ident), "B": bad, "C": Box(IND, ident)},
+                  "A")
+    with pytest.raises(LLinfError, match="^definition 'B' contains a box;"):
+        lam.require_pure_lambda(g)
+    g = TermGraph({"A": App(Var("y"), ident), "C": bad.fn}, "A")
+    with pytest.raises(LLinfError,
+                       match="^definition 'C' contains a non-plain abstraction$"):
+        lam.require_pure_lambda(g)
+
+
+@pytest.mark.parametrize("ab", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_embed_cbv_matches_the_fresh_name_oracle(ab):
+    graphs = [generate.random_lambda(seed) for seed in range(40)]
+    graphs += [generate.random_regular_001(seed) for seed in range(5)]
+    graphs.append(lparse("def A = (\\w1. w1 w3) (y (w z)) ; def B = v A ; "
+                         "root B"))
+    for g in graphs:
+        if check_labc(g, DepthFlags(ab[0], 0, ab[1])):
+            assert format_graph(embed_cbv(g, *ab)) \
+                == format_graph(graph_oracles.embed_cbv(g, *ab))

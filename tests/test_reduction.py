@@ -886,6 +886,23 @@ def test_step_lbl_finds_a_redex_under_300_boxes():
     assert r.depth == 300
 
 
+def test_step_lbl_searches_once_under_2000_boxes(monkeypatch):
+    # the graph gives the redex's depth, so one walk of that region finds it
+    plain = reduction.redexes_within_depth
+    depths = []
+    monkeypatch.setattr(reduction, "redexes_within_depth",
+                        lambda g, d, budget=100_000:
+                        depths.append(d) or plain(g, d, budget))
+    g = parse("def M = " + "#(" * 2000 + "(\\x. x) y" + ")" * 2000 + " ; root M")
+    _, r = step_lbl(g)
+    assert r == Redex(("box",) * 2000, "c" * 2000, "linear")
+    assert depths == [2000]
+    # the budget error is the one of the depth-2000 region's walk
+    with pytest.raises(BudgetExceededError, match="exceeded 1500 nodes"):
+        step_lbl(g, budget=1_500)
+    assert depths == [2000, 2000]
+
+
 def test_step_lbl_on_a_graph_without_redexes_needs_no_budget(rho):
     # the depth-0 region of rho is infinite, but it holds no redex
     assert step_lbl(rho, budget=10) is None
