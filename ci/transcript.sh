@@ -17,7 +17,11 @@
 # program whose budget a box's share passes at depth 1 (exit 2), and
 # `check` on six files that do not parse (exit 3): a bad character after
 # a comment, an unclosed `(`, a missing root after a trailing `// c`,
-# `flags` in a term file, a duplicate definition and a `\x` with no `.`.
+# `flags` in a term file, a duplicate definition and a `\x` with no `.`,
+# and on the lambda file of a loop through argument sides, `check` with
+# its own flags and with `--flags 000` (exit 1) and both embeddings
+# under the flags that accept it and under ones that do not (exit 1),
+# then both embeddings of omega.
 # The output must be the same in any process, so two runs under
 # different hash seeds must print the same bytes, and those bytes are
 # pinned by their SHA-256 in ci/transcript.sha256 (a change that means
@@ -104,4 +108,15 @@ printf 'def M = x ;\ndef M = y ;\nroot M ;\n' > duplicate.lli
 printf 'def M = \\x x ;\nroot M ;\n' > no-dot.lli
 for name in bad-char unclosed trailing-comment flags duplicate no-dot; do
     run check "$name.lli"
+done
+printf 'def D = (\\x. x) (h D) ;\nroot D ;\nflags 001 ;\n' > loop.lam
+run check loop.lam
+run check --flags 000 loop.lam
+run embed --which girard --a 1 loop.lam
+run embed --which girard --a 0 loop.lam
+run embed --which cbv --a 0 --b 1 loop.lam
+run embed --which cbv --a 1 --b 0 loop.lam
+printf 'def O = (\\x. x x) (\\x. x x) ;\nroot O ;\n' > omega.lam
+for which in girard cbv; do
+    run embed --which $which omega.lam
 done

@@ -160,7 +160,12 @@ def lbeta_step(g: TermGraph, flags: DepthFlags, depth: int,
 # ---------------------------------------------------------------------------
 # embeddings
 
-def _map_defs(g, visit):
+def _map_defs(g, flags, visit):
+    """Rebuild each definition body of ``g`` with ``visit``, once ``g``
+    is a well-formed term of the calculus the flags select."""
+    rep = check_labc(g, flags)
+    if not rep:
+        raise LLinfError(f"input is not well-formed in lambda-{flags}: {rep.reason}")
     return TermGraph({name: rebuild(body, None, visit)
                       for name, body in g.defs.items()}, g.root)
 
@@ -171,11 +176,7 @@ def embed_girard(g: TermGraph, a: int) -> TermGraph:
     Arguments are boxed and abstractions re-kinded, both with the kind
     selected by ``a``; one source step maps to one target step.
     """
-    rep = check_labc(g, DepthFlags(0, 0, a))
-    if not rep:
-        raise LLinfError(f"input is not well-formed in lambda-00{a}: {rep.reason}")
     kind = _box_kind(a)
-    lamkind = COIND if a else IND
 
     def visit(node, ctx):
         match node:
@@ -185,10 +186,10 @@ def embed_girard(g: TermGraph, a: int) -> TermGraph:
                 return ((lambda fn, arg: App(fn, Box(kind, arg))),
                         [(f, ctx), (x, ctx)])
             case Lam(_, v, b):
-                return partial(Lam, lamkind, v), [(b, ctx)]
+                return partial(Lam, kind, v), [(b, ctx)]
         raise TypeError(f"unexpected node {node!r}")
 
-    return _map_defs(g, visit)
+    return _map_defs(g, DepthFlags(0, 0, a), visit)
 
 
 def embed_cbv(g: TermGraph, a: int, b: int) -> TermGraph:
@@ -199,13 +200,8 @@ def embed_cbv(g: TermGraph, a: int, b: int) -> TermGraph:
     costs depth exactly when ``a = 1``) and arguments with kind ``b``.
     One source step maps to exactly two target steps.
     """
-    rep = check_labc(g, DepthFlags(a, 0, b))
-    if not rep:
-        raise LLinfError(f"input is not well-formed in lambda-{a}0{b}: {rep.reason}")
     akind = _box_kind(a)
     bkind = _box_kind(b)
-    alam = COIND if a else IND
-    blam = COIND if b else IND
     used = set(g.all_names())
     # the names fresh_name("w", ...) would draw, one after another
     fresh = (w for w in map("w{}".format, count(1)) if w not in used)
@@ -216,14 +212,14 @@ def embed_cbv(g: TermGraph, a: int, b: int) -> TermGraph:
                 return node, None
             case App(f, x):
                 w = next(fresh)
-                return (lambda fn, arg: App(Lam(alam, w, Var(w)),
+                return (lambda fn, arg: App(Lam(akind, w, Var(w)),
                                             App(fn, Box(bkind, arg))),
                         [(f, ctx), (x, ctx)])
             case Lam(_, v, body):
-                return (lambda b: Lam(blam, v, Box(akind, b))), [(body, ctx)]
+                return (lambda b: Lam(bkind, v, Box(akind, b))), [(body, ctx)]
         raise TypeError(f"unexpected node {node!r}")
 
-    return _map_defs(g, visit)
+    return _map_defs(g, DepthFlags(a, 0, b), visit)
 
 
 def girard_image_path(path):
@@ -299,68 +295,67 @@ def _girard_mismatch(g: TermGraph, target: TermGraph):
     return None
 
 
-def simulate_girard(g: TermGraph, a: int, steps: int) -> SimReport:
-    """Run paired steps and verify the perfect-simulation properties.
+def _simulate(g, flags, embed, image_redexes, mismatch, steps):
+    """Run up to ``steps`` leftmost source steps of ``g`` in the calculus
+    of the flags, each beside its image steps on ``embed(g)``.
 
-    Each source step at depth ``n`` must map to one target step at depth
-    ``n`` landing on the embedding of the source reduct; conversely every
-    redex of the embedded term must be the image of a source redex, at
-    every position (:func:`_girard_mismatch`).
+    ``image_redexes(position)`` lists the target redexes that simulate a
+    source step there, in order, and ``mismatch(g, target)``, if given,
+    says why ``target`` is not the image of ``g``.  The source is
+    embedded once before the first search, so an ill-formed source is
+    rejected before any search, and the embedding a step's images must
+    land on is the next step's target: one embedding per step, plus
+    one.  Each image redex must sit at the source step's depth, read on
+    the target before any image step.
     """
-    flags = DepthFlags(0, 0, a)
-    kind = "coinductive" if a else "inductive"
+    target = embed(g)
     done = 0
     for _ in range(steps):
-        target = embed_girard(g, a)
-        if why := _girard_mismatch(g, target):
+        if mismatch and (why := mismatch(g, target)):
             return SimReport(False, done, why)
         src, depth = _leftmost_source_redex(g, flags)
         if src is None:
             return SimReport(True, done, "source term is normal")
         g2 = contract(g, src)
-        image = Redex(girard_image_path(src.position), "", kind)
-        tlevel = level_at(target, image.position)
-        # flag depth counts coinductive crossings exactly when a = 1, so
-        # the image level's depth must equal the source step's depth
-        if tlevel.count("c") != depth:
-            return SimReport(False, done,
-                             f"image step level {tlevel!r} does not match depth {depth}")
-        t2 = contract(target, image)
-        if not graph_bisimilar(t2, embed_girard(g2, a)):
-            return SimReport(False, done, "image step does not land on the "
+        images = image_redexes(src.position)
+        # flag depth counts the crossings the embedding boxes
+        # coinductively, so an image level's depth is the source depth
+        for image in images:
+            lv = level_at(target, image.position)
+            if lv.count("c") != depth:
+                return SimReport(False, done, f"image step at level {lv!r} "
+                                              f"is not at depth {depth}")
+        t2 = target
+        for image in images:
+            t2 = contract(t2, image)
+        target = embed(g2)
+        if not graph_bisimilar(t2, target):
+            return SimReport(False, done, "image steps do not land on the "
                                           "embedding of the source reduct")
         g = g2
         done += 1
     return SimReport(True, done)
+
+
+def simulate_girard(g: TermGraph, a: int, steps: int) -> SimReport:
+    """Check the perfect simulation (:func:`_simulate`): each source step
+    at depth ``n`` maps to one target step at depth ``n``, and every
+    redex of each embedded term is the image of a source redex, at every
+    position (:func:`_girard_mismatch`)."""
+    kind = "coinductive" if a else "inductive"
+    return _simulate(g, DepthFlags(0, 0, a), lambda h: embed_girard(h, a),
+                     lambda p: (Redex(girard_image_path(p), "", kind),),
+                     _girard_mismatch, steps)
 
 
 def simulate_cbv(g: TermGraph, a: int, b: int, steps: int) -> SimReport:
-    """Run paired steps for the two-step (imperfect) simulation."""
-    require_pure_lambda(g)      # steps keep it pure
-    flags = DepthFlags(a, 0, b)
-    done = 0
-    for _ in range(steps):
-        src, depth = _leftmost_source_redex(g, flags)
-        if src is None:
-            return SimReport(True, done, "source term is normal")
-        g2 = contract(g, src)
-        target = embed_cbv(g, a, b)
-        inner_path, wrapper_path = cbv_image_paths(src.position)
-        # both image steps sit at the source step's depth: abstraction
-        # crossings cost a box of kind a, argument crossings kind b
-        for p in (inner_path, wrapper_path):
-            lv = level_at(target, p)
-            if lv.count("c") != depth:
-                return SimReport(False, done,
-                                 f"image step at level {lv!r} is not at "
-                                 f"depth {depth}")
-        inner = Redex(inner_path, "", "coinductive" if b else "inductive")
-        t1 = contract(target, inner)
-        wrapper = Redex(wrapper_path, "", "coinductive" if a else "inductive")
-        t2 = contract(t1, wrapper)
-        if not graph_bisimilar(t2, embed_cbv(g2, a, b)):
-            return SimReport(False, done, "two image steps do not land on the "
-                                          "embedding of the source reduct")
-        g = g2
-        done += 1
-    return SimReport(True, done)
+    """Check the two-step simulation (:func:`_simulate`): each source
+    step at depth ``n`` maps to the inner redex, then its identity
+    wrapper, both at depth ``n``."""
+    def image_redexes(p):
+        inner, wrapper = cbv_image_paths(p)
+        return (Redex(inner, "", "coinductive" if b else "inductive"),
+                Redex(wrapper, "", "coinductive" if a else "inductive"))
+
+    return _simulate(g, DepthFlags(a, 0, b), lambda h: embed_cbv(h, a, b),
+                     image_redexes, None, steps)

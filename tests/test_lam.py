@@ -279,3 +279,32 @@ def test_embed_cbv_matches_the_fresh_name_oracle(ab):
         if check_labc(g, DepthFlags(ab[0], 0, ab[1])):
             assert format_graph(embed_cbv(g, *ab)) \
                 == format_graph(graph_oracles.embed_cbv(g, *ab))
+
+
+def test_simulations_embed_and_check_each_reduct_once(monkeypatch):
+    # one embedding and one well-formation check per step, plus one for
+    # the source: the embedding a step lands on is the next step's target
+    calls = []
+    for name in ("embed_girard", "embed_cbv", "check_labc"):
+        plain = getattr(lam, name)
+        monkeypatch.setattr(lam, name, lambda *args, name=name, plain=plain:
+                            calls.append(name) or plain(*args))
+    om = lparse("def O = (\\x. x x) (\\x. x x) ; root O")
+    for simulate, embed in ((lambda: simulate_girard(om, 0, 10), "embed_girard"),
+                            (lambda: simulate_cbv(om, 0, 0, 10), "embed_cbv")):
+        calls.clear()
+        assert simulate() == SimReport(True, 10)
+        assert calls.count(embed) == 11 and calls.count("check_labc") == 11
+        assert len(calls) == 22
+
+
+@pytest.mark.parametrize("text", ["def D = h D ; root D",
+                                  "def D = (\\x. x) (h D) ; root D"])
+def test_simulations_reject_an_ill_formed_source_before_searching(text):
+    # D's loop crosses only argument sides, which lambda-000 does not
+    # count; the second D has a redex whose depth-0 region is infinite
+    g = lparse(text)
+    with pytest.raises(LLinfError, match="not well-formed in lambda-000"):
+        simulate_cbv(g, 0, 0, 3)
+    with pytest.raises(LLinfError, match="not well-formed in lambda-000"):
+        simulate_girard(g, 0, 3)
