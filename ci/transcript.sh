@@ -21,7 +21,9 @@
 # and on the lambda file of a loop through argument sides, `check` with
 # its own flags and with `--flags 000` (exit 1) and both embeddings
 # under the flags that accept it and under ones that do not (exit 1),
-# then both embeddings of omega.
+# then both embeddings of omega, and `check` under each of the eight
+# flag triples on a lambda file with a loop through an abstraction body
+# on the function side and one on the argument side.
 # The output must be the same in any process, so two runs under
 # different hash seeds must print the same bytes, and those bytes are
 # pinned by their SHA-256 in ci/transcript.sha256 (a change that means
@@ -119,4 +121,8 @@ run embed --which cbv --a 1 --b 0 loop.lam
 printf 'def O = (\\x. x x) (\\x. x x) ;\nroot O ;\n' > omega.lam
 for which in girard cbv; do
     run embed --which $which omega.lam
+done
+printf 'def T = (C d) B ;\ndef C = \\x. C ;\ndef B = \\y. B ;\nroot T ;\n' > loops.lam
+for flags in 000 001 010 011 100 101 110 111; do
+    run check --flags $flags loops.lam
 done

@@ -49,9 +49,11 @@ def _load_graph(path):
 class _Main(click.Group):
     """The command group.  Click's usage errors, its own and its
     commands', exit with ``EXIT_USAGE`` rather than click's 2, which here
-    means fuel or budget exhaustion.  Any other exception a command
-    raises, but click's own and an interrupt, is an internal error and
-    exits with ``EXIT_INTERNAL``."""
+    means fuel or budget exhaustion.  A command that runs out of budget
+    (:class:`~llinf.errors.BudgetExceededError`) exits with
+    ``EXIT_EXHAUSTED``.  Any other exception a command raises, but
+    click's own and an interrupt, is an internal error and exits with
+    ``EXIT_INTERNAL``."""
 
     def make_context(self, info_name, args, parent=None, **extra):
         with _usage_exit():
@@ -63,6 +65,8 @@ class _Main(click.Group):
                 return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise       # Exit and Abort subclass RuntimeError
+        except BudgetExceededError as exc:
+            _fail(EXIT_EXHAUSTED, str(exc))
         except Exception as exc:
             click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)
@@ -147,10 +151,7 @@ def check(system, env_text, flags_text, infer, path):
 def eval_cmd(depth, fuel, budget, path):
     """Evaluate level by level and print the depth projection."""
     g, _ = _load_graph(path)
-    try:
-        _, tree, stats = reduction.eval_lbl(g, depth, fuel, budget)
-    except BudgetExceededError as exc:
-        _fail(EXIT_EXHAUSTED, str(exc))
+    _, tree, stats = reduction.eval_lbl(g, depth, fuel, budget)
     if tree is not None:    # None: stuck, with a projection past the budget
         click.echo(surface.format_node(tree))
     steps = " ".join(f"{d}:{n}" for d, n in sorted(stats.steps_per_depth.items()))
@@ -181,10 +182,7 @@ def _stopped(stats):
 def trace(depth, fuel, budget, human, path):
     """Print one line per level-by-level step."""
     g, _ = _load_graph(path)
-    try:
-        _, _, stats, records = reduction.run_lbl_trace(g, depth, fuel, budget)
-    except BudgetExceededError as exc:
-        _fail(EXIT_EXHAUSTED, str(exc))
+    _, _, stats, records = reduction.run_lbl_trace(g, depth, fuel, budget)
     for i, rec in enumerate(records):
         click.echo(reduction.format_step(i, rec, human))
     click.echo(f"outcome: {stats.outcome}")
@@ -211,10 +209,7 @@ def weight(depths, budget, path):
     if not span:
         _fail(EXIT_USAGE, f"--depths {depths!r} ends below its start")
     click.echo("depth\tsize\tdf\ttwei")
-    try:
-        p = metrics.weight_profile(g, span[-1], budget)
-    except BudgetExceededError as exc:
-        _fail(EXIT_EXHAUSTED, str(exc))
+    p = metrics.weight_profile(g, span[-1], budget)
     for m in span:
         click.echo(f"{m}\t{p.size[m]}\t{p.df[m]}\t{p.twei(m)}")
     sys.exit(EXIT_OK)
@@ -278,8 +273,6 @@ def decode(alphabet, sig_text, mode, bound, fuel, path):
         res = encodings.scott_decode(g, sig, mode, bound, fuel)
     except encodings.EncodingError as exc:
         _fail(EXIT_NEGATIVE, str(exc))
-    except BudgetExceededError as exc:
-        _fail(EXIT_EXHAUSTED, str(exc))
     if sig_text:
         click.echo(str(res.tree))
     else:

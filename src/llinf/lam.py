@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import count
 
-from .errors import BudgetExceededError, LLinfError
+from .errors import LLinfError
 from .terms import (
     App, Box, Lam, Ref, TermGraph, Var,
     ARG, BODY, BOXED, FN,
@@ -29,7 +29,7 @@ from .terms import (
     DEFAULT_BUDGET, children, graph_bisimilar, rebuild,
 )
 from .reduction import (
-    Redex, _graph_nodes, contract, level_at, path_of, redex_kind_at,
+    Redex, _graph_nodes, contract, level_at, path_of, redex_kind_at, walk,
 )
 from .wellform import CheckReport, _inductive_cycle
 from . import surface
@@ -49,6 +49,13 @@ class DepthFlags:
 
     def __str__(self):
         return f"{self.a}{self.b}{self.c}"
+
+    @property
+    def marks(self):
+        """What crossing into a function side, an argument side and an
+        abstraction body adds to a level (:func:`~llinf.reduction.walk`):
+        a ``c`` where the flag says depth increases."""
+        return "c" * self.b, "c" * self.c, "c" * self.a
 
 
 def _box_kind(bit):
@@ -81,6 +88,7 @@ def check_labc(g: TermGraph, flags: DepthFlags) -> CheckReport:
     a depth-increasing position.
     """
     require_pure_lambda(g)
+    fn_mark, arg_mark, body_mark = flags.marks
     # number the nodes in preorder, function side first: the numbering
     # fixes which loop a rejection reports
     idx = {}
@@ -95,9 +103,9 @@ def check_labc(g: TermGraph, flags: DepthFlags) -> CheckReport:
         nodes.append(node)
         match node:
             case App(f, a):
-                out = ((g.resolve(f), flags.b == 1), (g.resolve(a), flags.c == 1))
+                out = ((g.resolve(f), fn_mark), (g.resolve(a), arg_mark))
             case Lam(_, _, b):
-                out = ((g.resolve(b), flags.a == 1),)
+                out = ((g.resolve(b), body_mark),)
             case _:
                 out = ()
         outs.append(out)
@@ -114,38 +122,16 @@ def check_labc(g: TermGraph, flags: DepthFlags) -> CheckReport:
     return CheckReport(True, f"lambda-{flags}", states=len(nodes))
 
 
-def lwalk(g: TermGraph, flags: DepthFlags, max_depth, budget=DEFAULT_BUDGET):
-    """Preorder traversal with flag-counted depth, not descending past
-    ``max_depth``; yields (node, parent link, depth) as
-    :func:`~llinf.reduction.walk` does."""
-    stack = [(g.resolve(g.root_body()), (), 0)]
-    visited = 0
-    while stack:
-        node, at, depth = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise BudgetExceededError(f"traversal exceeded {budget} nodes")
-        yield node, at, depth
-        match node:
-            case App(f, a):
-                if depth + flags.c <= max_depth:
-                    stack.append((g.resolve(a), (at, ARG), depth + flags.c))
-                if depth + flags.b <= max_depth:
-                    stack.append((g.resolve(f), (at, FN), depth + flags.b))
-            case Lam(_, _, b):
-                if depth + flags.a <= max_depth:
-                    stack.append((g.resolve(b), (at, BODY), depth + flags.a))
-
-
 def find_beta_redexes(g: TermGraph, flags: DepthFlags, depth: int,
                       budget=DEFAULT_BUDGET):
-    """Beta redexes at exactly the given flag depth, leftmost-outermost."""
-    out = []
-    for node, at, d in lwalk(g, flags, depth, budget):
-        if d == depth and isinstance(node, App) \
-                and isinstance(g.resolve(node.fn), Lam):
-            out.append(Redex(path_of(at), "", "linear"))
-    return out
+    """Beta redexes at exactly the given flag depth, leftmost-outermost:
+    those a :func:`~llinf.reduction.walk` with the flags' marks reaches
+    at a level of ``depth`` ``c``s."""
+    return [Redex(path_of(at), "", "linear")
+            for node, at, level in walk(g, max_depth=depth, marks=flags.marks,
+                                        budget=budget)
+            if len(level) == depth and type(node) is App
+            and type(g.resolve(node.fn)) is Lam]
 
 
 def lbeta_step(g: TermGraph, flags: DepthFlags, depth: int,
@@ -256,12 +242,9 @@ def _leftmost_source_redex(g, flags):
     """The leftmost beta redex at the least flag depth that holds one,
     with that depth, or ``(None, None)`` when ``g``, a pure lambda graph,
     is normal.  That depth is the least flag depth of a redex node of the
-    graph (:func:`~llinf.reduction._graph_nodes` with the flags' rule),
+    graph (:func:`~llinf.reduction._graph_nodes` with the flags' marks),
     so one search at it finds the redex."""
-    def deeper(node):
-        return (flags.b, flags.c) if type(node) is App else (flags.a,)
-
-    for node, d in _graph_nodes(g, deeper):
+    for node, d in _graph_nodes(g, flags.marks):
         if redex_kind_at(g, node):
             return find_beta_redexes(g, flags, d)[0], d
     return None, None

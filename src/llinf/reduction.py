@@ -24,10 +24,11 @@ from .terms import (
     ARG, BODY, BOXED, FN,
     COIND, IND, LIN,
     DEFAULT_BUDGET,
-    children, derive, fresh_name, project_depth, subst_in_body,
+    derive, fresh_name, project_depth, subst_in_body,
 )
 
 DEFAULT_HEIGHT = 64
+NO_MARKS = ("", "", "")     # what the sides and bodies add to a level
 LINEAR = "linear"
 INDUCTIVE = "inductive"
 COINDUCTIVE = "coinductive"
@@ -74,26 +75,33 @@ def _exceeded(budget) -> BudgetExceededError:
 
 
 def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
-         budget=DEFAULT_BUDGET):
+         marks=NO_MARKS, budget=DEFAULT_BUDGET):
     """Preorder traversal of the unfolding, yielding (node, at, level).
 
     The walk starts at ``start``, a node over ``g``'s definitions, by
     default ``g``'s root body; paths and levels are relative to it.
     ``at`` is the node's parent link: ``()`` at the start, else the pair
     (parent's link, selector); :func:`path_of` turns it into a path, so
-    a walk builds no path it does not need.  ``max_height`` bounds the
-    path length; ``max_depth`` stops descent into coinductive boxes
-    beyond the bound (the box node itself is still yielded).  References
-    are transparent.
+    a walk builds no path it does not need.  Crossing into a box adds
+    ``i`` or ``c`` to the level, by its kind, and crossing into a
+    function side, an argument side or an abstraction body adds the
+    letter ``marks`` holds for it, ``""`` or ``"c"``: by default none
+    (:data:`NO_MARKS`), as in the boxed calculus.  ``max_height`` bounds
+    the path length; ``max_depth`` stops descent across a crossing that
+    would put more ``c``s than the bound in the level (the node it
+    leaves is still yielded).  References are transparent.
     """
+    fn_mark, arg_mark, body_mark = marks
+    fn_up, arg_up, body_up = map(len, marks)
     defs = g.defs
-    node = g.root_body() if start is None else start
-    while type(node) is Ref:
-        node = defs[node.name]
-    stack = [(node, (), "", 0)]
+    # no walk within its budget reaches a depth past it
+    limit = budget if max_depth is None else max_depth
+    stack = [(g.root_body() if start is None else start, (), "", 0, 0)]
     visited = 0
     while stack:
-        node, at, level, height = stack.pop()
+        node, at, level, depth, height = stack.pop()   # depth: level's c's
+        while type(node) is Ref:
+            node = defs[node.name]
         visited += 1
         if visited > budget:
             raise _exceeded(budget)
@@ -103,28 +111,22 @@ def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
         height += 1
         t = type(node)
         if t is App:
-            a = node.arg
-            while type(a) is Ref:
-                a = defs[a.name]
-            f = node.fn
-            while type(f) is Ref:
-                f = defs[f.name]
-            stack.append((a, (at, ARG), level, height))
-            stack.append((f, (at, FN), level, height))
+            if depth + arg_up <= limit:
+                stack.append((node.arg, (at, ARG), level + arg_mark,
+                              depth + arg_up, height))
+            if depth + fn_up <= limit:
+                stack.append((node.fn, (at, FN), level + fn_mark,
+                              depth + fn_up, height))
         elif t is Lam or t is Box:
             if t is Lam:
-                sel = BODY
+                sel, mark, up = BODY, body_mark, body_up
             elif node.kind == IND:
-                sel, level = BOXED, level + "i"
-            elif node.kind == COIND and (max_depth is None
-                                         or level.count("c") < max_depth):
-                sel, level = BOXED, level + "c"
+                sel, mark, up = BOXED, "i", 0
             else:
-                continue
-            b = node.body
-            while type(b) is Ref:
-                b = defs[b.name]
-            stack.append((b, (at, sel), level, height))
+                sel, mark, up = BOXED, "c", 1
+            if depth + up <= limit:
+                stack.append((node.body, (at, sel), level + mark,
+                              depth + up, height))
 
 
 def path_of(at) -> tuple:
@@ -297,14 +299,14 @@ def _first_redex(g: TermGraph, node: Node, budget, whole=True):
     return Redex(path_of(at), "i" * k, kind), charge
 
 
-def _graph_nodes(g: TermGraph,
-                 deeper=lambda n: (type(n) is Box and n.kind == COIND,) * 2):
+def _graph_nodes(g: TermGraph, marks=NO_MARKS):
     """Each node of the unfolding of ``g``'s root body once (references
     resolved: the nodes of the reachable definitions) with its least
-    depth, shallower depths first.  ``deeper(node)`` says, for each child
-    (:func:`~llinf.terms.children`; ``zip`` cuts the answer to them),
-    whether it lies one depth down: by default, a coinductive box's
-    contents.  Each depth is drained before the next."""
+    depth, shallower depths first.  A child lies one depth down where
+    crossing into it adds a ``c`` to the level (:func:`walk`, with the
+    same ``marks``): by default, a coinductive box's contents.  Each
+    depth is drained before the next."""
+    fn_mark, arg_mark, body_mark = marks
     seen = set()
     depth, todo, below = 0, [g.root_body()], []
     while todo:
@@ -312,8 +314,14 @@ def _graph_nodes(g: TermGraph,
         if id(n) not in seen:
             seen.add(id(n))
             yield n, depth
-            for child, down in zip(children(n), deeper(n)):
-                (below if down else todo).append(child)
+            t = type(n)
+            if t is App:
+                (below if fn_mark else todo).append(n.fn)
+                (below if arg_mark else todo).append(n.arg)
+            elif t is Lam:
+                (below if body_mark else todo).append(n.body)
+            elif t is Box:
+                (below if n.kind == COIND else todo).append(n.body)
         if not todo:
             depth, todo, below = depth + 1, below, []
 

@@ -36,6 +36,11 @@
   :func:`llinf.terms.rebuild` with a ``remake`` per node: the earlier
   production routes, kept as the oracles of the type-dispatched loops of
   :func:`llinf.reduction.walk` and :func:`llinf.terms.project_depth`.
+* The flag-counted walk of a pure lambda graph, a loop of its own with
+  the depth as an int, and the beta redexes it reaches at one depth:
+  the earlier production route, kept as the oracle of
+  :func:`llinf.lam.find_beta_redexes`, which reads the flags as level
+  marks of :func:`llinf.reduction.walk`.
 * The evaluator's charge for a stepped root body, its nodes above its
   coinductive boxes with references as leaves, by structural recursion:
   the oracle of the walk in :func:`llinf.reduction._shallow_size`.
@@ -761,6 +766,38 @@ def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
                 if max_depth is None or level_depth(level) < max_depth:
                     stack.append((g.resolve(b), (at, BOXED), level + "c",
                                   height))
+
+
+def lwalk(g: TermGraph, flags, max_depth, budget=DEFAULT_BUDGET):
+    """Preorder traversal with flag-counted depth, not descending past
+    ``max_depth``; yields (node, parent link, depth)."""
+    stack = [(g.resolve(g.root_body()), (), 0)]
+    visited = 0
+    while stack:
+        node, at, depth = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise BudgetExceededError(f"traversal exceeded {budget} nodes")
+        yield node, at, depth
+        match node:
+            case App(f, a):
+                if depth + flags.c <= max_depth:
+                    stack.append((g.resolve(a), (at, ARG), depth + flags.c))
+                if depth + flags.b <= max_depth:
+                    stack.append((g.resolve(f), (at, FN), depth + flags.b))
+            case Lam(_, _, b):
+                if depth + flags.a <= max_depth:
+                    stack.append((g.resolve(b), (at, BODY), depth + flags.a))
+
+
+def find_beta_redexes(g: TermGraph, flags, depth: int, budget=DEFAULT_BUDGET):
+    """Beta redexes at exactly the given flag depth, leftmost-outermost."""
+    out = []
+    for node, at, d in lwalk(g, flags, depth, budget):
+        if d == depth and isinstance(node, App) \
+                and isinstance(g.resolve(node.fn), Lam):
+            out.append(reduction.Redex(reduction.path_of(at), "", "linear"))
+    return out
 
 
 def classify(g: TermGraph, height=64) -> str:

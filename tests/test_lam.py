@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import graph_oracles
 from llinf import generate, lam
-from llinf.errors import LLinfError
+from llinf.errors import BudgetExceededError, LLinfError
 from llinf.lam import (
     DepthFlags, SimReport, check_labc, embed_cbv, embed_girard,
     find_beta_redexes, lbeta_step, simulate_cbv, simulate_girard,
@@ -308,3 +308,71 @@ def test_simulations_reject_an_ill_formed_source_before_searching(text):
         simulate_cbv(g, 0, 0, 3)
     with pytest.raises(LLinfError, match="not well-formed in lambda-000"):
         simulate_girard(g, 0, 3)
+
+
+def test_a_lambda_search_past_its_budget_raises_the_evaluators_message():
+    # lambda-000 counts no crossing, so the depth-1 region of M is infinite
+    g = lparse("def M = (\\x. x) M ; root M")
+    with pytest.raises(BudgetExceededError) as info:
+        lbeta_step(g, DepthFlags(0, 0, 0), 1, 50)
+    assert str(info.value) == "traversal exceeded 50 nodes (ill-formed input?)"
+
+
+def _nest(n, outer, inner="(\\x. x) y"):
+    """``inner`` under ``n`` copies of ``outer``, whose ``_`` it fills."""
+    for i in range(n):
+        inner = outer.replace("_", inner).replace("@", f"v{i}")
+    return lparse(f"def M = {inner} ; root M")
+
+
+def _search_corpus():
+    """Pure lambda graphs for the searches: random finite terms, random
+    cyclic 001 shapes, hand-written loops, redexes 30 crossings deep on
+    each side, and a body whose subterms are shared objects."""
+    yield from (generate.random_lambda(("eq", i), 6 + i % 20)
+                for i in range(300))
+    yield from (generate.random_regular_001(seed) for seed in range(40))
+    for text in (SELF_ABS, SELF_ARG, "def D = (\\x. x) (h D) ; root D",
+                 "def D = \\z. (\\y. y) (z D) ; root D",
+                 "def T = (C d) B ; def C = \\x. C ; def B = \\y. B ; root T",
+                 "def T = (C ((\\z. z) d)) B ; def C = \\x. (\\w. w) C ; "
+                 "def B = \\y. B ((\\u. u) y) ; root T",
+                 "def T = (\\x. T) (T (\\y. y) T) ; root T"):
+        yield lparse(text)
+    yield _nest(30, "f (_)")
+    yield _nest(30, "(_) a")
+    yield _nest(30, "\\@. _")
+    redex = App(Lam(LIN, "x", Var("x")), Var("y"))
+    inner = App(redex, Lam(LIN, "z", App(redex, Var("z"))))
+    yield TermGraph({"M": App(App(inner, redex), App(Var("f"), inner))}, "M")
+
+
+def _least_depth_oracle(g, flags):
+    """The first redex at the least flag depth that holds one, searched
+    depth by depth: a least-depth path to a node repeats no node, so no
+    depth past the number of nodes needs a search."""
+    for d in range(check_labc(g, flags).states + 1):
+        found = graph_oracles.find_beta_redexes(g, flags, d)
+        if found:
+            return found[0], d
+    return None, None
+
+
+def test_beta_redex_searches_match_the_flag_walk_oracle():
+    corpus = list(_search_corpus())
+    diffs, accepted = [], 0
+    for flags in map(DepthFlags.parse, ("000", "001", "010", "011",
+                                        "100", "101", "110", "111")):
+        for i, g in enumerate(corpus):
+            if not check_labc(g, flags):
+                continue
+            accepted += 1
+            if lam._leftmost_source_redex(g, flags) \
+                    != _least_depth_oracle(g, flags):
+                diffs.append((str(flags), i, "least"))
+            for d in range(5):
+                if find_beta_redexes(g, flags, d) \
+                        != graph_oracles.find_beta_redexes(g, flags, d):
+                    diffs.append((str(flags), i, d))
+    assert accepted > 2000
+    assert not diffs, f"{len(diffs)} differences, first {diffs[:5]}"

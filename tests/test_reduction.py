@@ -135,6 +135,27 @@ def test_step_at_levelset_exact_and_depth(ex):
     assert step_at_levelset(m, ("exact", "c")) is not None
 
 
+def _redex_under(n):
+    """``f (f (... ((\\x. x) y) ...))`` with ``n`` applications of f."""
+    return parse("def M = " + "f (" * n + "(\\x. x) y" + ")" * n + " ; root M")
+
+
+def test_classify_and_step_lbl_see_a_redex_under_70_applications():
+    g = _redex_under(70)
+    assert classify(g) == "reducible"
+    _, r = step_lbl(g)
+    assert r.position == ("arg",) * 70
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the last height cap (the FOUND line on it in CHANGES.md): "
+    "find_redexes walks to DEFAULT_HEIGHT = 64, so step_at_levelset "
+    "misses a redex under 65 or more applications, and "
+    "properties.random_single_step one under 33"))
+def test_step_at_levelset_finds_a_redex_under_70_applications():
+    assert step_at_levelset(_redex_under(70), "any") is not None
+
+
 def test_step_lbl_leftmost_outermost():
     g = parse("def A = (\\x. x) ((\\y. y) z) ; root A")
     out = step_lbl(g)
