@@ -19,8 +19,9 @@ JOIN_DEPTH = 3          # depths the join search fires redexes at and compares
 
 
 def random_single_step(g, rng):
-    """Contract one uniformly chosen redex within height 32."""
-    redexes = reduction.find_redexes(g, height_bound=32)
+    """Contract one redex chosen uniformly from those down to
+    ``LAW_DEPTH``."""
+    redexes = reduction.find_redexes(g, LAW_DEPTH)
     if not redexes:
         return None, None
     r = rng.choice(redexes)
@@ -42,7 +43,7 @@ def subject_reduction_case(system, env, g, rng):
 def weight_laws_case(g, rng):
     """One random step obeys the decrease laws: twei strictly drops at
     the step depth, is untouched below it, and df never increases."""
-    redexes = reduction.redexes_within_depth(g, LAW_DEPTH)
+    redexes = reduction.find_redexes(g, LAW_DEPTH)
     if not redexes:
         return None
     r = rng.choice(redexes)
@@ -81,7 +82,7 @@ def oracle_agreement_case(g):
 
 
 def _admissible_at(g, depth):
-    return reduction._admissible(reduction.redexes_within_depth(g, depth))
+    return reduction._admissible(reduction.find_redexes(g, depth))
 
 
 def lbl_diamond_case(g, rng):
@@ -108,7 +109,7 @@ def randomized_normalize(g, depth, rng):
     for d in range(depth + 1):
         spent = 0
         while True:
-            redexes = reduction.redexes_within_depth(g, d)
+            redexes = reduction.find_redexes(g, d)
             if not redexes:
                 break
             adm = reduction._admissible(redexes)
@@ -145,7 +146,7 @@ def bounded_join_search(g1: TermGraph, g2: TermGraph):
         for _ in range(6):
             nxt = []
             for h in frontier:
-                for r in reduction.redexes_within_depth(h, JOIN_DEPTH):
+                for r in reduction.find_redexes(h, JOIN_DEPTH):
                     h2 = reduction.contract(h, r)
                     key = canonical_string(project_depth(h2, JOIN_DEPTH + 2))
                     if key not in seen:

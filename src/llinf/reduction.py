@@ -27,7 +27,6 @@ from .terms import (
     derive, fresh_name, project_depth, subst_in_body,
 )
 
-DEFAULT_HEIGHT = 64
 NO_MARKS = ("", "", "")     # what the sides and bodies add to a level
 LINEAR = "linear"
 INDUCTIVE = "inductive"
@@ -74,8 +73,8 @@ def _exceeded(budget) -> BudgetExceededError:
         f"traversal exceeded {budget} nodes (ill-formed input?)")
 
 
-def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
-         marks=NO_MARKS, budget=DEFAULT_BUDGET):
+def walk(g: TermGraph, *, start=None, max_depth=None, marks=NO_MARKS,
+         budget=DEFAULT_BUDGET):
     """Preorder traversal of the unfolding, yielding (node, at, level).
 
     The walk starts at ``start``, a node over ``g``'s definitions, by
@@ -86,37 +85,34 @@ def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
     ``i`` or ``c`` to the level, by its kind, and crossing into a
     function side, an argument side or an abstraction body adds the
     letter ``marks`` holds for it, ``""`` or ``"c"``: by default none
-    (:data:`NO_MARKS`), as in the boxed calculus.  ``max_height`` bounds
-    the path length; ``max_depth`` stops descent across a crossing that
-    would put more ``c``s than the bound in the level (the node it
-    leaves is still yielded).  References are transparent.
+    (:data:`NO_MARKS`), as in the boxed calculus.  ``max_depth`` stops
+    descent across a crossing that would put more ``c``s than the bound
+    in the level (the node it leaves is still yielded).  References are
+    transparent.
     """
     fn_mark, arg_mark, body_mark = marks
     fn_up, arg_up, body_up = map(len, marks)
     defs = g.defs
     # no walk within its budget reaches a depth past it
     limit = budget if max_depth is None else max_depth
-    stack = [(g.root_body() if start is None else start, (), "", 0, 0)]
+    stack = [(g.root_body() if start is None else start, (), "", 0)]
     visited = 0
     while stack:
-        node, at, level, depth, height = stack.pop()   # depth: level's c's
+        node, at, level, depth = stack.pop()   # depth: level's c's
         while type(node) is Ref:
             node = defs[node.name]
         visited += 1
         if visited > budget:
             raise _exceeded(budget)
         yield node, at, level
-        if max_height is not None and height >= max_height:
-            continue
-        height += 1
         t = type(node)
         if t is App:
             if depth + arg_up <= limit:
                 stack.append((node.arg, (at, ARG), level + arg_mark,
-                              depth + arg_up, height))
+                              depth + arg_up))
             if depth + fn_up <= limit:
                 stack.append((node.fn, (at, FN), level + fn_mark,
-                              depth + fn_up, height))
+                              depth + fn_up))
         elif t is Lam or t is Box:
             if t is Lam:
                 sel, mark, up = BODY, body_mark, body_up
@@ -126,7 +122,7 @@ def walk(g: TermGraph, *, start=None, max_height=None, max_depth=None,
                 sel, mark, up = BOXED, "c", 1
             if depth + up <= limit:
                 stack.append((node.body, (at, sel), level + mark,
-                              depth + up, height))
+                              depth + up))
 
 
 def path_of(at) -> tuple:
@@ -157,26 +153,21 @@ def _redex_kind(f: Node, a: Node):
     return None
 
 
-def _collect_redexes(g, *, max_height=None, max_depth=None, budget):
+def find_redexes(g: TermGraph, max_depth, budget=DEFAULT_BUDGET):
+    """All redexes in the region down to ``max_depth`` (finite on
+    terms), ordered by level depth, then level (i before c), then
+    leftmost-outermost position."""
     found = [Redex(path_of(at), level, kind)
-             for node, at, level in walk(g, max_height=max_height,
-                                         max_depth=max_depth, budget=budget)
+             for node, at, level in walk(g, max_depth=max_depth, budget=budget)
              if (kind := redex_kind_at(g, node))]
     # stable: preorder breaks ties between equal levels
     found.sort(key=lambda r: level_key(r.level))
     return found
 
 
-def find_redexes(g: TermGraph, height_bound=DEFAULT_HEIGHT,
-                 budget=DEFAULT_BUDGET):
-    """All redexes within the height bound, ordered by level depth, then
-    level (i before c), then leftmost-outermost position."""
-    return _collect_redexes(g, max_height=height_bound, budget=budget)
-
-
-def redexes_within_depth(g: TermGraph, max_depth, budget=DEFAULT_BUDGET):
-    """All redexes in the depth-bounded region (finite on terms)."""
-    return _collect_redexes(g, max_depth=max_depth, budget=budget)
+# The benchmark's tracer wraps the enumerator under this name as well as
+# under its own, so the name stays bound to the same function.
+redexes_within_depth = find_redexes
 
 
 def _shallow_size(node: Node, budget) -> int:
@@ -233,7 +224,7 @@ def _shallow_key(node: Node) -> str:
 
 
 def _first_redex(g: TermGraph, node: Node, budget, whole=True):
-    """``redexes_within_depth(g, 0, budget)[0]`` for the unfolding of
+    """``find_redexes(g, 0, budget)[0]`` for the unfolding of
     ``node``, a node over ``g``'s definitions, or None when there is
     none, found without collecting or sorting the others, and the nodes
     charged against ``budget``.
@@ -300,19 +291,21 @@ def _first_redex(g: TermGraph, node: Node, budget, whole=True):
 
 
 def _graph_nodes(g: TermGraph, marks=NO_MARKS):
-    """Each node of the unfolding of ``g``'s root body once (references
-    resolved: the nodes of the reachable definitions) with its least
-    depth, shallower depths first.  A child lies one depth down where
-    crossing into it adds a ``c`` to the level (:func:`walk`, with the
-    same ``marks``): by default, a coinductive box's contents.  Each
-    depth is drained before the next."""
+    """Each node of the unfolding of ``g``'s root body (references
+    resolved: the nodes of the reachable definitions) with the least
+    depth of each parity it occurs at, so at most twice, shallower
+    depths first; a node's first yield is at its least depth.  A child
+    lies one depth down where crossing into it adds a ``c`` to the level
+    (:func:`walk`, with the same ``marks``): by default, a coinductive
+    box's contents.  Each depth is drained before the next."""
     fn_mark, arg_mark, body_mark = marks
     seen = set()
     depth, todo, below = 0, [g.root_body()], []
     while todo:
         n = g.resolve(todo.pop())
-        if id(n) not in seen:
-            seen.add(id(n))
+        key = id(n), depth & 1
+        if key not in seen:
+            seen.add(key)
             yield n, depth
             t = type(n)
             if t is App:
@@ -424,31 +417,33 @@ def contract(g: TermGraph, redex: Redex) -> TermGraph:
 # ---------------------------------------------------------------------------
 # strategies
 
-def level_predicate(spec):
-    """Compile a level predicate: 'any', 'even', 'odd', ('depth', n) or
-    ('exact', word)."""
+def step_at_levelset(g: TermGraph, spec, budget=DEFAULT_BUDGET):
+    """Contract the first redex, in :func:`find_redexes` order, whose
+    level matches ``spec``: 'any', 'even', 'odd', ('depth', n) or
+    ('exact', word); or return None.
+
+    The redex's depth is decided on the graph (:func:`_graph_nodes`):
+    the least depth of a redex node for 'any', the least of that parity
+    for 'even' and 'odd', and ``n`` or the word's depth otherwise,
+    provided some redex node of its parity lies no deeper.  One search
+    of that depth's region then finds the redex."""
     match spec:
-        case "any":
-            return lambda lv: True
-        case "even":
-            return lambda lv: level_depth(lv) % 2 == 0
-        case "odd":
-            return lambda lv: level_depth(lv) % 2 == 1
-        case ("depth", n):
-            return lambda lv: level_depth(lv) == n
+        case "any" | "even" | "odd":
+            depth = word = None
+        case ("depth", depth):
+            word = None
         case ("exact", word):
-            return lambda lv: lv == word
-    raise ValueError(f"unknown level predicate {spec!r}")
-
-
-def step_at_levelset(g: TermGraph, predicate, height_bound=DEFAULT_HEIGHT,
-                     budget=DEFAULT_BUDGET):
-    """Contract the first redex whose level satisfies the predicate, or
-    return None."""
-    if not callable(predicate):
-        predicate = level_predicate(predicate)
-    for r in find_redexes(g, height_bound, budget):
-        if predicate(r.level):
+            depth = level_depth(word)
+        case _:
+            raise ValueError(f"unknown level predicate {spec!r}")
+    parity = {"even": 0, "odd": 1}.get(spec) if depth is None else depth % 2
+    least = next((d for n, d in _graph_nodes(g)
+                  if parity in (None, d % 2) and redex_kind_at(g, n)), None)
+    depth = least if depth is None else depth
+    if least is None or least > depth:
+        return None
+    for r in find_redexes(g, depth, budget):
+        if r.depth == depth and word in (None, r.level):
             return contract(g, r)
     return None
 
@@ -471,7 +466,7 @@ def step_lbl(g: TermGraph, budget=DEFAULT_BUDGET):
     d = next((d for n, d in _graph_nodes(g) if redex_kind_at(g, n)), None)
     if d is None:
         return None
-    r = (redexes_within_depth(g, d, budget)[0] if d
+    r = (find_redexes(g, d, budget)[0] if d
          else _first_redex(g, g.root_body(), budget)[0])
     return contract(g, r), r
 
@@ -551,7 +546,7 @@ def _frontier_eval(g, node, depth, fuel, budget, names, on_step=None):
     over ``g``'s definitions, which no step writes: a step rewrites a
     box's node (:func:`_contract_at`), renaming binders apart from
     ``names``, and no graph is built.  Steps are taken in the order of
-    :func:`redexes_within_depth` on the whole unfolding: a heap holds
+    :func:`find_redexes` on the whole unfolding: a heap holds
     each box's first redex (:func:`_first_redex`) keyed by its whole
     level, then by box preorder, and after a step only the stepped box
     is searched again, up to its first redex.  Once depth ``d`` is

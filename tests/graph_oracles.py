@@ -52,6 +52,11 @@
   64, first for a redex and then for an application that can never
   fire: the earlier production route, kept as the oracle of
   :func:`llinf.reduction.classify`, which decides on the graph.
+* Redex enumeration by a walk of the unfolding to height 64, and the
+  level-set strategy that contracts the first redex of that list whose
+  level satisfies a predicate: the earlier production route, kept as
+  the oracle of :func:`llinf.reduction.step_at_levelset`, which decides
+  the redex's depth on the graph and searches that depth's region.
 * The call-by-value embedding drawing each application's ``w`` name
   with its own ``fresh_name`` probe from ``w1``: the earlier production
   route, kept as the oracle of :func:`llinf.lam.embed_cbv`, which draws
@@ -810,6 +815,45 @@ def classify(g: TermGraph, height=64) -> str:
            for node in nodes):
         return "deadlocked"
     return "normal"
+
+
+def find_redexes(g: TermGraph, height_bound=64, budget=DEFAULT_BUDGET):
+    """All redexes within the height bound, ordered by level depth, then
+    level (i before c), then leftmost-outermost position."""
+    found = [reduction.Redex(reduction.path_of(at), level, kind)
+             for node, at, level in walk(g, max_height=height_bound,
+                                         budget=budget)
+             if (kind := reduction.redex_kind_at(g, node))]
+    found.sort(key=lambda r: reduction.level_key(r.level))
+    return found
+
+
+def level_predicate(spec):
+    """A level predicate: 'any', 'even', 'odd', ('depth', n) or
+    ('exact', word)."""
+    match spec:
+        case "any":
+            return lambda lv: True
+        case "even":
+            return lambda lv: level_depth(lv) % 2 == 0
+        case "odd":
+            return lambda lv: level_depth(lv) % 2 == 1
+        case ("depth", n):
+            return lambda lv: level_depth(lv) == n
+        case ("exact", word):
+            return lambda lv: lv == word
+    raise ValueError(f"unknown level predicate {spec!r}")
+
+
+def step_at_levelset(g: TermGraph, spec, height_bound=64,
+                     budget=DEFAULT_BUDGET):
+    """Contract the first redex within the height bound whose level
+    satisfies the predicate, or return None."""
+    predicate = level_predicate(spec)
+    for r in find_redexes(g, height_bound, budget):
+        if predicate(r.level):
+            return reduction.contract(g, r)
+    return None
 
 
 def embed_cbv(g: TermGraph, a: int, b: int) -> TermGraph:

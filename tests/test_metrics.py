@@ -242,7 +242,7 @@ def test_weight_trace_not_applicable(ex):
 
 def test_df_never_increases_on_examples():
     g = parse("def T = (\\!x. u x x x) (!(\\w. w)) ; root T")
-    stepped = reduction.contract(g, reduction.find_redexes(g)[0])
+    stepped = reduction.contract(g, reduction.find_redexes(g, 0)[0])
     for m in range(3):
         assert df(stepped, m) <= df(g, m)
 

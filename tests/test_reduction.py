@@ -26,25 +26,25 @@ from conftest import flip_applied, parse
 
 def test_find_redex_simple():
     g = parse("def A = (\\x. x) y ; root A")
-    rs = find_redexes(g)
+    rs = find_redexes(g, 0)
     assert len(rs) == 1
     assert rs[0] == Redex((), "", "linear")
 
 
 def test_find_redex_normal_form(identity):
-    assert find_redexes(identity) == []
+    assert find_redexes(identity, 0) == []
     assert not has_any_redex(identity)
 
 
 def test_find_redexes_nonconf(ex):
-    rs = find_redexes(ex["nonconf"], 12)
+    rs = find_redexes(ex["nonconf"], 1)
     assert rs[0].kind == "coinductive" and rs[0].level == ""
     assert any(r.depth >= 1 for r in rs)
 
 
 def test_redex_levels_and_order():
     g = parse("def A = !((\\x. x) u) (#((\\y. y) w)) ((\\z. z) v) ; root A")
-    rs = find_redexes(g)
+    rs = find_redexes(g, 1)
     assert [r.level for r in rs] == ["", "i", "c"]
     # level key orders i before c at equal depth, depth first overall
     assert rs[0].position == ("arg",)
@@ -52,20 +52,20 @@ def test_redex_levels_and_order():
 
 def test_contract_linear():
     g = parse("def A = (\\x. x) y ; root A")
-    out = contract(g, find_redexes(g)[0])
+    out = contract(g, find_redexes(g, 0)[0])
     assert out.root_body() == Var("y")
 
 
 def test_contract_coinductive_k():
     g = parse("def A = (\\#x. \\#y. x) (#(\\q. q)) ; root A")
-    out = contract(g, find_redexes(g)[0])
+    out = contract(g, find_redexes(g, 0)[0])
     want = parse("def W = \\#y. \\q. q ; root W")
     assert graph_bisimilar(out, want)
 
 
 def test_contract_inductive_omega(ex):
     om = ex["omega_ind"]
-    out = contract(om, find_redexes(om)[0])
+    out = contract(om, find_redexes(om, 0)[0])
     assert graph_bisimilar(out, om)
 
 
@@ -85,7 +85,7 @@ def test_contract_unshares_shared_definition():
         "A": App(Var("u"), Box("coind", Ref("D"))),
     }
     g = TermGraph({**defs, "R": App(Ref("D"), Box("coind", Ref("D")))}, "R")
-    rs = find_redexes(g)
+    rs = find_redexes(g, 1)
     top = [r for r in rs if r.position == ("fn",)]
     out = contract(g, top[0])
     want_defs = {
@@ -147,13 +147,54 @@ def test_classify_and_step_lbl_see_a_redex_under_70_applications():
     assert r.position == ("arg",) * 70
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the last height cap (the FOUND line on it in CHANGES.md): "
-    "find_redexes walks to DEFAULT_HEIGHT = 64, so step_at_levelset "
-    "misses a redex under 65 or more applications, and "
-    "properties.random_single_step one under 33"))
 def test_step_at_levelset_finds_a_redex_under_70_applications():
     assert step_at_levelset(_redex_under(70), "any") is not None
+    # the same redex one depth down, under a coinductive box
+    g = parse("def M = c #(" + "f (" * 70 + "(\\x. x) y" + ")" * 70
+              + ") ; root M")
+    want = parse("def M = c #(" + "f (" * 70 + "y" + ")" * 70 + ") ; root M")
+    assert format_graph(step_at_levelset(g, "odd")) == format_graph(want)
+    assert step_at_levelset(g, "even") is None
+
+
+def test_random_single_step_finds_a_redex_under_40_applications():
+    import random
+    stepped, r = properties.random_single_step(_redex_under(40),
+                                               random.Random(0))
+    assert r == Redex(("arg",) * 40, "", "linear")
+    want = parse("def M = " + "f (" * 40 + "y" + ")" * 40 + " ; root M")
+    assert format_graph(stepped) == format_graph(want)
+
+
+def test_step_at_levelset_sees_a_node_at_both_parities():
+    # R lies at depth 1 and at depth 2; only the depth-2 copy is even
+    g = parse("def R = (\\x. x) y ; def T = a #R #(#R) ; root T")
+    want = parse("def R = (\\x. x) y ; def T = a #R #(#y) ; root T")
+    assert format_graph(step_at_levelset(g, "even")) == format_graph(want)
+    assert format_graph(step_at_levelset(g, ("depth", 2))) == format_graph(want)
+    assert step_at_levelset(g, ("depth", 0)) is None
+    assert step_at_levelset(g, ("exact", "cc")) is not None
+
+
+LEVELSET_SPECS = ["any", "even", "odd"] + [("depth", n) for n in range(4)] + [
+    ("exact", w) for w in ("", "i", "c", "ic", "ci", "cc", "ii")]
+
+
+def test_step_at_levelset_matches_the_height_capped_oracle():
+    """On the counterexamples, the ill-formed rho among them, and on
+    generated terms, every spec contracts the redex the first match in
+    the height-64 list contracts, or finds none where it finds none."""
+    from llinf.encodings import counterexamples
+    graphs = list(counterexamples().values())
+    graphs += [generate.random_term(("levelset", seed), system, 24,
+                                    require_redex=True)[1]
+               for system in ("llinf", "4s") for seed in range(300)]
+    for g in graphs:
+        for spec in LEVELSET_SPECS:
+            got = step_at_levelset(g, spec)
+            want = graph_oracles.step_at_levelset(g, spec)
+            assert (got and format_graph(got)) == (
+                want and format_graph(want)), (format_graph(g), spec)
 
 
 def test_step_lbl_leftmost_outermost():
@@ -269,6 +310,7 @@ def test_find_deadlock_kind_mismatch_only_for_eval(ex):
 @given(st.integers(0, 10**6), st.sampled_from(["llinf", "4s"]))
 def test_level_correctness_random(seed, system):
     _, g = generate.random_term(seed, system, 24, require_redex=True)
+    # a depth past every coinductive box of a term of this size
     for r in find_redexes(g, 24)[:6]:
         assert level_at(g, r.position) == r.level
         n = r.depth
@@ -872,9 +914,9 @@ def test_one_scan_per_step_on_the_argument(monkeypatch):
 def test_step_lbl_takes_depth_0_from_the_first_redex_search(monkeypatch, ex):
     """``step_lbl`` picks the redex the per-depth scan would, and scans
     by depth only from depth 1 on."""
-    plain = reduction.redexes_within_depth
+    plain = reduction.find_redexes
     depths = []
-    monkeypatch.setattr(reduction, "redexes_within_depth",
+    monkeypatch.setattr(reduction, "find_redexes",
                         lambda g, d, budget=100_000:
                         depths.append(d) or plain(g, d, budget))
     graphs = [parse("def T = y (#((\\x. x) z)) ; root T"),
@@ -909,9 +951,9 @@ def test_step_lbl_finds_a_redex_under_300_boxes():
 
 def test_step_lbl_searches_once_under_2000_boxes(monkeypatch):
     # the graph gives the redex's depth, so one walk of that region finds it
-    plain = reduction.redexes_within_depth
+    plain = reduction.find_redexes
     depths = []
-    monkeypatch.setattr(reduction, "redexes_within_depth",
+    monkeypatch.setattr(reduction, "find_redexes",
                         lambda g, d, budget=100_000:
                         depths.append(d) or plain(g, d, budget))
     g = parse("def M = " + "#(" * 2000 + "(\\x. x) y" + ")" * 2000 + " ; root M")
@@ -1016,9 +1058,8 @@ def _traversal_corpus():
 
 TRAVERSAL_CORPUS = [pytest.param(g, id=name.replace(" ", "_"))
                     for name, g in _traversal_corpus()]
-# (max_height, max_depth) of the walks compared
-WALK_BOUNDS = [(None, None), (None, 0), (None, 1), (None, 2), (0, None),
-               (1, None), (3, 1), (8, None)]
+# the max_depth of the walks compared
+WALK_BOUNDS = [None, 0, 1, 2]
 
 
 def _walk_run(walk, g, budget, **bounds):
@@ -1044,9 +1085,8 @@ def _starts(g):
 @pytest.mark.parametrize("g", TRAVERSAL_CORPUS)
 def test_walk_matches_the_pattern_matching_oracle(g):
     for start in _starts(g):
-        for max_height, max_depth in WALK_BOUNDS:
-            bounds = dict(start=start, max_height=max_height,
-                          max_depth=max_depth)
+        for max_depth in WALK_BOUNDS:
+            bounds = dict(start=start, max_depth=max_depth)
             want = _walk_run(graph_oracles.walk, g, 400, **bounds)
             assert _walk_run(reduction.walk, g, 400, **bounds) == want
             if want[1] is not None:

@@ -776,6 +776,7 @@ def test_wellformed_projection_stays_finite(seed, system):
 @given(st.integers(0, 10**6), st.sampled_from(["llinf", "4s"]))
 def test_subject_reduction_random(seed, system):
     env, g = generate.random_term(seed, system, 24, require_redex=True)
+    # a depth past every coinductive box of a term of this size
     redexes = reduction.find_redexes(g, 32)
     stepped = reduction.contract(g, redexes[seed % len(redexes)])
     if system == "llinf":
